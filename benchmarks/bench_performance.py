@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.core import certain_answers, naive_eval
+from repro.core.backends import NAIVE_AUTO_BACKEND
 from repro.core.engine import evaluate
 from repro.data.generate import random_instance
 from repro.data.schema import Schema
@@ -63,7 +64,7 @@ def test_naive_vs_enumeration_same_answer_cwa(benchmark):
 
     fast_method, slow_method = benchmark(run)
     benchmark.extra_info["routes"] = f"{fast_method} vs {slow_method}"
-    assert fast_method == "compiled" and slow_method == "enumeration"
+    assert fast_method == NAIVE_AUTO_BACKEND and slow_method == "enumeration"
 
 
 @pytest.mark.parametrize("key", ["cwa", "mincwa", "pcwa"])
@@ -79,4 +80,4 @@ def test_engine_naive_route_cost(benchmark):
     """End-to-end engine cost when the analyzer approves naive evaluation."""
     instance = make_instance(16, n_nulls=3)
     result = benchmark(evaluate, JOIN, instance, "owa")
-    assert result.method == "compiled"
+    assert result.method == NAIVE_AUTO_BACKEND

@@ -116,40 +116,29 @@ def _print_result(query: Query, result) -> None:
 def _cmd_evaluate(args) -> int:
     query = _build_query(args.query)
     instance = _load_instance(args.instance)
-    result = evaluate(
-        query, instance, semantics=args.semantics, mode=args.mode,
-        workers=args.workers,
-    )
+    result = evaluate(query, instance, semantics=args.semantics, mode=args.mode)
     _print_result(query, result)
     return 0
 
 
 def _cmd_certain(args) -> int:
-    """The oracle, explicitly: bounded enumeration with optional sharding."""
+    """The oracle, explicitly: bounded enumeration with its world count."""
     query = _build_query(args.query)
     instance = _load_instance(args.instance)
-    result = evaluate(
-        query, instance, semantics=args.semantics, mode="enumeration",
-        workers=args.workers,
-    )
+    result = evaluate(query, instance, semantics=args.semantics, mode="enumeration")
     _print_result(query, result)
     oracle = result.stats.get("oracle")
     if oracle:
         worlds = oracle.get("worlds", "?")
         mode = oracle.get("mode", "?")
-        line = f"oracle: {worlds} worlds ({mode}"
-        if oracle.get("workers"):
-            line += f", {oracle['workers']} workers, {oracle.get('shards', 0)} shards"
-        if oracle.get("cancelled"):
-            line += ", cancelled early"
-        print(line + ")")
+        print(f"oracle: {worlds} worlds ({mode})")
     return 0
 
 
 def _cmd_explain(args) -> int:
     query = _build_query(args.query)
     instance = _load_instance(args.instance)
-    db = Database(instance, semantics=args.semantics, workers=args.workers)
+    db = Database(instance, semantics=args.semantics)
     plan = db.explain(query, mode=args.mode)
     operators: str | None = None
     if args.operators:
@@ -187,16 +176,12 @@ def _cmd_serve(args) -> int:
     """Run the JSON-lines query server over one shared Database."""
     import signal
 
-    from repro.replication.feed import ReplicationFeed
-    from repro.replication.replica import ReplicaTailer
-    from repro.server import FEATURES, AsyncServer, QueryService, Server
+    from repro.server import serve
 
     # an instance file seeds a *fresh* data dir only; with neither, the
     # session starts empty (or recovers whatever --data-dir holds)
     instance = _load_instance(args.instance) if args.instance else None
-    db = Database(
-        instance, semantics=args.semantics, workers=args.workers, path=args.data_dir
-    )
+    db = Database(instance, semantics=args.semantics, path=args.data_dir)
     if args.data_dir:
         info = db.recovery_info
         print(
@@ -204,39 +189,24 @@ def _cmd_serve(args) -> int:
             f"{db.generation} ({info.wal_records} WAL records on top of "
             f"snapshot generation {info.snapshot_generation})"
         )
-    if args.workers and args.workers > 1:
-        # fork the oracle's worker processes before any client thread
-        # exists (forking a multithreaded parent is a footgun)
-        db.ensure_worker_pool()
-    # every node serves the `replicate` op, so replicas can be chained
-    feed = ReplicationFeed(db)
-    tailer = ReplicaTailer(db, args.replica_of) if args.replica_of else None
-    if args.threaded:
-        # the original thread-per-connection shim: in-order pipelining
-        # only, no admission control, no server-side deadlines
-        service = QueryService(db, batch=not args.no_batch, feed=feed, tailer=tailer)
-        server = Server(
-            service, host=args.host, port=args.port, max_threads=args.threads
-        )
-    else:
-        service = QueryService(
-            db, batch=not args.no_batch, feed=feed, tailer=tailer, features=FEATURES
-        )
-        server = AsyncServer(
-            service,
-            host=args.host,
-            port=args.port,
-            max_inflight=args.max_inflight,
-            max_conns=args.max_conns,
-            idle_timeout_s=max(0.0, args.idle_timeout_s),
-            executor_threads=args.threads,
-        ).start()
+    # every node serves the `replicate` op, so replicas can be chained;
+    # the tailer starts once the listener is bound and announced
+    server = serve(
+        db,
+        host=args.host,
+        port=args.port,
+        max_inflight=args.max_inflight,
+        max_conns=args.max_conns,
+        idle_timeout_s=max(0.0, args.idle_timeout_s),
+        executor_threads=args.threads,
+        batch=not args.no_batch,
+        replicate_from=args.replica_of,
+    )
+    tailer = server.service.tailer
     address = f"{server.address[0]}:{server.address[1]}"
     print(f"repro serve: listening on {address}", flush=True)
     print("protocol: one JSON request per line, one JSON response per line", flush=True)
     if tailer is not None:
-        tailer.announce = address
-        tailer.start()
         print(
             f"replica of {tailer.primary_address}: streaming its WAL; "
             f"writes are rejected until 'promote'",
@@ -517,28 +487,21 @@ def main(argv: list[str] | None = None) -> int:
     p_frag.add_argument("query")
     p_frag.set_defaults(func=_cmd_fragments)
 
-    workers_help = (
-        "max worker processes for the oracle's parallel world sharding "
-        "(default: serial; small valuation spaces run serially regardless)"
-    )
-
     p_eval = sub.add_parser("evaluate", help="compute certain answers over a JSON instance")
     p_eval.add_argument("query")
     p_eval.add_argument("instance", help="path to the JSON instance file")
     p_eval.add_argument("--semantics", choices=sorted(FIGURE_1), default="cwa")
     p_eval.add_argument("--mode", choices=modes, default="auto")
-    p_eval.add_argument("--workers", type=int, default=None, help=workers_help)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_certain = sub.add_parser(
         "certain",
         help="force the certain-answer oracle (bounded [[D]] enumeration), "
-        "with per-shard stats",
+        "with its world count",
     )
     p_certain.add_argument("query")
     p_certain.add_argument("instance", help="path to the JSON instance file")
     p_certain.add_argument("--semantics", choices=sorted(FIGURE_1), default="cwa")
-    p_certain.add_argument("--workers", type=int, default=None, help=workers_help)
     p_certain.set_defaults(func=_cmd_certain)
 
     p_explain = sub.add_parser(
@@ -553,7 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_explain.add_argument("--semantics", choices=sorted(FIGURE_1), default="cwa")
     p_explain.add_argument("--mode", choices=modes, default="auto")
-    p_explain.add_argument("--workers", type=int, default=None, help=workers_help)
     p_explain.add_argument(
         "--json", dest="as_json", action="store_true", help="emit the plan as JSON"
     )
@@ -584,8 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threads",
         type=int,
         default=8,
-        help="executor threads evaluating requests (async core), or max "
-        "concurrent client connections (--threaded)",
+        help="executor threads evaluating requests",
     )
     p_serve.add_argument(
         "--max-inflight",
@@ -593,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=64,
         help="admission control: requests allowed in flight at once before the "
-        "async server sheds load with a typed 'overloaded' frame",
+        "server sheds load with a typed 'overloaded' frame",
     )
     p_serve.add_argument(
         "--max-conns",
@@ -611,13 +572,6 @@ def main(argv: list[str] | None = None) -> int:
         help="reap a connection idle (or stalled mid-frame) this long "
         "(0 = never; slowloris defence)",
     )
-    p_serve.add_argument(
-        "--threaded",
-        action="store_true",
-        help="serve on the original thread-per-connection core instead of the "
-        "asyncio core (no admission control, no deadline_ms)",
-    )
-    p_serve.add_argument("--workers", type=int, default=None, help=workers_help)
     p_serve.add_argument(
         "--no-batch",
         action="store_true",

@@ -69,6 +69,7 @@ __all__ = [
     "ClientError",
     "DeadlineExceeded",
     "DegradedServerError",
+    "FrameTooLargeError",
     "IndeterminateWriteError",
     "OverloadedServerError",
     "ReadOnlyServerError",
@@ -145,6 +146,16 @@ class OverloadedServerError(ServerError):
     """
 
 
+class FrameTooLargeError(ServerError):
+    """A line outgrew the 64 KiB frame limit; nothing was retried.
+
+    Raised for a ``frame_too_large`` frame (the server refused to parse
+    the request line, so nothing ran and the connection closes) and by
+    :class:`AsyncClient` for a response line it cannot read.  Re-sending
+    the same frame would fail the same way, so neither client retries.
+    """
+
+
 def _typed_error(response: dict) -> ServerError:
     kind = response.get("error_type")
     if kind == "degraded":
@@ -155,6 +166,8 @@ def _typed_error(response: dict) -> ServerError:
         return StaleReadError(response)
     if kind == "overloaded":
         return OverloadedServerError(response)
+    if kind == "frame_too_large":
+        return FrameTooLargeError(response)
     return ServerError(response)
 
 
@@ -335,10 +348,13 @@ class Client:
             self._drop(endpoint)
             raise IndeterminateWriteError(f"{endpoint} closed the connection mid-request")
         try:
-            return json.loads(response)
+            decoded = json.loads(response)
         except ValueError as err:
             self._drop(endpoint)
             raise TransportError(f"undecodable response from {endpoint}: {err}") from err
+        if decoded.get("error_type") == "frame_too_large":
+            self._drop(endpoint)  # the server closes after this frame
+        return decoded
 
     def _sleep(self, attempt: int, deadline: float) -> None:
         delay = _backoff_delay(self.backoff_base, self.backoff_cap, attempt, self._jitter)
@@ -595,10 +611,10 @@ class AsyncClient:
 
     >>> import asyncio
     >>> from repro.client import AsyncClient
-    >>> from repro.server import async_serve
+    >>> from repro.server import serve
     >>> from repro.session import Database
     >>> async def demo():
-    ...     server = async_serve(Database({"R": [(1, 2)]}))
+    ...     server = serve(Database({"R": [(1, 2)]}))
     ...     try:
     ...         async with AsyncClient(server.address) as client:
     ...             responses = await client.fanout(
@@ -698,9 +714,27 @@ class AsyncClient:
                         f"undecodable response from {conn.endpoint}: {err}"
                     )
                     break
-                fut = conn.pending.pop(response.get("id"), None)
+                rid = response.get("id")
+                if rid is None and response.get("error_type") == "frame_too_large":
+                    # an unparsed request line: the server answers what is
+                    # still running, then closes — whatever is pending at
+                    # EOF was never parsed
+                    failure = FrameTooLargeError(response)
+                    continue
+                fut = conn.pending.pop(rid, None)
                 if fut is not None and not fut.done():
                     fut.set_result(response)
+        except ValueError as err:
+            # a response line past the StreamReader limit (64 KiB): the
+            # rest of the stream is unframed, and a retry would fetch the
+            # same answer again
+            failure = FrameTooLargeError(
+                {
+                    "error": f"response from {conn.endpoint} exceeds the "
+                    f"64 KiB frame limit: {err}",
+                    "error_type": "frame_too_large",
+                }
+            )
         except OSError as err:
             failure = TransportError(f"connection to {conn.endpoint} failed: {err}")
         finally:

@@ -76,16 +76,11 @@ class Backend(ABC):
     #: does :meth:`execute` read the constant pool?  The session layer
     #: skips pool construction entirely for backends that don't.
     uses_pool: bool = True
-    #: does :meth:`execute` accept ``workers``/``stats_out`` keyword
-    #: arguments (parallel world sharding + execution metadata)?  The
-    #: engine only forwards them to backends that opt in, so plug-in
-    #: backends with the historical signature keep working.
-    supports_workers: bool = False
-    #: does :meth:`execute` additionally accept a ``worker_pool`` keyword
-    #: (a persistent :class:`~repro.core.parallel.OracleWorkerPool` the
-    #: session layer keeps alive across requests)?  Separate from
-    #: ``supports_workers`` so PR 3-era plug-ins keep working unchanged.
-    supports_worker_pool: bool = False
+    #: does :meth:`execute` accept a ``stats_out`` keyword (a dict it
+    #: fills with execution metadata)?  The engine only passes it to
+    #: backends that opt in, so plug-in backends with the historical
+    #: signature keep working.
+    reports_stats: bool = False
 
     def validate(self, semantics: Semantics) -> None:
         """Raise :class:`ValueError` when this backend cannot serve ``semantics``."""
@@ -231,16 +226,13 @@ class NaiveInterpBackend(NaiveBackend):
 class EnumerationBackend(Backend):
     """Bounded enumeration of ``[[D]]`` over a constant pool (the oracle).
 
-    Accepts ``workers`` (world sharding across a process pool for
-    substitution-only semantics) and fills ``stats_out`` with the
-    oracle's enumeration metadata (worlds evaluated, shards,
-    cancellation) for :class:`~repro.core.engine.EvalResult.stats`.
+    Fills ``stats_out`` with the oracle's enumeration metadata (mode,
+    worlds evaluated) for :class:`~repro.core.engine.EvalResult.stats`.
     """
 
     name = "enumeration"
     summary = "bounded certain-answer oracle (intersect Q(E) over [[D]] on a pool)"
-    supports_workers = True
-    supports_worker_pool = True
+    reports_stats = True
 
     def exactness(self, semantics, verdict, instance_is_core, extra_facts):
         if semantics.enumeration_exact(extra_facts):
@@ -258,11 +250,10 @@ class EnumerationBackend(Backend):
         return None
 
     def execute(self, query, instance, semantics, *, pool=None, extra_facts=None,
-                limit=500_000, workers=None, stats_out=None, worker_pool=None):
+                limit=500_000, stats_out=None):
         return _certain.certain_answers(
             query, instance, semantics, pool=pool, extra_facts=extra_facts,
-            limit=limit, workers=workers, stats_out=stats_out,
-            worker_pool=worker_pool,
+            limit=limit, stats_out=stats_out,
         )
 
 

@@ -20,8 +20,7 @@ intersect over fewer instances), so:
 
 This is exactly the direction needed to validate Figure 1 empirically.
 
-Execution is **incremental** and, for large valuation spaces,
-**parallel**.  The query is compiled once per batch
+Execution is **incremental**.  The query is compiled once per batch
 (:func:`repro.logic.compile.compiled_query`, memoised on the query
 value) and the same set-at-a-time plan is re-executed across all worlds.
 For substitution-only semantics (CWA) the oracle never materialises an
@@ -37,16 +36,10 @@ For substitution-only semantics (CWA) the oracle never materialises an
   domain-independent (``CompiledQuery.adom_dependent`` is false), since
   two worlds agreeing on the read relations then yield identical
   answers,
-* evaluates a handful of *seed worlds* first (the all-fresh valuation
-  and the constant collapses), whose extremes tend to empty the running
-  intersection immediately, and stops as soon as it is empty,
-* and, when :func:`repro.core.plan.choose_workers` decides the world
-  count justifies it, shards the canonical-valuation space across a
-  ``multiprocessing`` pool (:mod:`repro.core.parallel`): each worker
-  receives the picklable compiled-plan + row-template payload once,
-  reuses its static indexes across its shards, stops a shard as soon as
-  its running intersection is empty, and an empty shard result cancels
-  every other worker.
+* and evaluates a handful of *seed worlds* first (the all-fresh
+  valuation and the constant collapses), whose extremes tend to empty
+  the running intersection immediately, and stops as soon as it is
+  empty.
 
 Orbit skipping is sound because the skipped worlds are permutation
 images of enumerated ones: a genuine certain answer contains no fresh
@@ -57,17 +50,15 @@ images, by genericity.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from repro.data.dictionary import Dictionary
 from repro.data.indexes import TableContext
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import Null, sort_key
 from repro.logic.ast import RelAtom
-from repro.logic.compile import CompiledQuery, _compiled, compiled_query
+from repro.logic.compile import CompiledQuery, compiled_query
 from repro.logic.queries import Query
 from repro.logic.transform import subformulas, substitute
 from repro.semantics.base import Semantics, guard_limit
@@ -156,7 +147,6 @@ def _canonical_valuations(
     n_nulls: int,
     base_choices: Sequence[Hashable],
     fresh_tail: Sequence[Hashable],
-    prefix: tuple[Hashable, ...] = (),
 ) -> Iterator[tuple[Hashable, ...]]:
     """One valuation per orbit of the fresh-tail permutation group.
 
@@ -165,14 +155,8 @@ def _canonical_valuations(
     ``fresh_tail[i]``), the standard transversal of the action of
     ``Sym(fresh_tail)`` on valuation tuples.  With an empty tail this
     degenerates to the full product — no skipping.
-
-    ``prefix`` fixes the first ``len(prefix)`` positions; it must itself
-    be a canonical prefix (i.e. produced by this generator for a shorter
-    ``n_nulls``).  The parallel oracle shards the valuation space by
-    distributing canonical prefixes across workers.
     """
-    vals: list[Hashable] = list(prefix) + [None] * (n_nulls - len(prefix))
-    fresh_in_prefix = {v for v in prefix if v in set(fresh_tail)}
+    vals: list[Hashable] = [None] * n_nulls
 
     def rec(i: int, n_used: int) -> Iterator[tuple[Hashable, ...]]:
         if i == n_nulls:
@@ -188,7 +172,7 @@ def _canonical_valuations(
             vals[i] = fresh_tail[n_used]
             yield from rec(i + 1, n_used + 1)
 
-    return rec(len(prefix), len(fresh_in_prefix))
+    return rec(0, 0)
 
 
 #: above this many surviving candidate rows, per-row residual probing
@@ -212,24 +196,12 @@ def _residual_query(formula, answer_vars, row) -> CompiledQuery | None:
 
 
 class WorldSpec:
-    """The picklable payload of one incremental world enumeration.
+    """The payload of one incremental world enumeration.
 
-    Everything a shard needs to enumerate and evaluate its slice of the
-    valuation space: the compiled plan, the pre-split row templates of
-    the null-carrying relations the plan reads, the shared null-free
+    Everything the oracle needs to enumerate and evaluate the valuation
+    space: the compiled plan, the pre-split row templates of the
+    null-carrying relations the plan reads, the shared null-free
     relations, and the orbit structure (base choices vs fresh tail).
-    Workers receive one ``WorldSpec`` at pool initialisation and reuse
-    its static hash indexes across all their shards.
-
-    Pickling ships **int arrays, not object graphs**: every cell of the
-    heavy slots (row templates, static rows, active domain, pool) is
-    interned through a :class:`~repro.data.dictionary.Dictionary` and
-    travels as ``array('q')`` codes plus the dictionary's decode tables,
-    and the compiled plan travels as its ``(formula, answer_vars)``
-    source — each worker rebuilds it once through the memoised compiler.
-    Nulls cross the process boundary as dictionary codes (by label), so
-    no :class:`~repro.data.values.Null` object graph is ever serialised
-    per row.
     """
 
     __slots__ = (
@@ -242,13 +214,10 @@ class WorldSpec:
         "n_slots",
         "base_choices",
         "fresh_tail",
-        "seed",
-        "seed_keys",
     )
 
     def __init__(self, cq, templates, dyn_names, static, base_adom,
-                 read_base_cells, n_slots, base_choices, fresh_tail,
-                 seed=None, seed_keys=frozenset()):
+                 read_base_cells, n_slots, base_choices, fresh_tail):
         self.cq = cq
         self.templates = templates
         self.dyn_names = dyn_names
@@ -261,84 +230,6 @@ class WorldSpec:
         self.n_slots = n_slots
         self.base_choices = base_choices
         self.fresh_tail = fresh_tail
-        #: running intersection carried over from the seed worlds
-        self.seed = seed
-        #: content keys of the already-evaluated seed worlds — shards
-        #: skip them instead of re-evaluating
-        self.seed_keys = seed_keys
-
-    def __getstate__(self):
-        d = Dictionary()
-        enc = d.encode
-
-        def pack_rows(rows):
-            rows = list(rows)
-            arity = len(rows[0]) if rows else 0
-            return arity, len(rows), array("q", [enc(v) for row in rows for v in row])
-
-        # template cells compose two namespaces: odd ints are valuation
-        # slots (payload << 1 | 1), even ints are dictionary codes of
-        # constant cells (code << 1)
-        templates = {}
-        for name, specs in self.templates.items():
-            arity = len(specs[0]) if specs else 0
-            flat = array(
-                "q",
-                [
-                    (payload << 1) | 1 if is_null else (enc(payload) << 1)
-                    for spec in specs
-                    for is_null, payload in spec
-                ],
-            )
-            templates[name] = (arity, len(specs), flat)
-        return (
-            (self.cq.formula, self.cq.answer_vars),
-            templates,
-            self.dyn_names,
-            {name: pack_rows(rows) for name, rows in self.static.items()},
-            array("q", [enc(v) for v in self.base_adom]),
-            array("q", [enc(v) for v in self.read_base_cells]),
-            self.n_slots,
-            array("q", [enc(v) for v in self.base_choices]),
-            array("q", [enc(v) for v in self.fresh_tail]),
-            None if self.seed is None else pack_rows(self.seed),
-            self.seed_keys,
-            d.export_tables(),
-        )
-
-    def __setstate__(self, state):
-        (cq_src, templates, dyn_names, static, base_adom, read_cells,
-         n_slots, base_choices, fresh_tail, seed, seed_keys, tables) = state
-        d = Dictionary.from_tables(*tables)
-        dec = d.decode
-
-        def unpack_rows(packed):
-            arity, n, flat = packed
-            cells = [dec(c) for c in flat]
-            return frozenset(
-                tuple(cells[i * arity:(i + 1) * arity]) for i in range(n)
-            )
-
-        self.cq = _compiled(*cq_src)
-        self.templates = {
-            name: [
-                tuple(
-                    (True, cell >> 1) if cell & 1 else (False, dec(cell >> 1))
-                    for cell in flat[i * arity:(i + 1) * arity]
-                )
-                for i in range(n)
-            ]
-            for name, (arity, n, flat) in templates.items()
-        }
-        self.dyn_names = dyn_names
-        self.static = {name: unpack_rows(packed) for name, packed in static.items()}
-        self.base_adom = frozenset(map(dec, base_adom))
-        self.read_base_cells = frozenset(map(dec, read_cells))
-        self.n_slots = n_slots
-        self.base_choices = tuple(map(dec, base_choices))
-        self.fresh_tail = tuple(map(dec, fresh_tail))
-        self.seed = None if seed is None else unpack_rows(seed)
-        self.seed_keys = seed_keys
 
     def base_context(self) -> TableContext | None:
         return TableContext(self.static) if self.static else None
@@ -442,10 +333,10 @@ class WorldSpec:
         Returns ``(intersection, worlds_evaluated, stopped_early)``;
         the intersection is ``None`` only when it never started (no
         worlds and ``running is None``).  Stops as soon as the running
-        intersection is empty — the caller uses ``stopped_early`` to
-        cancel sibling shards.  When the running intersection is already
-        down to a few rows, switches to per-candidate residual probing
-        (:meth:`_verify`) instead of full set-at-a-time evaluation.
+        intersection is empty (``stopped_early``).  When the running
+        intersection is already down to a few rows, switches to
+        per-candidate residual probing (:meth:`_verify`) instead of full
+        set-at-a-time evaluation.
 
         ``seen`` (world content keys) dedups across calls: passing the
         set mutated by the seed-world run makes the main sweep skip the
@@ -595,9 +486,7 @@ def _certain_by_valuations(
     pool: Sequence[Hashable],
     fresh_tail: Sequence[Hashable],
     limit: int,
-    workers: int = 0,
     stats_out: dict | None = None,
-    worker_pool=None,
 ) -> frozenset[tuple[Hashable, ...]]:
     """``⋂ Q(v(D))`` over valuations, without building an Instance per world.
 
@@ -607,29 +496,15 @@ def _certain_by_valuations(
     row templates and substituted per valuation.  ``fresh_tail`` lists
     the interchangeable pool values — those mentioned by neither the
     instance nor the query (empty = enumerate the full product).
-    ``workers`` > 0 shards the valuation space across a process pool
-    (:mod:`repro.core.parallel`); the cost model may still fall back to
-    the serial path for small spaces.  ``worker_pool`` reuses a
-    persistent :class:`~repro.core.parallel.OracleWorkerPool` instead of
-    forking a fresh pool for this call (the serving path).
     """
     spec, fresh_set, info = _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
 
     if stats_out is not None:
         stats_out.update(info)
 
-    if workers:
-        # re-apply the cost model on the *restricted* valuation space:
-        # the planner's estimate uses all nulls, but plan-relevance may
-        # have shrunk the space below the parallel threshold
-        from repro.core import plan as _plan
-
-        workers = _plan.choose_workers(workers, len(pool) ** spec.n_slots)
-
     base_ctx = spec.base_context()
     seen: set[tuple] = set()
-    # seed worlds: evaluated serially even in parallel mode — extreme
-    # worlds often empty the intersection before any worker spawns
+    # seed worlds: extreme worlds often empty the intersection at once
     seed_result, seed_worlds, stopped = spec.run(
         spec.seed_valuations(), None, base_ctx, seen=seen
     )
@@ -640,15 +515,7 @@ def _certain_by_valuations(
     if stopped:
         result = seed_result
         if stats_out is not None:
-            stats_out.update(mode="seed", workers=0, worlds=seed_worlds)
-    elif workers and workers > 1 and spec.n_slots > 0:
-        from repro.core.parallel import parallel_intersection
-
-        spec.seed = seed_result
-        spec.seed_keys = frozenset(seen)
-        result = parallel_intersection(
-            spec, workers, stats_out=stats_out, worker_pool=worker_pool
-        )
+            stats_out.update(mode="seed", worlds=seed_worlds)
     else:
         result, worlds, _ = spec.run(
             _canonical_valuations(spec.n_slots, spec.base_choices, spec.fresh_tail),
@@ -657,7 +524,7 @@ def _certain_by_valuations(
             seen=seen,  # seed worlds are not re-evaluated by the sweep
         )
         if stats_out is not None:
-            stats_out.update(mode="serial", workers=0, worlds=seed_worlds + worlds)
+            stats_out.update(mode="serial", worlds=seed_worlds + worlds)
 
     if result is None:
         raise RuntimeError(
@@ -678,9 +545,7 @@ def certain_answers(
     pool: Sequence[Hashable] | None = None,
     extra_facts: int | None = None,
     limit: int = 500_000,
-    workers: int | None = None,
     stats_out: dict | None = None,
-    worker_pool=None,
 ) -> frozenset[tuple[Hashable, ...]]:
     """``⋂ { Q(E) : E ∈ [[instance]] }`` over the (defaulted) pool.
 
@@ -690,11 +555,10 @@ def certain_answers(
     every world; enumeration stops as soon as the running intersection
     is empty.
 
-    ``workers`` requests parallel world sharding for substitution-only
-    semantics (CWA); :func:`repro.core.plan.choose_workers` routes small
-    valuation spaces back to the serial path.  ``stats_out``, when given,
-    is filled in place with enumeration metadata (worlds evaluated,
-    sharding, cancellation).
+    ``stats_out``, when given, is filled in place with enumeration
+    metadata: ``mode`` (``seed``/``serial``/``expand``), ``worlds``
+    evaluated, and for substitution-only semantics the null counts of
+    the plan-relevance restriction.
     """
     if pool is None:
         base, fresh = _pool_parts(instance, query)
@@ -710,15 +574,8 @@ def certain_answers(
         # constants, which are fresh with respect to *this* query.)
         known = instance.constants() | set(query.constants())
         fresh_tail = tuple(v for v in pool if v not in known)
-        if workers:
-            from repro.core import plan as _plan
-
-            workers = _plan.choose_workers(
-                workers, len(pool) ** len(instance.nulls())
-            )
         return _certain_by_valuations(
-            cq, instance, semantics, list(pool), fresh_tail, limit,
-            workers=workers or 0, stats_out=stats_out, worker_pool=worker_pool,
+            cq, instance, semantics, list(pool), fresh_tail, limit, stats_out=stats_out
         )
     schema = instance.schema().union(query_schema(query))
     result: frozenset[tuple[Hashable, ...]] | None = None
@@ -732,7 +589,7 @@ def certain_answers(
         if not result:
             break
     if stats_out is not None:
-        stats_out.update(mode="expand", workers=0, worlds=worlds)
+        stats_out.update(mode="expand", worlds=worlds)
     if result is None:
         raise RuntimeError(
             f"[[D]] came out empty over the pool — {semantics!r} violated totality"
@@ -747,11 +604,10 @@ def certain_holds(
     pool: Sequence[Hashable] | None = None,
     extra_facts: int | None = None,
     limit: int = 500_000,
-    workers: int | None = None,
 ) -> bool:
     """Certain truth of a Boolean query."""
     if not query.is_boolean:
         raise ValueError(f"query {query.name!r} is {query.arity}-ary; use certain_answers()")
     return bool(
-        certain_answers(query, instance, semantics, pool, extra_facts, limit, workers)
+        certain_answers(query, instance, semantics, pool, extra_facts, limit)
     )

@@ -68,21 +68,15 @@ def execute_plan(
     pool: Sequence[Hashable] | None = None,
     extra_facts: int | None = None,
     limit: int = 500_000,
-    workers: int | None = None,
-    worker_pool=None,
     stats: Mapping[str, object] | None = None,
 ) -> EvalResult:
     """Run a :class:`~repro.core.plan.Plan` and package the result.
 
     ``stats`` entries (e.g. planning time, cache provenance from the
     session layer) are merged into the result's ``stats`` alongside the
-    measured execution time.  ``workers`` (the oracle's sharding cap)
-    and the per-shard metadata are forwarded to / collected from
-    backends that declare ``supports_workers``; the oracle's metadata
-    lands under ``stats["oracle"]``.  ``worker_pool`` (a persistent
-    :class:`~repro.core.parallel.OracleWorkerPool` owned by the session
-    layer) only reaches backends declaring ``supports_worker_pool``, so
-    older plug-in signatures keep working.
+    measured execution time.  Backends that declare ``reports_stats``
+    receive a ``stats_out`` dict; the oracle's enumeration metadata
+    lands under ``stats["oracle"]``.
     """
     sem = semantics if semantics is not None else get_semantics(plan.semantics)
     if sem.key != plan.semantics:
@@ -93,10 +87,8 @@ def execute_plan(
     backend = get_backend(plan.backend)
     extra_kwargs: dict[str, object] = {}
     oracle_stats: dict[str, object] = {}
-    if getattr(backend, "supports_workers", False):
-        extra_kwargs = {"workers": workers, "stats_out": oracle_stats}
-        if getattr(backend, "supports_worker_pool", False):
-            extra_kwargs["worker_pool"] = worker_pool
+    if getattr(backend, "reports_stats", False):
+        extra_kwargs = {"stats_out": oracle_stats}
     start = perf_counter()
     answers = backend.execute(
         query, instance, sem, pool=pool, extra_facts=extra_facts, limit=limit,
@@ -123,7 +115,6 @@ def evaluate(
     pool: Sequence[Hashable] | None = None,
     extra_facts: int | None = None,
     limit: int = 500_000,
-    workers: int | None = None,
 ) -> EvalResult:
     """Compute certain answers to ``query`` on ``instance`` under ``semantics``.
 
@@ -149,9 +140,7 @@ def evaluate(
     """
     sem = get_semantics(semantics) if isinstance(semantics, str) else semantics
     start = perf_counter()
-    plan = make_plan(
-        query, instance, sem, mode, pool=pool, extra_facts=extra_facts, workers=workers
-    )
+    plan = make_plan(query, instance, sem, mode, pool=pool, extra_facts=extra_facts)
     planning = perf_counter() - start
     return execute_plan(
         plan,
@@ -161,6 +150,5 @@ def evaluate(
         pool=pool,
         extra_facts=extra_facts,
         limit=limit,
-        workers=workers,
         stats={"planning_s": planning},
     )

@@ -27,36 +27,10 @@ from repro.logic.queries import Query
 from repro.semantics import get_semantics
 from repro.semantics.base import Semantics
 
-__all__ = ["CostHints", "Plan", "make_plan", "choose_workers", "PARALLEL_MIN_WORLDS"]
+__all__ = ["CostHints", "Plan", "make_plan"]
 
 #: cap for the reported valuation-count bound (beyond this it is "huge")
 _VALUATION_CAP = 10**12
-
-#: below this many (bounded) valuations, process-pool dispatch costs more
-#: than it saves — the oracle runs serially regardless of ``workers``
-PARALLEL_MIN_WORLDS = 4096
-
-#: hard cap on worker processes (fan-out beyond this only adds overhead)
-MAX_WORKERS = 32
-
-
-def choose_workers(requested: int | None, valuation_bound: int) -> int:
-    """The oracle's parallelism cost model: how many workers to really use.
-
-    ``requested`` is the user's ceiling (``Database(workers=...)``,
-    ``--workers``); ``valuation_bound`` the planner's ``pool**nulls``
-    estimate (negative = overflowed the reporting cap, i.e. huge).
-    Returns ``0`` for the serial path: parallel dispatch only pays for
-    itself when the world count clears :data:`PARALLEL_MIN_WORLDS`, so
-    small pools are auto-routed to the serial oracle no matter how many
-    workers were requested.
-    """
-    if not requested or requested <= 1:
-        return 0
-    if 0 <= valuation_bound < PARALLEL_MIN_WORLDS:
-        return 0
-    return min(int(requested), MAX_WORKERS)
-
 
 @dataclass(frozen=True)
 class CostHints:
@@ -70,9 +44,6 @@ class CostHints:
     pool_size: int
     #: ``pool_size ** null_count`` capped at 10^12 (-1 = overflowed cap)
     valuation_bound: int
-    #: worker processes the oracle will shard worlds across (0 = serial;
-    #: the cost model routes small valuation spaces back to serial)
-    workers: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +51,6 @@ class CostHints:
             "null_count": self.null_count,
             "pool_size": self.pool_size,
             "valuation_bound": self.valuation_bound,
-            "workers": self.workers,
         }
 
 
@@ -162,11 +132,6 @@ class Plan:
             if self.cost.valuation_bound < 0
             else str(self.cost.valuation_bound)
         )
-        sharding = (
-            f", sharded over {self.cost.workers} workers"
-            if self.cost.workers
-            else ""
-        )
         reason = textwrap.fill(
             self.verdict.reason, width=66, subsequent_indent=" " * 16
         )
@@ -180,7 +145,7 @@ class Plan:
             f"  exactness   : {status}",
             f"  core check  : {core_line}",
             f"  cost        : {self.cost.fact_count} facts, {self.cost.null_count} nulls, "
-            f"pool {self.cost.pool_size} → ≤ {bound} valuations{sharding}",
+            f"pool {self.cost.pool_size} → ≤ {bound} valuations",
         ]
         for note in self.notes:
             lines.append(f"  note        : {note}")
@@ -201,7 +166,6 @@ def make_plan(
     core_check: Callable[[], bool] | None = None,
     pool: Sequence[Hashable] | None = None,
     extra_facts: int | None = None,
-    workers: int | None = None,
 ) -> Plan:
     """Plan the evaluation of ``query`` on ``instance`` under ``semantics``.
 
@@ -209,9 +173,7 @@ def make_plan(
     extracted Figure-1 policy) or the name of a registered backend to
     force.  ``verdict``, ``core_check`` and ``pool`` let a session layer
     inject cached values so preparing a query pays for the analyzer,
-    the core check and pool construction exactly once.  ``workers``
-    caps the oracle's world sharding; :func:`choose_workers` decides
-    whether the valuation space justifies it.
+    the core check and pool construction exactly once.
     """
     sem = get_semantics(semantics) if isinstance(semantics, str) else semantics
     if verdict is None:
@@ -295,22 +257,6 @@ def make_plan(
         pool_size = len(instance.constants() | query.constants()) + null_count + 1
     raw_bound = pool_size**null_count
     bound = raw_bound if raw_bound <= _VALUATION_CAP else -1
-    chosen_workers = 0
-    backend_parallel = getattr(backend, "supports_workers", False)
-    if workers and workers > 1:
-        if backend_parallel and sem.substitution_only:
-            chosen_workers = choose_workers(workers, bound)
-            if workers > 1 and chosen_workers == 0:
-                notes.append(
-                    f"workers={workers} requested but ≤ {bound} valuations is "
-                    f"below the parallel threshold ({PARALLEL_MIN_WORLDS}); "
-                    "running the serial oracle"
-                )
-        elif backend_parallel:
-            notes.append(
-                f"workers={workers} requested but {sem.key!r} expansion is not "
-                "substitution-only; the oracle enumerates serially"
-            )
     return Plan(
         query=repr(query),
         backend=name,
@@ -325,7 +271,6 @@ def make_plan(
             null_count=null_count,
             pool_size=pool_size,
             valuation_bound=bound,
-            workers=chosen_workers,
         ),
         notes=tuple(notes),
     )

@@ -129,7 +129,7 @@ class Dictionary:
         return bool(code & 1)
 
     # ------------------------------------------------------------------
-    # introspection / transport
+    # introspection
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -140,25 +140,6 @@ class Dictionary:
 
     def null_count(self) -> int:
         return len(self._nulls)
-
-    def export_tables(self) -> tuple[list[Hashable], list[str]]:
-        """``(constants, null_labels)`` decode tables for cheap shipping.
-
-        Nulls travel as their labels (equality is by label), so the
-        receiving side rebuilds an equivalent dictionary without
-        pickling any :class:`Null` object graph.
-        """
-        return list(self._consts), [n.label for n in self._nulls]
-
-    @classmethod
-    def from_tables(cls, consts: Iterable[Hashable], null_labels: Iterable[str]) -> "Dictionary":
-        """Rebuild a dictionary from :meth:`export_tables` output."""
-        out = cls()
-        for value in consts:
-            out.encode(value)
-        for label in null_labels:
-            out.encode(Null(label))
-        return out
 
     def __repr__(self) -> str:
         return f"Dictionary({len(self._consts)} consts, {len(self._nulls)} nulls)"

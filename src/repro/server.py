@@ -1,4 +1,4 @@
-"""A thread-pooled JSON-lines query server over one shared :class:`Database`.
+"""An asyncio JSON-lines query server over one shared :class:`Database`.
 
 The serving layer that turns the engine from one-shot evaluation into a
 long-lived service:
@@ -16,19 +16,13 @@ long-lived service:
   semaphore-bounded **admission control** (typed ``overloaded`` frames
   instead of unbounded queueing), server-enforced ``deadline_ms``, and
   ``drain()`` backpressure.  ``repro serve`` (:mod:`repro.cli`) wires
-  it to a command line; ``docs/serving.md`` is the architecture tour;
-* :class:`Server` — the original thread-per-connection front end, kept
-  as a compatibility shim (``repro serve --threaded``); it serves the
-  same protocol in request order.
+  it to a command line; ``docs/serving.md`` is the architecture tour.
 
 Concurrency model: the :class:`~repro.session.Database` is already
 thread-safe (immutable instance snapshots + per-relation generation
-counters), so handler threads call straight into it.  Mutations apply
+counters), so executor threads call straight into it.  Mutations apply
 atomically; readers either hit the generation-keyed result cache or
-evaluate against a consistent snapshot.  When the session was built
-with ``workers > 1``, the oracle's process pool is created once at
-startup and reused across requests (:class:`OracleWorkerPool`) instead
-of being re-forked per call.
+evaluate against a consistent snapshot.
 
 When the shared session is durable (``Database(path=...)``), mutations
 are journaled/fsync'd before they are acknowledged, the ``checkpoint``
@@ -60,11 +54,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import queue
-import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Iterator
 
 from repro import faults as _faults
@@ -79,8 +71,6 @@ __all__ = [
     "PROTO_VERSION",
     "AsyncServer",
     "QueryService",
-    "Server",
-    "async_serve",
     "serve",
 ]
 
@@ -89,10 +79,8 @@ __all__ = [
 #: and the ``deadline_ms`` request field (see ``docs/wire-protocol.md``)
 PROTO_VERSION = 2
 
-#: every optional protocol feature this codebase knows how to serve.
-#: A node advertises the subset its *transport* actually honours:
-#: the async server all of them, the threaded shim only ``pipelining``
-#: (in-order), a bare :class:`QueryService` likewise.
+#: the optional protocol features every node serves, advertised by
+#: ``ping`` and ``stats``
 FEATURES = ("pipelining", "deadline_ms")
 
 
@@ -216,7 +204,6 @@ class QueryService:
         batch: bool = True,
         feed: ReplicationFeed | None = None,
         tailer: ReplicaTailer | None = None,
-        features: tuple[str, ...] = ("pipelining",),
     ):
         self.db = db
         self._batch = _BatchGate(db) if batch else None
@@ -225,10 +212,6 @@ class QueryService:
         #: the tailer streaming from an upstream primary; its presence
         #: makes this node a replica (writes rejected) until ``promote``
         self.tailer = tailer
-        #: protocol features the transport in front of this service
-        #: honours, advertised by ``ping``/``stats`` (the async server
-        #: passes the full :data:`FEATURES`)
-        self.features = tuple(features)
         self._replica_mode = tailer is not None
         self._lock = threading.Lock()
         self._counters = {
@@ -302,25 +285,6 @@ class QueryService:
                 self._counters["errors"] += 1
             return json.dumps({"ok": False, "error": f"bad JSON: {err}"})
         return json.dumps(self.handle(request))
-
-    def handle_or_stream(self, line: str) -> tuple[str | None, Iterator[dict | str] | None]:
-        """One wire line → ``(response_text, None)`` or ``(None, frames)``.
-
-        The streaming side of the protocol: a ``replicate`` request
-        turns its connection into a frame stream (the second element —
-        dict frames to encode, or pre-encoded ``str`` lines) that the
-        transport writes until the generator ends or the consumer goes
-        away; every other request gets the usual one-line response.  The
-        transport must ``close()`` an abandoned stream so its replica
-        link is unregistered.
-        """
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError:
-            return self.handle_line(line), None  # reuse the error path
-        if isinstance(request, dict) and request.get("op") == "replicate":
-            return None, self.replicate_stream(request)
-        return json.dumps(self.handle(request)), None
 
     def replicate_stream(self, request: dict) -> Iterator[dict | str]:
         """Serve one replica: hello, then frames from the feed, forever."""
@@ -423,7 +387,7 @@ class QueryService:
             "ok": True,
             "pong": True,
             "proto": PROTO_VERSION,
-            "features": list(self.features),
+            "features": list(FEATURES),
         }
 
     def _prepare(self, request: dict) -> PreparedQuery:
@@ -595,7 +559,7 @@ class QueryService:
 
     def _op_replicate(self, request: dict) -> dict:
         # reached only by direct dict callers: the TCP path routes the op
-        # through handle_or_stream/replicate_stream instead
+        # to AsyncServer._serve_replicate/replicate_stream instead
         raise ValueError(
             "'replicate' is a streaming op: it holds its connection open and "
             "is only served over the TCP transport"
@@ -616,7 +580,7 @@ class QueryService:
         response = {
             "ok": True,
             "proto": PROTO_VERSION,
-            "features": list(self.features),
+            "features": list(FEATURES),
             "uptime_s": perf_counter() - self._started,
             "requests": counters,
             "result_cache": db.cache_stats,
@@ -652,275 +616,13 @@ class QueryService:
             self.feed.close()
 
 
-class Server:
-    """A bounded-thread-pool TCP front end for a :class:`QueryService`.
+#: the longest request line the server reads: asyncio's default
+#: ``StreamReader`` limit.  A longer line is answered with a typed
+#: ``frame_too_large`` frame and the connection is closed.
+_LINE_LIMIT = 2**16
 
-    One JSON request per line, one JSON response per line (UTF-8).  A
-    fixed pool of daemon worker threads takes accepted connections off a
-    queue, each handling one connection for its whole lifetime — so
-    ``max_threads`` bounds the number of *concurrent clients*, extra
-    connections wait for a slot, and a forgotten :meth:`shutdown` can
-    never wedge interpreter exit.
-    """
-
-    def __init__(
-        self,
-        service: QueryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_threads: int = 8,
-    ):
-        self.service = service
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)  # lets serve_forever notice shutdown
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._queue: queue.Queue = queue.Queue()
-        self._workers = [
-            threading.Thread(
-                target=self._worker, daemon=True, name=f"repro-serve-{i}"
-            )
-            for i in range(max(1, max_threads))
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._shutdown = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
-        # graceful drain: requests currently being served (replication
-        # streams excluded — they are long-lived and ended by
-        # service.close(), not by the drain window)
-        self._draining = threading.Event()
-        self._inflight = 0
-        self._inflight_cond = threading.Condition()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def serve_forever(self) -> None:
-        """Accept connections until :meth:`shutdown` (blocking)."""
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # listener closed under us during shutdown
-            try:
-                _faults.fire("server.accept")
-            except OSError:
-                # injected accept failure: the brand-new connection is
-                # dropped before ever reaching a worker
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            self._queue.put(conn)
-
-    def start(self) -> "Server":
-        """Run :meth:`serve_forever` on a daemon thread (tests, examples)."""
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self, drain_timeout_s: float = 0.0) -> None:
-        """Stop accepting, optionally drain in-flight requests, then close.
-
-        With ``drain_timeout_s > 0`` the shutdown is **graceful**: the
-        listener closes immediately (no new connections), requests
-        already being served get up to the drain window to finish and
-        have their responses written, and only then are the remaining
-        connections torn down.  Replication streams never count as
-        in-flight — they are long-lived by design and are ended by the
-        service shutdown regardless.
-        """
-        self._shutdown.set()
-        self._draining.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if drain_timeout_s > 0:
-            deadline = monotonic() + drain_timeout_s
-            with self._inflight_cond:
-                while self._inflight > 0:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0:
-                        break  # window exhausted: fall through to hard close
-                    self._inflight_cond.wait(remaining)
-        # end replication streams first: their worker threads are parked
-        # inside the feed and would otherwise never reach a poison pill
-        self.service.close()
-        # close connections still waiting for a worker slot first, so no
-        # worker dequeues a live socket after the poison pills go in
-        while True:
-            try:
-                queued = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if queued is not None:
-                try:
-                    queued.close()
-                except OSError:
-                    pass
-        with self._conns_lock:
-            live = list(self._conns)
-        for conn in live:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        for _ in self._workers:
-            self._queue.put(None)  # one poison pill per worker
-        for worker in self._workers:
-            worker.join(timeout=5)
-
-    def __enter__(self) -> "Server":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    # ------------------------------------------------------------------
-    # per-connection loop
-    # ------------------------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            conn = self._queue.get()
-            if conn is None:
-                return
-            try:
-                self._client(conn)
-            except Exception:  # noqa: BLE001 - a broken connection must
-                pass  # never take the worker (and its queue slot) down
-
-    def _request_done(self) -> None:
-        with self._inflight_cond:
-            self._inflight -= 1
-            if self._inflight <= 0:
-                self._inflight_cond.notify_all()
-
-    def _client(self, conn: socket.socket) -> None:
-        with self._conns_lock:
-            self._conns.add(conn)
-        try:
-            with conn:
-                reader = conn.makefile("r", encoding="utf-8", newline="\n")
-                writer = conn.makefile("w", encoding="utf-8", newline="\n")
-                for line in reader:
-                    # an injected recv failure loses the request *before*
-                    # any processing — the client never learns its fate
-                    _faults.fire("server.recv")
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if self._draining.is_set():
-                        break  # draining: no new requests on this connection
-                    with self._inflight_cond:
-                        self._inflight += 1
-                    tracked = True
-                    try:
-                        response, stream = self.service.handle_or_stream(line)
-                        if stream is not None:
-                            # the connection becomes a replication stream
-                            # and occupies this worker slot until it ends;
-                            # hand the in-flight slot back first so a drain
-                            # never waits on a stream
-                            self._request_done()
-                            tracked = False
-                            try:
-                                for frame in stream:
-                                    data = (
-                                        frame if isinstance(frame, str) else json.dumps(frame)
-                                    )
-                                    writer.write(data + "\n")
-                                    writer.flush()
-                            finally:
-                                stream.close()  # unregister the replica link
-                            break
-                        try:
-                            # an injected send failure loses the *response*:
-                            # the request was processed, the client cannot
-                            # know — the indeterminate-write case
-                            _faults.fire("server.send")
-                            writer.write(response + "\n")
-                            writer.flush()
-                        except (OSError, ValueError):
-                            break  # client went away mid-response
-                    finally:
-                        if tracked:
-                            self._request_done()
-        except OSError:
-            pass  # connection torn down during shutdown
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-
-
-def serve(
-    db: Database | None = None,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_threads: int = 8,
-    batch: bool = True,
-    instance=None,
-    semantics: str = "cwa",
-    workers: int | None = None,
-    path: str | None = None,
-    replicate_from: str | tuple | None = None,
-    feed: bool = True,
-    heartbeat_s: float = 2.0,
-    backoff_base: float = 0.2,
-    backoff_cap: float = 5.0,
-) -> Server:
-    """Build a server around ``db`` (or a fresh session) and start it.
-
-    Returns the started :class:`Server`; ``server.address`` carries the
-    bound ``(host, port)``.  The caller owns shutdown::
-
-        with serve(Database({"R": [(1, 2)]})) as server:
-            ...  # connect to server.address
-
-    ``path`` makes the fresh session durable (``Database(path=...)``):
-    opening recovers the directory's snapshot + WAL, and every
-    acknowledged mutation is journaled.  When ``workers > 1`` the
-    oracle's process pool is forked *before* any client thread exists.
-
-    ``replicate_from="HOST:PORT"`` makes the node a **replica**: a
-    :class:`~repro.replication.replica.ReplicaTailer` streams the
-    primary's WAL into ``db`` (started only after the listener is
-    bound, so the tailer can announce this node's own address), and
-    writes are rejected with a typed ``read_only`` error until the
-    ``promote`` op.  Every node serves the ``replicate`` op itself
-    unless ``feed=False``, so replicas can be chained.
-    """
-    if db is None:
-        db = Database(instance, semantics=semantics, workers=workers, path=path)
-    if db.workers and db.workers > 1:
-        db.ensure_worker_pool()
-    replication_feed = ReplicationFeed(db, heartbeat_s=heartbeat_s) if feed else None
-    tailer = None
-    if replicate_from is not None:
-        tailer = ReplicaTailer(
-            db, replicate_from, backoff_base=backoff_base, backoff_cap=backoff_cap
-        )
-    service = QueryService(db, batch=batch, feed=replication_feed, tailer=tailer)
-    server = Server(service, host=host, port=port, max_threads=max_threads).start()
-    if tailer is not None:
-        tailer.announce = f"{server.address[0]}:{server.address[1]}"
-        tailer.start()
-    return server
+#: how long input after an oversized line is discarded before close
+_DISCARD_S = 1.0
 
 
 class _AsyncConn:
@@ -943,8 +645,7 @@ class AsyncServer:
     One event loop multiplexes every connection, so an idle client
     costs a heap object instead of a parked thread; the blocking
     session work still runs on a bounded :class:`ThreadPoolExecutor`,
-    feeding the same :class:`_BatchGate` group-commit the threaded
-    server uses.  What the new transport adds:
+    feeding the :class:`_BatchGate` group-commit.  What it adds:
 
     * **pipelining** — each request line becomes its own task; a client
       may send N requests before reading anything, and responses are
@@ -970,10 +671,9 @@ class AsyncServer:
     through the loop, so one slow replica never stalls queries.
 
     Runs purely async (``await server.start_async()`` /
-    ``await server.shutdown_async()``) or behind the same sync facade
-    as the threaded :class:`Server` (``start()`` spins a daemon thread
-    owning the loop; ``shutdown()`` joins it), so ``repro serve``,
-    tests and benchmarks drive both servers identically.
+    ``await server.shutdown_async()``) or behind a sync facade
+    (``start()`` spins a daemon thread owning the loop; ``shutdown()``
+    joins it), which ``repro serve``, tests and benchmarks use.
     """
 
     def __init__(
@@ -1020,7 +720,7 @@ class AsyncServer:
             max_workers=self.executor_threads, thread_name_prefix="repro-async"
         )
         self._server = await asyncio.start_server(
-            self._handle_conn, self._host, self._port
+            self._handle_conn, self._host, self._port, limit=_LINE_LIMIT
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         return self
@@ -1028,8 +728,7 @@ class AsyncServer:
     async def shutdown_async(self, drain_timeout_s: float = 0.0) -> None:
         """Stop accepting, optionally drain in-flight requests, then close.
 
-        Same contract as the threaded :meth:`Server.shutdown`:
-        replication streams never count as in-flight (they are ended by
+        Replication streams never count as in-flight (they are ended by
         ``service.close()``), and past the drain window remaining
         connections are torn down hard.
         """
@@ -1050,11 +749,17 @@ class AsyncServer:
             self._executor.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
-    # sync facade (mirrors the threaded Server)
+    # sync facade
     # ------------------------------------------------------------------
 
     def start(self) -> "AsyncServer":
-        """Run the event loop on a daemon thread and block until bound."""
+        """Run the event loop on a daemon thread and block until bound.
+
+        A no-op on a running server, so ``with serve(...) as server``
+        keeps the listener :func:`serve` already bound.
+        """
+        if self._thread is not None:
+            return self
         started = threading.Event()
         self._thread = threading.Thread(
             target=lambda: asyncio.run(self._main(started)),
@@ -1171,7 +876,12 @@ class AsyncServer:
                     line = await conn.reader.readline()
             except asyncio.TimeoutError:
                 return  # idle (or slowloris mid-frame): reap the connection
-            except (OSError, ValueError):
+            except ValueError:
+                # the line outgrew the StreamReader limit (asyncio's 64 KiB
+                # default) and was never parsed: say so, then close
+                await self._reject_oversized(conn)
+                return
+            except OSError:
                 return
             if not line:
                 return  # EOF
@@ -1199,6 +909,42 @@ class AsyncServer:
             self._tasks.add(task)
             task.add_done_callback(conn.tasks.discard)
             task.add_done_callback(self._tasks.discard)
+
+    async def _reject_oversized(self, conn: _AsyncConn) -> None:
+        """Answer an over-limit request line with a typed frame, then close.
+
+        The request was never parsed, so the frame carries no ``id`` and
+        nothing ran.  Requests parsed before it still get their responses.
+        The server then half-closes and discards input until the client
+        closes (for at most :data:`_DISCARD_S`): closing with unread input
+        would reset the connection, and a reset may destroy the frame
+        before the client reads it.
+        """
+        self.service.bump("requests")
+        self.service.bump("errors")
+        await self._respond_obj(
+            conn,
+            {
+                "ok": False,
+                "error": f"frame_too_large: request line exceeds the "
+                f"{_LINE_LIMIT}-byte frame limit",
+                "error_type": "frame_too_large",
+                "max_frame_bytes": _LINE_LIMIT,
+            },
+            None,
+        )
+        if conn.tasks:
+            await asyncio.gather(*list(conn.tasks), return_exceptions=True)
+
+        async def discard() -> None:
+            while await conn.reader.read(_LINE_LIMIT):
+                pass
+
+        try:
+            conn.writer.write_eof()
+            await asyncio.wait_for(discard(), _DISCARD_S)
+        except (asyncio.TimeoutError, OSError):
+            pass
 
     # ------------------------------------------------------------------
     # per-request task
@@ -1342,7 +1088,7 @@ class AsyncServer:
         conn.writer.close()  # ends the pump at its next frame
 
 
-def async_serve(
+def serve(
     db: Database | None = None,
     *,
     host: str = "127.0.0.1",
@@ -1354,7 +1100,6 @@ def async_serve(
     batch: bool = True,
     instance=None,
     semantics: str = "cwa",
-    workers: int | None = None,
     path: str | None = None,
     replicate_from: str | tuple | None = None,
     feed: bool = True,
@@ -1362,31 +1107,40 @@ def async_serve(
     backoff_base: float = 0.2,
     backoff_cap: float = 5.0,
 ) -> AsyncServer:
-    """:func:`serve`, but on the asyncio core (protocol v2, full features).
+    """Build an :class:`AsyncServer` around ``db`` (or a fresh session) and start it.
 
-    Same session/replication wiring and the same started-server
-    contract; the extra knobs are the async transport's admission
-    controls.  The returned server runs its loop on a daemon thread —
-    callers that want to *own* the loop build an :class:`AsyncServer`
-    directly and ``await server.start_async()``.
+    Returns the started server; ``server.address`` carries the bound
+    ``(host, port)``.  The server runs its loop on a daemon thread and
+    the caller owns shutdown — callers that want to *own* the loop
+    build an :class:`AsyncServer` directly and
+    ``await server.start_async()``::
 
-        with async_serve(Database({"R": [(1, 2)]})) as server:
+        with serve(Database({"R": [(1, 2)]})) as server:
             ...  # connect to server.address
 
+    ``max_inflight``, ``max_conns``, ``idle_timeout_s`` and
+    ``executor_threads`` are the transport's admission controls (see
+    :class:`AsyncServer`).  ``path`` makes the fresh session durable
+    (``Database(path=...)``): opening recovers the directory's
+    snapshot + WAL, and every acknowledged mutation is journaled.
+
+    ``replicate_from="HOST:PORT"`` makes the node a **replica**: a
+    :class:`~repro.replication.replica.ReplicaTailer` streams the
+    primary's WAL into ``db`` (started only after the listener is
+    bound, so the tailer can announce this node's own address), and
+    writes are rejected with a typed ``read_only`` error until the
+    ``promote`` op.  Every node serves the ``replicate`` op itself
+    unless ``feed=False``, so replicas can be chained.
     """
     if db is None:
-        db = Database(instance, semantics=semantics, workers=workers, path=path)
-    if db.workers and db.workers > 1:
-        db.ensure_worker_pool()
+        db = Database(instance, semantics=semantics, path=path)
     replication_feed = ReplicationFeed(db, heartbeat_s=heartbeat_s) if feed else None
     tailer = None
     if replicate_from is not None:
         tailer = ReplicaTailer(
             db, replicate_from, backoff_base=backoff_base, backoff_cap=backoff_cap
         )
-    service = QueryService(
-        db, batch=batch, feed=replication_feed, tailer=tailer, features=FEATURES
-    )
+    service = QueryService(db, batch=batch, feed=replication_feed, tailer=tailer)
     server = AsyncServer(
         service,
         host=host,

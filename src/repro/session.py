@@ -214,8 +214,8 @@ class PreparedQuery:
         """What a cached plan depends on, as a comparable value.
 
         The per-relation generations of the relations the query mentions,
-        the session epoch (``replace``/``extra_facts``/``workers``
-        assignments re-plan everything), and — only when the verdict is
+        the session epoch (``replace``/``extra_facts`` assignments
+        re-plan everything), and — only when the verdict is
         positive *over cores*, so routing hinges on a whole-instance
         property — the global mutation counter.
         """
@@ -250,7 +250,6 @@ class PreparedQuery:
                     verdict=self.verdict,
                     core_check=self._db.instance_is_core,
                     extra_facts=self._db.extra_facts,
-                    workers=self._db.workers,
                 )
                 self._plans[mode] = cached
             return cached
@@ -289,10 +288,8 @@ class PreparedQuery:
                 "generation": db._generation,
                 **db._cache_stats_fields(key, cached),
             }
-            worker_pool = db._worker_pool_for(plan)
             extra_facts = db._extra_facts
             limit = db.limit
-            workers = db._workers
         stats["planning_s"] = perf_counter() - start
         if cached is not None:
             return db._hit_result(plan, cached, stats)
@@ -304,8 +301,6 @@ class PreparedQuery:
             pool=pool,
             extra_facts=extra_facts,
             limit=limit,
-            workers=workers,
-            worker_pool=worker_pool,
             stats=stats,
         )
         if key is not None:
@@ -334,14 +329,6 @@ class Database:
         default semantics for prepared queries (key or object);
     extra_facts / limit:
         enumeration knobs forwarded to the oracle backends;
-    workers:
-        ceiling on worker processes for the oracle's parallel world
-        sharding (0/None = serial; the planner's cost model still
-        routes small valuation spaces to the serial path).  Sessions
-        that go parallel keep one persistent
-        :class:`~repro.core.parallel.OracleWorkerPool` alive across
-        requests instead of re-forking per call; :meth:`close` (or a
-        ``with`` block) releases it;
     prepared_cache_size:
         bound on the LRU intern table for textual queries;
     result_cache_size:
@@ -393,7 +380,6 @@ class Database:
         *,
         extra_facts: int | None = None,
         limit: int = 500_000,
-        workers: int | None = None,
         prepared_cache_size: int = 256,
         result_cache_size: int = 1024,
         path: str | None = None,
@@ -439,7 +425,6 @@ class Database:
             get_semantics(semantics) if isinstance(semantics, str) else semantics
         )
         self._extra_facts = extra_facts
-        self._workers = workers
         self.limit = limit
         #: total mutation counter (every effective write bumps it);
         #: durable sessions recover it from the snapshot + WAL replay
@@ -476,7 +461,6 @@ class Database:
             "uncacheable": 0,
             "evictions": 0,
         }
-        self._worker_pool = None
         if self._storage is not None and seeded:
             # a fresh data directory seeded with an instance: snapshot it
             # now, so the seed survives a restart with zero writes
@@ -533,30 +517,6 @@ class Database:
                 self._epoch += 1
                 self._notify({"type": "reset", "generation": self._generation})
                 self._gen_cond.notify_all()
-
-    @property
-    def workers(self) -> int | None:
-        """Ceiling on oracle worker processes (0/None = serial).
-
-        Plans record the sharding decision, so assigning a new value
-        invalidates the cached plans (and releases any persistent
-        worker pool sized for the old ceiling).
-        """
-        return self._workers
-
-    @workers.setter
-    def workers(self, value: int | None) -> None:
-        with self._lock:
-            if value == self._workers:
-                return
-            self._workers = value
-            self._generation += 1
-            self._epoch += 1
-            self._notify({"type": "reset", "generation": self._generation})
-            self._gen_cond.notify_all()
-            pool, self._worker_pool = self._worker_pool, None
-        if pool is not None:
-            pool.close()
 
     def instance_is_core(self) -> bool:
         """Is the current instance a core?  Cached until the next mutation."""
@@ -1010,34 +970,8 @@ class Database:
         with self._lock:
             return {**self._result_stats, "entries": len(self._results)}
 
-    # ------------------------------------------------------------------
-    # the persistent oracle worker pool
-    # ------------------------------------------------------------------
-
-    def _worker_pool_for(self, plan: Plan):
-        """The persistent pool when the plan shards worlds, else ``None``."""
-        if not self._workers or self._workers <= 1 or plan.cost.workers <= 0:
-            return None
-        return self.ensure_worker_pool()
-
-    def ensure_worker_pool(self):
-        """Create (once) and return the persistent oracle worker pool.
-
-        Servers call this at startup so the processes are forked before
-        any client thread exists; lazy creation on first parallel plan
-        remains the fallback for plain sessions.
-        """
-        if not self._workers or self._workers <= 1:
-            return None
-        with self._lock:
-            if self._worker_pool is None:
-                from repro.core.parallel import OracleWorkerPool
-
-                self._worker_pool = OracleWorkerPool(self._workers)
-            return self._worker_pool
-
     def close(self) -> None:
-        """Release the worker pool and storage handles (idempotent).
+        """Release the storage handles (idempotent).
 
         Deliberately does **not** snapshot: close must stay cheap and
         safe to call from error paths.  Long-lived services call
@@ -1045,10 +979,7 @@ class Database:
         does) — and even without it, recovery replays the log.
         """
         with self._lock:
-            pool, self._worker_pool = self._worker_pool, None
             storage, self._storage = self._storage, None
-        if pool is not None:
-            pool.close()
         if storage is not None:
             storage.close()
 
@@ -1163,7 +1094,6 @@ class Database:
             generation = self._generation
             extra_facts = self._extra_facts
             limit = self.limit
-            workers = self._workers
             entries: list[tuple[PreparedQuery, Plan, float, tuple | None, frozenset | None]] = []
             for p in prepared:
                 t0 = perf_counter()
@@ -1191,9 +1121,8 @@ class Database:
                     pool_build = perf_counter() - t0
                     self._batch_pool_key = memo_key
                 shared_pool = self._batch_pool
-            worker_pools = [self._worker_pool_for(plan) for _, plan, _, _, _ in entries]
         results: list[EvalResult] = []
-        for (p, plan, planning, key, cached), worker_pool in zip(entries, worker_pools):
+        for p, plan, planning, key, cached in entries:
             uses_pool = _backends.get_backend(plan.backend).uses_pool
             stats: dict[str, object] = {
                 "planning_s": planning,
@@ -1220,8 +1149,6 @@ class Database:
                 pool=shared_pool if uses_pool else None,
                 extra_facts=extra_facts,
                 limit=limit,
-                workers=workers,
-                worker_pool=worker_pool,
                 stats=stats,
             )
             if key is not None:

@@ -17,6 +17,7 @@ The acceptance criteria of the async redesign live here:
 """
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -29,6 +30,7 @@ from repro.client import (
     AsyncClient,
     Client,
     DeadlineExceeded,
+    FrameTooLargeError,
     IndeterminateWriteError,
     OverloadedServerError,
     StaleReadError,
@@ -38,7 +40,6 @@ from repro.server import (
     PROTO_VERSION,
     AsyncServer,
     QueryService,
-    async_serve,
     serve,
 )
 from repro.session import Database
@@ -81,7 +82,7 @@ INSTANCE = {"R": [(1, 2), (2, 3)], "S": [(2, 4)]}
 
 class TestProtocolV2:
     def test_async_server_advertises_full_features(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             with Client(server.address) as client:
                 pong = client.ping()
@@ -92,13 +93,6 @@ class TestProtocolV2:
                 assert stats["features"] == ["pipelining", "deadline_ms"]
         finally:
             server.shutdown()
-
-    def test_threaded_shim_advertises_in_order_pipelining_only(self):
-        with serve(Database(INSTANCE)) as server:
-            with Client(server.address) as client:
-                pong = client.ping()
-                assert pong["proto"] == 2
-                assert pong["features"] == ["pipelining"]
 
 
 class TestPipelining:
@@ -118,7 +112,7 @@ class TestPipelining:
             i: serial.handle({"op": "query", "query": text})
             for i, text in enumerate(self.QUERIES)
         }
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             wire = Wire(server.address)
             # every request leaves before any response is read
@@ -138,7 +132,7 @@ class TestPipelining:
             assert got[i]["holds"] == want["holds"]
 
     def test_responses_return_out_of_order(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             wire = Wire(server.address)
             # a slow op first: an unreachable staleness floor parks its
@@ -155,18 +149,10 @@ class TestPipelining:
         assert first["id"] == "fast" and first["pong"]
         assert second["id"] == "slow" and second["error_type"] == "stale"
 
-    def test_threaded_shim_still_answers_pipelined_requests_in_order(self):
-        with serve(Database(INSTANCE)) as server:
-            wire = Wire(server.address)
-            for i in range(4):
-                wire.send({"id": i, "op": "ping"})
-            assert [wire.recv()["id"] for _ in range(4)] == [0, 1, 2, 3]
-            wire.close()
-
 
 class TestAdmissionControl:
     def test_overload_is_a_typed_frame_never_a_hang_or_drop(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             wire = Wire(server.address)
@@ -191,7 +177,7 @@ class TestAdmissionControl:
             server.shutdown()
 
     def test_connection_limit_refused_with_typed_frame(self):
-        service = QueryService(Database(), features=FEATURES)
+        service = QueryService(Database())
         server = AsyncServer(service, max_conns=1).start()
         try:
             keeper = Wire(server.address)
@@ -207,7 +193,7 @@ class TestAdmissionControl:
             server.shutdown()
 
     def test_overloaded_writes_are_safely_retried_by_the_client(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             blocker = Wire(server.address)
@@ -230,7 +216,7 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_deadline_ms_answers_with_typed_frame_on_time(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             wire = Wire(server.address)
             started = time.monotonic()
@@ -249,7 +235,7 @@ class TestDeadlines:
         assert 0.15 <= elapsed < 2.0  # answered at the deadline, not the wait
 
     def test_invalid_deadline_ms_is_a_request_error(self):
-        server = async_serve(Database())
+        server = serve(Database())
         try:
             wire = Wire(server.address)
             wire.send({"id": 1, "op": "ping", "deadline_ms": -3})
@@ -261,7 +247,7 @@ class TestDeadlines:
             server.shutdown()
 
     def test_expired_deadline_holds_slot_until_the_op_finishes(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             wire = Wire(server.address)
@@ -286,7 +272,7 @@ class TestDeadlines:
 
 class TestSlowloris:
     def test_partial_frame_client_is_reaped_on_idle_timeout(self):
-        service = QueryService(Database(), features=FEATURES)
+        service = QueryService(Database())
         server = AsyncServer(service, idle_timeout_s=0.3).start()
         try:
             victim = socket.create_connection(server.address, timeout=5.0)
@@ -300,7 +286,7 @@ class TestSlowloris:
             server.shutdown()
 
     def test_slowloris_never_occupies_an_admission_slot(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1, idle_timeout_s=5.0).start()
         try:
             loris = socket.create_connection(server.address, timeout=5.0)
@@ -319,7 +305,7 @@ class TestSlowloris:
 
 class TestAsyncFailpoints:
     def test_hang_on_recv_is_latency_not_failure(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             faults.install("server.recv=once:hang(300)")
             with Client(server.address) as client:
@@ -330,7 +316,7 @@ class TestAsyncFailpoints:
             server.shutdown()
 
     def test_injected_send_drop_loses_the_response_not_the_server(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             faults.install("server.send=once:drop-conn")
             with Client(server.address, retries=3, backoff_base=0.02) as client:
@@ -343,7 +329,7 @@ class TestAsyncFailpoints:
             server.shutdown()
 
     def test_injected_send_drop_makes_a_write_indeterminate(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             faults.install("server.send=once:drop-conn")
             with Client(server.address) as client:
@@ -355,7 +341,7 @@ class TestAsyncFailpoints:
 
 class TestGracefulDrain:
     def test_inflight_response_is_written_during_drain(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         wire = Wire(server.address)
         wire.send({
             "id": 1, "op": "query", "query": "R(x, y)",
@@ -372,7 +358,7 @@ class TestGracefulDrain:
 
 class TestAsyncClient:
     def test_round_trip_and_read_your_writes(self):
-        server = async_serve(Database({"R": [(1, 2)]}))
+        server = serve(Database({"R": [(1, 2)]}))
         try:
             async def scenario():
                 async with AsyncClient(server.address) as client:
@@ -387,7 +373,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_out_of_order_responses_reach_their_callers(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             async def scenario():
                 async with AsyncClient(
@@ -409,7 +395,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_fanout_preserves_input_order(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             async def scenario():
                 async with AsyncClient(server.address) as client:
@@ -425,7 +411,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_fanout_return_exceptions_isolates_failures(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             async def scenario():
                 async with AsyncClient(server.address, retries=0) as client:
@@ -440,7 +426,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_overloaded_reads_retry_until_admitted(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             blocker = Wire(server.address)
@@ -462,7 +448,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_overloaded_without_budget_surfaces_typed_error(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             blocker = Wire(server.address)
@@ -483,7 +469,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_client_deadline_fires_on_schedule(self):
-        server = async_serve(Database(INSTANCE))
+        server = serve(Database(INSTANCE))
         try:
             async def scenario():
                 async with AsyncClient(
@@ -503,8 +489,8 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_reads_fail_over_to_a_replica_when_the_primary_dies(self):
-        primary = async_serve(Database(INSTANCE))
-        replica = async_serve(replicate_from=address_of(primary))
+        primary = serve(Database(INSTANCE))
+        replica = serve(replicate_from=address_of(primary))
         try:
             with Client(primary.address) as seed:
                 generation = seed.insert("R", [[5, 6]])["generation"]
@@ -529,8 +515,8 @@ class TestAsyncClient:
 
 class TestReplicationOverAsync:
     def test_replicate_promote_and_read_your_writes(self):
-        primary = async_serve(Database({"R": [(1, 2)]}))
-        replica = async_serve(replicate_from=address_of(primary))
+        primary = serve(Database({"R": [(1, 2)]}))
+        replica = serve(replicate_from=address_of(primary))
         try:
             with Client(primary.address) as writer:
                 generation = writer.insert("R", [[3, 4]])["generation"]
@@ -544,3 +530,91 @@ class TestReplicationOverAsync:
         finally:
             replica.shutdown()
             primary.shutdown()
+
+
+class TestFrameLimits:
+    """Lines past the 64 KiB ``StreamReader`` limit fail typed, never silently."""
+
+    # ~70 KiB, just past the limit; ~10 MiB, far past it (the server must
+    # drain the line's tail, or closing resets the connection under it)
+    @pytest.mark.parametrize("n_rows", [1000, 150_000], ids=["70KiB", "10MiB"])
+    def test_oversized_request_gets_a_typed_frame_and_nothing_runs(self, n_rows):
+        server = serve(Database(INSTANCE))
+        try:
+            with Client(server.address, retries=3) as client:
+                before = client.stats()["generation"]
+                rows = [[i, "x" * 60] for i in range(n_rows)]
+                with pytest.raises(FrameTooLargeError) as caught:
+                    client.insert("R", rows)
+                assert caught.value.error_type == "frame_too_large"
+                assert caught.value.fields["max_frame_bytes"] == 2**16
+                # the write was never parsed: the session is untouched, and
+                # the client reconnects for its next request
+                assert client.stats()["generation"] == before
+                assert client.query("R(x, y)")["answers"] == [[1, 2], [2, 3]]
+        finally:
+            server.shutdown()
+
+    def test_requests_before_an_oversized_line_still_get_answers(self):
+        server = serve(Database(INSTANCE))
+        try:
+            wire = Wire(server.address)
+            # a slow request first: it is still running when the oversized
+            # line arrives behind it
+            wire.send({
+                "id": "slow", "op": "query", "query": "R(x, y)",
+                "min_generation": 99, "wait_timeout_s": 0.3,
+            })
+            wire.sock.sendall(b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n')
+            frames = [wire.recv(), wire.recv()]
+            assert wire.reader.readline() == ""  # then the server closes
+            wire.close()
+        finally:
+            server.shutdown()
+        rejected = [f for f in frames if f.get("error_type") == "frame_too_large"]
+        assert len(rejected) == 1 and "id" not in rejected[0]
+        assert {f.get("id") for f in frames} == {None, "slow"}
+
+    def test_async_client_oversized_request_fails_typed(self):
+        server = serve(Database(INSTANCE))
+        try:
+            async def scenario():
+                async with AsyncClient(server.address, retries=3) as client:
+                    before = (await client.stats())["generation"]
+                    rows = [[i, "x" * 60] for i in range(1000)]
+                    with pytest.raises(FrameTooLargeError):
+                        await client.insert("R", rows)
+                    assert (await client.stats())["generation"] == before
+
+            asyncio.run(scenario())
+        finally:
+            server.shutdown()
+
+    def test_oversized_response_fails_typed_without_retry(self):
+        rows = [(i, i + 100_000) for i in range(5000)]  # ~80 KiB of answers
+        server = serve(Database({"R": rows}))
+        try:
+            with Client(server.address) as admin:
+                before = admin.stats()["requests"]["requests"]
+
+            async def scenario():
+                errors = []
+                asyncio.get_running_loop().set_exception_handler(
+                    lambda loop, context: errors.append(context)
+                )
+                async with AsyncClient(
+                    server.address, retries=3, backoff_base=0.01
+                ) as client:
+                    with pytest.raises(FrameTooLargeError):
+                        await client.query("R(x, y)")
+                gc.collect()  # an unretrieved task exception reports here
+                await asyncio.sleep(0)
+                return errors
+
+            assert asyncio.run(scenario()) == []
+            with Client(server.address) as admin:
+                after = admin.stats()["requests"]["requests"]
+            # the query ran once (no retry); the second stats call is the +1
+            assert after - before == 2
+        finally:
+            server.shutdown()

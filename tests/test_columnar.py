@@ -17,11 +17,8 @@ pinned differentially here, over the same generators as
 * mutation re-encoding invariants (shared :class:`EncodedRelation`
   identity for untouched relations, agreement after re-encode);
 * the pure-Python kernels with numpy forced off;
-* ``EvalResult.stats`` key parity across backends (regression gate);
-* the int-array ``WorldSpec`` transport for oracle workers.
+* ``EvalResult.stats`` key parity across backends (regression gate).
 """
-
-import pickle
 
 import pytest
 from diffutil import (
@@ -33,7 +30,7 @@ from diffutil import (
     interp_certain_reference,
 )
 
-from repro.core.certain import _build_spec, certain_answers, default_pool
+from repro.core.certain import certain_answers
 from repro.core.naive import naive_eval
 from repro.data.dictionary import (
     Dictionary,
@@ -103,15 +100,6 @@ class TestDictionary:
         d = Dictionary()
         assert d.encode(1) == d.encode(True) == d.encode(1.0)
         assert frozenset({(1,), (True,)}) == frozenset({(d.decode(d.encode(True)),)})
-
-    def test_export_import_tables(self):
-        d = Dictionary()
-        for v in (1, X, "a", Y):
-            d.encode(v)
-        consts, labels = d.export_tables()
-        back = Dictionary.from_tables(consts, labels)
-        for v in (1, X, "a", Y):
-            assert back.encode(v) == d.encode(v)
 
 
 class TestEncodedRelation:
@@ -479,61 +467,6 @@ class TestStatsParity:
             for mode in ("auto", "compiled", "naive", "naive-interp")
         }
         assert len(set(results.values())) == 1, results
-
-
-# ----------------------------------------------------------------------
-# the int-array WorldSpec transport for oracle workers
-# ----------------------------------------------------------------------
-
-class TestWorldSpecTransport:
-    def _spec(self):
-        inst = Instance(
-            {"R": [(1, X), (X, Y), (2, 3)], "S": [(Y,), (4,)], "T": [(1, 2, 3)]}
-        )
-        q = Query(parse("exists z (R(a, z) & S(z))"), ("a",))
-        cq = compiled_query(q)
-        pool = default_pool(inst, q)
-        spec, _, _ = _build_spec(
-            cq, inst, get_semantics("cwa"), pool, pool[-3:], 10**6
-        )
-        return spec
-
-    def test_pickle_round_trip_is_lossless(self):
-        spec = self._spec()
-        back = pickle.loads(pickle.dumps(spec))
-        for slot in WorldSpecSlots:
-            if slot == "cq":
-                assert back.cq.formula == spec.cq.formula
-                assert back.cq.answer_vars == spec.cq.answer_vars
-            else:
-                assert getattr(back, slot) == getattr(spec, slot), slot
-
-    def test_round_tripped_spec_runs_identically(self):
-        spec = self._spec()
-        back = pickle.loads(pickle.dumps(spec))
-        vals = list(spec.seed_valuations())
-        assert back.run(vals) == spec.run(vals)
-
-    def test_payload_ships_no_null_objects(self):
-        """The transport's point: no per-row Null object graphs on the
-        wire — nulls travel once, as labels in the dictionary tables."""
-        blob = pickle.dumps(self._spec())
-        assert b"repro.data.values" not in blob
-
-    def test_parallel_oracle_agrees_with_serial(self):
-        inst = Instance({"R": [(1, X), (X, Y), (2, 3)], "S": [(Y,), (4,)]})
-        q = Query(parse("exists z (R(a, z) & S(z))"), ("a",))
-        sem = get_semantics("cwa")
-        serial = certain_answers(q, inst, sem)
-        parallel = certain_answers(q, inst, sem, workers=2)
-        assert serial == parallel
-
-
-WorldSpecSlots = (
-    "cq", "templates", "dyn_names", "static", "base_adom",
-    "read_base_cells", "n_slots", "base_choices", "fresh_tail",
-    "seed", "seed_keys",
-)
 
 
 # ----------------------------------------------------------------------

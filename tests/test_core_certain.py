@@ -1,16 +1,24 @@
 """Tests for repro.core.certain: the bounded certain-answer oracle."""
 
+import random
+
 import pytest
 
+from repro.core import evaluate
 from repro.core.certain import certain_answers, certain_holds, default_pool, query_schema
+from repro.data.generate import random_instance
 from repro.data.instance import Instance
+from repro.data.schema import Schema
 from repro.data.values import Null
+from repro.logic.compile import compiled_query
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
 
 X, Y = Null("x"), Null("y")
 K, K1 = Null(""), Null("'")
+
+JOIN = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
 
 
 class TestDefaultPool:
@@ -149,3 +157,72 @@ class TestCertainAnswers:
         q = Query.boolean(parse("forall v . D(v, v)"))
         assert certain_holds(q, d, get_semantics("mincwa"))
         assert not certain_holds(q, d, get_semantics("cwa"))
+
+    def test_boolean_queries(self):
+        q = Query.boolean(parse("exists v (exists w (R(v, w)))"))
+        instance = Instance({"R": [(X, Y)], "S": [(X,)]})
+        assert certain_answers(q, instance, get_semantics("cwa")) == frozenset({()})
+
+
+class TestOracleStats:
+    """What ``stats_out`` reports, and the pruning it reports on."""
+
+    @pytest.mark.parametrize(
+        "key, mode",
+        [("cwa", ("seed", "serial")), ("owa", ("expand",))],
+        ids=["cwa", "owa"],
+    )
+    def test_stats_out_fills_worlds_and_mode(self, key, mode):
+        # the benchmark's traced run reads ``worlds`` from this dict
+        instance = Instance({"R": [(X, Y), (1, X)], "S": [(Y,)]})
+        kw = {"extra_facts": 1} if key == "owa" else {}
+        stats: dict = {}
+        certain_answers(JOIN, instance, get_semantics(key), stats_out=stats, **kw)
+        assert stats["worlds"] >= 1
+        assert stats["mode"] in mode
+
+    def test_stats_surface_in_eval_result(self):
+        instance = Instance({"R": [(X, Y), (1, X)], "S": [(Y,)]})
+        result = evaluate(JOIN, instance, "cwa", mode="enumeration")
+        oracle = result.stats["oracle"]
+        assert oracle["worlds"] >= 1
+        assert oracle["mode"] in ("seed", "serial")
+        assert "relevant_nulls" in oracle and "total_nulls" in oracle
+
+    def test_empty_intersection_stops_early(self):
+        # ¬∃v R(v,v) is certainly false on {R(⊥x,⊥y)}: the first world
+        # collapsing ⊥x and ⊥y satisfies ∃v R(v,v), so the oracle must
+        # stop there instead of enumerating every world
+        q = Query.boolean(parse("!(exists v (R(v, v)))"))
+        instance = Instance({"R": [(X, Y)]})
+        stats: dict = {}
+        got = certain_answers(q, instance, get_semantics("cwa"), stats_out=stats)
+        assert got == frozenset()
+        assert stats["worlds"] < len(default_pool(instance, q)) ** 2
+
+    def test_relevance_restriction_reported(self):
+        # S-nulls are invisible to a plan that only reads R
+        instance = Instance({"R": [(X, 1)], "S": [(Y,), (Null("z"),)]})
+        stats: dict = {}
+        certain_answers(JOIN, instance, get_semantics("cwa"), stats_out=stats)
+        assert stats["total_nulls"] == 3
+        assert stats["relevant_nulls"] == 1
+        assert stats["restricted"] is True
+
+    def test_relevance_restriction_is_sound(self):
+        # reference: enumerate full worlds as Instances and intersect
+        sem = get_semantics("cwa")
+        rng = random.Random(0xDEAD)
+        for _ in range(20):
+            instance = random_instance(
+                Schema({"R": 2, "S": 1}), rng, n_facts=4, constants=(1, 2),
+                n_nulls=3, null_probability=0.8,
+            )
+            pool = default_pool(instance, JOIN)
+            cq = compiled_query(JOIN)
+            schema = instance.schema().union(query_schema(JOIN))
+            reference = None
+            for world in sem.expand(instance, list(pool), schema=schema):
+                rows = cq.answers(world)
+                reference = rows if reference is None else reference & rows
+            assert certain_answers(JOIN, instance, sem) == reference

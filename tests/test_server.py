@@ -1,5 +1,5 @@
-"""The JSON-lines serving layer: QueryService ops, the batch gate, the
-TCP server, and the persistent oracle worker pool."""
+"""The JSON-lines serving layer: QueryService ops, the batch gate and the
+TCP server."""
 
 import json
 import socket
@@ -27,7 +27,7 @@ class TestQueryServiceOps:
     def test_ping(self, service):
         assert service.handle({"op": "ping", "id": 7}) == {
             "ok": True, "pong": True, "id": 7,
-            "proto": 2, "features": ["pipelining"],
+            "proto": 2, "features": ["pipelining", "deadline_ms"],
         }
 
     def test_query_round_trip(self, service):
@@ -219,7 +219,7 @@ class TestTCPServer:
 
     def test_many_concurrent_clients(self):
         db = Database({"R": [(i, i + 1) for i in range(6)]})
-        with serve(db, max_threads=4) as server:
+        with serve(db, executor_threads=4) as server:
             errors = []
 
             def client(i):
@@ -254,75 +254,4 @@ class TestTCPServer:
                 writer.write(json.dumps({"op": "ping", "id": "abc"}) + "\n")
                 writer.flush()
                 assert json.loads(reader.readline())["id"] == "abc"
-        db.close()
-
-
-class TestPersistentWorkerPool:
-    def test_parallel_results_match_serial_through_pool(self):
-        import random
-
-        from repro.core import certain_answers
-        from repro.core.parallel import OracleWorkerPool
-        from repro.data.generate import random_instance
-        from repro.data.schema import Schema
-        from repro.logic.parser import parse
-        from repro.logic.queries import Query
-        from repro.semantics import get_semantics
-
-        rng = random.Random(1084)
-        instance = random_instance(
-            Schema({"R": 2, "S": 1}), rng, n_facts=10, constants=(1, 2, 3, 4),
-            n_nulls=5, null_probability=0.7,
-        )
-        query = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
-        sem = get_semantics("cwa")
-        want = certain_answers(query, instance, sem)
-        with OracleWorkerPool(2) as pool:
-            for _ in range(2):  # two requests share the same processes
-                stats: dict = {}
-                got = certain_answers(
-                    query, instance, sem, workers=2, stats_out=stats,
-                    worker_pool=pool,
-                )
-                assert got == want
-                if stats.get("mode") == "parallel":
-                    assert stats["persistent_pool"] is True
-
-    def test_closed_pool_degrades_to_serial(self):
-        from repro.core import certain_answers
-        from repro.core.parallel import OracleWorkerPool
-        from repro.data.instance import Instance
-        from repro.logic.parser import parse
-        from repro.logic.queries import Query
-        from repro.semantics import get_semantics
-
-        nulls = [Null(f"n{i}") for i in range(5)]
-        inst = Instance({"R": list(zip(nulls, nulls[1:])) + [(1, 2)]})
-        query = Query.boolean(parse("exists u, v (R(u, v))"))
-        pool = OracleWorkerPool(2)
-        pool.close()  # reconfigured under a hypothetical in-flight run
-        stats: dict = {}
-        got = certain_answers(
-            query, inst, get_semantics("cwa"), workers=2,
-            stats_out=stats, worker_pool=pool, limit=5_000_000,
-        )
-        assert got == frozenset([()])
-        assert stats["mode"] == "serial-fallback" and stats["workers"] == 0
-
-    def test_database_reuses_one_pool_across_requests(self):
-        db = Database({"R": [(1, X)]}, semantics="cwa", workers=2)
-        try:
-            pool = db.ensure_worker_pool()
-            assert db.ensure_worker_pool() is pool
-        finally:
-            db.close()
-        assert db.ensure_worker_pool() is not pool  # recreated after close
-        db.close()
-
-    def test_workers_change_recreates_pool(self):
-        db = Database({"R": [(1, X)]}, semantics="cwa", workers=2)
-        pool = db.ensure_worker_pool()
-        db.workers = 3
-        new = db.ensure_worker_pool()
-        assert new is not pool and new.processes == 3
         db.close()
