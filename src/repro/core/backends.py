@@ -38,6 +38,7 @@ from repro.ctables.table import CInstance
 from repro.core import certain as _certain
 from repro.core import naive as _naive
 from repro.core.analyzer import Verdict
+from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.logic.queries import Query
 from repro.semantics.base import Semantics, guard_limit
@@ -128,8 +129,12 @@ class Backend(ABC):
         pool: Sequence[Hashable] | None = None,
         extra_facts: int | None = None,
         limit: int = 500_000,
-    ) -> frozenset[tuple[Hashable, ...]]:
-        """Compute the answer set (null-free tuples; ``{()}`` = Boolean true)."""
+    ) -> frozenset[tuple[Hashable, ...]] | AnswerSet:
+        """Compute the answer set (null-free tuples; ``{()}`` = Boolean true).
+
+        A frozenset of rows, or an :class:`~repro.data.answers.AnswerSet`
+        that may still be dictionary-encoded.
+        """
 
     def __repr__(self) -> str:
         return f"<backend {self.name!r}>"
@@ -175,10 +180,11 @@ class ColumnarBackend(NaiveBackend):
     nulls are interned into a per-database dictionary, joins execute as
     array kernels (sort-merge on single shared columns, encoded hash
     joins elsewhere), join order follows per-instance column stats, and
-    null rows are dropped at the code level before decoding
-    (:mod:`repro.logic.columnar`).  Identical answers to ``compiled``
-    and ``naive-interp`` on every query — they stay registered as its
-    differential baselines.
+    null rows are dropped at the code level (:mod:`repro.logic.columnar`).
+    The answers come back still encoded, as an
+    :class:`~repro.data.answers.AnswerSet`.  Identical answers to
+    ``compiled`` and ``naive-interp`` on every query — they stay
+    registered as its differential baselines.
     """
 
     name = "columnar"

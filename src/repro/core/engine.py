@@ -22,6 +22,7 @@ from typing import Hashable, Mapping, Sequence
 from repro.core.analyzer import Verdict
 from repro.core.backends import get_backend
 from repro.core.plan import Plan, make_plan
+from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
@@ -32,10 +33,16 @@ __all__ = ["EvalResult", "evaluate", "execute_plan"]
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Outcome of an engine evaluation."""
+    """Outcome of an engine evaluation.
 
-    #: the computed answers (null-free tuples; ``{()}`` = Boolean true)
-    answers: frozenset[tuple[Hashable, ...]]
+    The answers are held as an :class:`~repro.data.answers.AnswerSet`,
+    which the columnar backend leaves dictionary-encoded;
+    :attr:`answers` decodes it on first read.  A plain set passed in is
+    wrapped.
+    """
+
+    #: the computed answers, possibly still dictionary-encoded
+    answer_set: AnswerSet
     #: the backend that computed them: "compiled", "enumeration", "ctable", …
     method: str
     #: True when the result provably equals the certain answers
@@ -49,10 +56,19 @@ class EvalResult:
     #: (excluded from equality/hashing)
     stats: Mapping[str, object] = field(default_factory=dict, compare=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.answer_set, AnswerSet):
+            object.__setattr__(self, "answer_set", AnswerSet.decoded(frozenset(self.answer_set)))
+
+    @property
+    def answers(self) -> frozenset[tuple[Hashable, ...]]:
+        """The computed answers (null-free tuples; ``{()}`` = Boolean true)."""
+        return self.answer_set.decode()
+
     @property
     def holds(self) -> bool:
         """Boolean reading: is the certain answer 'true'?"""
-        return bool(self.answers)
+        return bool(self.answer_set)
 
     def __repr__(self) -> str:
         status = "exact" if self.exact else f"approx({self.direction})"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
+from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.data.values import Null
 from repro.logic import columnar as _columnar
@@ -46,15 +47,17 @@ def drop_null_tuples(
 
 def naive_eval(
     query: Query, instance: Instance, engine: str = "compiled"
-) -> frozenset[tuple[Hashable, ...]]:
+) -> frozenset[tuple[Hashable, ...]] | AnswerSet:
     """The naive evaluation of ``query`` on ``instance``.
 
     Returns the set of null-free answers (``Q^C(D)`` in Section 8's
     notation).  Boolean queries return ``{()}``/``frozenset()``.
-    ``engine`` selects step one's implementation (see module doc).
+    ``engine`` selects step one's implementation (see module doc); the
+    ``columnar`` engine returns a still-encoded
+    :class:`~repro.data.answers.AnswerSet`, equal to the frozenset.
     """
     if engine == "columnar":
-        # the columnar executor drops null rows pre-decode (odd codes)
+        # null rows are dropped by code parity and nothing is decoded
         return _columnar.columnar_naive_eval(query, instance)
     if engine == "compiled":
         raw = _compile.compiled_query(query).answers(instance)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from repro.core.analyzer import Verdict, analyze
@@ -74,10 +75,16 @@ class Plan:
     direction: str
     #: result of the core check; ``None`` when the plan never needed it
     instance_is_core: bool | None
-    #: rough cost signals
-    cost: CostHints
+    #: computes the rough cost signals, read as :attr:`cost`: they take
+    #: instance scans, so they wait until EXPLAIN or ``--json`` asks
+    cost_hints: Callable[[], CostHints] = field(repr=False, compare=False)
     #: free-form planner remarks
     notes: tuple[str, ...] = ()
+
+    @cached_property
+    def cost(self) -> CostHints:
+        """Rough cost signals, computed on first read."""
+        return self.cost_hints()
 
     def to_dict(self) -> dict:
         """A JSON-serialisable rendering (``repro explain --json``)."""
@@ -247,16 +254,24 @@ def make_plan(
             "session result-cache eligible, keyed on their generations"
         )
 
-    null_count = len(instance.nulls())
-    if pool is not None:
-        pool_size = len(pool)
-    else:
-        # arithmetic identity with len(default_pool(instance, query)):
-        # the base constants plus |nulls|+1 fresh values — avoids
-        # materialising and sorting a pool just for a cost hint
-        pool_size = len(instance.constants() | query.constants()) + null_count + 1
-    raw_bound = pool_size**null_count
-    bound = raw_bound if raw_bound <= _VALUATION_CAP else -1
+    injected_pool_size = len(pool) if pool is not None else None
+
+    def cost_hints() -> CostHints:
+        null_count = len(instance.nulls())
+        pool_size = injected_pool_size
+        if pool_size is None:
+            # arithmetic identity with len(default_pool(instance, query)):
+            # the base constants plus |nulls|+1 fresh values — avoids
+            # materialising and sorting a pool just for a cost hint
+            pool_size = len(instance.constants() | query.constants()) + null_count + 1
+        raw_bound = pool_size**null_count
+        return CostHints(
+            fact_count=instance.fact_count(),
+            null_count=null_count,
+            pool_size=pool_size,
+            valuation_bound=raw_bound if raw_bound <= _VALUATION_CAP else -1,
+        )
+
     return Plan(
         query=repr(query),
         backend=name,
@@ -266,11 +281,6 @@ def make_plan(
         exact=exact,
         direction=direction,
         instance_is_core=core_flag,
-        cost=CostHints(
-            fact_count=instance.fact_count(),
-            null_count=null_count,
-            pool_size=pool_size,
-            valuation_bound=bound,
-        ),
+        cost_hints=cost_hints,
         notes=tuple(notes),
     )

@@ -33,15 +33,26 @@ table lookup:
 Equality of codes is equality of cells under ``==`` — the same relation
 row sets use.  In particular ``1 == True`` interns to one code, exactly
 as ``{(1,), (True,)}`` is a one-element frozenset.
+
+Answers are rendered straight from codes: two per-code memos hold each
+cell's JSON text and its ``repr``, filled the first time a code is
+rendered.  Codes never change meaning, so neither memo goes stale.
+
+>>> d.encode("?b")
+2
+>>> d.json_fragments([0, 2], "Q")[2], d.cell_reprs([2])[2]
+('"??b"', "'?b'")
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from array import array
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.data.instance import Instance
+from repro.data.jsonio import encode_cell
 from repro.data.values import Null
 
 __all__ = [
@@ -69,13 +80,16 @@ class Dictionary:
     always be decoded.
     """
 
-    __slots__ = ("_codes", "_consts", "_nulls", "_lock")
+    __slots__ = ("_codes", "_consts", "_nulls", "_lock", "_json", "_reprs")
 
     def __init__(self) -> None:
         self._codes: dict[Hashable, int] = {}
         self._consts: list[Hashable] = []
         self._nulls: list[Null] = []
         self._lock = threading.Lock()
+        # per-code rendering memos (see json_fragments / cell_reprs)
+        self._json: dict[int, str] = {}
+        self._reprs: dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # interning
@@ -127,6 +141,35 @@ class Dictionary:
     def is_null_code(code: int) -> bool:
         """True iff ``code`` stands for a null (odd codes are nulls)."""
         return bool(code & 1)
+
+    # ------------------------------------------------------------------
+    # rendering memos
+    # ------------------------------------------------------------------
+
+    def _cell(self, code: int) -> Hashable:
+        # decode() without the public entry point: a memo fill looks at
+        # each code once and is not a decode of any answer row
+        return self._nulls[code >> 1] if code & 1 else self._consts[code >> 1]
+
+    def json_fragments(self, codes: Iterable[int], relation: str) -> dict[int, str]:
+        """The memo ``code → JSON text of its cell``, filled for ``codes``.
+
+        The text is ``json.dumps(encode_cell(relation, cell))``, the
+        wire form of :mod:`repro.data.jsonio`.  ``relation`` only names
+        the answer set in the error a cell with no JSON form raises;
+        such a cell is never memoised.
+        """
+        memo = self._json
+        for code in set(codes).difference(memo):
+            memo[code] = json.dumps(encode_cell(relation, self._cell(code)))
+        return memo
+
+    def cell_reprs(self, codes: Iterable[int]) -> dict[int, str]:
+        """The memo ``code → repr(cell)``, filled for ``codes``."""
+        memo = self._reprs
+        for code in set(codes).difference(memo):
+            memo[code] = repr(self._cell(code))
+        return memo
 
     # ------------------------------------------------------------------
     # introspection

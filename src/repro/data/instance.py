@@ -270,23 +270,27 @@ class Instance:
                 touched.add(name)
         for name in sorted(touched):
             old = self._relations.get(name, frozenset())
-            new = set(old)
-            if removes and name in removes:
-                new.difference_update(tuple(r) for r in removes[name])
-            if adds and name in adds:
-                new.update(tuple(r) for r in adds[name])
-            arities = {len(r) for r in new}
+            puts = {tuple(r) for r in adds[name]} if adds and name in adds else set()
+            dels = {tuple(r) for r in removes[name]} if removes and name in removes else set()
+            added = frozenset(puts - old)
+            removed = (old & dels) - puts
+            # the rows kept from ``old`` share its one arity, so checking
+            # it plus the added rows costs the delta, not the relation
+            arities = {len(r) for r in added}
+            if len(removed) < len(old):
+                arities.add(len(next(iter(old))))
             if len(arities) > 1:
                 raise SchemaError(
                     f"relation {name!r} would have tuples of mixed arities {sorted(arities)}"
                 )
             if arities == {0}:
                 raise SchemaError(f"relation {name!r} would have zero-arity tuples")
-            frozen = frozenset(new)
-            added, removed = frozen - old, old - frozen
             if not added and not removed:
                 continue
             changes[name] = (added, removed)
+            frozen = old - removed if removed else old
+            if added:
+                frozen |= added
             if frozen:
                 rels[name] = frozen
             else:

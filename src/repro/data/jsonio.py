@@ -12,23 +12,37 @@ Decoding and encoding round-trip: ``decode_cell(encode_cell(v)) == v``
 for every representable value, and values that are *not* representable
 (non-scalar cells, nulls whose label itself starts with ``?``) raise
 :class:`ValueError` instead of being silently stringified.
+
+An answer set goes on the wire as its rows sorted by the ``repr`` of
+each row tuple (:func:`render_rows`).  A :class:`RawJSON` carries text
+already rendered; :func:`dumps` splices it into a response line as is:
+
+>>> line = dumps({"ok": True, "answers": RawJSON('[[1, "??x"]]')})
+>>> line
+'{"ok": true, "answers": [[1, "??x"]]}'
+>>> json.loads(line)["answers"] == RawJSON('[[1, "??x"]]')
+True
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Hashable, Iterable
 
 from repro.data.instance import Instance
 from repro.data.values import Null
 
 __all__ = [
+    "RawJSON",
     "decode_cell",
     "encode_cell",
     "decode_row",
     "encode_row",
+    "dumps",
     "instance_from_json",
     "instance_to_json",
+    "render_rows",
 ]
 
 
@@ -77,6 +91,86 @@ def decode_row(relation: str, row) -> tuple[Hashable, ...]:
 def encode_row(relation: str, row: Iterable[Hashable]) -> list:
     """One fact tuple → its JSON array."""
     return [encode_cell(relation, v) for v in row]
+
+
+def render_rows(relation: str, rows: Iterable[tuple]) -> str:
+    """An answer set's JSON text: rows sorted by ``repr``, cells encoded."""
+    return json.dumps([encode_row(relation, row) for row in sorted(rows, key=repr)])
+
+
+class RawJSON:
+    """JSON text standing in for the value it encodes.
+
+    :func:`dumps` writes the text verbatim; in-process readers see the
+    parsed value, which is parsed on first use (equality, ``len``,
+    iteration, indexing and ``repr`` all go through it).
+    """
+
+    __slots__ = ("text", "_value")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._value = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = json.loads(self.text)
+        return self._value
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RawJSON):
+            other = other.value
+        return self.value == other
+
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self):
+        return iter(self.value)
+
+    def __getitem__(self, index):
+        return self.value[index]
+
+    def __repr__(self) -> str:
+        return repr(self.value)
+
+
+#: how :func:`dumps` parks the i-th RawJSON in json.dumps' output
+_PARKED = re.compile(r'"\\u0000raw(\d+)\\u0000"')
+
+
+def dumps(value) -> str:
+    """``json.dumps(value)``, with each :class:`RawJSON` written as its text.
+
+    The encoder parks every RawJSON as a marker string, and one pass
+    swaps each marker for its text, so the line is byte-identical to
+    ``json.dumps`` of the parsed values.  Should some string in
+    ``value`` spell a marker itself, the markers cannot be told apart
+    and the RawJSON values are parsed and encoded instead.
+    """
+    texts: list[str] = []
+
+    def park(obj):
+        texts.append(_raw(obj).text)
+        return f"\x00raw{len(texts) - 1}\x00"
+
+    line = json.dumps(value, default=park)
+    if not texts:
+        return line
+    pieces = _PARKED.split(line)
+    if pieces[1::2] != [str(i) for i in range(len(texts))]:
+        return json.dumps(value, default=lambda obj: _raw(obj).value)
+    pieces[1::2] = texts
+    return "".join(pieces)
+
+
+def _raw(obj) -> RawJSON:
+    if not isinstance(obj, RawJSON):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj
 
 
 def instance_from_json(text: str) -> Instance:

@@ -27,11 +27,14 @@ adom complement      ``col-adom-complement`` over the encoded domain
 
 Intermediate results are frozensets of ``tuple[int, ...]`` — hashing and
 equality run at C speed on small ints instead of through the
-Python-level ``Null.__hash__``.  Final answers are decoded back to cell
-tuples, so :meth:`ColumnarQuery.answers` is **bit-for-bit equal** to
+Python-level ``Null.__hash__``.  :meth:`ColumnarQuery.answers` decodes
+back to cell tuples and is **bit-for-bit equal** to
 :meth:`~repro.logic.compile.CompiledQuery.answers` on every formula and
 instance (the differential suite in ``tests/test_columnar.py`` pins
 this against both the compiled engine and the tree-walking interpreter).
+:meth:`ColumnarQuery.naive_answers` decodes nothing: it drops null rows
+by code parity and returns an encoded
+:class:`~repro.data.answers.AnswerSet`.
 
 Compilation is stats-aware: :func:`columnar_query` with a source feeds
 the instance's bucketed row counts into the compiler's join-ordering
@@ -44,6 +47,7 @@ from __future__ import annotations
 import itertools
 from typing import Hashable
 
+from repro.data.answers import AnswerSet
 from repro.data.dictionary import ColumnarContext, columnar_context
 from repro.data.instance import Instance
 from repro.logic import kernels
@@ -395,19 +399,18 @@ class ColumnarQuery:
         decode = cctx.dictionary.decode_row
         return frozenset(map(decode, _eval(self.cq._root, cctx, {})))
 
-    def naive_answers(self, source) -> frozenset[tuple[Hashable, ...]]:
-        """Decoded null-free answers (naive evaluation's step two).
+    def naive_answers(self, source) -> AnswerSet:
+        """The null-free answers, still encoded (naive evaluation's step two).
 
-        Null rows are dropped *before* decoding — odd codes are nulls,
-        so the parity test replaces the per-cell ``isinstance`` sweep.
+        Null rows are dropped by code parity — odd codes are nulls — so
+        no row is decoded; the set decodes or renders on demand.
         """
         cctx = as_columnar_context(source)
-        decode = cctx.dictionary.decode_row
-        return frozenset(
-            decode(row)
-            for row in _eval(self.cq._root, cctx, {})
-            if not any(c & 1 for c in row)
-        )
+        rows = _eval(self.cq._root, cctx, {})
+        null_codes = {c for c in itertools.chain.from_iterable(rows) if c & 1}
+        if null_codes:
+            rows = [row for row in rows if null_codes.isdisjoint(row)]
+        return AnswerSet.encoded(rows, len(self.answer_vars), cctx.dictionary)
 
     def describe(self) -> str:
         """EXPLAIN-style rendering naming the chosen columnar kernels."""
@@ -440,8 +443,8 @@ def columnar_query(query, source=None) -> ColumnarQuery:
     return ColumnarQuery(cq)
 
 
-def columnar_naive_eval(query, instance: Instance) -> frozenset[tuple[Hashable, ...]]:
-    """Naive evaluation through the columnar engine (both steps).
+def columnar_naive_eval(query, instance: Instance) -> AnswerSet:
+    """Naive evaluation through the columnar engine (both steps), encoded.
 
     The entry point :func:`repro.core.naive.naive_eval` dispatches here
     for ``engine="columnar"``.

@@ -61,7 +61,7 @@ from typing import Iterator
 
 from repro import faults as _faults
 from repro.core.analyzer import FIGURE_1
-from repro.data.jsonio import decode_row, encode_row, instance_to_json
+from repro.data.jsonio import RawJSON, decode_row, dumps, instance_to_json
 from repro.replication.feed import ReplicationFeed
 from repro.replication.replica import ReplicaTailer
 from repro.session import Database, DegradedError, PreparedQuery
@@ -284,7 +284,7 @@ class QueryService:
                 self._counters["requests"] += 1
                 self._counters["errors"] += 1
             return json.dumps({"ok": False, "error": f"bad JSON: {err}"})
-        return json.dumps(self.handle(request))
+        return dumps(self.handle(request))
 
     def replicate_stream(self, request: dict) -> Iterator[dict | str]:
         """Serve one replica: hello, then frames from the feed, forever."""
@@ -406,14 +406,19 @@ class QueryService:
             text, tuple(vars_) if vars_ is not None else None, semantics=semantics
         )
 
+    @staticmethod
+    def _mode(request: dict) -> str:
+        mode = request.get("mode", "auto")
+        if not isinstance(mode, str):
+            raise ValueError("'mode' must be a backend name or 'auto'")
+        return mode
+
     def _render(self, prepared: PreparedQuery, result, group_size: int = 1) -> dict:
-        query = prepared.query
+        # the answers' wire text, rendered once per result-cache entry;
+        # the response writer (jsonio.dumps) splices it in as is
         payload = {
             "ok": True,
-            "answers": [
-                encode_row(query.name, row)
-                for row in sorted(result.answers, key=repr)
-            ],
+            "answers": RawJSON(result.answer_set.to_json(prepared.query.name)),
             "holds": result.holds,
             "exact": result.exact,
             "direction": result.direction,
@@ -430,9 +435,7 @@ class QueryService:
     def _op_query(self, request: dict) -> dict:
         self._wait_fresh(request)
         prepared = self._prepare(request)
-        mode = request.get("mode", "auto")
-        if not isinstance(mode, str):
-            raise ValueError("'mode' must be a backend name or 'auto'")
+        mode = self._mode(request)
         with self._lock:
             self._counters["queries"] += 1
         if self._batch is not None:
@@ -445,12 +448,12 @@ class QueryService:
         """An explicit client-side batch: one evaluate_many, one response."""
         self._wait_fresh(request)  # one staleness bound covers the whole batch
         specs = request.get("queries")
-        if not isinstance(specs, list):
+        if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
             raise ValueError("'queries' must be a list of query objects")
+        mode = self._mode(request)
         prepared = [self._prepare(spec) for spec in specs]
         with self._lock:
             self._counters["queries"] += len(prepared)
-        mode = request.get("mode", "auto")
         results = self.db.evaluate_many(prepared, mode=mode)
         return {
             "ok": True,
@@ -1042,7 +1045,7 @@ class AsyncServer:
     async def _respond_obj(self, conn: _AsyncConn, response: dict, rid) -> None:
         if rid is not None and "id" not in response:
             response["id"] = rid
-        await self._respond(conn, json.dumps(response))
+        await self._respond(conn, dumps(response))
 
     # ------------------------------------------------------------------
     # replication streaming

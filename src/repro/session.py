@@ -60,6 +60,7 @@ from repro.core.engine import EvalResult
 from repro.core.plan import Plan
 from repro.data import dictionary as _dictionary
 from repro.data import indexes as _indexes
+from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.logic import compile as _compile
@@ -304,7 +305,7 @@ class PreparedQuery:
             stats=stats,
         )
         if key is not None:
-            db._result_put(key, result.answers)
+            db._result_put(key, result.answer_set)
         return result
 
     def __call__(self, mode: str = "auto") -> EvalResult:
@@ -452,8 +453,9 @@ class Database:
         # (a tuple, so backends cannot corrupt the cache in place)
         self._batch_pool_key: tuple | None = None
         self._batch_pool: tuple[Hashable, ...] | None = None
-        # generation-keyed LRU result cache (see _result_key)
-        self._results: dict[tuple, frozenset] = {}
+        # generation-keyed LRU result cache (see _result_key); an entry
+        # is an AnswerSet, rendered to wire text at most once
+        self._results: dict[tuple, AnswerSet] = {}
         self._results_max = max(0, result_cache_size)
         self._result_stats = {
             "hits": 0,
@@ -923,7 +925,7 @@ class Database:
         )
         return (self._epoch, prepared.query, prepared.semantics, plan.backend, gens)
 
-    def _result_get(self, key: tuple | None) -> frozenset | None:
+    def _result_get(self, key: tuple | None) -> AnswerSet | None:
         if key is None:
             return None
         found = self._results.pop(key, None)
@@ -934,7 +936,7 @@ class Database:
         self._result_stats["hits"] += 1
         return found
 
-    def _result_put(self, key: tuple, answers: frozenset) -> None:
+    def _result_put(self, key: tuple, answers: AnswerSet) -> None:
         with self._lock:
             self._results.pop(key, None)
             self._results[key] = answers
@@ -943,7 +945,7 @@ class Database:
                 self._result_stats["evictions"] += 1
 
     @staticmethod
-    def _cache_stats_fields(key: tuple | None, cached: frozenset | None) -> dict:
+    def _cache_stats_fields(key: tuple | None, cached: AnswerSet | None) -> dict:
         """The per-result stats entries describing the cache outcome."""
         fields: dict[str, object] = {
             "result_cache": (
@@ -957,7 +959,7 @@ class Database:
         return fields
 
     @staticmethod
-    def _hit_result(plan: Plan, answers: frozenset, stats: dict) -> EvalResult:
+    def _hit_result(plan: Plan, answers: AnswerSet, stats: dict) -> EvalResult:
         """An :class:`EvalResult` served from the cache (no execution)."""
         stats.update(backend=plan.backend, mode=plan.mode, execution_s=0.0)
         return EvalResult(
@@ -1094,7 +1096,7 @@ class Database:
             generation = self._generation
             extra_facts = self._extra_facts
             limit = self.limit
-            entries: list[tuple[PreparedQuery, Plan, float, tuple | None, frozenset | None]] = []
+            entries: list[tuple[PreparedQuery, Plan, float, tuple | None, AnswerSet | None]] = []
             for p in prepared:
                 t0 = perf_counter()
                 plan = p.plan(mode)  # cached per relevant state and mode
@@ -1152,7 +1154,7 @@ class Database:
                 stats=stats,
             )
             if key is not None:
-                self._result_put(key, result.answers)
+                self._result_put(key, result.answer_set)
             results.append(result)
         return results
 

@@ -107,11 +107,16 @@ class TestQueryServiceOps:
             {"op": "insert", "rows": [[1]]},
             {"op": "delta", "adds": [["R", 1]]},
             {"op": "query", "query": "R(x, y)", "vars": "xy"},
+            {"op": "batch", "queries": ["R(x, y)"]},
+            {"op": "batch", "queries": [{"query": "R(x, y)"}], "mode": ["x"]},
         ],
     )
     def test_bad_requests_become_error_responses(self, service, request_):
         response = service.handle(request_)
         assert response["ok"] is False and response["error"]
+        # the error names the bad field; it never leaks a Python internal
+        for leak in ("object has no attribute", "unhashable type"):
+            assert leak not in response["error"]
 
     def test_bad_json_line(self, service):
         response = json.loads(service.handle_line("{nope"))
