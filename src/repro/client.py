@@ -1,8 +1,15 @@
-"""A self-healing wire client for the JSON-lines serving protocol.
+"""Self-healing wire clients for the JSON-lines serving protocol.
 
-:class:`Client` wraps the raw socket conversation of
+Both clients wrap the raw socket conversation of
 ``docs/wire-protocol.md`` in the retry/deadline/failover policy a
-caller facing real networks needs:
+caller facing real networks needs, and that policy is written once: a
+**sans-IO core** (the pattern of h11, https://sans-io.readthedocs.io/)
+that does no I/O.  It is a generator that yields what it wants done —
+an *exchange* ``(endpoint, payload, deadline)`` or a *sleep* of ``s``
+seconds — and is sent the decoded response, or has the transport error
+thrown into it.  :class:`Client` drives it over blocking sockets and
+:class:`AsyncClient` over asyncio; each shell's ``request`` is a short
+loop around its own ``_exchange``.  The policy:
 
 * **per-op deadlines** — every public method is bounded by ``timeout``
   seconds of wall clock, connection attempts included; a blown deadline
@@ -27,18 +34,20 @@ caller facing real networks needs:
   anything was sent).  Once request bytes may have left, a transport
   failure raises :class:`IndeterminateWriteError`: the write may or may
   not have applied, and only the caller knows whether re-issuing it is
-  idempotent for their data.
+  idempotent for their data;
+* **client-owned request ids** — the wire ``id`` is always the client's
+  own sequence number, so requests never collide on the connection; a
+  caller-supplied ``id`` is handed back on the response.
 
-:class:`AsyncClient` is the same policy on asyncio with one addition —
-true **pipelining**: one connection per endpoint shared by every
-coroutine, many requests in flight, responses matched back by their
-echoed ``id`` even when the server answers out of order, plus a
-bounded :meth:`AsyncClient.fanout` scatter helper.  An ``overloaded``
-frame (the async server shedding load at admission) is retryable by
-definition — the request was never executed — and both clients do so
-with backoff; a server-side ``deadline`` frame is retried for reads
-and surfaced as :class:`IndeterminateWriteError` for writes (the op
-may still complete after the server stopped waiting).
+An ``overloaded`` frame (the async server shedding load at admission)
+is retryable by definition — the request was never executed — so it is
+retried with backoff for every op; a server-side ``deadline`` frame is
+retried for reads and surfaced as :class:`IndeterminateWriteError` for
+writes (the op may still complete after the server stopped waiting).
+:class:`AsyncClient` adds true **pipelining**: one connection per
+endpoint shared by every coroutine, many requests in flight, responses
+matched back by their echoed ``id`` even when the server answers out of
+order, plus a bounded :meth:`AsyncClient.fanout` scatter helper.
 
 >>> from repro.client import Client
 >>> from repro.server import serve
@@ -180,57 +189,8 @@ IDEMPOTENT_OPS = frozenset(
 FAILOVER_OPS = frozenset({"ping", "query", "batch", "explain", "dump"})
 
 
-def _backoff_delay(base: float, cap: float, attempt: int, jitter: Callable[[], float]) -> float:
-    """Capped-exponential backoff for attempt *n*, jittered to half."""
-    delay = min(base * (2**attempt), cap)
-    return delay * (0.5 + 0.5 * min(1.0, max(0.0, jitter())))
-
-
-def _retryable_frame(error: ServerError) -> bool:
-    """Server frames a client may transparently retry for *idempotent* ops.
-
-    ``overloaded`` — shed at admission, nothing ran; ``deadline`` — the
-    server gave up inside its own ``deadline_ms`` budget, and re-running
-    a read is free.  Mutations treat ``deadline`` differently (the op
-    may still complete server-side): see the request cores.
-    """
-    return isinstance(error, OverloadedServerError) or error.error_type == "deadline"
-
-
-class Client:
-    """A resilient JSON-lines client over one primary and its replicas.
-
-    Parameters
-    ----------
-    primary:
-        ``"host:port"`` (or an ``(host, port)`` pair) of the node that
-        accepts writes;
-    replicas:
-        additional read endpoints; idempotent reads rotate across
-        ``[primary, *replicas]`` on failure;
-    timeout:
-        per-operation wall-clock deadline in seconds (connects, sends,
-        retries and backoff sleeps all count against it);
-    retries:
-        attempts per idempotent operation beyond the first;
-    backoff_base / backoff_cap:
-        capped exponential retry schedule: attempt *n* sleeps roughly
-        ``min(base * 2**n, cap)`` seconds, jittered to half;
-    read_your_writes:
-        stamp the client's own highest acknowledged write generation as
-        ``min_generation`` on reads that do not set one (default on);
-    wait_timeout_s:
-        how long a server may block to satisfy a ``min_generation``
-        floor before answering ``stale``;
-    jitter:
-        a ``() -> float in [0, 1)`` hook, injectable for deterministic
-        tests.
-
-    One socket per endpoint is kept open and reused across requests;
-    any transport error tears that connection down so the next attempt
-    reconnects from scratch.  Instances are **not** thread-safe — use
-    one per thread (the server multiplexes fine).
-    """
+class _ClientCore:
+    """What both clients share: endpoints, policy state and the policy core."""
 
     def __init__(
         self,
@@ -263,12 +223,8 @@ class Client:
         self._rotation = 0
         #: highest generation an acknowledged write of *this client* reached
         self.last_write_generation = 0
-        self._conns: dict[tuple[str, int], tuple[socket.socket, object]] = {}
+        self._conns: dict = {}
         self._seq = 0
-
-    # ------------------------------------------------------------------
-    # connection plumbing
-    # ------------------------------------------------------------------
 
     @property
     def primary_address(self) -> str:
@@ -278,6 +234,201 @@ class Client:
     @property
     def endpoints(self) -> list[str]:
         return [f"{host}:{port}" for host, port in self._endpoints]
+
+    def _adopt_primary(self, endpoint: tuple[str, int]) -> None:
+        self._primary = endpoint
+        if endpoint not in self._endpoints:
+            self._endpoints.insert(0, endpoint)
+
+    # ------------------------------------------------------------------
+    # payload builders for the typed helpers
+    # ------------------------------------------------------------------
+
+    def _query_payload(
+        self,
+        query: str,
+        vars: Sequence[str] | None,
+        semantics: str | None,
+        mode: str,
+        min_generation: int | None,
+        min_rel_generation: Mapping[str, int] | None,
+    ) -> dict:
+        payload: dict = {"op": "query", "query": query, "mode": mode}
+        if vars is not None:
+            payload["vars"] = list(vars)
+        if semantics is not None:
+            payload["semantics"] = semantics
+        if min_generation is not None:
+            payload["min_generation"] = min_generation
+            payload["wait_timeout_s"] = self.wait_timeout_s
+        if min_rel_generation:
+            payload["min_rel_generation"] = dict(min_rel_generation)
+            payload.setdefault("wait_timeout_s", self.wait_timeout_s)
+        return payload
+
+    @staticmethod
+    def _delta_payload(adds: Mapping[str, list] | None, removes: Mapping[str, list] | None) -> dict:
+        payload: dict = {"op": "delta"}
+        if adds:
+            payload["adds"] = dict(adds)
+        if removes:
+            payload["removes"] = dict(removes)
+        return payload
+
+    # ------------------------------------------------------------------
+    # the policy core
+    # ------------------------------------------------------------------
+
+    def _policy(
+        self,
+        payload: dict,
+        endpoint: str | tuple | None = None,
+        *,
+        stamp_deadline: bool = False,
+        clock: Callable[[], float] = monotonic,
+    ):
+        """Run one request's policy as a generator that does no I/O.
+
+        Yields ``(endpoint, payload, deadline)`` to ask for one exchange
+        and is then sent the decoded response, or has the exchange's
+        :class:`ClientError` thrown in; yields a float to ask for a sleep
+        of that many seconds and is then sent ``None``.  Returns the
+        ``ok: true`` response; raises a typed :class:`ClientError`
+        otherwise.  ``endpoint`` pins the request to one node;
+        ``stamp_deadline`` puts the remaining budget on idempotent
+        requests as ``deadline_ms``; ``clock`` reads the time the
+        deadline is measured in.
+        """
+        op = payload.get("op")
+        self._seq += 1
+        # the wire id is always ours, so in-flight requests can never
+        # collide; a caller's id only goes back on the response
+        wire = {"id": self._seq, **payload}
+        wire["id"] = self._seq
+        deadline = clock() + self.timeout
+        pinned = parse_address(endpoint) if endpoint is not None else None
+        idempotent = op in IDEMPOTENT_OPS
+        can_rotate = idempotent and pinned is None and op in FAILOVER_OPS
+        if (
+            self.read_your_writes
+            and op in ("query", "batch")
+            and self.last_write_generation > 0
+            and "min_generation" not in wire
+        ):
+            wire["min_generation"] = self.last_write_generation
+            wire["wait_timeout_s"] = self.wait_timeout_s
+        redirected = False
+        last_error: ClientError | None = None
+        for attempt in range(self.retries + 1):
+            if pinned is not None:
+                target = pinned
+            elif can_rotate:
+                target = self._endpoints[self._rotation % len(self._endpoints)]
+            else:
+                target = self._primary
+            sent = wire
+            if stamp_deadline and idempotent and "deadline_ms" not in wire:
+                remaining_ms = int((deadline - clock()) * 1000)
+                if remaining_ms > 0:
+                    sent = {**wire, "deadline_ms": remaining_ms}
+            try:
+                response = yield target, sent, deadline
+            except DeadlineExceeded:
+                raise
+            except IndeterminateWriteError as err:
+                if not idempotent:
+                    raise  # bytes may have left: surface the ambiguity, never re-send
+                last_error = TransportError(str(err))  # ambiguity is free for reads
+            except TransportError as err:
+                last_error = err  # the connect itself failed: nothing was sent
+            else:
+                if "id" in payload:
+                    response["id"] = payload["id"]
+                if response.get("ok"):
+                    generation = response.get("generation")
+                    if not idempotent and isinstance(generation, int):
+                        self.last_write_generation = max(self.last_write_generation, generation)
+                    if op == "promote" and pinned is not None:
+                        self._adopt_primary(pinned)
+                    return response
+                error = _typed_error(response)
+                kind = error.error_type
+                if kind == "deadline" and not idempotent:
+                    # the server stopped waiting, but the op it handed to a
+                    # worker may still complete — the indeterminate-write
+                    # case, so surface it and never auto-re-send
+                    raise IndeterminateWriteError(str(error)) from error
+                if kind == "read_only" and error.primary and not idempotent:
+                    if redirected or pinned is not None:
+                        raise error
+                    # the write was refused, not applied: following the
+                    # announced primary once is safe
+                    self._adopt_primary(parse_address(error.primary))
+                    redirected = True
+                    continue
+                stale_elsewhere = kind == "stale" and can_rotate and len(self._endpoints) > 1
+                if kind not in ("overloaded", "deadline") and not stale_elsewhere:
+                    raise error
+                # shed at admission (nothing ran), a read the server gave
+                # up on, or a lagging node another endpoint may have
+                # overtaken: back off and try again
+                last_error = error
+            if can_rotate:
+                self._rotation += 1
+            if attempt < self.retries:
+                delay = min(self.backoff_base * 2**attempt, self.backoff_cap)
+                delay *= 0.5 + 0.5 * min(1.0, max(0.0, self._jitter()))
+                remaining = deadline - clock()
+                if remaining <= 0:
+                    raise DeadlineExceeded("retry budget exhausted")
+                if delay >= remaining:
+                    # the schedule wants to sleep past the caller's deadline:
+                    # burn only what is left and fail *on* the deadline instead
+                    # of waking late for an attempt that cannot finish
+                    yield remaining
+                    raise DeadlineExceeded("deadline expired during retry backoff")
+                yield delay
+        raise last_error if last_error is not None else TransportError("no endpoints")
+
+
+class Client(_ClientCore):
+    """A resilient JSON-lines client over one primary and its replicas.
+
+    Parameters
+    ----------
+    primary:
+        ``"host:port"`` (or an ``(host, port)`` pair) of the node that
+        accepts writes;
+    replicas:
+        additional read endpoints; idempotent reads rotate across
+        ``[primary, *replicas]`` on failure;
+    timeout:
+        per-operation wall-clock deadline in seconds (connects, sends,
+        retries and backoff sleeps all count against it);
+    retries:
+        attempts per operation beyond the first;
+    backoff_base / backoff_cap:
+        capped exponential retry schedule: attempt *n* sleeps roughly
+        ``min(base * 2**n, cap)`` seconds, jittered to half;
+    read_your_writes:
+        stamp the client's own highest acknowledged write generation as
+        ``min_generation`` on reads that do not set one (default on);
+    wait_timeout_s:
+        how long a server may block to satisfy a ``min_generation``
+        floor before answering ``stale``;
+    jitter:
+        a ``() -> float in [0, 1)`` hook, injectable for deterministic
+        tests.
+
+    One socket per endpoint is kept open and reused across requests;
+    any transport error tears that connection down so the next attempt
+    reconnects from scratch.  Instances are **not** thread-safe — use
+    one per thread (the server multiplexes fine).
+    """
+
+    # ------------------------------------------------------------------
+    # connection plumbing
+    # ------------------------------------------------------------------
 
     def close(self) -> None:
         """Close every cached connection (idempotent)."""
@@ -356,21 +507,8 @@ class Client:
             self._drop(endpoint)  # the server closes after this frame
         return decoded
 
-    def _sleep(self, attempt: int, deadline: float) -> None:
-        delay = _backoff_delay(self.backoff_base, self.backoff_cap, attempt, self._jitter)
-        remaining = deadline - monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded("retry budget exhausted")
-        if delay >= remaining:
-            # the schedule wants to sleep past the caller's deadline:
-            # burn only what is left and fail *on* the deadline instead
-            # of waking late for an attempt that cannot finish
-            sleep(remaining)
-            raise DeadlineExceeded("deadline expired during retry backoff")
-        sleep(delay)
-
     # ------------------------------------------------------------------
-    # the request core
+    # the driver
     # ------------------------------------------------------------------
 
     def request(self, payload: dict, *, endpoint: str | tuple | None = None) -> dict:
@@ -382,127 +520,22 @@ class Client:
         mutations go to the primary.  Returns the decoded ``ok: true``
         response; raises a typed :class:`ClientError` otherwise.
         """
-        op = payload.get("op")
-        self._seq += 1
-        payload = {"id": self._seq, **payload}
-        deadline = monotonic() + self.timeout
-        pinned = parse_address(endpoint) if endpoint is not None else None
-        if op in IDEMPOTENT_OPS:
-            return self._request_idempotent(payload, deadline, pinned)
-        return self._request_mutation(payload, deadline, pinned)
-
-    def _stamp_read_floor(self, payload: dict) -> dict:
-        if (
-            self.read_your_writes
-            and payload.get("op") in ("query", "batch")
-            and self.last_write_generation > 0
-            and "min_generation" not in payload
-        ):
-            payload = {
-                **payload,
-                "min_generation": self.last_write_generation,
-                "wait_timeout_s": self.wait_timeout_s,
-            }
-        return payload
-
-    def _request_idempotent(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        payload = self._stamp_read_floor(payload)
-        can_rotate = pinned is None and payload.get("op") in FAILOVER_OPS
-        endpoints = [pinned] if pinned is not None else self._endpoints
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            if can_rotate:
-                endpoint = endpoints[self._rotation % len(endpoints)]
-            else:
-                endpoint = endpoints[0] if pinned is not None else self._primary
-            try:
-                response = self._exchange(endpoint, payload, deadline)
-            except DeadlineExceeded:
-                raise
-            except (TransportError, IndeterminateWriteError) as err:
-                # idempotent: ambiguity is free to retry — rotate away
-                last_error = (
-                    err
-                    if isinstance(err, TransportError)
-                    else TransportError(str(err))
-                )
-                if can_rotate:
-                    self._rotation += 1
-            else:
-                if response.get("ok"):
-                    return response
-                error = _typed_error(response)
-                if isinstance(error, StaleReadError) and can_rotate and len(endpoints) > 1:
-                    # this node is lagging; another may have caught up
-                    last_error = error
-                    self._rotation += 1
-                elif _retryable_frame(error):
-                    # shed at admission or timed out server-side: the read
-                    # never completed, so back off and try again
-                    last_error = error
-                    if can_rotate:
-                        self._rotation += 1
+        policy = self._policy(payload, endpoint)
+        try:
+            step = next(policy)
+            while True:
+                if isinstance(step, tuple):
+                    try:
+                        response = self._exchange(*step)
+                    except ClientError as err:
+                        step = policy.throw(err)
+                    else:
+                        step = policy.send(response)
                 else:
-                    raise error
-            if attempt < self.retries:
-                self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
-
-    def _request_mutation(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        endpoint = pinned if pinned is not None else self._primary
-        redirected = False
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                response = self._exchange(endpoint, payload, deadline)
-            except DeadlineExceeded:
-                raise
-            except TransportError as err:
-                # the connect itself failed: nothing was sent, retry is safe
-                last_error = err
-            except IndeterminateWriteError:
-                # bytes may have left — surface the ambiguity, never re-send
-                raise
-            else:
-                if response.get("ok"):
-                    generation = response.get("generation")
-                    if isinstance(generation, int):
-                        self.last_write_generation = max(
-                            self.last_write_generation, generation
-                        )
-                    return response
-                error = _typed_error(response)
-                if isinstance(error, OverloadedServerError):
-                    # shed at admission: the write never ran, retry is safe
-                    last_error = error
-                elif error.error_type == "deadline":
-                    # the server stopped waiting, but the op it handed to
-                    # a worker may still complete — the indeterminate-write
-                    # case, so surface it and never auto-re-send
-                    raise IndeterminateWriteError(str(error)) from error
-                elif (
-                    isinstance(error, ReadOnlyServerError)
-                    and error.primary
-                    and not redirected
-                    and pinned is None
-                ):
-                    # the write was refused, not applied: following the
-                    # announced primary once is safe
-                    endpoint = parse_address(error.primary)
-                    self._primary = endpoint
-                    if endpoint not in self._endpoints:
-                        self._endpoints.insert(0, endpoint)
-                    redirected = True
-                    continue
-                else:
-                    raise error
-            if attempt < self.retries:
-                self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
+                    sleep(step)
+                    step = policy.send(None)
+        except StopIteration as done:
+            return done.value
 
     # ------------------------------------------------------------------
     # typed helpers
@@ -521,18 +554,9 @@ class Client:
         min_generation: int | None = None,
         min_rel_generation: Mapping[str, int] | None = None,
     ) -> dict:
-        payload: dict = {"op": "query", "query": query, "mode": mode}
-        if vars is not None:
-            payload["vars"] = list(vars)
-        if semantics is not None:
-            payload["semantics"] = semantics
-        if min_generation is not None:
-            payload["min_generation"] = min_generation
-            payload["wait_timeout_s"] = self.wait_timeout_s
-        if min_rel_generation:
-            payload["min_rel_generation"] = dict(min_rel_generation)
-            payload.setdefault("wait_timeout_s", self.wait_timeout_s)
-        return self.request(payload)
+        return self.request(
+            self._query_payload(query, vars, semantics, mode, min_generation, min_rel_generation)
+        )
 
     def insert(self, relation: str, rows: Iterable[Sequence]) -> dict:
         return self.request({"op": "insert", "relation": relation, "rows": list(rows)})
@@ -541,16 +565,9 @@ class Client:
         return self.request({"op": "delete", "relation": relation, "rows": list(rows)})
 
     def apply_delta(
-        self,
-        adds: Mapping[str, list] | None = None,
-        removes: Mapping[str, list] | None = None,
+        self, adds: Mapping[str, list] | None = None, removes: Mapping[str, list] | None = None
     ) -> dict:
-        payload: dict = {"op": "delta"}
-        if adds:
-            payload["adds"] = dict(adds)
-        if removes:
-            payload["removes"] = dict(removes)
-        return self.request(payload)
+        return self.request(self._delta_payload(adds, removes))
 
     def checkpoint(self, *, endpoint: str | tuple | None = None) -> dict:
         """Force a snapshot (the degraded-mode healing op)."""
@@ -558,11 +575,7 @@ class Client:
 
     def promote(self, endpoint: str | tuple) -> dict:
         """Flip the replica at ``endpoint`` writable and adopt it as primary."""
-        response = self.request({"op": "promote"}, endpoint=endpoint)
-        self._primary = parse_address(endpoint)
-        if self._primary not in self._endpoints:
-            self._endpoints.insert(0, self._primary)
-        return response
+        return self.request({"op": "promote"}, endpoint=endpoint)
 
     def stats(self, *, endpoint: str | tuple | None = None) -> dict:
         return self.request({"op": "stats"}, endpoint=endpoint)
@@ -586,22 +599,23 @@ class _AsyncConn:
         self.write_lock = asyncio.Lock()
 
 
-class AsyncClient:
+class AsyncClient(_ClientCore):
     """The :class:`Client` policy on asyncio, with true pipelining.
 
-    Same endpoints, deadlines, retry/backoff, failover rotation,
-    read-your-writes floor and honest-write semantics as the sync
-    client — every policy note on :class:`Client` holds here — plus:
+    Same parameters, endpoints, deadlines, retry/backoff, failover
+    rotation, read-your-writes floor and honest-write semantics as the
+    sync client — both drive the one policy core — plus:
 
     * **pipelining** — each endpoint gets one connection shared by every
-      coroutine of the owning event loop; any number of requests may be
-      in flight at once, and responses are matched back to their callers
-      by the echoed ``id``, so out-of-order completion (a protocol-v2
-      server answers fast ops while a slow one still runs) just works;
-    * **deadline propagation** — unless disabled (or the caller set its
-      own), idempotent requests carry ``deadline_ms`` equal to the
-      client's remaining budget, so a v2 server stops working on a
-      request its client has already given up on;
+      coroutine of the owning event loop (concurrent first requests wait
+      on one shared connect); any number of requests may be in flight at
+      once, and responses are matched back to their callers by the
+      echoed ``id``, so out-of-order completion (a protocol-v2 server
+      answers fast ops while a slow one still runs) just works;
+    * **deadline propagation** — unless the caller set its own,
+      idempotent requests carry ``deadline_ms`` equal to the client's
+      remaining budget, so a v2 server stops working on a request its
+      client has already given up on;
     * :meth:`fanout` — a bounded ``asyncio.gather`` helper for the
       scatter half of scatter/gather workloads.
 
@@ -627,65 +641,22 @@ class AsyncClient:
     [[[1, 2]], [[1, 2]], [[1, 2]]]
     """
 
-    def __init__(
-        self,
-        primary: str | tuple,
-        replicas: Iterable[str | tuple] = (),
-        *,
-        timeout: float = 5.0,
-        connect_timeout: float = 1.0,
-        retries: int = 5,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        read_your_writes: bool = True,
-        wait_timeout_s: float = 2.0,
-        propagate_deadline: bool = True,
-        jitter: Callable[[], float] = random.random,
-    ):
-        self._primary = parse_address(primary)
-        self._endpoints: list[tuple[str, int]] = [self._primary]
-        for replica in replicas:
-            addr = parse_address(replica)
-            if addr not in self._endpoints:
-                self._endpoints.append(addr)
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.retries = max(0, retries)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.read_your_writes = read_your_writes
-        self.wait_timeout_s = wait_timeout_s
-        self.propagate_deadline = propagate_deadline
-        self._jitter = jitter
-        self._rotation = 0
-        self.last_write_generation = 0
-        self._conns: dict[tuple[str, int], _AsyncConn] = {}
-        self._seq = 0
-
     # ------------------------------------------------------------------
     # connection plumbing
     # ------------------------------------------------------------------
 
-    @property
-    def primary_address(self) -> str:
-        host, port = self._primary
-        return f"{host}:{port}"
-
-    @property
-    def endpoints(self) -> list[str]:
-        return [f"{host}:{port}" for host, port in self._endpoints]
-
     async def aclose(self) -> None:
-        """Close every cached connection (idempotent)."""
+        """Close every cached connection and in-flight connect (idempotent)."""
         conns = list(self._conns.values())
         self._conns.clear()
+        tasks = []
         for conn in conns:
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
-            conn.writer.close()
-        for conn in conns:
-            if conn.reader_task is not None:
-                await asyncio.gather(conn.reader_task, return_exceptions=True)
+            if isinstance(conn, _AsyncConn):
+                conn.writer.close()
+                conn = conn.reader_task
+            conn.cancel()
+            tasks.append(conn)
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def __aenter__(self) -> "AsyncClient":
         return self
@@ -753,17 +724,37 @@ class AsyncClient:
             conn.pending.clear()
 
     async def _connect(self, endpoint: tuple[str, int], deadline: float) -> _AsyncConn:
+        """The endpoint's live connection, opening it if there is none.
+
+        ``_conns`` maps an endpoint to its live :class:`_AsyncConn` or to
+        the one in-flight connect task every concurrent caller awaits, so
+        a cold burst opens a single socket.
+        """
         conn = self._conns.get(endpoint)
-        if conn is not None:
+        if isinstance(conn, _AsyncConn):
             return conn
         budget = min(self.connect_timeout, deadline - monotonic())
         if budget <= 0:
             raise DeadlineExceeded(f"deadline expired connecting to {endpoint}")
+        if conn is None:
+            conn = self._conns[endpoint] = asyncio.ensure_future(self._open(endpoint))
+        try:
+            # shielded: a caller giving up must not cancel the shared connect
+            return await asyncio.wait_for(asyncio.shield(conn), budget)
+        except asyncio.TimeoutError as err:
+            raise TransportError(f"cannot connect to {endpoint}: {err}") from err
+        except asyncio.CancelledError:
+            if not conn.cancelled():
+                raise  # this caller was cancelled, not the connect
+            raise TransportError(f"client closed while connecting to {endpoint}") from None
+
+    async def _open(self, endpoint: tuple[str, int]) -> _AsyncConn:
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(*endpoint), budget
+                asyncio.open_connection(*endpoint), self.connect_timeout
             )
         except (OSError, asyncio.TimeoutError) as err:
+            self._conns.pop(endpoint, None)
             raise TransportError(f"cannot connect to {endpoint}: {err}") from err
         conn = _AsyncConn(endpoint, reader, writer)
         conn.reader_task = asyncio.create_task(self._read_loop(conn))
@@ -805,151 +796,32 @@ class AsyncClient:
                 f"no response from {endpoint} within the deadline"
             ) from err
 
-    async def _sleep(self, attempt: int, deadline: float) -> None:
-        delay = _backoff_delay(self.backoff_base, self.backoff_cap, attempt, self._jitter)
-        remaining = deadline - monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded("retry budget exhausted")
-        if delay >= remaining:
-            await asyncio.sleep(remaining)
-            raise DeadlineExceeded("deadline expired during retry backoff")
-        await asyncio.sleep(delay)
-
     # ------------------------------------------------------------------
-    # the request core
+    # the driver
     # ------------------------------------------------------------------
 
     async def request(self, payload: dict, *, endpoint: str | tuple | None = None) -> dict:
         """Send one raw request object with the full resilience policy.
 
-        The async twin of :meth:`Client.request`: same endpoint
-        selection, same typed errors, same honest-write rules.
+        The async twin of :meth:`Client.request`: the same policy core,
+        plus ``deadline_ms`` propagation on idempotent requests.
         """
-        op = payload.get("op")
-        self._seq += 1
-        payload = {"id": self._seq, **payload}
-        deadline = monotonic() + self.timeout
-        pinned = parse_address(endpoint) if endpoint is not None else None
-        if op in IDEMPOTENT_OPS:
-            return await self._request_idempotent(payload, deadline, pinned)
-        return await self._request_mutation(payload, deadline, pinned)
-
-    def _stamp_read_floor(self, payload: dict) -> dict:
-        if (
-            self.read_your_writes
-            and payload.get("op") in ("query", "batch")
-            and self.last_write_generation > 0
-            and "min_generation" not in payload
-        ):
-            payload = {
-                **payload,
-                "min_generation": self.last_write_generation,
-                "wait_timeout_s": self.wait_timeout_s,
-            }
-        return payload
-
-    def _stamp_deadline(self, payload: dict, deadline: float) -> dict:
-        """Propagate the remaining budget as ``deadline_ms`` (reads only)."""
-        if not self.propagate_deadline or "deadline_ms" in payload:
-            return payload
-        remaining_ms = int((deadline - monotonic()) * 1000)
-        if remaining_ms <= 0:
-            return payload
-        return {**payload, "deadline_ms": remaining_ms}
-
-    async def _request_idempotent(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        payload = self._stamp_read_floor(payload)
-        can_rotate = pinned is None and payload.get("op") in FAILOVER_OPS
-        endpoints = [pinned] if pinned is not None else self._endpoints
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            if can_rotate:
-                endpoint = endpoints[self._rotation % len(endpoints)]
-            else:
-                endpoint = endpoints[0] if pinned is not None else self._primary
-            try:
-                response = await self._exchange(
-                    endpoint, self._stamp_deadline(payload, deadline), deadline
-                )
-            except DeadlineExceeded:
-                raise
-            except (TransportError, IndeterminateWriteError) as err:
-                # idempotent: ambiguity is free to retry — rotate away
-                last_error = (
-                    err
-                    if isinstance(err, TransportError)
-                    else TransportError(str(err))
-                )
-                if can_rotate:
-                    self._rotation += 1
-            else:
-                if response.get("ok"):
-                    return response
-                error = _typed_error(response)
-                if isinstance(error, StaleReadError) and can_rotate and len(endpoints) > 1:
-                    # this node is lagging; another may have caught up
-                    last_error = error
-                    self._rotation += 1
-                elif _retryable_frame(error):
-                    last_error = error
-                    if can_rotate:
-                        self._rotation += 1
+        policy = self._policy(payload, endpoint, stamp_deadline=True)
+        try:
+            step = next(policy)
+            while True:
+                if isinstance(step, tuple):
+                    try:
+                        response = await self._exchange(*step)
+                    except ClientError as err:
+                        step = policy.throw(err)
+                    else:
+                        step = policy.send(response)
                 else:
-                    raise error
-            if attempt < self.retries:
-                await self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
-
-    async def _request_mutation(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        endpoint = pinned if pinned is not None else self._primary
-        redirected = False
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                response = await self._exchange(endpoint, payload, deadline)
-            except DeadlineExceeded:
-                raise
-            except TransportError as err:
-                # the connect itself failed: nothing was sent, retry is safe
-                last_error = err
-            except IndeterminateWriteError:
-                # bytes may have left — surface the ambiguity, never re-send
-                raise
-            else:
-                if response.get("ok"):
-                    generation = response.get("generation")
-                    if isinstance(generation, int):
-                        self.last_write_generation = max(
-                            self.last_write_generation, generation
-                        )
-                    return response
-                error = _typed_error(response)
-                if isinstance(error, OverloadedServerError):
-                    # shed at admission: the write never ran, retry is safe
-                    last_error = error
-                elif error.error_type == "deadline":
-                    raise IndeterminateWriteError(str(error)) from error
-                elif (
-                    isinstance(error, ReadOnlyServerError)
-                    and error.primary
-                    and not redirected
-                    and pinned is None
-                ):
-                    endpoint = parse_address(error.primary)
-                    self._primary = endpoint
-                    if endpoint not in self._endpoints:
-                        self._endpoints.insert(0, endpoint)
-                    redirected = True
-                    continue
-                else:
-                    raise error
-            if attempt < self.retries:
-                await self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
+                    await asyncio.sleep(step)
+                    step = policy.send(None)
+        except StopIteration as done:
+            return done.value
 
     # ------------------------------------------------------------------
     # fan-out
@@ -998,51 +870,28 @@ class AsyncClient:
         min_generation: int | None = None,
         min_rel_generation: Mapping[str, int] | None = None,
     ) -> dict:
-        payload: dict = {"op": "query", "query": query, "mode": mode}
-        if vars is not None:
-            payload["vars"] = list(vars)
-        if semantics is not None:
-            payload["semantics"] = semantics
-        if min_generation is not None:
-            payload["min_generation"] = min_generation
-            payload["wait_timeout_s"] = self.wait_timeout_s
-        if min_rel_generation:
-            payload["min_rel_generation"] = dict(min_rel_generation)
-            payload.setdefault("wait_timeout_s", self.wait_timeout_s)
-        return await self.request(payload)
+        return await self.request(
+            self._query_payload(query, vars, semantics, mode, min_generation, min_rel_generation)
+        )
 
     async def insert(self, relation: str, rows: Iterable[Sequence]) -> dict:
-        return await self.request(
-            {"op": "insert", "relation": relation, "rows": list(rows)}
-        )
+        return await self.request({"op": "insert", "relation": relation, "rows": list(rows)})
 
     async def delete(self, relation: str, rows: Iterable[Sequence]) -> dict:
-        return await self.request(
-            {"op": "delete", "relation": relation, "rows": list(rows)}
-        )
+        return await self.request({"op": "delete", "relation": relation, "rows": list(rows)})
 
     async def apply_delta(
-        self,
-        adds: Mapping[str, list] | None = None,
-        removes: Mapping[str, list] | None = None,
+        self, adds: Mapping[str, list] | None = None, removes: Mapping[str, list] | None = None
     ) -> dict:
-        payload: dict = {"op": "delta"}
-        if adds:
-            payload["adds"] = dict(adds)
-        if removes:
-            payload["removes"] = dict(removes)
-        return await self.request(payload)
+        return await self.request(self._delta_payload(adds, removes))
 
     async def checkpoint(self, *, endpoint: str | tuple | None = None) -> dict:
+        """Force a snapshot (the degraded-mode healing op)."""
         return await self.request({"op": "checkpoint"}, endpoint=endpoint)
 
     async def promote(self, endpoint: str | tuple) -> dict:
         """Flip the replica at ``endpoint`` writable and adopt it as primary."""
-        response = await self.request({"op": "promote"}, endpoint=endpoint)
-        self._primary = parse_address(endpoint)
-        if self._primary not in self._endpoints:
-            self._endpoints.insert(0, self._primary)
-        return response
+        return await self.request({"op": "promote"}, endpoint=endpoint)
 
     async def stats(self, *, endpoint: str | tuple | None = None) -> dict:
         return await self.request({"op": "stats"}, endpoint=endpoint)
