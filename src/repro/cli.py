@@ -113,11 +113,26 @@ def _print_result(query: Query, result) -> None:
     print(f"method: {result.method}  [{status}]")
 
 
+def _print_oracle(result) -> None:
+    """The oracle's world count, with the CWA bracket when it ran."""
+    oracle = result.stats.get("oracle")
+    if not oracle:
+        return
+    worlds = oracle.get("worlds", "?")
+    if oracle.get("mode") == "bracket":
+        lower, upper, gap = oracle["lower"], oracle["upper"], oracle["gap"]
+        detail = f"bracket: {lower} lower, {upper} upper, gap {gap}"
+    else:
+        detail = oracle.get("mode", "?")
+    print(f"oracle: {worlds} worlds ({detail})")
+
+
 def _cmd_evaluate(args) -> int:
     query = _build_query(args.query)
     instance = _load_instance(args.instance)
     result = evaluate(query, instance, semantics=args.semantics, mode=args.mode)
     _print_result(query, result)
+    _print_oracle(result)
     return 0
 
 
@@ -127,11 +142,7 @@ def _cmd_certain(args) -> int:
     instance = _load_instance(args.instance)
     result = evaluate(query, instance, semantics=args.semantics, mode="enumeration")
     _print_result(query, result)
-    oracle = result.stats.get("oracle")
-    if oracle:
-        worlds = oracle.get("worlds", "?")
-        mode = oracle.get("mode", "?")
-        print(f"oracle: {worlds} worlds ({mode})")
+    _print_oracle(result)
     return 0
 
 
@@ -156,6 +167,10 @@ def _cmd_explain(args) -> int:
                 operators += "\njoin order: " + " ⋈ ".join(order)
         elif engine == "compiled":
             operators = compiled_query(query).describe()
+        elif plan.backend == "enumeration" and plan.semantics == "cwa":
+            from repro.logic.columnar import ColumnarQuery
+
+            operators = "lower bound:\n" + ColumnarQuery(compiled_query(query)).describe_lower()
         else:
             operators = f"(backend {plan.backend!r} does not run the compiled engine)"
     if args.as_json:

@@ -46,10 +46,28 @@ images of enumerated ones: a genuine certain answer contains no fresh
 constant (some enumerated world's active domain avoids it), and
 fresh-free answers survive a world iff they survive its permutation
 images, by genericity.
+
+Under CWA the enumeration is **bracketed** first:
+``lower ⊆ certain ⊆ upper``.
+
+* ``lower`` is the null-free part of the plan's Guagliardo–Libkin lower
+  bound (:attr:`~repro.logic.compile.CompiledQuery.lower_plan`, run by
+  the columnar executor on the instance itself, with negation as a
+  null-unifying anti-join).  Its rows hold in every world, so they are
+  answered directly.
+* ``upper`` is the null-free naive answer set.  It is the answer of the
+  all-fresh world, which is one of the enumerated worlds whenever the
+  pool's fresh tail has a value per relevant null; otherwise the
+  bracket stays off.
+
+Only the gap ``upper − lower`` is enumerated, with the running
+intersection seeded at the gap, so a small gap takes the per-row
+residual path from the first world on.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -58,6 +76,7 @@ from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import Null, sort_key
 from repro.logic.ast import RelAtom
+from repro.logic.columnar import ColumnarQuery
 from repro.logic.compile import CompiledQuery, compiled_query
 from repro.logic.queries import Query
 from repro.logic.transform import subformulas, substitute
@@ -502,6 +521,54 @@ def _certain_by_valuations(
     if stats_out is not None:
         stats_out.update(info)
 
+    result: frozenset | None
+    if len(spec.fresh_tail) >= spec.n_slots:
+        result = _bracketed(spec, instance, stats_out)
+    else:
+        result = _enumerated(spec, stats_out)
+        if result is None:
+            raise RuntimeError(
+                f"[[D]] came out empty over the pool — {semantics!r} violated totality"
+            )
+    if result and fresh_set:
+        # a certain answer never mentions a fresh constant (some world's
+        # active domain avoids it); dropping such rows here replays what
+        # the skipped permutation-image worlds would have done
+        result = frozenset(row for row in result if fresh_set.isdisjoint(row))
+    return result
+
+
+def _bracketed(spec: WorldSpec, instance: Instance, stats_out: dict | None) -> frozenset:
+    """``lower ∪ (the gap rows that survive every world)``.
+
+    ``lower`` (the null-free rows of the plan's lower bound) holds in
+    every world; ``upper`` (the null-free naive answers) is the answer
+    of the all-fresh world, which the pool's fresh tail can build.  So
+    only ``upper − lower`` needs worlds: the seed worlds, then the
+    canonical sweep (one ``seen`` set dedups both), stopping once no gap
+    row is left.
+    """
+    colq = ColumnarQuery(spec.cq)
+    lower = colq.lower_answers(instance)
+    upper = colq.naive_answers(instance).decode()
+    gap = upper - lower
+    survivors: frozenset = frozenset()
+    worlds = 0
+    if gap:
+        valuations = itertools.chain(
+            spec.seed_valuations(),
+            _canonical_valuations(spec.n_slots, spec.base_choices, spec.fresh_tail),
+        )
+        survivors, worlds, _ = spec.run(valuations, gap)
+    if stats_out is not None:
+        stats_out.update(
+            mode="bracket", worlds=worlds, lower=len(lower), upper=len(upper), gap=len(gap)
+        )
+    return lower | survivors
+
+
+def _enumerated(spec: WorldSpec, stats_out: dict | None) -> frozenset | None:
+    """``⋂ Q(v(D))`` over the seed worlds, then the canonical sweep."""
     base_ctx = spec.base_context()
     seen: set[tuple] = set()
     # seed worlds: extreme worlds often empty the intersection at once
@@ -510,31 +577,18 @@ def _certain_by_valuations(
     )
     if stats_out is not None:
         stats_out["seed_worlds"] = seed_worlds
-
-    result: frozenset | None
     if stopped:
-        result = seed_result
         if stats_out is not None:
             stats_out.update(mode="seed", worlds=seed_worlds)
-    else:
-        result, worlds, _ = spec.run(
-            _canonical_valuations(spec.n_slots, spec.base_choices, spec.fresh_tail),
-            seed_result,
-            base_ctx,
-            seen=seen,  # seed worlds are not re-evaluated by the sweep
-        )
-        if stats_out is not None:
-            stats_out.update(mode="serial", worlds=seed_worlds + worlds)
-
-    if result is None:
-        raise RuntimeError(
-            f"[[D]] came out empty over the pool — {semantics!r} violated totality"
-        )
-    if result and fresh_set:
-        # a certain answer never mentions a fresh constant (some world's
-        # active domain avoids it); dropping such rows here replays what
-        # the skipped permutation-image worlds would have done
-        result = frozenset(row for row in result if fresh_set.isdisjoint(row))
+        return seed_result
+    result, worlds, _ = spec.run(
+        _canonical_valuations(spec.n_slots, spec.base_choices, spec.fresh_tail),
+        seed_result,
+        base_ctx,
+        seen=seen,  # seed worlds are not re-evaluated by the sweep
+    )
+    if stats_out is not None:
+        stats_out.update(mode="serial", worlds=seed_worlds + worlds)
     return result
 
 
@@ -556,9 +610,10 @@ def certain_answers(
     is empty.
 
     ``stats_out``, when given, is filled in place with enumeration
-    metadata: ``mode`` (``seed``/``serial``/``expand``), ``worlds``
-    evaluated, and for substitution-only semantics the null counts of
-    the plan-relevance restriction.
+    metadata: ``mode`` (``bracket``/``seed``/``serial``/``expand``),
+    ``worlds`` evaluated, and for substitution-only semantics the null
+    counts of the plan-relevance restriction.  A ``bracket`` run also
+    reports the sizes of ``lower``, ``upper`` and their ``gap``.
     """
     if pool is None:
         base, fresh = _pool_parts(instance, query)

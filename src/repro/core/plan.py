@@ -243,6 +243,12 @@ def make_plan(
             "with this extra_facts setting, so the oracle over-approximates: "
             "certain ⊆ answers"
         )
+    if name == "enumeration" and sem.substitution_only:
+        notes.append(
+            "certain answers bracketed between a lower bound (nulls unify "
+            "in negated atoms) and the naive answers; only the gap between "
+            "them is enumerated, when the pool has a fresh value per null"
+        )
     # result-determinacy note: when the backend can prove the answers are
     # a pure function of a known relation set, a session's result cache
     # may key on those relations' generations (repro.session)

@@ -22,6 +22,8 @@ project ∘ join       fused ``sort-merge-join`` + projection — only the
 semi-join            ``semi-join`` key-set / ``isin`` kernel, or the
                      int-tuple probe of the hash path
 anti-join            ``col-anti-join`` — int-tuple membership probes
+null-unifying        ``unify_anti_join`` — per-position "equal codes or
+anti-join            either odd" probes (lower-bound plans only)
 adom complement      ``col-adom-complement`` over the encoded domain
 ===================  ==================================================
 
@@ -65,6 +67,8 @@ from repro.logic.compile import (
     ProjectNode,
     ScanNode,
     SingletonNode,
+    UnifyAntiJoinNode,
+    UnifyScanNode,
     UnionNode,
     _compiled_with_stats,
     compiled_query,
@@ -128,6 +132,24 @@ def _scan(node, cctx, memo):
         if all(row[i] == row[j] for i, j in eq):
             out.add(tuple(row[p] for p in keep))
     return frozenset(out)
+
+
+def _unify_scan(node, cctx, memo):
+    scan = node.scan
+    rel = cctx.encoded(scan.name)
+    if rel is None or rel.arity != scan.arity:
+        return _EMPTY
+    # a never-interned constant gets no code and matches only nulls
+    consts = [
+        (i, cctx.dictionary.try_encode(v)) for i, v in zip(scan._const_positions, scan._const_key)
+    ]
+    eq, keep = scan._eq_checks, scan._var_positions
+    return frozenset(
+        tuple(row[p] for p in keep)
+        for row in rel.row_tuples()
+        if all(row[i] == c or row[i] & 1 for i, c in consts)
+        and all(row[i] == row[j] or (row[i] | row[j]) & 1 for i, j in eq)
+    )
 
 
 def _domain(node, cctx, memo):
@@ -245,6 +267,13 @@ def _anti_join(node, cctx, memo):
     )
 
 
+def _unify_anti_join(node, cctx, memo):
+    left_rows = _eval(node.left, cctx, memo)
+    if not left_rows:
+        return _EMPTY
+    return kernels.unify_anti_join(left_rows, node._l_key, _eval(node.right, cctx, memo))
+
+
 def _filter(node, cctx, memo):
     rows = _eval(node.child, cctx, memo)
     if not rows:
@@ -314,12 +343,14 @@ def _complement(node, cctx, memo):
 _HANDLERS = {
     ConstNode: _const,
     ScanNode: _scan,
+    UnifyScanNode: _unify_scan,
     DomainNode: _domain,
     DiagonalNode: _diagonal,
     SingletonNode: _singleton,
     DomainGuardNode: _guard,
     JoinNode: _join,
     AntiJoinNode: _anti_join,
+    UnifyAntiJoinNode: _unify_anti_join,
     FilterNode: _filter,
     ProjectNode: _project,
     UnionNode: _union,
@@ -335,6 +366,8 @@ def _kernel_name(node: Node) -> str:
     if isinstance(node, JoinNode) and _vector_probe(node):
         kind = "sort-merge-join" if node._r_extra else "semi-join"
         return f"{kind} [{kernels.kernel_suffix()}]"
+    if isinstance(node, UnifyAntiJoinNode):
+        return f"{node.label()} [{kernels.kernel_suffix()}]"
     return "col-" + node.label()
 
 
@@ -412,9 +445,29 @@ class ColumnarQuery:
             rows = [row for row in rows if null_codes.isdisjoint(row)]
         return AnswerSet.encoded(rows, len(self.answer_vars), cctx.dictionary)
 
+    def lower_answers(self, source) -> frozenset[tuple[Hashable, ...]]:
+        """The certain-answer lower bound: null-free rows of the ⁺ plan.
+
+        Every row is an answer in every world of ``source`` (see
+        :attr:`~repro.logic.compile.CompiledQuery.lower_plan`).
+        """
+        root = self.cq.lower_plan
+        if root is None:
+            return frozenset()
+        cctx = as_columnar_context(source)
+        decode = cctx.dictionary.decode_row
+        return frozenset(
+            decode(row) for row in _eval(root, cctx, {}) if not any(c & 1 for c in row)
+        )
+
     def describe(self) -> str:
         """EXPLAIN-style rendering naming the chosen columnar kernels."""
         return _describe(self.cq._root)
+
+    def describe_lower(self) -> str:
+        """EXPLAIN-style rendering of the certain-answer lower-bound plan."""
+        root = self.cq.lower_plan
+        return "(empty: no sound translation)" if root is None else _describe(root)
 
     def join_order(self) -> tuple[str, ...]:
         """Relation names in join-chain (left-deep, in-order) sequence."""

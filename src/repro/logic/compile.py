@@ -389,6 +389,48 @@ class AntiJoinNode(Node):
         return (self.left, self.right)
 
 
+class UnifyAntiJoinNode(Node):
+    """Rows of ``left`` that **unify** with no row of ``right``.
+
+    The negation step of the certain-answer lower bound
+    (:attr:`CompiledQuery.lower_plan`): a null unifies with anything, so
+    a row survives only if no valuation can make it match ``right``.
+    Columnar only (:func:`repro.logic.kernels.unify_anti_join`); the
+    tuple-at-a-time executor never runs a lower-bound plan.
+    """
+
+    __slots__ = ("left", "right", "_l_key")
+
+    def __init__(self, left: Node, right: Node):
+        super().__init__(left.columns)
+        self.left, self.right = left, right
+        self._l_key = tuple(left.columns.index(c) for c in right.columns)
+
+    def label(self):
+        return "null-unifying anti-join"
+
+    def children(self):
+        return (self.left, self.right)
+
+
+class UnifyScanNode(Node):
+    """A scan whose constants and repeated variables match through nulls.
+
+    The ``?`` translation of a non-plain scan (:attr:`CompiledQuery.lower_plan`):
+    a stored row is kept when some valuation could make it match.
+    Columnar only, like :class:`UnifyAntiJoinNode`.
+    """
+
+    __slots__ = ("scan",)
+
+    def __init__(self, scan: ScanNode):
+        super().__init__(scan.columns)
+        self.scan = scan
+
+    def label(self):
+        return "null-unifying " + self.scan.label()
+
+
 class FilterNode(Node):
     """Column=column / column=constant selections (equality atoms)."""
 
@@ -744,6 +786,7 @@ def _compile_and(conjuncts: list[Formula], memo, stats=None) -> Node:
 
 
 _NO_CONST = object()
+_UNBUILT = object()
 
 
 # ----------------------------------------------------------------------
@@ -775,6 +818,93 @@ def _walk_nodes(root: Node):
         stack.extend(node.children())
 
 
+# ----------------------------------------------------------------------
+# the certain-answer lower bound (Guagliardo and Libkin, PODS 2016)
+# ----------------------------------------------------------------------
+#
+# Both translations run on the incomplete instance D itself, nulls as
+# values, and keep each node's columns.  For every valuation v:
+#
+# * ``node⁺`` (``_certain``): each row ā has v(ā) ∈ node(v(D));
+# * ``node?`` (``_possible``): each row of node(v(D)) is v(ā) for some
+#   row ā.
+#
+# If v(ā) = v(c̄) then ā and c̄ hold equal codes or a null at every
+# position, so a row of φ⁺ that unifies with no row of ψ? satisfies
+# φ ∧ ¬ψ in every world.  ``None`` means "no proven translation": the
+# empty relation in ⁺ position, "matches everything" in ? position —
+# each trivially sound.  The code-level anti-join and complement treat
+# a null as one value, which is sound only in ? position (against a ⁺
+# subtrahend); in ⁺ position negation always goes through unification.
+
+def _certain(node: Node, memo: dict) -> Node | None:
+    key = (id(node), True)
+    if key not in memo:
+        memo[key] = _certain_step(node, memo)
+    return memo[key]
+
+
+def _possible(node: Node, memo: dict) -> Node | None:
+    key = (id(node), False)
+    if key not in memo:
+        memo[key] = _possible_step(node, memo)
+    return memo[key]
+
+
+def _certain_step(node: Node, memo: dict) -> Node | None:
+    if isinstance(node, (ConstNode, ScanNode)):
+        # equal codes are equal in every world, so constant probes and
+        # repeated variables that hold on D hold everywhere
+        return node
+    if isinstance(node, JoinNode):
+        left, right = _certain(node.left, memo), _certain(node.right, memo)
+        return None if left is None or right is None else JoinNode(left, right)
+    if isinstance(node, FilterNode):
+        child = _certain(node.child, memo)
+        return None if child is None else FilterNode(child, node._col_eqs, node._const_eqs)
+    if isinstance(node, ProjectNode):
+        child = _certain(node.child, memo)
+        return None if child is None else ProjectNode(child, node.columns)
+    if isinstance(node, UnionNode):
+        parts = [p for p in (_certain(p, memo) for p in node.parts) if p is not None]
+        return UnionNode(parts) if parts else None
+    if isinstance(node, AntiJoinNode):
+        left, right = _certain(node.left, memo), _possible(node.right, memo)
+        return None if left is None or right is None else UnifyAntiJoinNode(left, right)
+    if isinstance(node, ComplementNode) and not node.columns:
+        # ¬ψ for a sentence ψ holds in every world when ψ? is empty
+        child = _possible(node.child, memo)
+        return None if child is None else UnifyAntiJoinNode(ConstNode(True), child)
+    return None
+
+
+def _possible_step(node: Node, memo: dict) -> Node | None:
+    if isinstance(node, (ConstNode, DomainNode, DiagonalNode)):
+        # v maps adom(D) onto the world's active domain
+        return node
+    if isinstance(node, ScanNode):
+        return node if node.is_plain else UnifyScanNode(node)
+    if isinstance(node, DomainGuardNode):
+        child = _possible(node.child, memo)
+        return None if child is None else DomainGuardNode(child)
+    if isinstance(node, ProjectNode):
+        child = _possible(node.child, memo)
+        return None if child is None else ProjectNode(child, node.columns)
+    if isinstance(node, UnionNode):
+        parts = [_possible(p, memo) for p in node.parts]
+        return None if any(p is None for p in parts) else UnionNode(parts)
+    if isinstance(node, AntiJoinNode):
+        # a world row outside right's world rows has a preimage outside right⁺
+        left, right = _possible(node.left, memo), _certain(node.right, memo)
+        if left is None or right is None:
+            return left
+        return AntiJoinNode(left, right)
+    if isinstance(node, ComplementNode):
+        child = _certain(node.child, memo)
+        return None if child is None else ComplementNode(child)
+    return None
+
+
 class CompiledQuery:
     """An FO formula compiled to a relational operator DAG.
 
@@ -783,7 +913,7 @@ class CompiledQuery:
     compiled once, executable against any instance or raw context.
     """
 
-    __slots__ = ("formula", "answer_vars", "_root", "_relations", "_adom_dependent")
+    __slots__ = ("formula", "answer_vars", "_root", "_relations", "_adom_dependent", "_lower")
 
     def __init__(
         self,
@@ -812,6 +942,7 @@ class CompiledQuery:
         self._root = root
         self._relations: frozenset[str] | None = None
         self._adom_dependent: bool | None = None
+        self._lower: Node | None | object = _UNBUILT
 
     @property
     def is_boolean(self) -> bool:
@@ -843,6 +974,19 @@ class CompiledQuery:
                 for node in _walk_nodes(self._root)
             )
         return self._adom_dependent
+
+    @property
+    def lower_plan(self) -> Node | None:
+        """The plan of the certain-answer lower bound, or ``None`` (empty).
+
+        Run on an incomplete instance by the columnar executor, its
+        null-free rows are answers in every world of the instance — a
+        subset of the certain answers under every semantics whose
+        worlds are valuation images (CWA).
+        """
+        if self._lower is _UNBUILT:
+            self._lower = _certain(self._root, {})
+        return self._lower
 
     def answers(self, source) -> frozenset[tuple[Hashable, ...]]:
         """``{ā ∈ adom^k : source ⊨ φ(ā)}`` — set-at-a-time.

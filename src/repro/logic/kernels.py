@@ -2,8 +2,10 @@
 
 The columnar executor (:mod:`repro.logic.columnar`) lowers the hottest
 operator shapes — base-relation joins and semi-joins on a single shared
-column — onto the kernels in this module.  Each kernel has two
-implementations:
+column — onto the kernels in this module.  The null-unifying anti-join
+of the certain-answer lower bound
+(:attr:`repro.logic.compile.CompiledQuery.lower_plan`) lives here too;
+it works on intermediate row sets.  Each kernel has two implementations:
 
 * a **vectorised** path over int64 numpy views of the encoded columns
   (``argsort`` + ``searchsorted`` sort-merge, ``isin`` semi-join), used
@@ -33,6 +35,7 @@ __all__ = [
     "sort_merge_join",
     "sort_merge_join_project",
     "semi_join",
+    "unify_anti_join",
     "numpy_enabled",
     "kernel_suffix",
 ]
@@ -241,3 +244,89 @@ def semi_join(
         return frozenset(map(tuple, mat.tolist()))
     keys = right.key_set(r_pos)
     return frozenset(row for row in left.row_tuples() if row[l_pos] in keys)
+
+
+# ----------------------------------------------------------------------
+# null-unifying anti-join
+# ----------------------------------------------------------------------
+
+def unify_anti_join(
+    left: frozenset[tuple[int, ...]],
+    l_key: tuple[int, ...],
+    right: frozenset[tuple[int, ...]],
+) -> frozenset[tuple[int, ...]]:
+    """``{l ∈ left : no r ∈ right unifies with l[l_key]}``.
+
+    Two encoded rows unify when at every position the codes are equal or
+    either code is odd (a null, which some valuation can send anywhere).
+    The test is per position, so it over-approximates unification — a
+    null occurring twice is not forced to one value — and can only keep
+    fewer rows.  ``right`` rows are aligned with ``l_key``.
+    """
+    if not left or not right:
+        return left
+    if not l_key:
+        return _EMPTY  # a nullary right row unifies with everything
+    if _np is not None and len(left) + len(right) >= MIN_VECTOR_ROWS:
+        return _vector_unify_anti_join(left, l_key, right)
+    return _pure_unify_anti_join(left, l_key, right)
+
+
+def _vector_unify_anti_join(left, l_key, right):
+    rows = list(left)
+    keys = _np.array([[row[i] for i in l_key] for row in rows], dtype=_np.int64)
+    rmat = _np.array(list(right), dtype=_np.int64)
+    key_const = (keys & 1) == 0
+    matched = _np.zeros(len(rows), dtype=bool)
+    # one pass per right null pattern: a left key unifies with a right
+    # row iff they agree where both hold constants
+    patterns, group = _np.unique((rmat & 1) == 0, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for g, r_const in enumerate(patterns):
+        rg = rmat[group == g]
+        both, which = _np.unique(key_const & r_const, axis=0, return_inverse=True)
+        which = which.reshape(-1)
+        for p, cols in enumerate(both):
+            sel = _np.flatnonzero((which == p) & ~matched)
+            if not len(sel):
+                continue
+            cols = _np.flatnonzero(cols)
+            if not len(cols):
+                matched[sel] = True
+                continue
+            matched[sel[_rows_in(keys[sel][:, cols], rg[:, cols])]] = True
+    return frozenset(rows[i] for i in _np.flatnonzero(~matched))
+
+
+def _rows_in(a, b):
+    """Row-wise ``isin``: which rows of matrix ``a`` occur in ``b``."""
+    if a.shape[1] == 1:
+        return _np.isin(a[:, 0], b[:, 0])
+    _, ids = _np.unique(_np.vstack([a, b]), axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    return _np.isin(ids[: len(a)], ids[len(a) :])
+
+
+def _pure_unify_anti_join(left, l_key, right):
+    # right rows grouped by the positions where they hold a constant
+    groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for r in right:
+        fixed = tuple(i for i, c in enumerate(r) if not c & 1)
+        groups.setdefault(fixed, set()).add(tuple(r[i] for i in fixed))
+    # per left null pattern: (positions both sides fix, right keys there)
+    probes: dict[tuple[int, ...], list] = {}
+    out = []
+    for row in left:
+        key = tuple(row[i] for i in l_key)
+        k_fixed = tuple(i for i, c in enumerate(key) if not c & 1)
+        tests = probes.get(k_fixed)
+        if tests is None:
+            tests = []
+            for fixed, r_keys in groups.items():
+                both = [j for j, i in enumerate(fixed) if i in k_fixed]
+                pos = tuple(fixed[j] for j in both)
+                tests.append((pos, {tuple(k[j] for j in both) for k in r_keys}))
+            probes[k_fixed] = tests
+        if not any(tuple(key[i] for i in pos) in r_keys for pos, r_keys in tests):
+            out.append(row)
+    return frozenset(out)

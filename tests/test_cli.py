@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 import time
 
 import pytest
@@ -238,6 +239,41 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "certain answer: True" in out and "ctable" in out
+
+
+class TestOracleBracket:
+    """The CWA oracle's bracket, as ``evaluate``/``certain``/``explain`` show it."""
+
+    QUERY = "exists y (R(x, y) & !S(y))"
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"R": [[1, "?a"], [2, 3], [4, 5]], "S": [[5]]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv", [["evaluate", "--mode", "enumeration"], ["certain"]], ids=["evaluate", "certain"]
+    )
+    def test_prints_the_bracket(self, db, capsys, argv):
+        assert main([argv[0], self.QUERY, db, *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        assert "  2\n" in out and "  1\n" not in out
+        assert re.search(r"oracle: [1-9]\d* worlds \(bracket: 1 lower, 2 upper, gap 1\)", out)
+
+    def test_other_semantics_print_the_mode(self, db, capsys):
+        argv = ["evaluate", self.QUERY, db, "--semantics", "pcwa", "--mode", "enumeration"]
+        assert main(argv) == 0
+        assert re.search(r"oracle: \d+ worlds \(expand\)", capsys.readouterr().out)
+
+    def test_explain_states_that_only_the_gap_is_enumerated(self, db, capsys):
+        assert main(["explain", self.QUERY, db, "--operators"]) == 0
+        out = capsys.readouterr().out
+        assert "backend     : enumeration" in out
+        assert "only the gap between them is enumerated" in out
+        assert "null-unifying anti-join" in out
+        assert main(["explain", self.QUERY, db, "--semantics", "owa"]) == 0
+        assert "gap" not in capsys.readouterr().out
 
 
 class TestClusterCommands:

@@ -19,6 +19,9 @@ X, Y = Null("x"), Null("y")
 K, K1 = Null(""), Null("'")
 
 JOIN = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
+#: a CWA negation query whose bracket leaves the row (1,) to enumerate
+NEG = Query(parse("exists y (R(x, y) & !S(y))"), ("x",))
+GAP_INSTANCE = Instance({"R": [(X, Y), (1, X)], "S": [(Y,)]})
 
 
 class TestDefaultPool:
@@ -173,21 +176,39 @@ class TestOracleStats:
         ids=["cwa", "owa"],
     )
     def test_stats_out_fills_worlds_and_mode(self, key, mode):
-        # the benchmark's traced run reads ``worlds`` from this dict
-        instance = Instance({"R": [(X, Y), (1, X)], "S": [(Y,)]})
-        kw = {"extra_facts": 1} if key == "owa" else {}
+        # the benchmark's traced run reads ``worlds`` from this dict.  The
+        # CWA pool has no fresh value per null, so the bracket is off and
+        # the row (1,) goes through the plain enumeration
+        kw = {"extra_facts": 1} if key == "owa" else {"pool": [1, 2]}
         stats: dict = {}
-        certain_answers(JOIN, instance, get_semantics(key), stats_out=stats, **kw)
+        certain_answers(NEG, GAP_INSTANCE, get_semantics(key), stats_out=stats, **kw)
         assert stats["worlds"] >= 1
         assert stats["mode"] in mode
 
     def test_stats_surface_in_eval_result(self):
-        instance = Instance({"R": [(X, Y), (1, X)], "S": [(Y,)]})
-        result = evaluate(JOIN, instance, "cwa", mode="enumeration")
+        result = evaluate(NEG, GAP_INSTANCE, "cwa", mode="enumeration", pool=[1, 2])
         oracle = result.stats["oracle"]
         assert oracle["worlds"] >= 1
         assert oracle["mode"] in ("seed", "serial")
         assert "relevant_nulls" in oracle and "total_nulls" in oracle
+
+    def test_bracket_closes_a_positive_join_without_worlds(self):
+        instance = Instance({"R": [(X, Y), (1, X)], "S": [(Y,)]})
+        stats: dict = {}
+        certain_answers(JOIN, instance, get_semantics("cwa"), stats_out=stats)
+        assert stats["mode"] == "bracket" and stats["worlds"] == 0
+        assert (stats["lower"], stats["upper"], stats["gap"]) == (0, 0, 0)
+        result = evaluate(JOIN, instance, "cwa", mode="enumeration")
+        oracle = result.stats["oracle"]
+        assert oracle["mode"] == "bracket" and oracle["worlds"] == 0
+        assert "relevant_nulls" in oracle and "total_nulls" in oracle
+
+    def test_bracket_enumerates_only_the_gap(self):
+        stats: dict = {}
+        got = certain_answers(NEG, GAP_INSTANCE, get_semantics("cwa"), stats_out=stats)
+        assert got == frozenset()  # ⊥x = ⊥y puts 1's only partner in S
+        assert stats["mode"] == "bracket" and stats["worlds"] >= 1
+        assert (stats["lower"], stats["upper"], stats["gap"]) == (0, 1, 1)
 
     def test_empty_intersection_stops_early(self):
         # ¬∃v R(v,v) is certainly false on {R(⊥x,⊥y)}: the first world
