@@ -60,6 +60,7 @@ from repro.data.instance import Instance
 from repro.data.jsonio import instance_from_json, instance_to_json
 from repro.logic.classes import classify
 from repro.logic.queries import Query
+from repro.semantics import get_semantics
 from repro.semantics.base import ExpansionLimitError
 from repro.session import Database, as_query
 
@@ -167,10 +168,11 @@ def _cmd_explain(args) -> int:
                 operators += "\njoin order: " + " ⋈ ".join(order)
         elif engine == "compiled":
             operators = compiled_query(query).describe()
-        elif plan.backend == "enumeration" and plan.semantics == "cwa":
+        elif plan.backend == "enumeration" and get_semantics(plan.semantics).substitution_only:
             from repro.logic.columnar import ColumnarQuery
 
-            operators = "lower bound:\n" + ColumnarQuery(compiled_query(query)).describe_lower()
+            lower = ColumnarQuery(compiled_query(query)).describe_lower()
+            operators = "lower bound (used when the pool has a fresh value per null):\n" + lower
         else:
             operators = f"(backend {plan.backend!r} does not run the compiled engine)"
     if args.as_json:

@@ -67,7 +67,6 @@ residual path from the first world on.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -544,9 +543,8 @@ def _bracketed(spec: WorldSpec, instance: Instance, stats_out: dict | None) -> f
     ``lower`` (the null-free rows of the plan's lower bound) holds in
     every world; ``upper`` (the null-free naive answers) is the answer
     of the all-fresh world, which the pool's fresh tail can build.  So
-    only ``upper − lower`` needs worlds: the seed worlds, then the
-    canonical sweep (one ``seen`` set dedups both), stopping once no gap
-    row is left.
+    only ``upper − lower`` needs worlds: the sweep starts from the gap
+    and stops once no gap row is left.
     """
     colq = ColumnarQuery(spec.cq)
     lower = colq.lower_answers(instance)
@@ -555,11 +553,7 @@ def _bracketed(spec: WorldSpec, instance: Instance, stats_out: dict | None) -> f
     survivors: frozenset = frozenset()
     worlds = 0
     if gap:
-        valuations = itertools.chain(
-            spec.seed_valuations(),
-            _canonical_valuations(spec.n_slots, spec.base_choices, spec.fresh_tail),
-        )
-        survivors, worlds, _ = spec.run(valuations, gap)
+        survivors, _, worlds, _ = _sweep(spec, gap)
     if stats_out is not None:
         stats_out.update(
             mode="bracket", worlds=worlds, lower=len(lower), upper=len(upper), gap=len(gap)
@@ -568,28 +562,37 @@ def _bracketed(spec: WorldSpec, instance: Instance, stats_out: dict | None) -> f
 
 
 def _enumerated(spec: WorldSpec, stats_out: dict | None) -> frozenset | None:
-    """``⋂ Q(v(D))`` over the seed worlds, then the canonical sweep."""
+    """``⋂ Q(v(D))`` over every world."""
+    result, seed_worlds, worlds, in_seeds = _sweep(spec, None)
+    if stats_out is not None:
+        stats_out.update(
+            seed_worlds=seed_worlds, mode="seed" if in_seeds else "serial", worlds=worlds
+        )
+    return result
+
+
+def _sweep(
+    spec: WorldSpec, running: frozenset | None
+) -> tuple[frozenset | None, int, int, bool]:
+    """``running ∩ ⋂ Q(v(D))`` over the seed worlds, then the canonical sweep.
+
+    Returns ``(intersection, seed_worlds, worlds, emptied_by_seeds)``.
+    Extreme seed worlds often empty the intersection at once; when they
+    do not, the sweep restarts from their intersection (so it can switch
+    to residual probing) and skips them through the shared ``seen``.
+    """
     base_ctx = spec.base_context()
     seen: set[tuple] = set()
-    # seed worlds: extreme worlds often empty the intersection at once
-    seed_result, seed_worlds, stopped = spec.run(
-        spec.seed_valuations(), None, base_ctx, seen=seen
-    )
-    if stats_out is not None:
-        stats_out["seed_worlds"] = seed_worlds
+    result, seed_worlds, stopped = spec.run(spec.seed_valuations(), running, base_ctx, seen)
     if stopped:
-        if stats_out is not None:
-            stats_out.update(mode="seed", worlds=seed_worlds)
-        return seed_result
+        return result, seed_worlds, seed_worlds, True
     result, worlds, _ = spec.run(
         _canonical_valuations(spec.n_slots, spec.base_choices, spec.fresh_tail),
-        seed_result,
+        result,
         base_ctx,
-        seen=seen,  # seed worlds are not re-evaluated by the sweep
+        seen,
     )
-    if stats_out is not None:
-        stats_out.update(mode="serial", worlds=seed_worlds + worlds)
-    return result
+    return result, seed_worlds, seed_worlds + worlds, False
 
 
 def certain_answers(

@@ -22,8 +22,9 @@ project ∘ join       fused ``sort-merge-join`` + projection — only the
 semi-join            ``semi-join`` key-set / ``isin`` kernel, or the
                      int-tuple probe of the hash path
 anti-join            ``col-anti-join`` — int-tuple membership probes
-null-unifying        ``unify_anti_join`` — per-position "equal codes or
-anti-join            either odd" probes (lower-bound plans only)
+null-unifying        ``col-null-unifying anti-join`` — per-position
+anti-join            "equal codes or either odd" probes (lower-bound
+                     plans only)
 adom complement      ``col-adom-complement`` over the encoded domain
 ===================  ==================================================
 
@@ -68,7 +69,6 @@ from repro.logic.compile import (
     ScanNode,
     SingletonNode,
     UnifyAntiJoinNode,
-    UnifyScanNode,
     UnionNode,
     _compiled_with_stats,
     compiled_query,
@@ -132,24 +132,6 @@ def _scan(node, cctx, memo):
         if all(row[i] == row[j] for i, j in eq):
             out.add(tuple(row[p] for p in keep))
     return frozenset(out)
-
-
-def _unify_scan(node, cctx, memo):
-    scan = node.scan
-    rel = cctx.encoded(scan.name)
-    if rel is None or rel.arity != scan.arity:
-        return _EMPTY
-    # a never-interned constant gets no code and matches only nulls
-    consts = [
-        (i, cctx.dictionary.try_encode(v)) for i, v in zip(scan._const_positions, scan._const_key)
-    ]
-    eq, keep = scan._eq_checks, scan._var_positions
-    return frozenset(
-        tuple(row[p] for p in keep)
-        for row in rel.row_tuples()
-        if all(row[i] == c or row[i] & 1 for i, c in consts)
-        and all(row[i] == row[j] or (row[i] | row[j]) & 1 for i, j in eq)
-    )
 
 
 def _domain(node, cctx, memo):
@@ -343,7 +325,6 @@ def _complement(node, cctx, memo):
 _HANDLERS = {
     ConstNode: _const,
     ScanNode: _scan,
-    UnifyScanNode: _unify_scan,
     DomainNode: _domain,
     DiagonalNode: _diagonal,
     SingletonNode: _singleton,
@@ -366,8 +347,6 @@ def _kernel_name(node: Node) -> str:
     if isinstance(node, JoinNode) and _vector_probe(node):
         kind = "sort-merge-join" if node._r_extra else "semi-join"
         return f"{kind} [{kernels.kernel_suffix()}]"
-    if isinstance(node, UnifyAntiJoinNode):
-        return f"{node.label()} [{kernels.kernel_suffix()}]"
     return "col-" + node.label()
 
 

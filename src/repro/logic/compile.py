@@ -413,24 +413,6 @@ class UnifyAntiJoinNode(Node):
         return (self.left, self.right)
 
 
-class UnifyScanNode(Node):
-    """A scan whose constants and repeated variables match through nulls.
-
-    The ``?`` translation of a non-plain scan (:attr:`CompiledQuery.lower_plan`):
-    a stored row is kept when some valuation could make it match.
-    Columnar only, like :class:`UnifyAntiJoinNode`.
-    """
-
-    __slots__ = ("scan",)
-
-    def __init__(self, scan: ScanNode):
-        super().__init__(scan.columns)
-        self.scan = scan
-
-    def label(self):
-        return "null-unifying " + self.scan.label()
-
-
 class FilterNode(Node):
     """Column=column / column=constant selections (equality atoms)."""
 
@@ -883,7 +865,8 @@ def _possible_step(node: Node, memo: dict) -> Node | None:
         # v maps adom(D) onto the world's active domain
         return node
     if isinstance(node, ScanNode):
-        return node if node.is_plain else UnifyScanNode(node)
+        # a constant or repeated variable could match through a null
+        return node if node.is_plain else None
     if isinstance(node, DomainGuardNode):
         child = _possible(node.child, memo)
         return None if child is None else DomainGuardNode(child)

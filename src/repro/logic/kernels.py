@@ -2,10 +2,8 @@
 
 The columnar executor (:mod:`repro.logic.columnar`) lowers the hottest
 operator shapes — base-relation joins and semi-joins on a single shared
-column — onto the kernels in this module.  The null-unifying anti-join
-of the certain-answer lower bound
-(:attr:`repro.logic.compile.CompiledQuery.lower_plan`) lives here too;
-it works on intermediate row sets.  Each kernel has two implementations:
+column — onto the kernels in this module.  Each join kernel has two
+implementations:
 
 * a **vectorised** path over int64 numpy views of the encoded columns
   (``argsort`` + ``searchsorted`` sort-merge, ``isin`` semi-join), used
@@ -23,6 +21,10 @@ Sort orders, numpy views and key sets are cached on the
 :class:`~repro.data.dictionary.EncodedRelation` itself, so the sort of a
 sort-merge join is paid once per relation per key column — every later
 join against the same column merges already-sorted runs.
+
+The null-unifying anti-join of the certain-answer lower bound
+(:attr:`repro.logic.compile.CompiledQuery.lower_plan`) lives here too.
+It works on intermediate row sets and has the pure path only.
 """
 
 from __future__ import annotations
@@ -267,47 +269,6 @@ def unify_anti_join(
         return left
     if not l_key:
         return _EMPTY  # a nullary right row unifies with everything
-    if _np is not None and len(left) + len(right) >= MIN_VECTOR_ROWS:
-        return _vector_unify_anti_join(left, l_key, right)
-    return _pure_unify_anti_join(left, l_key, right)
-
-
-def _vector_unify_anti_join(left, l_key, right):
-    rows = list(left)
-    keys = _np.array([[row[i] for i in l_key] for row in rows], dtype=_np.int64)
-    rmat = _np.array(list(right), dtype=_np.int64)
-    key_const = (keys & 1) == 0
-    matched = _np.zeros(len(rows), dtype=bool)
-    # one pass per right null pattern: a left key unifies with a right
-    # row iff they agree where both hold constants
-    patterns, group = _np.unique((rmat & 1) == 0, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    for g, r_const in enumerate(patterns):
-        rg = rmat[group == g]
-        both, which = _np.unique(key_const & r_const, axis=0, return_inverse=True)
-        which = which.reshape(-1)
-        for p, cols in enumerate(both):
-            sel = _np.flatnonzero((which == p) & ~matched)
-            if not len(sel):
-                continue
-            cols = _np.flatnonzero(cols)
-            if not len(cols):
-                matched[sel] = True
-                continue
-            matched[sel[_rows_in(keys[sel][:, cols], rg[:, cols])]] = True
-    return frozenset(rows[i] for i in _np.flatnonzero(~matched))
-
-
-def _rows_in(a, b):
-    """Row-wise ``isin``: which rows of matrix ``a`` occur in ``b``."""
-    if a.shape[1] == 1:
-        return _np.isin(a[:, 0], b[:, 0])
-    _, ids = _np.unique(_np.vstack([a, b]), axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
-    return _np.isin(ids[: len(a)], ids[len(a) :])
-
-
-def _pure_unify_anti_join(left, l_key, right):
     # right rows grouped by the positions where they hold a constant
     groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for r in right:

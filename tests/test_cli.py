@@ -272,8 +272,10 @@ class TestOracleBracket:
         assert "backend     : enumeration" in out
         assert "only the gap between them is enumerated" in out
         assert "null-unifying anti-join" in out
-        assert main(["explain", self.QUERY, db, "--semantics", "owa"]) == 0
-        assert "gap" not in capsys.readouterr().out
+        assert "lower bound (used when the pool has a fresh value per null)" in out
+        assert main(["explain", self.QUERY, db, "--semantics", "owa", "--operators"]) == 0
+        out = capsys.readouterr().out
+        assert "gap" not in out and "lower bound" not in out
 
 
 class TestClusterCommands:
