@@ -231,11 +231,12 @@ class WorldSpec:
         "read_base_cells",
         "n_slots",
         "base_choices",
+        "collapse_order",
         "fresh_tail",
     )
 
     def __init__(self, cq, templates, dyn_names, static, base_adom,
-                 read_base_cells, n_slots, base_choices, fresh_tail):
+                 read_base_cells, n_slots, base_choices, collapse_order, fresh_tail):
         self.cq = cq
         self.templates = templates
         self.dyn_names = dyn_names
@@ -247,6 +248,9 @@ class WorldSpec:
         self.read_base_cells = read_base_cells
         self.n_slots = n_slots
         self.base_choices = base_choices
+        #: ``base_choices`` in the order the total-collapse seed worlds
+        #: try them (see :meth:`seed_valuations`)
+        self.collapse_order = collapse_order
         self.fresh_tail = fresh_tail
 
     def base_context(self) -> TableContext | None:
@@ -259,13 +263,20 @@ class WorldSpec:
         the per-constant total collapses are canonical valuations, so
         re-encountering them during the main sweep is caught by the
         content dedup.
+
+        The collapses try first the values held by the most plan-read
+        relations: collapsing every null onto a value that the query
+        also meets elsewhere (a joined or negated relation) is what
+        falsifies a candidate row.  Ranking by that count rather than by
+        the values themselves makes the number of seed worlds a run
+        needs independent of how the constants happen to be named.
         """
         n = self.n_slots
         if n == 0:
             return
         if len(self.fresh_tail) >= n:
             yield tuple(self.fresh_tail[:n])
-        for c in self.base_choices:
+        for c in self.collapse_order:
             yield (c,) * n
 
     def _residual_candidates(self, running: frozenset):
@@ -456,6 +467,8 @@ def _build_spec(
     # null's valuation slot when is_null, the constant cell otherwise
     base_constants: set[Hashable] = set()
     read_cells: set[Hashable] = set()
+    # per constant, the number of plan-read relations holding it
+    held_by: dict[Hashable, int] = {}
     templates: dict[str, list[tuple[tuple[bool, object], ...]]] = {
         name: [
             tuple(
@@ -472,11 +485,15 @@ def _build_spec(
         }
         base_constants |= cells
         read_cells |= cells
+        for v in cells:
+            held_by[v] = held_by.get(v, 0) + 1
     for name, rows in static.items():
-        for row in rows:
-            base_constants.update(row)
-            if name in read:
-                read_cells.update(row)
+        cells = {v for row in rows for v in row}
+        base_constants |= cells
+        if name in read:
+            read_cells |= cells
+            for v in cells:
+                held_by[v] = held_by.get(v, 0) + 1
 
     spec = WorldSpec(
         cq=cq,
@@ -487,6 +504,8 @@ def _build_spec(
         read_base_cells=frozenset(read_cells),
         n_slots=len(relevant),
         base_choices=tuple(base_choices),
+        # a stable sort: ties keep the pool order
+        collapse_order=tuple(sorted(base_choices, key=lambda v: -held_by.get(v, 0))),
         fresh_tail=tuple(fresh_tail),
     )
     info = {

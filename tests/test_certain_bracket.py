@@ -288,21 +288,36 @@ class TestPaths:
         assert stats["mode"] == "bracket" and stats["gap"] == gap
         assert (stats["worlds"] == 0) == (gap == 0)
 
-    def test_benchmark_oracle_instance(self, monkeypatch):
-        """The perfbench ``oracle`` workload: 21 rows certain, 1 to check."""
+    @pytest.fixture
+    def benchmark_oracle(self, monkeypatch):
+        """``seed -> (query, instance)`` of the perfbench ``oracle`` workload."""
         path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
         spec.loader.exec_module(workloads)
-        w = workloads.build("oracle", 1)
-        inst = instance_from_json(json.dumps(w.instance))
-        q = Query(parse(w.query), w.vars)
+
+        def build(seed):
+            w = workloads.build("oracle", seed)
+            return Query(parse(w.query), w.vars), instance_from_json(json.dumps(w.instance))
+
+        return build
+
+    def test_benchmark_oracle_instance(self, benchmark_oracle):
+        """The perfbench ``oracle`` workload: 21 rows certain, 1 to check."""
+        q, inst = benchmark_oracle(1)
         got, stats = oracle(q, inst)
         assert (stats["lower"], stats["upper"], stats["gap"]) == (21, 22, 1)
         assert stats["worlds"] <= 32
         lower, _ = bounds(q, inst)
         assert got == lower == world_reference(q, inst)
+
+    def test_worlds_do_not_depend_on_constant_names(self, benchmark_oracle):
+        # the seeds relabel the same instance; the gap row falls in the
+        # first total collapse, onto a value of S, whatever the labels:
+        # the all-fresh world plus that one collapse
+        worlds = {oracle(*benchmark_oracle(seed))[1]["worlds"] for seed in range(1, 11)}
+        assert worlds == {2}
 
     def test_pool_too_small_for_the_all_fresh_world(self):
         # no value of the pool is fresh, so the upper bound is not one of
