@@ -30,7 +30,13 @@ import random
 import sys
 import time
 
-from repro.core import certain_answers, certain_holds, naive_eval, naive_holds
+from repro.core import (
+    certain_answers,
+    certain_holds,
+    drop_null_tuples,
+    naive_eval,
+    naive_holds,
+)
 from repro.core.analyzer import FIGURE_1
 from repro.data.generate import (
     cores_graph_example,
@@ -45,6 +51,8 @@ from repro.data.schema import Schema
 from repro.data.values import Null
 from repro.homs.core import core, is_core
 from repro.homs.minimal import is_d_minimal
+from repro.logic.columnar import columnar_naive_eval
+from repro.logic.compile import compiled_query
 from repro.logic.generate import random_sentence
 from repro.logic.parser import parse
 from repro.logic.queries import Query
@@ -340,6 +348,16 @@ def _legacy_certain_cwa(query: Query, instance: Instance) -> frozenset:
     return result if result is not None else frozenset()
 
 
+def _interp_naive(query: Query, instance: Instance) -> frozenset:
+    """Naive evaluation by the tree-walking interpreter."""
+    return drop_null_tuples(query.eval_raw(instance))
+
+
+def _compiled_naive(query: Query, instance: Instance) -> frozenset:
+    """Naive evaluation by the compiled DAG's row executor."""
+    return drop_null_tuples(compiled_query(query).answers(instance))
+
+
 def engine_comparison(quick: bool) -> list[dict]:
     """PR 2's headline numbers: set-at-a-time compilation vs tree walking."""
     heading("ENGINE — compiled set-at-a-time vs tuple-at-a-time interpreter")
@@ -357,17 +375,9 @@ def engine_comparison(quick: bool) -> list[dict]:
             constants=tuple(range(max(4, n_facts // 2))), n_nulls=3,
         )
         reps = 1 if n_facts > 32 else 3
-        interp_t = min(
-            _timed(lambda: naive_eval(join, instance, engine="interp"))
-            for _ in range(reps)
-        )
-        compiled_t = min(
-            _timed(lambda: naive_eval(join, instance, engine="compiled"))
-            for _ in range(3)
-        )
-        assert naive_eval(join, instance, engine="interp") == naive_eval(
-            join, instance, engine="compiled"
-        )
+        interp_t = min(_timed(lambda: _interp_naive(join, instance)) for _ in range(reps))
+        compiled_t = min(_timed(lambda: _compiled_naive(join, instance)) for _ in range(3))
+        assert _interp_naive(join, instance) == _compiled_naive(join, instance)
         print(
             f"{n_facts:>8} {len(instance.adom()):>6} {interp_t * 1e3:>10.2f}ms "
             f"{compiled_t * 1e3:>10.3f}ms {interp_t / max(compiled_t, 1e-9):>8.0f}x"
@@ -454,17 +464,11 @@ def columnar(quick: bool) -> list[dict]:
             "R": [(rng.randint(0, n), rng.choice(nulls)) for _ in range(n)],
             "S": [(rng.choice(nulls), rng.randint(0, n)) for _ in range(n)],
         })
-        compiled_t = min(
-            _timed(lambda: naive_eval(join, instance, engine="compiled"))
-            for _ in range(3)
-        )
+        compiled_t = min(_timed(lambda: _compiled_naive(join, instance)) for _ in range(3))
         columnar_t = min(
-            _timed(lambda: naive_eval(join, instance, engine="columnar"))
-            for _ in range(3)
+            _timed(lambda: columnar_naive_eval(join, instance)) for _ in range(3)
         )
-        assert naive_eval(join, instance, engine="columnar") == naive_eval(
-            join, instance, engine="compiled"
-        )
+        assert columnar_naive_eval(join, instance) == _compiled_naive(join, instance)
         headline = compiled_t / max(columnar_t, 1e-9)
         print(
             f"{n:>8} {len(nulls):>6} {compiled_t * 1e3:>10.2f}ms "
@@ -493,16 +497,12 @@ def columnar(quick: bool) -> list[dict]:
             "R": [(rng.randint(0, n * 4), nulls[rng.randint(0, n - 1)]) for _ in range(n)],
             "S": [(nulls[rng.randint(0, n - 1)],) for _ in range(n // 64)],
         })
-        compiled_t = min(
-            _timed(lambda: naive_eval(probe, instance, engine="compiled"))
-            for _ in range(3)
-        )
+        compiled_t = min(_timed(lambda: _compiled_naive(probe, instance)) for _ in range(3))
         columnar_t = min(
-            _timed(lambda: naive_eval(probe, instance, engine="columnar"))
-            for _ in range(3)
+            _timed(lambda: columnar_naive_eval(probe, instance)) for _ in range(3)
         )
-        answers = naive_eval(probe, instance, engine="columnar")
-        assert answers == naive_eval(probe, instance, engine="compiled")
+        answers = columnar_naive_eval(probe, instance)
+        assert answers == _compiled_naive(probe, instance)
         print(
             f"{n:>8} {len(answers):>8} {compiled_t * 1e3:>10.2f}ms "
             f"{columnar_t * 1e3:>10.3f}ms {compiled_t / max(columnar_t, 1e-9):>8.1f}x"
@@ -530,7 +530,6 @@ def _pr2_certain_cwa(query: Query, instance: Instance) -> frozenset:
     from repro.core.certain import _canonical_valuations, _pool_parts, query_schema
     from repro.data.indexes import TableContext
     from repro.data.values import Null, sort_key
-    from repro.logic.compile import compiled_query
 
     base, fresh = _pool_parts(instance, query)
     pool = base + fresh

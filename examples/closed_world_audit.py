@@ -76,7 +76,7 @@ assert result2.method == "enumeration"
 # 4. Where naive evaluation would have lied
 # ----------------------------------------------------------------------
 
-naive2 = evaluate(rule2, log, semantics="cwa", mode="naive")
+naive2 = evaluate(rule2, log, semantics="cwa", mode="columnar")
 print(
     f"\nnaive evaluation would claim {naive2.holds} for [{rule2.name}] — "
     f"{'the SAME' if naive2.holds == result2.holds else 'a DIFFERENT'} answer "

@@ -42,14 +42,14 @@ plan = db.explain(total, mode="enumeration")
 assert plan.backend == "enumeration" and plan.exact
 
 # ----------------------------------------------------------------------
-# 4. Backends: naive / enumeration / ctable agree where the theory says so
+# 4. Backends: columnar / enumeration / ctable agree where the theory says so
 # ----------------------------------------------------------------------
 
 print(f"\nregistered backends: {', '.join(available_backends())}")
 cycle = db.query("exists u, v . D(u, v) & D(v, u)", name="cycle")
 by_backend = {mode: cycle.evaluate(mode).answers for mode in available_backends()}
 print(f"answers per backend: { {k: bool(v) for k, v in by_backend.items()} }")
-assert by_backend["naive"] == by_backend["enumeration"] == by_backend["ctable"]
+assert by_backend["columnar"] == by_backend["enumeration"] == by_backend["ctable"]
 
 # ----------------------------------------------------------------------
 # 5. Batches: one pool + one core check for many queries

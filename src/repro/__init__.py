@@ -19,8 +19,8 @@ Quickstart (the session API)::
 
 Preparing a query caches the Figure-1 analysis, the parse and the
 constant pool, so repeated evaluation pays only for execution; plans
-route through pluggable backends (``compiled``, ``naive``, ``enumeration``,
-``ctable``).  The free functions (``evaluate``, ``certain_answers``,
+route through pluggable backends (``columnar``, ``naive-interp``,
+``enumeration``, ``ctable``).  The free functions (``evaluate``, ``certain_answers``,
 ``naive_eval``) remain as one-shot legacy wrappers.
 
 Sessions are mutable (``db.insert``/``delete``/``apply_delta``,

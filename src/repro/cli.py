@@ -154,11 +154,7 @@ def _cmd_explain(args) -> int:
     plan = db.explain(query, mode=args.mode)
     operators: str | None = None
     if args.operators:
-        from repro.core.backends import get_backend
-        from repro.logic.compile import compiled_query
-
-        engine = getattr(get_backend(plan.backend), "engine", None)
-        if engine == "columnar":
+        if plan.backend == "columnar":
             from repro.logic.columnar import columnar_query
 
             colq = columnar_query(query, instance)
@@ -166,15 +162,14 @@ def _cmd_explain(args) -> int:
             operators = colq.describe()
             if order:
                 operators += "\njoin order: " + " ⋈ ".join(order)
-        elif engine == "compiled":
-            operators = compiled_query(query).describe()
         elif plan.backend == "enumeration" and get_semantics(plan.semantics).substitution_only:
             from repro.logic.columnar import ColumnarQuery
+            from repro.logic.compile import compiled_query
 
             lower = ColumnarQuery(compiled_query(query)).describe_lower()
             operators = "lower bound (used when the pool has a fresh value per null):\n" + lower
         else:
-            operators = f"(backend {plan.backend!r} does not run the compiled engine)"
+            operators = f"(backend {plan.backend!r} does not run the columnar engine)"
     if args.as_json:
         data = plan.to_dict()
         if operators is not None:

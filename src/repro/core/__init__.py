@@ -5,7 +5,7 @@ from repro.core.certain import certain_answers, certain_holds, default_pool, que
 from repro.core.naive import drop_null_tuples, naive_eval, naive_holds
 from repro.core.backends import (
     Backend,
-    CompiledBackend,
+    ColumnarBackend,
     CTableBackend,
     EnumerationBackend,
     NaiveBackend,
@@ -35,7 +35,7 @@ __all__ = [
     "query_schema",
     "Backend",
     "NaiveBackend",
-    "CompiledBackend",
+    "ColumnarBackend",
     "NaiveInterpBackend",
     "EnumerationBackend",
     "CTableBackend",

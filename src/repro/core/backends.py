@@ -1,21 +1,15 @@
 """Pluggable evaluation backends and their registry.
 
 A :class:`Backend` is one strategy for computing (an approximation of)
-certain answers.  The engine ships six:
+certain answers.  The engine ships four:
 
 * ``columnar``     — two-step naive evaluation (Section 2.4) executed by
   the compiled operator DAG over dictionary-encoded int columns
   (:mod:`repro.logic.columnar`): array kernels, sort-merge joins,
   stats-driven join ordering.  The default whenever Figure 1 proves
   naive evaluation exact;
-* ``compiled``     — the same naive evaluation executed by the
-  set-at-a-time relational compiler (:mod:`repro.logic.compile`) over
-  decoded rows: hash joins, semi-/anti-joins, per-instance hash
-  indexes — retained as the columnar engine's differential baseline;
-* ``naive``        — the same naive-evaluation strategy (kept as the
-  historical name; execution also goes through the compiled engine);
 * ``naive-interp`` — naive evaluation by the tuple-at-a-time tree
-  walker, retained as the differential-testing baseline;
+  walker, retained as the differential-testing reference;
 * ``enumeration``  — the bounded certain-answer oracle: intersect
   ``Q(E)`` over the members of ``[[D]]`` drawn from a finite pool;
 * ``ctable``       — lift the naive database into a conditional table
@@ -36,10 +30,11 @@ from typing import Hashable, Sequence
 
 from repro.ctables.table import CInstance
 from repro.core import certain as _certain
-from repro.core import naive as _naive
+from repro.core.naive import drop_null_tuples
 from repro.core.analyzer import Verdict
 from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
+from repro.logic import columnar as _columnar
 from repro.logic.queries import Query
 from repro.semantics.base import Semantics, guard_limit
 
@@ -47,7 +42,6 @@ __all__ = [
     "Backend",
     "NaiveBackend",
     "ColumnarBackend",
-    "CompiledBackend",
     "NaiveInterpBackend",
     "EnumerationBackend",
     "CTableBackend",
@@ -143,16 +137,12 @@ class Backend(ABC):
 class NaiveBackend(Backend):
     """Two-step naive evaluation: evaluate with nulls as values, drop null rows.
 
-    Execution goes through the set-at-a-time compiled engine; the name
-    is kept because "naive evaluation" is the paper's *strategy* (nulls
-    as plain values, then drop null rows), not an implementation.
+    The shared base of the naive-evaluation engines: it holds the
+    Figure-1 exactness and result-cache contract, and each subclass
+    supplies :meth:`execute`.  Not registered itself.
     """
 
-    name = "naive"
-    summary = "naive evaluation (compiled; certain answers exactly when Figure 1 says so)"
     uses_pool = False
-    #: which step-one engine :meth:`execute` uses
-    engine = "compiled"
 
     def needs_core_check(self, verdict: Verdict) -> bool:
         return verdict.over_cores_only
@@ -168,23 +158,17 @@ class NaiveBackend(Backend):
         # the semantics (the semantics only labels exactness)
         return None if cq.adom_dependent else cq.relations
 
-    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None, limit=500_000):
-        return _naive.naive_eval(query, instance, engine=self.engine)
-
 
 class ColumnarBackend(NaiveBackend):
     """Naive evaluation by the columnar dictionary-encoded executor.
 
-    The same compiled operator DAG (:mod:`repro.logic.compile`), run
-    over int-encoded columns instead of decoded rows: constants and
-    nulls are interned into a per-database dictionary, joins execute as
-    array kernels (sort-merge on single shared columns, encoded hash
-    joins elsewhere), join order follows per-instance column stats, and
-    null rows are dropped at the code level (:mod:`repro.logic.columnar`).
-    The answers come back still encoded, as an
-    :class:`~repro.data.answers.AnswerSet`.  Identical answers to
-    ``compiled`` and ``naive-interp`` on every query — they stay
-    registered as its differential baselines.
+    The compiled operator DAG (:mod:`repro.logic.compile`), run over
+    int-encoded columns: constants and nulls are interned into a
+    per-database dictionary, joins execute as array kernels (sort-merge
+    on single shared columns, encoded hash joins elsewhere), join order
+    follows per-instance column stats, and null rows are dropped at the
+    code level (:mod:`repro.logic.columnar`).  The answers come back
+    still encoded, as an :class:`~repro.data.answers.AnswerSet`.
     """
 
     name = "columnar"
@@ -192,41 +176,29 @@ class ColumnarBackend(NaiveBackend):
         "columnar naive evaluation (dictionary-encoded int columns, array "
         "kernels, sort-merge joins, stats-driven join order)"
     )
-    engine = "columnar"
+
+    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None, limit=500_000):
+        return _columnar.columnar_naive_eval(query, instance)
 
 
 #: the backend ``mode="auto"`` routes to when Figure 1 proves naive
-#: evaluation exact (the fastest registered naive-evaluation engine)
+#: evaluation exact
 NAIVE_AUTO_BACKEND = "columnar"
-
-
-class CompiledBackend(NaiveBackend):
-    """Naive evaluation by the set-at-a-time relational compiler.
-
-    Hash joins on shared variables, semi-joins for ``∃``, anti-joins for
-    negated safe subformulas, active-domain complements only for
-    genuinely unsafe subtrees, executed over per-instance hash indexes
-    (:mod:`repro.logic.compile`, :mod:`repro.data.indexes`).  Identical
-    answers to the interpreter on every query; the planner routes here
-    whenever naive evaluation is provably exact.
-    """
-
-    name = "compiled"
-    summary = "compiled set-at-a-time naive evaluation (hash/semi/anti-joins over cached indexes)"
-    engine = "compiled"
 
 
 class NaiveInterpBackend(NaiveBackend):
     """Naive evaluation by the tuple-at-a-time tree-walking interpreter.
 
     The original evaluator, retained as the differential-testing
-    baseline for the compiled pipeline (and as the reference for the
-    paper's definition of naive evaluation).
+    reference for the columnar engine (and for the paper's definition
+    of naive evaluation).
     """
 
     name = "naive-interp"
-    summary = "tree-walking naive evaluation (tuple-at-a-time; differential baseline)"
-    engine = "interp"
+    summary = "tree-walking naive evaluation (tuple-at-a-time; differential reference)"
+
+    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None, limit=500_000):
+        return drop_null_tuples(query.eval_raw(instance))
 
 
 class EnumerationBackend(Backend):
@@ -331,9 +303,7 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-register_backend(NaiveBackend())
 register_backend(ColumnarBackend())
-register_backend(CompiledBackend())
 register_backend(NaiveInterpBackend())
 register_backend(EnumerationBackend())
 register_backend(CTableBackend())

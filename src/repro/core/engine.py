@@ -43,7 +43,7 @@ class EvalResult:
 
     #: the computed answers, possibly still dictionary-encoded
     answer_set: AnswerSet
-    #: the backend that computed them: "compiled", "enumeration", "ctable", …
+    #: the backend that computed them: "columnar", "enumeration", "ctable", …
     method: str
     #: True when the result provably equals the certain answers
     exact: bool
@@ -140,12 +140,11 @@ def evaluate(
 
     ``mode``:
 
-    * ``"auto"`` — compiled naive evaluation when the analyzer proves
+    * ``"auto"`` — columnar naive evaluation when the analyzer proves
       it sound (checking the core condition for the minimal semantics),
       otherwise bounded enumeration;
-    * any registered backend name (``"compiled"``, ``"naive"``,
-      ``"naive-interp"``, ``"enumeration"``, ``"ctable"``, …) — force
-      that backend.
+    * any registered backend name (``"columnar"``, ``"naive-interp"``,
+      ``"enumeration"``, ``"ctable"``, …) — force that backend.
 
     Exactness accounting: naive evaluation under a positive verdict is
     exact; enumeration is exact for all CWA-flavoured semantics and an

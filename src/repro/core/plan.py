@@ -199,8 +199,8 @@ def make_plan(
         core_needed = verdict.sound and verdict.over_cores_only
         if naive_is_certain(verdict, ensure_core() if core_needed else True):
             # naive evaluation is provably exact — run the columnar
-            # dictionary-encoded executor (compiled and naive-interp stay
-            # registered as forced differential baselines)
+            # dictionary-encoded executor (naive-interp stays registered
+            # as the forced differential reference)
             name = NAIVE_AUTO_BACKEND
             notes.append(
                 "columnar executor: joins ordered by per-instance column "

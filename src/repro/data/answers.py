@@ -17,8 +17,8 @@ consumer asks for it, then keeps it:
 The server only ever asks for the text, so a result-cache entry it
 serves holds codes plus text and never decoded rows.
 
-Answers computed any other way (enumeration, ctable, the compiled and
-interpreted baselines) wrap their decoded frozenset in the same type,
+Answers computed any other way (enumeration, ctable, the interpreted
+reference) wrap their decoded frozenset in the same type,
 so every cache entry renders once.
 
 >>> from repro.data.dictionary import Dictionary

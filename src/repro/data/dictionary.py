@@ -406,12 +406,11 @@ def derive_columnar(
 ) -> ColumnarContext | None:
     """Seed ``new_instance``'s columnar context from its ancestor.
 
-    The analogue of :func:`repro.data.indexes.derive_context` for the
-    encoded world: the ancestor's dictionary is carried forward (codes
-    stay stable — the interning invariant the differential tests pin),
-    and the encoded relations of **untouched** relations are shared
-    outright, bringing their indexes, numpy views and sort runs along
-    for free.  Touched relations re-encode lazily on next access.
+    The ancestor's dictionary is carried forward (codes stay stable —
+    the interning invariant the differential tests pin), and the encoded
+    relations of **untouched** relations are shared outright, bringing
+    their indexes, numpy views and sort runs along for free.  Touched
+    relations re-encode lazily on next access.
 
     No-op (returns ``None``) when the ancestor was never encoded — a
     database that never ran the columnar engine pays nothing here.

@@ -160,93 +160,20 @@ def context_for(instance: Instance) -> TableContext:
     return ctx
 
 
-def _patched_index(
-    idx: dict[tuple, list[tuple]],
-    positions: tuple[int, ...],
-    added: Collection[tuple],
-    removed: Collection[tuple],
-) -> dict[tuple, list[tuple]]:
-    """A copy of hash index ``idx`` with the delta applied.
-
-    Copy-on-write at bucket granularity: the original index (still
-    serving the pre-mutation instance) is never touched, untouched
-    buckets are shared, and only the delta's buckets are copied —
-    so patching costs ``O(buckets + |delta|)`` instead of the
-    ``O(rows)`` of a rebuild.
-    """
-    out = dict(idx)
-    copied: set[tuple] = set()
-
-    def own_bucket(key: tuple) -> list[tuple]:
-        bucket = out.get(key)
-        if bucket is None:
-            bucket = []
-            out[key] = bucket
-            copied.add(key)
-        elif key not in copied:
-            bucket = list(bucket)
-            out[key] = bucket
-            copied.add(key)
-        return bucket
-
-    for row in removed:
-        key = tuple(row[i] for i in positions)
-        if key in out:
-            bucket = own_bucket(key)
-            try:
-                bucket.remove(row)
-            except ValueError:
-                pass
-            if not bucket:
-                del out[key]
-                copied.discard(key)
-    for row in added:
-        own_bucket(tuple(row[i] for i in positions)).append(row)
-    return out
-
-
 def derive_context(
     old_instance: Instance,
     new_instance: Instance,
     changes: Mapping[str, tuple[Collection[tuple], Collection[tuple]]],
 ) -> TableContext:
-    """Seed ``new_instance``'s context from its pre-mutation ancestor.
+    """The context of ``new_instance``, a mutation of ``old_instance``.
 
-    ``changes`` is the effective delta reported by
-    :meth:`~repro.data.instance.Instance.with_delta`.  Every hash index
-    the old context had built is carried over: indexes of untouched
-    relations are shared outright (they are read-only after
-    construction), indexes of mutated relations are patched
-    copy-on-write via :func:`_patched_index`.  The session layer calls
-    this on every mutation so a long-lived :class:`Database` never
-    rebuilds an index from scratch for a relation that merely gained or
-    lost a few rows.
+    Nothing is carried over from the ancestor: a context builds its
+    indexes lazily, on first probe, so this is :func:`context_for`.
+    Writes do not call it (the session maintains one context per write,
+    the columnar one); the name stays because
+    ``perfbench/trace_serve.py`` wraps it.
     """
-    ctx = new_instance._ctx
-    if ctx is not None:
-        return ctx
-    ctx = TableContext(new_instance._relations, adom=new_instance._adom)
-    old_ctx = old_instance._ctx
-    if old_ctx is not None:
-        # snapshot: concurrent readers may still be lazily inserting
-        # freshly built indexes into the old context while we iterate
-        for (name, positions), idx in list(old_ctx._indexes.items()):
-            delta = changes.get(name)
-            if delta is None:
-                if name in new_instance._relations:
-                    ctx._indexes[(name, positions)] = idx
-                continue
-            rows = new_instance._relations.get(name)
-            if rows is None:
-                continue  # relation emptied: nothing left to index
-            added, removed = delta
-            if any(len(row) <= max(positions) for row in added):
-                continue  # arity shrank under full replacement: rebuild lazily
-            ctx._indexes[(name, positions)] = _patched_index(
-                idx, positions, added, removed
-            )
-    new_instance._ctx = ctx
-    return ctx
+    return context_for(new_instance)
 
 
 def as_context(source: Instance | TableContext) -> TableContext:

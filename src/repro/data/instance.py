@@ -252,10 +252,9 @@ class Instance:
         additions, so a row in both ends up present.
 
         Unlike :meth:`union`/:meth:`difference` — which re-freeze every
-        relation — this shares the untouched relations' row sets (and,
-        via :func:`repro.data.indexes.derive_context`, their hash
-        indexes) with the receiver, making mutation cost proportional to
-        the delta, not the instance.  The session layer's mutation API
+        relation — this shares the untouched relations' row sets with
+        the receiver, making mutation cost proportional to the delta,
+        not the instance.  The session layer's mutation API
         (``Database.insert``/``delete``/``apply_delta``) is built on it.
         """
         rels = dict(self._relations)

@@ -478,8 +478,8 @@ def columnar_query(query, source=None) -> ColumnarQuery:
 def columnar_naive_eval(query, instance: Instance) -> AnswerSet:
     """Naive evaluation through the columnar engine (both steps), encoded.
 
-    The entry point :func:`repro.core.naive.naive_eval` dispatches here
-    for ``engine="columnar"``.
+    The ``columnar`` backend returns this as is;
+    :func:`repro.core.naive.naive_eval` decodes it.
     """
     cctx = columnar_context(instance)
     return columnar_query(query, cctx).naive_answers(cctx)

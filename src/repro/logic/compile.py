@@ -632,7 +632,7 @@ def _order_cost(node: Node, stats) -> int:
     """Join-order key: static class ranks, or stats-driven cardinalities.
 
     Without ``stats`` this is exactly the historical :func:`_selectivity`
-    ranking — the ``compiled`` backend's plans are bit-for-bit stable.
+    ranking — the shared (stats-free) plans are bit-for-bit stable.
     With ``stats`` (a mapping of relation name to row count, plus the
     pseudo-relation ``"%adom"`` for the domain size) producers are
     ordered by estimated output cardinality instead, so a small relation

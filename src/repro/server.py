@@ -395,10 +395,12 @@ class QueryService:
         if not isinstance(text, str) or not text:
             raise ValueError("'query' must be non-empty query text")
         vars_ = request.get("vars")
-        if vars_ is not None and not isinstance(vars_, list):
+        if vars_ is not None and not (
+            isinstance(vars_, list) and all(isinstance(v, str) for v in vars_)
+        ):
             raise ValueError("'vars' must be a list of variable names")
         semantics = request.get("semantics")
-        if semantics is not None and semantics not in FIGURE_1:
+        if semantics is not None and not (isinstance(semantics, str) and semantics in FIGURE_1):
             raise ValueError(
                 f"unknown semantics {semantics!r}; choose from {sorted(FIGURE_1)}"
             )

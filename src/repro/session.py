@@ -20,9 +20,8 @@ the cached :class:`~repro.core.plan.Plan`.
 The session is **long-lived and mutable**: :meth:`Database.insert`,
 :meth:`Database.delete` and :meth:`Database.apply_delta` change the
 instance *incrementally* — the untouched relations keep their frozen
-row sets, hash indexes (:func:`repro.data.indexes.derive_context`) and
-dictionary-encoded columns (:func:`repro.data.dictionary.derive_columnar`),
-and invalidation is tracked by **per-relation generation counters**
+row sets and dictionary-encoded columns
+(:func:`repro.data.dictionary.derive_columnar`), and invalidation is tracked by **per-relation generation counters**
 instead of one global epoch.  A prepared query's cached plan survives
 writes to relations it never mentions, and a bounded **result cache**
 (keyed by query value × backend × the generations of the relations the
@@ -59,7 +58,6 @@ from repro.core import plan as _plan
 from repro.core.engine import EvalResult
 from repro.core.plan import Plan
 from repro.data import dictionary as _dictionary
-from repro.data import indexes as _indexes
 from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.data.schema import Schema
@@ -549,9 +547,8 @@ class Database:
         valuation space the oracle enumerates.
 
         Incremental: untouched relations keep their frozen row sets and
-        every hash index ever built for them; touched relations get
-        their cached indexes patched copy-on-write
-        (:func:`repro.data.indexes.derive_context`), and only their
+        their encoded columns (:func:`repro.data.dictionary.derive_columnar`);
+        touched relations re-encode lazily on next read, and only their
         generation counters bump — cached plans and results of queries
         that do not read them stay valid.
 
@@ -595,7 +592,6 @@ class Database:
                         f"write not acknowledged: wal append failed ({err}); "
                         f"session is degraded (read-only) until a checkpoint succeeds"
                     ) from err
-            _indexes.derive_context(self._instance, new, changes)
             _dictionary.derive_columnar(self._instance, new, changes)
             self._instance = new
             self._generation += 1

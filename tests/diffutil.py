@@ -17,6 +17,7 @@ import os
 import random
 import zlib
 
+from repro.core.naive import drop_null_tuples
 from repro.data.schema import Schema
 from repro.logic.ast import (
     And,
@@ -90,6 +91,11 @@ def engine_answers(engine: str, formula, instance, head):
         )
         return shared
     raise ValueError(f"unknown differential engine {engine!r}")
+
+
+def naive_answers(engine: str, query, instance):
+    """Naive evaluation (both steps) of a :class:`Query` by one engine."""
+    return drop_null_tuples(engine_answers(engine, query.formula, instance, query.answer_vars))
 
 
 def assert_equivalent(formula, instance, head=(), engines=("compiled",)):

@@ -1,8 +1,8 @@
-"""Tests for repro.core.backends: the strategy registry and the three backends."""
+"""Tests for repro.core.backends: the strategy registry and the built-in backends."""
 
 import pytest
 
-from repro.core import analyze, certain_answers, naive_eval
+from repro.core import analyze, certain_answers, drop_null_tuples, naive_eval
 from repro.core.backends import (
     NAIVE_AUTO_BACKEND,
     Backend,
@@ -10,6 +10,7 @@ from repro.core.backends import (
     CTableBackend,
     EnumerationBackend,
     NaiveBackend,
+    NaiveInterpBackend,
     available_backends,
     get_backend,
     naive_is_certain,
@@ -19,25 +20,44 @@ from repro.core.backends import (
 from repro.core.plan import make_plan
 from repro.data.instance import Instance
 from repro.data.values import Null
+from repro.logic.compile import compiled_query
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
+from repro.server import QueryService
+from repro.session import Database
 
 X, Y = Null("x"), Null("y")
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"naive", "columnar", "enumeration", "ctable"} <= set(available_backends())
+        assert {"columnar", "naive-interp", "enumeration", "ctable"} <= set(available_backends())
 
     def test_get_backend_by_name(self):
-        assert isinstance(get_backend("naive"), NaiveBackend)
+        assert isinstance(get_backend("columnar"), NaiveBackend)
+        assert isinstance(get_backend("naive-interp"), NaiveInterpBackend)
         assert isinstance(get_backend("enumeration"), EnumerationBackend)
         assert isinstance(get_backend("ctable"), CTableBackend)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("quantum")
+
+    @pytest.mark.parametrize("mode", ["compiled", "naive"])
+    def test_removed_naive_aliases_are_unknown(self, mode):
+        """One serving naive engine: the old ``compiled``/``naive`` names
+        are unknown backends through the session and the wire service."""
+        want = (
+            f"unknown backend {mode!r}; "
+            "available: columnar, ctable, enumeration, naive-interp"
+        )
+        db = Database({"R": [(1, X)]})
+        with pytest.raises(ValueError) as err:
+            db.evaluate("R(x, y)", mode=mode)
+        assert str(err.value) == want
+        response = QueryService(db).handle({"op": "query", "query": "R(x, y)", "mode": mode})
+        assert response["ok"] is False and response["error"] == want
 
     def test_register_and_unregister_custom_backend(self):
         class EmptyBackend(Backend):
@@ -61,11 +81,11 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(NaiveBackend())
+            register_backend(ColumnarBackend())
 
     def test_duplicate_registration_with_replace(self):
-        register_backend(NaiveBackend(), replace=True)
-        assert isinstance(get_backend("naive"), NaiveBackend)
+        register_backend(ColumnarBackend(), replace=True)
+        assert isinstance(get_backend("columnar"), ColumnarBackend)
 
     def test_unnamed_backend_rejected(self):
         class Anonymous(Backend):
@@ -82,17 +102,17 @@ class TestRegistry:
 
 class TestNaiveBackend:
     def test_matches_naive_eval(self, intro_db, join_query):
-        got = get_backend("naive").execute(join_query, intro_db, get_semantics("owa"))
+        got = get_backend("naive-interp").execute(join_query, intro_db, get_semantics("owa"))
         assert got == naive_eval(join_query, intro_db)
 
     def test_core_check_needed_only_for_minimal(self):
         q = Query.boolean(parse("exists v . D(v, v)"))
-        backend = get_backend("naive")
+        backend = get_backend("columnar")
         assert backend.needs_core_check(analyze(q, "mincwa"))
         assert not backend.needs_core_check(analyze(q, "cwa"))
 
     def test_exactness_accounting(self):
-        backend = get_backend("naive")
+        backend = get_backend("columnar")
         sound = analyze(Query.boolean(parse("exists v . D(v, v)")), "cwa")
         assert backend.exactness(get_semantics("cwa"), sound, None, None) == (True, "")
         unsound = analyze(Query.boolean(parse("forall x . exists y . D(x, y)")), "owa")
@@ -100,7 +120,7 @@ class TestNaiveBackend:
         assert not exact and direction == "unknown"
 
     def test_exactness_off_core_is_subset(self):
-        backend = get_backend("naive")
+        backend = get_backend("columnar")
         verdict = analyze(Query.boolean(parse("exists v . D(v, v)")), "mincwa")
         assert backend.exactness(get_semantics("mincwa"), verdict, False, None) == (
             False,
@@ -187,16 +207,17 @@ class TestColumnarBackend:
         backend = get_backend("columnar")
         assert isinstance(backend, ColumnarBackend)
         assert isinstance(backend, NaiveBackend)  # same exactness contract
-        assert backend.engine == "columnar"
         assert NAIVE_AUTO_BACKEND == "columnar"
 
     def test_matches_naive_eval(self, intro_db, join_query):
         got = get_backend("columnar").execute(join_query, intro_db, get_semantics("owa"))
         assert got == naive_eval(join_query, intro_db)
-        assert got == get_backend("naive").execute(join_query, intro_db, get_semantics("owa"))
+        assert got == get_backend("naive-interp").execute(
+            join_query, intro_db, get_semantics("owa")
+        )
 
     def test_exactness_identical_to_naive(self):
-        columnar, naive = get_backend("columnar"), get_backend("naive")
+        columnar, naive = get_backend("columnar"), get_backend("naive-interp")
         for sem_key, text in [
             ("cwa", "exists v . D(v, v)"),
             ("owa", "forall x . exists y . D(x, y)"),
@@ -241,21 +262,19 @@ class TestAutoRoutingEligibility:
 
     @pytest.mark.parametrize("sem_key,text", MATRIX)
     def test_forced_compiled_and_interp_stay_available(self, sem_key, text, d0):
-        """compiled and naive-interp remain registered as forced
-        differential baselines on every matrix row."""
+        """columnar (the compiled operator DAG over encoded columns) and
+        naive-interp stay forceable on every matrix row, and agree with
+        the compiled DAG's row executor."""
         q = Query.boolean(parse(text))
         columnar = make_plan(q, d0, sem_key, "columnar")
-        compiled = make_plan(q, d0, sem_key, "compiled")
         interp = make_plan(q, d0, sem_key, "naive-interp")
-        assert (columnar.backend, compiled.backend, interp.backend) == (
-            "columnar", "compiled", "naive-interp"
-        )
+        assert (columnar.backend, interp.backend) == ("columnar", "naive-interp")
         sem = get_semantics(sem_key)
         answers = {
-            get_backend(name).execute(q, d0, sem)
-            for name in ("columnar", "compiled", "naive-interp")
+            get_backend(name).execute(q, d0, sem) for name in ("columnar", "naive-interp")
         }
-        assert len(answers) == 1  # the three naive engines agree pointwise
+        answers.add(drop_null_tuples(compiled_query(q).answers(d0)))
+        assert len(answers) == 1  # the three naive executors agree pointwise
 
     def test_explain_notes_name_kernels_on_auto_route(self, d0):
         q = Query.boolean(parse("forall x . exists y . D(x, y)"))

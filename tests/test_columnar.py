@@ -28,6 +28,7 @@ from diffutil import (
     fuzz_rng,
     fuzz_trials,
     interp_certain_reference,
+    naive_answers,
 )
 
 from repro.core.certain import certain_answers
@@ -213,9 +214,9 @@ class TestDifferentialRandom:
                 SCHEMA, rng, n_facts=rng.randint(1, 6), constants=(1, 2, 3), n_nulls=2
             )
             q = random_kary_query(SCHEMA, rng, "EPos", arity=1, max_depth=2)
-            col = naive_eval(q, inst, engine="columnar")
-            assert col == naive_eval(q, inst, engine="compiled")
-            assert col == naive_eval(q, inst, engine="interp")
+            col = naive_eval(q, inst)
+            assert col == naive_answers("compiled", q, inst)
+            assert col == naive_answers("interp", q, inst)
 
     @pytest.mark.parametrize("key", ["owa", "cwa", "wcwa", "pcwa", "mincwa", "minpcwa"])
     def test_certain_answers_differential_per_semantics(self, key):
@@ -265,14 +266,10 @@ class TestDifferentialRandom:
         })
         colq = columnar_query(q, inst)
         assert colq.answers(inst) == compiled_query(q).answers(inst)
-        assert naive_eval(q, inst, engine="columnar") == naive_eval(
-            q, inst, engine="compiled"
-        )
+        assert naive_eval(q, inst) == naive_answers("compiled", q, inst)
         # nullary projection of a non-empty join (boolean shape)
         b = Query.boolean(parse("exists x, z, y (R(x, z) & S(z, y))"))
-        assert naive_eval(b, inst, engine="columnar") == naive_eval(
-            b, inst, engine="compiled"
-        )
+        assert naive_eval(b, inst) == naive_answers("compiled", b, inst)
 
     @pytest.mark.skipif(not kernels.numpy_enabled(), reason="numpy unavailable")
     def test_vector_kernels_above_threshold(self):
@@ -289,9 +286,7 @@ class TestDifferentialRandom:
             colq = columnar_query(q, inst)
             assert "sort-merge-join [vector]" in colq.describe()
             assert colq.answers(inst) == compiled_query(q).answers(inst)
-            assert naive_eval(q, inst, engine="columnar") == naive_eval(
-                q, inst, engine="compiled"
-            )
+            assert naive_eval(q, inst) == naive_answers("compiled", q, inst)
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +309,7 @@ class TestDictionaryEdgeCases:
         assert not Dictionary.is_null_code(const_code)
         # naive evaluation sees them apart: only the null row is dropped
         q = Query(parse("R(a, b)"), ("a", "b"))
-        assert naive_eval(q, inst, engine="columnar") == naive_eval(
-            q, inst, engine="compiled"
-        ) == frozenset()
+        assert naive_eval(q, inst) == naive_answers("compiled", q, inst) == frozenset()
         # and a full JSON round-trip re-encodes to the same codes
         again = instance_from_json(instance_to_json(inst))
         cctx2 = columnar_context(again, dictionary=d)
@@ -380,8 +373,8 @@ class TestDictionaryEdgeCases:
         assert new._cols is None  # engines that never ran columnar pay nothing
 
     def test_encoded_rows_agree_after_index_carry_over(self):
-        """The row context (`derive_context`) and the columnar context
-        must both survive a session mutation and agree on content."""
+        """After a session mutation the row context (built lazily) and
+        the derived columnar context agree on content."""
         from repro.data.indexes import context_for
 
         db = Database({"R": [(1, X), (2, 3)], "S": [(3,), (X,), (2,)]})
@@ -441,7 +434,7 @@ class TestStatsParity:
         assert auto_miss.method == "columnar"
         ref_keys = set(auto_miss.stats)
         assert set(auto_hit.stats) == ref_keys
-        for mode in ("compiled", "naive", "naive-interp"):
+        for mode in ("columnar", "naive-interp"):
             miss, hit = self._stats(mode)
             assert set(miss.stats) == ref_keys, mode
             assert set(hit.stats) == ref_keys, mode
@@ -464,8 +457,11 @@ class TestStatsParity:
     def test_answers_identical_across_naive_backends(self):
         results = {
             mode: self._stats(mode)[0].answers
-            for mode in ("auto", "compiled", "naive", "naive-interp")
+            for mode in ("auto", "columnar", "naive-interp")
         }
+        inst = Instance({"R": [(1, X)], "S": [(X, 4)]})
+        q = Query(parse(self.QUERY), ("a", "b"))
+        results["compiled executor"] = naive_answers("compiled", q, inst)
         assert len(set(results.values())) == 1, results
 
 
@@ -529,7 +525,7 @@ class TestPlansAndExplain:
 
     def test_forced_compiled_and_interp_still_route(self):
         db = Database({"R": [(1, X)], "S": [(X, 4)]}, semantics="owa")
-        for mode in ("compiled", "naive-interp"):
+        for mode in ("columnar", "naive-interp"):
             result = db.evaluate(
                 "exists z (R(a, z) & S(z, b))", vars=("a", "b"), mode=mode
             )
@@ -548,5 +544,5 @@ class TestPlansAndExplain:
         inst = Instance({"R": [(1, 2), (X, 2)]})
         q = Query(parse("R(a, b)"), ("a", "b"))
         assert columnar_naive_eval(q, inst) == frozenset({(1, 2)})
-        with pytest.raises(ValueError, match="unknown naive engine"):
-            naive_eval(q, inst, engine="vectorised")
+        with pytest.raises(TypeError, match="engine"):
+            naive_eval(q, inst, engine="vectorised")  # no engine switch

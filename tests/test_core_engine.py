@@ -50,8 +50,8 @@ class TestAutoRouting:
 
 class TestForcedModes:
     def test_force_naive_marks_approximation(self, d0, forall_exists_query):
-        result = evaluate(forall_exists_query, d0, semantics="owa", mode="naive")
-        assert result.method == "naive"
+        result = evaluate(forall_exists_query, d0, semantics="owa", mode="columnar")
+        assert result.method == "columnar"
         assert not result.exact
 
     def test_force_enumeration(self, join_query, intro_db):

@@ -1,4 +1,4 @@
-"""Incremental mutation: Instance.with_delta, derived indexes, the session
+"""Incremental mutation: Instance.with_delta, derived contexts, the session
 mutation API, per-relation generations and the generation-keyed result cache."""
 
 import random
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import evaluate
 from repro.data.generate import random_instance
-from repro.data.indexes import context_for, derive_context
+from repro.data.indexes import context_for
 from repro.data.instance import Instance
 from repro.data.schema import Schema, SchemaError
 from repro.data.values import Null
@@ -118,50 +118,37 @@ class TestWithDelta:
 
 
 class TestDerivedIndexes:
-    def test_untouched_relation_shares_index_object(self):
-        inst = Instance({"R": [(1, 2), (2, 3)], "S": [(1,)]})
-        ctx = context_for(inst)
-        idx = ctx.index("R", (0,))
-        new, changes = inst.with_delta(adds={"S": [(5,)]})
-        derived = derive_context(inst, new, changes)
-        assert derived.index("R", (0,)) is idx  # carried over, not rebuilt
+    """A write derives one execution context, the columnar one; the row
+    context and the homomorphism engine build their indexes lazily."""
 
-    def test_touched_relation_patched_not_original(self):
-        inst = Instance({"R": [(1, 2), (1, 3), (2, 3)]})
-        ctx = context_for(inst)
-        before = ctx.index("R", (0,))
-        snapshot = {k: list(v) for k, v in before.items()}
-        new, changes = inst.with_delta(
-            adds={"R": [(1, 9), (4, 4)]}, removes={"R": [(1, 2)]}
-        )
-        derived = derive_context(inst, new, changes)
-        patched = derived.index("R", (0,))
-        # patched index ≡ an index built from scratch over the new rows
-        fresh = context_for(Instance({"R": new.tuples("R")}))
-        want = fresh.index("R", (0,))
-        assert {k: set(map(tuple, v)) for k, v in patched.items()} == {
-            k: set(map(tuple, v)) for k, v in want.items()
-        }
-        # the pre-mutation index is untouched (copy-on-write)
-        assert {k: list(v) for k, v in ctx.index("R", (0,)).items()} == snapshot
+    def test_writes_maintain_only_the_columnar_context(self):
+        db = Database({"R": [(1, X)], "S": [(X, 4)]})
+        db.evaluate(JOIN, vars=("x", "y"))  # encode: a columnar context to derive
+        context_for(db.instance)  # and a row context with nothing to carry over
+        db.insert("R", (2, 3))
+        assert db.instance._ctx is None
+        assert db.instance._cols is not None
+        db.delete("R", (2, 3))
+        assert db.instance._ctx is None
+        assert db.instance._cols is not None
 
-    def test_emptied_bucket_removed(self):
-        inst = Instance({"R": [(1, 2), (2, 3)]})
-        ctx = context_for(inst)
-        ctx.index("R", (0,))
-        new, changes = inst.with_delta(removes={"R": [(1, 2)]})
-        derived = derive_context(inst, new, changes)
-        assert (1,) not in derived.index("R", (0,))
+    def test_is_core_after_writes_matches_fresh_instance(self):
+        from repro.homs import is_core
 
-    def test_arity_change_drops_stale_index(self):
-        inst = Instance({"R": [(1, 2, 3)]})
-        ctx = context_for(inst)
-        ctx.index("R", (2,))  # keyed on a position the new arity lacks
-        new, changes = inst.with_delta(
-            adds={"R": [(7, 8)]}, removes={"R": [(1, 2, 3)]}
-        )
-        derived = derive_context(inst, new, changes)
-        assert derived.index("R", (0,)) == {(7,): [(7, 8)]}
+        rng = random.Random(13)
+        pool = [1, 2, X, Y, Null("z")]
+        db = Database({"R": [(X, Y), (Y, X)]}, semantics="mincwa")
+        assert is_core(db.instance)  # indexes built on the first instance
+        for step in range(30):
+            rows = sorted(db.instance.tuples("R"), key=repr)
+            if rows and rng.random() < 0.4:
+                db.delete("R", rng.choice(rows))
+            else:
+                db.insert("R", (rng.choice(pool), rng.choice(pool)))
+            inst = db.instance
+            fresh = is_core(Instance({n: inst.tuples(n) for n in inst.relations}))
+            assert is_core(inst) == fresh, (step, inst)
+            assert db.explain("exists v . R(v, v)").instance_is_core == fresh, (step, inst)
 
     def test_compiled_answers_match_fresh_instance(self):
         from repro.logic.compile import compiled_query
@@ -178,8 +165,7 @@ class TestDerivedIndexes:
             removes = {
                 "R": [row for row in inst.tuples("R") if rng.random() < 0.15]
             }
-            new, changes = inst.with_delta(adds=adds, removes=removes)
-            derive_context(inst, new, changes)
+            new, _ = inst.with_delta(adds=adds, removes=removes)
             assert cq.answers(new) == cq.answers(Instance({
                 n: new.tuples(n) for n in new.relations
             }))
@@ -275,7 +261,7 @@ class TestResultCache:
         does not read leaves the cached result valid — a cache hit, no
         backend execution."""
         counts = {"exec": 0}
-        counting(monkeypatch, "repro.core.naive.naive_eval", counts, "exec")
+        counting(monkeypatch, "repro.logic.columnar.columnar_naive_eval", counts, "exec")
         db = Database({"R": [(1, 2), (2, 3)], "S": [(2, 4)], "T": [(9,)]})
         q = db.query(JOIN, vars=("x", "y"))
         first = q.evaluate()

@@ -50,8 +50,8 @@ class TestAutoRouting:
 
 class TestForcedModes:
     def test_forced_naive_notes_divergence(self, d0, forall_exists_query):
-        plan = make_plan(forall_exists_query, d0, "owa", mode="naive")
-        assert plan.backend == "naive"
+        plan = make_plan(forall_exists_query, d0, "owa", mode="columnar")
+        assert plan.backend == "columnar"
         assert not plan.exact
         assert any("auto would choose 'enumeration'" in n for n in plan.notes)
 
@@ -78,7 +78,7 @@ class TestForcedModes:
         # reports the actual divergence
         d = Instance({"D": [(X, X), (X, Y)]})  # not a core
         q = Query.boolean(parse("exists v . D(v, v)"))
-        plan = make_plan(q, d, "mincwa", mode="naive")
+        plan = make_plan(q, d, "mincwa", mode="columnar")
         assert plan.instance_is_core is False
         assert any("auto would choose 'enumeration'" in n for n in plan.notes)
 

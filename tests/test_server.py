@@ -118,6 +118,23 @@ class TestQueryServiceOps:
         for leak in ("object has no attribute", "unhashable type"):
             assert leak not in response["error"]
 
+    @pytest.mark.parametrize("op", ["query", "explain", "batch"])
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("vars", [1, 2], "'vars' must be a list of variable names"),
+            ("vars", [["x"], "y"], "'vars' must be a list of variable names"),
+            ("semantics", [], "unknown semantics []; choose from"),
+        ],
+        ids=["int-vars", "nested-vars", "list-semantics"],
+    )
+    def test_non_string_query_fields_get_typed_errors(self, service, op, field, value, error):
+        spec = {"query": "R(x, y)", field: value}
+        request = {"op": "batch", "queries": [spec]} if op == "batch" else {"op": op, **spec}
+        response = service.handle(request)
+        assert response["ok"] is False
+        assert response["error"].startswith(error)
+
     def test_bad_json_line(self, service):
         response = json.loads(service.handle_line("{nope"))
         assert response["ok"] is False and "bad JSON" in response["error"]

@@ -364,11 +364,11 @@ class TestBackendSelection:
         text = "exists x, y . D(x, y) & D(y, x)"
         answers = {
             mode: db.evaluate(text, mode=mode).answers
-            for mode in ("naive", "enumeration", "ctable")
+            for mode in ("columnar", "enumeration", "ctable")
         }
         assert answers["enumeration"] == answers["ctable"]
         # this query is sound under CWA, so naive agrees as well
-        assert answers["naive"] == answers["enumeration"]
+        assert answers["columnar"] == answers["enumeration"]
 
     def test_ctable_agrees_with_enumeration_on_kary(self, intro_db, join_query):
         db = Database(intro_db, semantics="cwa")
@@ -382,7 +382,7 @@ class TestBackendSelection:
 
     def test_legacy_wrapper_accepts_all_backends(self, d0):
         q = Query.boolean(parse("exists x, y . D(x, y) & D(y, x)"))
-        for mode in ("naive", "enumeration", "ctable"):
+        for mode in ("columnar", "enumeration", "ctable"):
             result = evaluate(q, d0, semantics="cwa", mode=mode)
             assert result.method == mode
             assert result.holds
@@ -403,7 +403,7 @@ class TestAgainstReference:
 
     def test_naive_backend_is_naive_eval(self, intro_db, join_query):
         db = Database(intro_db, semantics="owa")
-        assert db.evaluate(join_query, mode="naive").answers == naive_eval(
+        assert db.evaluate(join_query, mode="columnar").answers == naive_eval(
             join_query, intro_db
         )
 

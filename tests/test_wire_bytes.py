@@ -104,7 +104,8 @@ class TestWireBytes:
         served = 0
         for _ in range(fuzz_trials(60)):
             text, head, inst = random_case(rng)
-            for mode in ("auto", "compiled"):
+            # naive-interp answers come back decoded: the other render path
+            for mode in ("auto", "naive-interp"):
                 service = QueryService(Database(inst))
                 miss = service.handle_line(query_line(text, head, mode))
                 if not json.loads(miss)["ok"]:
