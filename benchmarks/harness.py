@@ -16,7 +16,7 @@ Run with::
     python benchmarks/harness.py --json BENCH.json   # also dump numbers
 
 ``--json`` writes the measured numbers (figure-1 row timings, the
-naive-vs-oracle table, and the compiled-vs-interpreted engine
+naive-vs-oracle table, and the columnar-vs-interpreted engine
 comparison) to a machine-readable file so CI can track the performance
 trajectory PR over PR.
 """
@@ -52,7 +52,6 @@ from repro.data.values import Null
 from repro.homs.core import core, is_core
 from repro.homs.minimal import is_d_minimal
 from repro.logic.columnar import columnar_naive_eval
-from repro.logic.compile import compiled_query
 from repro.logic.generate import random_sentence
 from repro.logic.parser import parse
 from repro.logic.queries import Query
@@ -353,19 +352,14 @@ def _interp_naive(query: Query, instance: Instance) -> frozenset:
     return drop_null_tuples(query.eval_raw(instance))
 
 
-def _compiled_naive(query: Query, instance: Instance) -> frozenset:
-    """Naive evaluation by the compiled DAG's row executor."""
-    return drop_null_tuples(compiled_query(query).answers(instance))
-
-
 def engine_comparison(quick: bool) -> list[dict]:
-    """PR 2's headline numbers: set-at-a-time compilation vs tree walking."""
-    heading("ENGINE — compiled set-at-a-time vs tuple-at-a-time interpreter")
+    """PR 2's headline numbers: set-at-a-time plans vs tree walking."""
+    heading("ENGINE — set-at-a-time columnar plans vs tuple-at-a-time interpreter")
     join = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
     rows: list[dict] = []
 
     print("naive evaluation of the join query (best of 3):")
-    print(f"{'n_facts':>8} {'adom':>6} {'interp':>12} {'compiled':>12} {'speedup':>9}")
+    print(f"{'n_facts':>8} {'adom':>6} {'interp':>12} {'columnar':>12} {'speedup':>9}")
     rule()
     sizes = (8, 16, 32) if quick else (8, 16, 32, 64, 128)
     for n_facts in sizes:
@@ -376,18 +370,20 @@ def engine_comparison(quick: bool) -> list[dict]:
         )
         reps = 1 if n_facts > 32 else 3
         interp_t = min(_timed(lambda: _interp_naive(join, instance)) for _ in range(reps))
-        compiled_t = min(_timed(lambda: _compiled_naive(join, instance)) for _ in range(3))
-        assert _interp_naive(join, instance) == _compiled_naive(join, instance)
+        columnar_t = min(
+            _timed(lambda: columnar_naive_eval(join, instance).decode()) for _ in range(3)
+        )
+        assert _interp_naive(join, instance) == columnar_naive_eval(join, instance).decode()
         print(
             f"{n_facts:>8} {len(instance.adom()):>6} {interp_t * 1e3:>10.2f}ms "
-            f"{compiled_t * 1e3:>10.3f}ms {interp_t / max(compiled_t, 1e-9):>8.0f}x"
+            f"{columnar_t * 1e3:>10.3f}ms {interp_t / max(columnar_t, 1e-9):>8.0f}x"
         )
         rows.append(
             {
                 "workload": "naive_join",
                 "n_facts": n_facts,
                 "interp_ms": round(interp_t * 1e3, 4),
-                "compiled_ms": round(compiled_t * 1e3, 4),
+                "columnar_ms": round(columnar_t * 1e3, 4),
             }
         )
 
@@ -437,26 +433,23 @@ def engine_comparison(quick: bool) -> list[dict]:
 # ----------------------------------------------------------------------
 
 def columnar(quick: bool) -> list[dict]:
-    """PR 10's headline numbers: array kernels vs the compiled engine.
+    """PR 10's workloads: the array kernels on null join keys.
 
     The workload the columnar engine exists for: join keys are marked
-    nulls (an anonymised fact table), so the compiled engine pays a
-    Python-level ``Null.__hash__`` per probe and per materialised
+    nulls (an anonymised fact table), so tuples of cell objects would pay
+    a Python-level ``Null.__hash__`` per probe and per materialised
     intermediate row, while the columnar engine runs int codes through
     sort-merge/``unique`` kernels and drops null answer rows by parity
     before decoding anything.
     """
-    from repro.logic import kernels
-
-    heading("COLUMNAR — dictionary-encoded kernels vs compiled cell tuples")
+    heading("COLUMNAR — dictionary-encoded kernels on null join keys")
     rows: list[dict] = []
 
     print("many-to-many join, null join keys, projected output (best of 3):")
-    print(f"{'n_rows':>8} {'nulls':>6} {'compiled':>12} {'columnar':>12} {'speedup':>9}")
+    print(f"{'n_rows':>8} {'nulls':>6} {'columnar':>12}")
     rule()
     join = Query(parse("exists y (R(x, z) & S(z, y))"), ("x", "z"))
     sizes = (512, 2048) if quick else (512, 2048, 8192)
-    headline = 0.0
     for n in sizes:
         rng = random.Random(7)
         nulls = [Null(f"k{i}") for i in range(max(8, n // 64))]
@@ -464,30 +457,20 @@ def columnar(quick: bool) -> list[dict]:
             "R": [(rng.randint(0, n), rng.choice(nulls)) for _ in range(n)],
             "S": [(rng.choice(nulls), rng.randint(0, n)) for _ in range(n)],
         })
-        compiled_t = min(_timed(lambda: _compiled_naive(join, instance)) for _ in range(3))
         columnar_t = min(
             _timed(lambda: columnar_naive_eval(join, instance)) for _ in range(3)
         )
-        assert columnar_naive_eval(join, instance) == _compiled_naive(join, instance)
-        headline = compiled_t / max(columnar_t, 1e-9)
-        print(
-            f"{n:>8} {len(nulls):>6} {compiled_t * 1e3:>10.2f}ms "
-            f"{columnar_t * 1e3:>10.3f}ms {headline:>8.1f}x"
-        )
+        print(f"{n:>8} {len(nulls):>6} {columnar_t * 1e3:>10.3f}ms")
         rows.append(
             {
                 "workload": "columnar_join",
                 "n_rows": n,
-                "compiled_ms": round(compiled_t * 1e3, 4),
                 "columnar_ms": round(columnar_t * 1e3, 4),
             }
         )
-    if not quick and kernels.numpy_enabled():
-        # the PR's acceptance bar, enforced in-run like the serving one
-        assert headline >= 5.0, f"columnar speedup {headline:.1f}x < 5x"
 
     print("\nsemi-join probe (null keys, small output, best of 3):")
-    print(f"{'n_rows':>8} {'answers':>8} {'compiled':>12} {'columnar':>12} {'speedup':>9}")
+    print(f"{'n_rows':>8} {'answers':>8} {'columnar':>12}")
     rule()
     probe = Query(parse("exists z (R(x, z) & S(z))"), ("x",))
     for n in ((16384,) if quick else (16384, 65536)):
@@ -497,21 +480,15 @@ def columnar(quick: bool) -> list[dict]:
             "R": [(rng.randint(0, n * 4), nulls[rng.randint(0, n - 1)]) for _ in range(n)],
             "S": [(nulls[rng.randint(0, n - 1)],) for _ in range(n // 64)],
         })
-        compiled_t = min(_timed(lambda: _compiled_naive(probe, instance)) for _ in range(3))
         columnar_t = min(
             _timed(lambda: columnar_naive_eval(probe, instance)) for _ in range(3)
         )
         answers = columnar_naive_eval(probe, instance)
-        assert answers == _compiled_naive(probe, instance)
-        print(
-            f"{n:>8} {len(answers):>8} {compiled_t * 1e3:>10.2f}ms "
-            f"{columnar_t * 1e3:>10.3f}ms {compiled_t / max(columnar_t, 1e-9):>8.1f}x"
-        )
+        print(f"{n:>8} {len(answers):>8} {columnar_t * 1e3:>10.3f}ms")
         rows.append(
             {
                 "workload": "columnar_semi_join",
                 "n_rows": n,
-                "compiled_ms": round(compiled_t * 1e3, 4),
                 "columnar_ms": round(columnar_t * 1e3, 4),
             }
         )
@@ -522,73 +499,16 @@ def columnar(quick: bool) -> list[dict]:
 # PR 3: parallel/pruned oracle and the CSP homomorphism engine
 # ----------------------------------------------------------------------
 
-def _pr2_certain_cwa(query: Query, instance: Instance) -> frozenset:
-    """PR 2's oracle loop, replicated as the 'before' column: orbit-canonical
-    valuations over *all* nulls, shared static indexes, running-intersection
-    early exit — but no plan-relevance restriction, no seed worlds, no
-    residual probing, no sharding."""
-    from repro.core.certain import _canonical_valuations, _pool_parts, query_schema
-    from repro.data.indexes import TableContext
-    from repro.data.values import Null, sort_key
-
-    base, fresh = _pool_parts(instance, query)
-    pool = base + fresh
-    cq = compiled_query(query)
-    known = instance.constants() | set(query.constants())
-    fresh_tail = tuple(v for v in pool if v not in known)
-    nulls = sorted(instance.nulls(), key=sort_key)
-    fresh_set = frozenset(fresh_tail)
-    base_choices = [v for v in pool if v not in fresh_set]
-    null_index = {n: i for i, n in enumerate(nulls)}
-    static, templates, base_constants = {}, {}, set()
-    for name in instance.relations:
-        rows = instance.tuples(name)
-        if any(isinstance(v, Null) for row in rows for v in row):
-            templates[name] = [
-                tuple((True, null_index[v]) if isinstance(v, Null) else (False, v) for v in row)
-                for row in rows
-            ]
-            base_constants.update(v for row in rows for v in row if not isinstance(v, Null))
-        else:
-            static[name] = rows
-            for row in rows:
-                base_constants.update(row)
-    base_ctx = TableContext(static) if static else None
-    base_adom = frozenset(base_constants)
-    dyn_names = sorted(templates)
-    seen, result = set(), None
-    for vals in _canonical_valuations(len(nulls), base_choices, fresh_tail):
-        rels = {
-            name: frozenset(
-                tuple(vals[p] if is_null else p for is_null, p in spec) for spec in specs
-            )
-            for name, specs in templates.items()
-        }
-        key = tuple(rels[name] for name in dyn_names)
-        if key in seen:
-            continue
-        seen.add(key)
-        ctx = TableContext(rels, adom=base_adom | frozenset(vals), base=base_ctx)
-        rows = cq.answers(ctx)
-        result = rows if result is None else result & rows
-        if not result:
-            break
-    result = result if result is not None else frozenset()
-    if result and fresh_set:
-        result = frozenset(row for row in result if fresh_set.isdisjoint(row))
-    return result
-
-
 def oracle_parallel(quick: bool) -> list[dict]:
-    """PR 3's oracle numbers: plan-relevant pruning + residual probing,
-    against the PR 2 incremental enumerator.  (The section keeps its
-    name so its rows stay matched against earlier baselines.)"""
-    heading("ORACLE — pruned world enumeration vs PR 2 incremental")
+    """PR 3's oracle numbers: plan-relevant pruning + residual probing.
+    (The section keeps its name so its rows stay matched against earlier
+    baselines.)"""
+    heading("ORACLE — pruned world enumeration")
     from repro.core import certain_answers
 
     join = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
     sem = get_semantics("cwa")
-    print(f"{'n_facts':>8} {'nulls':>6} {'pr2':>12} {'serial':>12} {'speedup':>9}")
+    print(f"{'n_facts':>8} {'nulls':>6} {'serial':>12} {'mode':>9}")
     rule()
     rows: list[dict] = []
     cases = ((8, 4), (10, 5)) if quick else ((6, 3), (8, 4), (10, 5), (12, 6))
@@ -601,23 +521,17 @@ def oracle_parallel(quick: bool) -> list[dict]:
             )
             if len(instance.nulls()) == n_nulls:
                 break
-        assert _pr2_certain_cwa(join, instance) == certain_answers(join, instance, sem)
-        pr2_t = min(_timed(lambda: _pr2_certain_cwa(join, instance)) for _ in range(3))
         stats: dict = {}
         serial_t = min(
             _timed(lambda: certain_answers(join, instance, sem, stats_out=stats))
             for _ in range(3)
         )
-        print(
-            f"{n_facts:>8} {n_nulls:>6} {pr2_t * 1e3:>10.1f}ms {serial_t * 1e3:>10.1f}ms "
-            f"{pr2_t / max(serial_t, 1e-9):>8.1f}x"
-        )
+        print(f"{n_facts:>8} {n_nulls:>6} {serial_t * 1e3:>10.1f}ms {str(stats.get('mode')):>9}")
         rows.append(
             {
                 "workload": "oracle_cwa_pr3",
                 "n_facts": n_facts,
                 "n_nulls": n_nulls,
-                "pr2_ms": round(pr2_t * 1e3, 4),
                 "serial_ms": round(serial_t * 1e3, 4),
                 "oracle_mode": stats.get("mode"),
             }

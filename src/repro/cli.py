@@ -162,12 +162,16 @@ def _cmd_explain(args) -> int:
             operators = colq.describe()
             if order:
                 operators += "\njoin order: " + " ⋈ ".join(order)
-        elif plan.backend == "enumeration" and get_semantics(plan.semantics).substitution_only:
-            from repro.logic.columnar import ColumnarQuery
-            from repro.logic.compile import compiled_query
+        elif plan.backend == "enumeration":
+            from repro.logic.columnar import columnar_query
 
-            lower = ColumnarQuery(compiled_query(query)).describe_lower()
-            operators = "lower bound (used when the pool has a fresh value per null):\n" + lower
+            colq = columnar_query(query)
+            operators = "world plan (run on every enumerated world):\n" + colq.describe()
+            if get_semantics(plan.semantics).substitution_only:
+                operators += (
+                    "\nlower bound (used when the pool has a fresh value per null):\n"
+                    + colq.describe_lower()
+                )
         else:
             operators = f"(backend {plan.backend!r} does not run the columnar engine)"
     if args.as_json:

@@ -22,13 +22,17 @@ This is exactly the direction needed to validate Figure 1 empirically.
 
 Execution is **incremental**.  The query is compiled once per batch
 (:func:`repro.logic.compile.compiled_query`, memoised on the query
-value) and the same set-at-a-time plan is re-executed across all worlds.
-For substitution-only semantics (CWA) the oracle never materialises an
-:class:`~repro.data.instance.Instance` per world; instead it
+value) and the same set-at-a-time plan is re-executed across all worlds
+by the columnar executor (:mod:`repro.logic.columnar`), intersecting
+encoded rows.  For substitution-only semantics (CWA) the oracle never
+materialises an :class:`~repro.data.instance.Instance` per world;
+instead it
 
-* substitutes pool values into the null positions of pre-split row
-  templates over lightweight :class:`~repro.data.indexes.TableContext`
-  layers that share the hash indexes of the null-free relations,
+* substitutes the codes of pool values into the null slots (odd codes)
+  of the instance's encoded rows, each world a
+  :meth:`~repro.data.dictionary.ColumnarContext.layer` over the
+  instance's columnar context, whose null-free relations — and their
+  indexes — every world shares,
 * enumerates only one valuation per orbit of the interchangeable
   fresh-constant tail (restricted-growth canonical form),
 * restricts enumeration to the *plan-relevant* nulls — those occurring
@@ -51,10 +55,9 @@ Under CWA the enumeration is **bracketed** first:
 ``lower ⊆ certain ⊆ upper``.
 
 * ``lower`` is the null-free part of the plan's Guagliardo–Libkin lower
-  bound (:attr:`~repro.logic.compile.CompiledQuery.lower_plan`, run by
-  the columnar executor on the instance itself, with negation as a
-  null-unifying anti-join).  Its rows hold in every world, so they are
-  answered directly.
+  bound (:attr:`~repro.logic.compile.CompiledQuery.lower_plan`, run on
+  the instance itself, with negation as a null-unifying anti-join).
+  Its rows hold in every world, so they are answered directly.
 * ``upper`` is the null-free naive answer set.  It is the answer of the
   all-fresh world, which is one of the enumerated worlds whenever the
   pool's fresh tail has a value per relevant null; otherwise the
@@ -70,7 +73,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from repro.data.indexes import TableContext
+from repro.data.dictionary import (
+    ColumnarContext,
+    Dictionary,
+    EncodedRelation,
+    columnar_context,
+)
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import Null, sort_key
@@ -199,7 +207,7 @@ _RESIDUAL_MAX = 8
 
 
 @lru_cache(maxsize=8192)
-def _residual_query(formula, answer_vars, row) -> CompiledQuery | None:
+def _residual_query(formula, answer_vars, row) -> ColumnarQuery | None:
     """``φ(ā)`` compiled as a Boolean probe, or ``None`` when unusable.
 
     Substituting the answer constants turns the output join into an
@@ -210,23 +218,24 @@ def _residual_query(formula, answer_vars, row) -> CompiledQuery | None:
     context and the full world.
     """
     cq = CompiledQuery(substitute(formula, dict(zip(answer_vars, row))), ())
-    return None if cq.adom_dependent else cq
+    return None if cq.adom_dependent else ColumnarQuery(cq)
 
 
 class WorldSpec:
     """The payload of one incremental world enumeration.
 
     Everything the oracle needs to enumerate and evaluate the valuation
-    space: the compiled plan, the pre-split row templates of the
-    null-carrying relations the plan reads, the shared null-free
-    relations, and the orbit structure (base choices vs fresh tail).
+    space: the plan, the instance's columnar context (the parent of
+    every world), the code-space row templates of the null-carrying
+    relations the plan reads, and the orbit structure (base choices vs
+    fresh tail).  Every intersection runs on encoded rows.
     """
 
     __slots__ = (
-        "cq",
+        "plan",
+        "parent",
         "templates",
-        "dyn_names",
-        "static",
+        "slot_codes",
         "base_adom",
         "read_base_cells",
         "n_slots",
@@ -235,26 +244,26 @@ class WorldSpec:
         "fresh_tail",
     )
 
-    def __init__(self, cq, templates, dyn_names, static, base_adom,
-                 read_base_cells, n_slots, base_choices, collapse_order, fresh_tail):
-        self.cq = cq
+    def __init__(self, plan, parent, templates, slot_codes, base_adom,
+                 read_base_cells, base_choices, collapse_order, fresh_tail):
+        self.plan = plan
+        self.parent = parent
+        #: ``{name: (arity, encoded rows)}``; an odd code is a null slot
         self.templates = templates
-        self.dyn_names = dyn_names
-        self.static = static
+        #: the null code of each valuation slot
+        self.slot_codes = slot_codes
+        #: the codes every world's domain holds beside the valuation image
         self.base_adom = base_adom
         #: cells of the plan-read relations that every world shares
         #: (static rows + template constants) — the valuation image is
         #: the only world-varying part of the read cells
         self.read_base_cells = read_base_cells
-        self.n_slots = n_slots
+        self.n_slots = len(slot_codes)
         self.base_choices = base_choices
         #: ``base_choices`` in the order the total-collapse seed worlds
         #: try them (see :meth:`seed_valuations`)
         self.collapse_order = collapse_order
         self.fresh_tail = fresh_tail
-
-    def base_context(self) -> TableContext | None:
-        return TableContext(self.static) if self.static else None
 
     def seed_valuations(self) -> Iterator[tuple[Hashable, ...]]:
         """Extreme worlds whose evaluation tends to kill the intersection.
@@ -279,6 +288,41 @@ class WorldSpec:
         for c in self.collapse_order:
             yield (c,) * n
 
+    def worlds(
+        self, valuations: Iterable[tuple[Hashable, ...]], seen: set
+    ) -> Iterator[tuple[tuple[Hashable, ...], ColumnarContext]]:
+        """``(valuation, world context)`` per valuation with a new world.
+
+        A world is a layer over the instance's context holding the
+        substituted template relations; ``seen`` (world content keys)
+        skips a world an earlier valuation already built.  Valuations
+        are encoded through the instance's dictionary, which so gains at
+        most the pool's values.
+        """
+        encode = self.parent.dictionary.encode
+        templates, slot_codes, base_adom = self.templates, self.slot_codes, self.base_adom
+        for vals in valuations:
+            image = dict(zip(slot_codes, map(encode, vals)))
+            rels = {
+                name: frozenset(tuple(image[c] if c & 1 else c for c in row) for row in rows)
+                for name, (_, rows) in templates.items()
+            }
+            key = tuple(rels.values())
+            if key in seen:
+                continue
+            seen.add(key)
+            # every relevant null occurs in some template row, so the
+            # world's query-visible domain is the static/constant part
+            # plus the valuation's image
+            yield vals, ColumnarContext.layer(
+                self.parent,
+                {
+                    name: EncodedRelation.from_codes(templates[name][0], rows)
+                    for name, rows in rels.items()
+                },
+                base_adom | frozenset(image.values()),
+            )
+
     def _residual_candidates(self, running: frozenset):
         """Per-candidate Boolean probes, or ``None`` when ineligible.
 
@@ -288,25 +332,27 @@ class WorldSpec:
         ``(row, probe, needed)`` where ``needed`` lists the row's values
         that only a valuation image can put among the read cells.
         """
-        if self.cq.adom_dependent or not self.cq.answer_vars:
+        plan = self.plan
+        if plan.adom_dependent or not plan.answer_vars:
             return None
         if not running or len(running) > _RESIDUAL_MAX:
             return None
+        decode = self.parent.dictionary.decode_row
         out = []
-        for row in running:
-            probe = _residual_query(self.cq.formula, self.cq.answer_vars, row)
+        for codes in running:
+            row = decode(codes)
+            probe = _residual_query(plan.formula, plan.answer_vars, row)
             if probe is None:
                 return None
             needed = tuple(v for v in set(row) if v not in self.read_base_cells)
-            out.append((row, probe, needed))
+            out.append((codes, probe, needed))
         return out
 
     def _verify(
         self,
         candidates: list,
         valuations: Iterable[tuple[Hashable, ...]],
-        base_ctx: TableContext | None,
-        seen: set | None = None,
+        seen: set,
     ) -> tuple[frozenset, int, bool]:
         """Drop candidates falsified by some world (the residual fast path).
 
@@ -314,27 +360,10 @@ class WorldSpec:
         value of ``row`` is among the world's read cells — which differ
         from :attr:`read_base_cells` only by the valuation's image.
         """
-        templates, dyn_names = self.templates, self.dyn_names
-        base_adom = self.base_adom
-        if seen is None:
-            seen = set()
         alive = list(candidates)
         worlds = 0
-        for vals in valuations:
-            rels = {
-                name: frozenset(
-                    tuple(vals[payload] if is_null else payload
-                          for is_null, payload in spec)
-                    for spec in specs
-                )
-                for name, specs in templates.items()
-            }
-            key = tuple(rels[name] for name in dyn_names)
-            if key in seen:
-                continue
-            seen.add(key)
+        for vals, world in self.worlds(valuations, seen):
             worlds += 1
-            ctx = TableContext(rels, adom=base_adom | frozenset(vals), base=base_ctx)
             vset: set | None = None
             survivors = []
             for row, probe, needed in alive:
@@ -343,7 +372,7 @@ class WorldSpec:
                         vset = set(vals)
                     if not all(v in vset for v in needed):
                         continue
-                if probe.answers(ctx):
+                if probe.raw_codes(world):
                     survivors.append((row, probe, needed))
             alive = survivors
             if not alive:
@@ -353,11 +382,10 @@ class WorldSpec:
     def run(
         self,
         valuations: Iterable[tuple[Hashable, ...]],
-        running: frozenset | None = None,
-        base_ctx: TableContext | None = None,
-        seen: set | None = None,
+        running: frozenset | None,
+        seen: set,
     ) -> tuple[frozenset | None, int, bool]:
-        """``running ∩ ⋂ Q(v(D))`` over ``valuations``.
+        """``running ∩ ⋂ Q(v(D))`` over ``valuations``, on encoded rows.
 
         Returns ``(intersection, worlds_evaluated, stopped_early)``;
         the intersection is ``None`` only when it never started (no
@@ -371,39 +399,17 @@ class WorldSpec:
         set mutated by the seed-world run makes the main sweep skip the
         seeds instead of re-evaluating them.
         """
-        if base_ctx is None:
-            base_ctx = self.base_context()
         if running is not None:
             candidates = self._residual_candidates(running)
             if candidates is not None:
-                return self._verify(candidates, valuations, base_ctx, seen)
-        templates, dyn_names = self.templates, self.dyn_names
-        base_adom, cq = self.base_adom, self.cq
-        if seen is None:
-            seen = set()
+                return self._verify(candidates, valuations, seen)
         result = running
         worlds = 0
-        for vals in valuations:
-            rels = {
-                name: frozenset(
-                    tuple(vals[payload] if is_null else payload
-                          for is_null, payload in spec)
-                    for spec in specs
-                )
-                for name, specs in templates.items()
-            }
-            key = tuple(rels[name] for name in dyn_names)
-            if key in seen:
-                continue
-            seen.add(key)
-            # every relevant null occurs in some template row, so the
-            # world's query-visible domain is the static/constant part
-            # plus the valuation's image
-            ctx = TableContext(rels, adom=base_adom | frozenset(vals), base=base_ctx)
-            rows = cq.answers(ctx)
+        for _, world in self.worlds(valuations, seen):
+            rows = self.plan.raw_codes(world)
             worlds += 1
             result = rows if result is None else result & rows
-            if result is not None and not result:
+            if not result:
                 return result, worlds, True
         return result, worlds, False
 
@@ -462,23 +468,18 @@ def _build_spec(
         fresh_tail, fresh_set = (), frozenset()
         base_choices = list(pool)
 
-    null_index = {n: i for i, n in enumerate(relevant)}
-    # per relation: rows as ((is_null, payload), ...) — payload is the
-    # null's valuation slot when is_null, the constant cell otherwise
+    parent = columnar_context(instance)
+    encode = parent.dictionary.encode
+    # templates are the instance's own encoded rows: every odd code in
+    # them is a relevant null, i.e. a valuation slot
+    templates = {}
+    for name in sorted(template_names):
+        rel = parent.encoded(name)
+        templates[name] = (rel.arity, rel.row_tuples())
     base_constants: set[Hashable] = set()
     read_cells: set[Hashable] = set()
     # per constant, the number of plan-read relations holding it
     held_by: dict[Hashable, int] = {}
-    templates: dict[str, list[tuple[tuple[bool, object], ...]]] = {
-        name: [
-            tuple(
-                (True, null_index[v]) if isinstance(v, Null) else (False, v)
-                for v in row
-            )
-            for row in null_rows[name]
-        ]
-        for name in template_names
-    }
     for name in template_names:
         cells = {
             v for row in null_rows[name] for v in row if not isinstance(v, Null)
@@ -496,13 +497,12 @@ def _build_spec(
                 held_by[v] = held_by.get(v, 0) + 1
 
     spec = WorldSpec(
-        cq=cq,
+        plan=ColumnarQuery(cq),
+        parent=parent,
         templates=templates,
-        dyn_names=tuple(sorted(templates)),
-        static=static,
-        base_adom=frozenset(base_constants),
+        slot_codes=tuple(map(encode, relevant)),
+        base_adom=frozenset(map(encode, base_constants)),
         read_base_cells=frozenset(read_cells),
-        n_slots=len(relevant),
         base_choices=tuple(base_choices),
         # a stable sort: ties keep the pool order
         collapse_order=tuple(sorted(base_choices, key=lambda v: -held_by.get(v, 0))),
@@ -527,11 +527,11 @@ def _certain_by_valuations(
 ) -> frozenset[tuple[Hashable, ...]]:
     """``⋂ Q(v(D))`` over valuations, without building an Instance per world.
 
-    The relations are split once: null-free relations live in a shared
-    base context (their hash indexes are built at most once for the
-    whole enumeration); null-carrying relations are pre-compiled into
-    row templates and substituted per valuation.  ``fresh_tail`` lists
-    the interchangeable pool values — those mentioned by neither the
+    Each world is a layer over the instance's columnar context: the
+    null-free relations (and their indexes) are the instance's own,
+    the null-carrying relations the plan reads are substituted per
+    valuation from code-space templates.  ``fresh_tail`` lists the
+    interchangeable pool values — those mentioned by neither the
     instance nor the query (empty = enumerate the full product).
     """
     spec, fresh_set, info = _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
@@ -539,15 +539,16 @@ def _certain_by_valuations(
     if stats_out is not None:
         stats_out.update(info)
 
-    result: frozenset | None
+    codes: frozenset | None
     if len(spec.fresh_tail) >= spec.n_slots:
-        result = _bracketed(spec, instance, stats_out)
+        codes = _bracketed(spec, stats_out)
     else:
-        result = _enumerated(spec, stats_out)
-        if result is None:
+        codes = _enumerated(spec, stats_out)
+        if codes is None:
             raise RuntimeError(
                 f"[[D]] came out empty over the pool — {semantics!r} violated totality"
             )
+    result = frozenset(map(spec.parent.dictionary.decode_row, codes))
     if result and fresh_set:
         # a certain answer never mentions a fresh constant (some world's
         # active domain avoids it); dropping such rows here replays what
@@ -556,8 +557,8 @@ def _certain_by_valuations(
     return result
 
 
-def _bracketed(spec: WorldSpec, instance: Instance, stats_out: dict | None) -> frozenset:
-    """``lower ∪ (the gap rows that survive every world)``.
+def _bracketed(spec: WorldSpec, stats_out: dict | None) -> frozenset:
+    """``lower ∪ (the gap rows that survive every world)``, encoded.
 
     ``lower`` (the null-free rows of the plan's lower bound) holds in
     every world; ``upper`` (the null-free naive answers) is the answer
@@ -565,9 +566,8 @@ def _bracketed(spec: WorldSpec, instance: Instance, stats_out: dict | None) -> f
     only ``upper − lower`` needs worlds: the sweep starts from the gap
     and stops once no gap row is left.
     """
-    colq = ColumnarQuery(spec.cq)
-    lower = colq.lower_answers(instance)
-    upper = colq.naive_answers(instance).decode()
+    lower = spec.plan.lower_codes(spec.parent)
+    upper = spec.plan.naive_codes(spec.parent)
     gap = upper - lower
     survivors: frozenset = frozenset()
     worlds = 0
@@ -581,7 +581,7 @@ def _bracketed(spec: WorldSpec, instance: Instance, stats_out: dict | None) -> f
 
 
 def _enumerated(spec: WorldSpec, stats_out: dict | None) -> frozenset | None:
-    """``⋂ Q(v(D))`` over every world."""
+    """``⋂ Q(v(D))`` over every world, encoded."""
     result, seed_worlds, worlds, in_seeds = _sweep(spec, None)
     if stats_out is not None:
         stats_out.update(
@@ -600,15 +600,13 @@ def _sweep(
     do not, the sweep restarts from their intersection (so it can switch
     to residual probing) and skips them through the shared ``seen``.
     """
-    base_ctx = spec.base_context()
     seen: set[tuple] = set()
-    result, seed_worlds, stopped = spec.run(spec.seed_valuations(), running, base_ctx, seen)
+    result, seed_worlds, stopped = spec.run(spec.seed_valuations(), running, seen)
     if stopped:
         return result, seed_worlds, seed_worlds, True
     result, worlds, _ = spec.run(
         _canonical_valuations(spec.n_slots, spec.base_choices, spec.fresh_tail),
         result,
-        base_ctx,
         seen,
     )
     return result, seed_worlds, seed_worlds + worlds, False
@@ -655,12 +653,15 @@ def certain_answers(
             cq, instance, semantics, list(pool), fresh_tail, limit, stats_out=stats_out
         )
     schema = instance.schema().union(query_schema(query))
-    result: frozenset[tuple[Hashable, ...]] | None = None
+    # the worlds share one dictionary, so they intersect on encoded rows
+    dictionary = Dictionary()
+    plan = ColumnarQuery(cq)
+    result: frozenset[tuple[int, ...]] | None = None
     worlds = 0
     for complete in semantics.expand(
         instance, list(pool), schema=schema, extra_facts=extra_facts, limit=limit
     ):
-        rows = cq.answers(complete)
+        rows = plan.raw_codes(ColumnarContext(complete, dictionary))
         worlds += 1
         result = rows if result is None else result & rows
         if not result:
@@ -671,7 +672,7 @@ def certain_answers(
         raise RuntimeError(
             f"[[D]] came out empty over the pool — {semantics!r} violated totality"
         )
-    return result
+    return frozenset(map(dictionary.decode_row, result))
 
 
 def certain_holds(

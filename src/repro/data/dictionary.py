@@ -1,10 +1,10 @@
 """Dictionary encoding: cells interned to ints, relations as columns.
 
-The compiled evaluator pushes Python tuples of *cell objects* through
-its hash joins.  That is correct but slow for exactly the data this
-repo cares about: :class:`~repro.data.values.Null` hashes through a
-Python-level ``__hash__`` that builds a tuple per call, and mixed
-constant/null tuples hash cell-by-cell through the generic protocol.
+Pushing Python tuples of *cell objects* through hash joins is correct
+but slow for exactly the data this repo cares about:
+:class:`~repro.data.values.Null` hashes through a Python-level
+``__hash__`` that builds a tuple per call, and mixed constant/null
+tuples hash cell-by-cell through the generic protocol.
 
 A :class:`Dictionary` interns every cell — constants and nulls alike —
 into a small integer *code*.  Codes are append-only and stable: once a
@@ -200,7 +200,7 @@ class EncodedRelation:
     __slots__ = (
         "arity",
         "n_rows",
-        "columns",
+        "_columns",
         "_rows",
         "_row_set",
         "_indexes",
@@ -214,7 +214,7 @@ class EncodedRelation:
     def __init__(self, arity: int, columns: tuple[array, ...]):
         self.arity = arity
         self.n_rows = len(columns[0]) if columns else 0
-        self.columns = columns
+        self._columns: tuple[array, ...] | None = columns
         self._rows: list[tuple[int, ...]] | None = None
         self._row_set: frozenset[tuple[int, ...]] | None = None
         self._indexes: dict[tuple[int, ...], dict] = {}
@@ -236,6 +236,26 @@ class EncodedRelation:
             array("q", [encode(row[j]) for row in rows]) for j in range(arity)
         )
         return cls(arity, cols)
+
+    @classmethod
+    def from_codes(cls, arity: int, rows: frozenset[tuple[int, ...]]) -> "EncodedRelation":
+        """A relation over already-encoded rows (an oracle world's).
+
+        Its columns are built on first use: a world whose plan only
+        scans the relation never needs them.
+        """
+        rel = cls(arity, ())
+        rel.n_rows = len(rows)
+        rel._columns = None
+        rel._row_set = rows
+        return rel
+
+    @property
+    def columns(self) -> tuple[array, ...]:
+        """The rows column-wise, one ``array('q')`` of codes per position."""
+        if self._columns is None:
+            self._columns = tuple(array("q", col) for col in zip(*self._row_set))
+        return self._columns
 
     # ------------------------------------------------------------------
     # row views
@@ -320,26 +340,53 @@ class EncodedRelation:
 class ColumnarContext:
     """The columnar execution substrate of one :class:`Instance`.
 
-    Mirrors :class:`~repro.data.indexes.TableContext` for the encoded
-    world: relations are encoded **lazily, one relation at a time** on
-    first access, so binding a context to an instance is O(1) and a
-    query only pays for the relations it scans.  Cached on the instance
-    (``instance._cols``), which is sound for the same reason the row
-    context is: instances are immutable, mutation swaps the instance.
+    Relations are encoded **lazily, one relation at a time** on first
+    access, so binding a context to an instance is O(1) and a query only
+    pays for the relations it scans.  Cached on the instance
+    (``instance._cols``), which is sound because instances are
+    immutable: mutation swaps the instance.
+
+    :meth:`layer` builds a context over a parent instead: an oracle world
+    or a datalog round holds its own encoded relations and domain, and
+    every other relation — with the indexes and sort runs it has
+    accumulated — comes from the parent.
     """
 
-    __slots__ = ("dictionary", "_instance", "_encoded", "_adom_codes")
+    __slots__ = ("dictionary", "_instance", "_encoded", "_adom_codes", "_parent")
 
     def __init__(self, instance: Instance, dictionary: Dictionary):
         self.dictionary = dictionary
         self._instance = instance
         self._encoded: dict[str, EncodedRelation] = {}
         self._adom_codes: frozenset[int] | None = None
+        self._parent: ColumnarContext | None = None
+
+    @classmethod
+    def layer(
+        cls,
+        parent: "ColumnarContext",
+        encoded: dict[str, EncodedRelation],
+        adom_codes: frozenset[int],
+    ) -> "ColumnarContext":
+        """``encoded`` and the domain ``adom_codes`` over ``parent``.
+
+        The layer shares the parent's dictionary; a relation it does not
+        hold is the parent's.
+        """
+        ctx = cls.__new__(cls)
+        ctx.dictionary = parent.dictionary
+        ctx._instance = None
+        ctx._encoded = encoded
+        ctx._adom_codes = adom_codes
+        ctx._parent = parent
+        return ctx
 
     def encoded(self, name: str) -> EncodedRelation | None:
         """The encoded relation, built on first access (``None`` if absent)."""
         rel = self._encoded.get(name)
         if rel is None:
+            if self._parent is not None:
+                return self._parent.encoded(name)
             rows = self._instance._relations.get(name)
             if rows is None:
                 return None
@@ -379,6 +426,8 @@ class ColumnarContext:
         return tuple(sorted(parts))
 
     def __repr__(self) -> str:
+        if self._parent is not None:
+            return f"ColumnarContext(layer of {len(self._encoded)} relations over {self._parent!r})"
         return (
             f"ColumnarContext({len(self._encoded)}/{len(self._instance._relations)} "
             f"relations encoded; {self.dictionary!r})"

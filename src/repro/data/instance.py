@@ -38,7 +38,7 @@ class Instance:
     False
     """
 
-    __slots__ = ("_relations", "_hash", "_adom", "_sorted_adom", "_ctx", "_cols")
+    __slots__ = ("_relations", "_hash", "_adom", "_sorted_adom", "_indexes", "_cols")
 
     def __init__(self, relations: Mapping[str, Iterable[tuple]] | None = None):
         rels: dict[str, frozenset[tuple]] = {}
@@ -62,7 +62,7 @@ class Instance:
         # "mutation" builds a new Instance with fresh (empty) caches.
         self._adom: frozenset[Hashable] | None = None
         self._sorted_adom: tuple[Hashable, ...] | None = None
-        self._ctx = None  # execution context (repro.data.indexes)
+        self._indexes = None  # hash indexes (see index())
         self._cols = None  # columnar context (repro.data.dictionary)
 
     # ------------------------------------------------------------------
@@ -94,6 +94,22 @@ class Instance:
     def tuples(self, name: str) -> frozenset[tuple]:
         """The set of tuples in relation ``name`` (empty set if absent)."""
         return self._relations.get(name, frozenset())
+
+    def index(self, name: str, positions: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+        """Hash index ``{key: [rows]}`` of ``name`` keyed on ``positions``.
+
+        Built on first probe and memoised on the instance; the
+        homomorphism search and the datalog reference matcher probe it.
+        """
+        if self._indexes is None:
+            self._indexes = {}
+        idx = self._indexes.get((name, positions))
+        if idx is None:
+            idx = {}
+            for row in self._relations.get(name, ()):
+                idx.setdefault(tuple(row[i] for i in positions), []).append(row)
+            self._indexes[(name, positions)] = idx
+        return idx
 
     def arity(self, name: str) -> int:
         """Arity of relation ``name``; raises if the relation is empty/absent."""
@@ -300,7 +316,7 @@ class Instance:
         out._relations = rels
         out._hash = None
         out._sorted_adom = None
-        out._ctx = None
+        out._indexes = None
         out._cols = None
         if self._adom is not None and not any(rem for _add, rem in changes.values()):
             # insert-only delta: the active domain only grows, so it can

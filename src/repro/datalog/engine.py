@@ -8,14 +8,18 @@ validated in the tests against the brute-force oracle).
 
 Rule bodies are matched **set-at-a-time**: each body (with the delta
 atom of semi-naive evaluation renamed to a shadow relation) is compiled
-once into the hash-join plan of :mod:`repro.logic.compile` and executed
-against a per-round :class:`~repro.data.indexes.TableContext`, so every
-rule of the round shares the hash indexes it probes.  The
-tuple-at-a-time matcher (:func:`_match_atom` / :func:`_apply_rule_interp`)
-is retained as the differential baseline; it, too, probes the
-per-relation hash index on the positions its binding determines instead
-of scanning every tuple.  Atoms whose declared arity disagrees with the
-stored relation match nothing in either engine.
+once into the hash-join plan of :mod:`repro.logic.compile` and run by
+the columnar executor (:mod:`repro.logic.columnar`) on one context per
+round — a :meth:`~repro.data.dictionary.ColumnarContext.layer` holding
+the round's relations and ``Δ`` shadows over the EDB's context, which
+serves the EDB relations no rule derives into — so every rule of the
+round shares the indexes it probes.  The tuple-at-a-time matcher
+(:func:`_match_atom` / :func:`_apply_rule_interp`) is retained as the
+differential baseline; it probes the instance's memoised hash index
+(:meth:`~repro.data.instance.Instance.index`) on the positions its
+binding determines instead of scanning every tuple.  Atoms whose
+declared arity disagrees with the stored relation match nothing in
+either engine.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Hashable, Iterator
 
-from repro.data.indexes import TableContext
+from repro.data.dictionary import ColumnarContext, EncodedRelation, columnar_context
 from repro.data.instance import Instance
 from repro.data.values import Null
 from repro.datalog.program import Atom, Program, Rule
 from repro.logic.ast import And, Exists, RelAtom, Var
-from repro.logic.compile import CompiledQuery, compile_formula
+from repro.logic.columnar import ColumnarQuery
+from repro.logic.compile import compile_formula
 
 __all__ = ["evaluate_program", "datalog_naive_answers", "datalog_certain_answers"]
 
@@ -39,37 +44,31 @@ _DELTA = "Δ∂·"
 
 def _match_atom(
     atom: Atom,
-    facts: frozenset[tuple],
+    source: Instance,
     binding: dict[Var, Hashable],
-    ctx: TableContext | None = None,
-    name: str | None = None,
 ) -> Iterator[dict[Var, Hashable]]:
-    """Extensions of ``binding`` matching ``atom`` against ``facts``.
+    """Extensions of ``binding`` matching ``atom`` against ``source``.
 
-    When a context is supplied, the candidate rows are narrowed by
-    probing its hash index on the positions the binding already
-    determines (constants and bound variables) instead of scanning the
-    whole relation.
+    The candidate rows are narrowed by probing the instance's hash index
+    on the positions the binding already determines (constants and
+    bound variables) instead of scanning the whole relation.
     """
-    if ctx is not None:
-        stored = ctx.rows(name or atom.name)
-        # probe only when the stored arity matches the atom's — an index
-        # keyed on positions a shorter row lacks cannot even be built
-        if stored and len(next(iter(stored))) == len(atom.terms):
-            bound_positions: list[int] = []
-            bound_key: list[Hashable] = []
-            for i, term in enumerate(atom.terms):
-                if isinstance(term, Var):
-                    if term in binding:
-                        bound_positions.append(i)
-                        bound_key.append(binding[term])
-                else:
+    facts = source.tuples(atom.name)
+    # probe only when the stored arity matches the atom's — an index
+    # keyed on positions a shorter row lacks cannot even be built
+    if facts and len(next(iter(facts))) == len(atom.terms):
+        bound_positions: list[int] = []
+        bound_key: list[Hashable] = []
+        for i, term in enumerate(atom.terms):
+            if isinstance(term, Var):
+                if term in binding:
                     bound_positions.append(i)
-                    bound_key.append(term)
-            if bound_positions:
-                facts = ctx.index(name or atom.name, tuple(bound_positions)).get(
-                    tuple(bound_key), ()
-                )
+                    bound_key.append(binding[term])
+            else:
+                bound_positions.append(i)
+                bound_key.append(term)
+        if bound_positions:
+            facts = source.index(atom.name, tuple(bound_positions)).get(tuple(bound_key), ())
     for row in facts:
         if len(row) != len(atom.terms):
             continue
@@ -93,7 +92,7 @@ def _match_atom(
 @lru_cache(maxsize=4096)
 def _rule_plan(
     rule: Rule, delta_position: int
-) -> tuple[CompiledQuery, tuple[tuple[bool, object], ...]]:
+) -> tuple[ColumnarQuery, tuple[tuple[bool, object], ...]]:
     """``(plan, head spec)`` for one rule body as a compiled join.
 
     ``delta_position`` names the body atom redirected to the shadow
@@ -114,7 +113,7 @@ def _rule_plan(
     inner = tuple(sorted(bound - set(head_vars), key=lambda v: v.name))
     if inner:
         body = Exists(inner, body)
-    plan = compile_formula(body, tuple(head_vars))
+    plan = ColumnarQuery(compile_formula(body, tuple(head_vars)))
     head_spec = tuple(
         (True, head_vars.index(term)) if isinstance(term, Var) else (False, term)
         for term in rule.head.terms
@@ -125,35 +124,37 @@ def _rule_plan(
 def _round_context(
     total: Instance,
     delta: Instance | None,
-    base: TableContext | None = None,
-    base_names: frozenset[str] = frozenset(),
-) -> TableContext:
+    static: ColumnarContext | None = None,
+    static_names: frozenset[str] = frozenset(),
+) -> ColumnarContext:
     """One execution context per fixpoint round, shared by every rule.
 
-    Holds the full ``total`` relations plus shadow ``Δ`` copies of the
-    delta, so all (rule, delta-position) plans of the round probe the
-    same lazily built hash indexes.  ``base`` layers a persistent
-    context underneath: relations in ``base_names`` (EDB relations no
-    rule ever derives into, identical in every round) are served — rows
-    and hash indexes — by the base, so their indexes are built once per
-    fixpoint instead of once per round.
+    A layer holding the ``total`` relations plus shadow ``Δ`` copies of
+    the delta, so all (rule, delta-position) plans of the round probe
+    the same lazily built indexes.  Relations in ``static_names`` (EDB
+    relations no rule ever derives into, identical in every round) are
+    served — rows and indexes — by ``static``, the EDB's context, so
+    they are encoded once per fixpoint instead of once per round.
+    Without ``static`` the round layers over ``total``'s own context.
     """
-    rels: dict[str, frozenset[tuple]] = {
-        name: total.tuples(name)
+    if static is None:
+        static, static_names = columnar_context(total), frozenset(total.relations)
+    dictionary = static.dictionary
+    rels = {
+        name: EncodedRelation.from_rows(total.tuples(name), dictionary)
         for name in total.relations
-        if name not in base_names
+        if name not in static_names
     }
     if delta is not None:
         for name in delta.relations:
-            rels[_DELTA + name] = delta.tuples(name)
-    return TableContext(rels, adom=total.adom(), base=base)
+            rels[_DELTA + name] = EncodedRelation.from_rows(delta.tuples(name), dictionary)
+    return ColumnarContext.layer(static, rels, frozenset(map(dictionary.encode, total.adom())))
 
 
 def _apply_rule_interp(
     rule: Rule,
     total: Instance,
     delta: Instance | None,
-    ctx: TableContext | None = None,
 ) -> set[tuple[str, tuple]]:
     """Tuple-at-a-time fallback matcher (index-probing, but row-by-row)."""
     derived: set[tuple[str, tuple]] = set()
@@ -162,12 +163,10 @@ def _apply_rule_interp(
         bindings: list[dict[Var, Hashable]] = [{}]
         dead = False
         for index, atom in enumerate(rule.body):
-            is_delta = delta is not None and index == delta_position
-            source = delta.tuples(atom.name) if is_delta else total.tuples(atom.name)
-            name = (_DELTA + atom.name) if is_delta else atom.name
+            source = delta if delta is not None and index == delta_position else total
             next_bindings: list[dict[Var, Hashable]] = []
             for binding in bindings:
-                next_bindings.extend(_match_atom(atom, source, binding, ctx, name))
+                next_bindings.extend(_match_atom(atom, source, binding))
             bindings = next_bindings
             if not bindings:
                 dead = True
@@ -186,24 +185,25 @@ def _apply_rule(
     rule: Rule,
     total: Instance,
     delta: Instance | None,
-    ctx: TableContext | None = None,
+    ctx: ColumnarContext | None = None,
 ) -> set[tuple[str, tuple]]:
     """Join the rule body against ``total`` via the compiled join plan.
 
     Semi-naive mode: when ``delta`` is given, at least one body atom
     must match a delta fact (classic differential evaluation); joins
     still read the full ``total`` for the remaining atoms.  ``ctx`` lets
-    the fixpoint driver share one per-round context (and its hash
-    indexes) across all rules; omitted, a private one is built.
+    the fixpoint driver share one per-round context (and its indexes)
+    across all rules; omitted, a private one is built.
     """
     if ctx is None:
         ctx = _round_context(total, delta)
+    decode = ctx.dictionary.decode_row
     derived: set[tuple[str, tuple]] = set()
     positions = range(len(rule.body)) if delta is not None else [-1]
     head_name = rule.head.name
     for delta_position in positions:
         plan, head_spec = _rule_plan(rule, delta_position)
-        for answer in plan.answers(ctx):
+        for answer in map(decode, plan.raw_codes(ctx)):
             derived.add(
                 (
                     head_name,
@@ -229,14 +229,10 @@ def evaluate_program(program: Program, edb: Instance, semi_naive: bool = True) -
     total = edb
     delta = edb
     # relations no rule head derives into never change across rounds:
-    # pin them (and their lazily built hash indexes) in a base context
-    # layered under every round's context
+    # the EDB's context serves them (and their lazily built indexes)
+    # under every round's layer
     static_names = frozenset(edb.relations) - program.idb
-    static_ctx = (
-        TableContext({name: edb.tuples(name) for name in static_names})
-        if static_names
-        else None
-    )
+    static_ctx = columnar_context(edb)
     while True:
         ctx = _round_context(
             total, delta if semi_naive else None, static_ctx, static_names

@@ -7,7 +7,7 @@ constraint-satisfaction problem it is:
 
 * **candidate tables** — each source fact gets the list of target
   tuples it can map onto *in isolation*, probed from the target's
-  per-relation hash indexes (:mod:`repro.data.indexes`): constant
+  memoised hash indexes (:meth:`~repro.data.instance.Instance.index`): constant
   positions key the probe under ``fix_constants``, repeated-value
   patterns filter, complete-image mode drops null-carrying candidates.
   Tables are memoised per ``(source, target, flags)`` value — instances
@@ -36,7 +36,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Hashable, Iterator, Mapping
 
-from repro.data.indexes import context_for
 from repro.data.instance import Instance
 from repro.data.values import Null, sort_key
 
@@ -63,7 +62,6 @@ def candidate_tables(
     hash indexes so constant-rich facts cost one bucket lookup, not a
     relation scan.  Memoised on the instance values.
     """
-    ctx = context_for(target)
     out = []
     for name, row in source.facts():
         first_pos: dict[Hashable, int] = {}
@@ -80,7 +78,7 @@ def candidate_tables(
                 first_pos[value] = i
         rows = target.tuples(name)
         if rows and const_positions:
-            rows = ctx.index(name, tuple(const_positions)).get(tuple(const_key), ())
+            rows = target.index(name, tuple(const_positions)).get(tuple(const_key), ())
         cands = [
             cand
             for cand in rows
@@ -171,7 +169,6 @@ def iter_homomorphisms_csp(
     #: assignment is in the current list iff it is in the initial table,
     #: so index-probed buckets can be filtered against these
     cand_sets = [frozenset(c) for _, c in table]
-    ctx = context_for(target)
     if initial:
         for i, (name, row) in enumerate(facts):
             cands[i] = [c for c in cands[i] if _consistent(row, c, initial)]
@@ -251,7 +248,7 @@ def iter_homomorphisms_csp(
                         )
                         if bound_pos:
                             key = tuple(assignment[g_row[i]] for i in bound_pos)
-                            bucket = ctx.index(g_name, bound_pos).get(key, ())
+                            bucket = target.index(g_name, bound_pos).get(key, ())
                             if len(bucket) < len(current):
                                 members = cand_sets[g]
                                 filtered = [

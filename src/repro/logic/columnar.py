@@ -1,9 +1,12 @@
-"""Columnar execution of compiled plans over dictionary-encoded columns.
+"""The plan executor: compiled plans over dictionary-encoded columns.
 
-This module is the third engine: it reuses the operator DAG built by
-:mod:`repro.logic.compile` (one compiler, no plan drift) but executes it
-over the int-encoded columns of :mod:`repro.data.dictionary` instead of
-tuples of cell objects.  Every operator has a columnar twin:
+This module is the only code that executes a plan.  It runs the
+operator DAG built by :mod:`repro.logic.compile` over the int-encoded
+columns of :mod:`repro.data.dictionary` — on naive evaluation's
+instance, on the certain-answer lower bound, on every world and
+residual probe of the certain-answer oracle (layered contexts, see
+:meth:`~repro.data.dictionary.ColumnarContext.layer`) and on every
+datalog round.  Every operator has a columnar kernel:
 
 ===================  ==================================================
 compiled operator    columnar kernel
@@ -31,10 +34,10 @@ adom complement      ``col-adom-complement`` over the encoded domain
 Intermediate results are frozensets of ``tuple[int, ...]`` — hashing and
 equality run at C speed on small ints instead of through the
 Python-level ``Null.__hash__``.  :meth:`ColumnarQuery.answers` decodes
-back to cell tuples and is **bit-for-bit equal** to
-:meth:`~repro.logic.compile.CompiledQuery.answers` on every formula and
-instance (the differential suite in ``tests/test_columnar.py`` pins
-this against both the compiled engine and the tree-walking interpreter).
+back to cell tuples and is **bit-for-bit equal** to the tree-walking
+interpreter (:func:`repro.logic.eval.answers`) on every formula and
+instance (the differential suites in ``tests/test_compile.py`` and
+``tests/test_columnar.py`` pin this).
 :meth:`ColumnarQuery.naive_answers` decodes nothing: it drops null rows
 by code parity and returns an encoded
 :class:`~repro.data.answers.AnswerSet`.
@@ -115,7 +118,8 @@ def _scan(node, cctx, memo):
     rel = cctx.encoded(node.name)
     if rel is None or rel.arity != node.arity:
         # absent relation, or stored under a different arity — the atom
-        # matches nothing (mirrors the compiled scan's guard)
+        # matches nothing (the interpreter's membership test never
+        # succeeds either)
         return _EMPTY
     if node.is_plain:
         return rel.row_set()
@@ -339,6 +343,13 @@ _HANDLERS = {
 }
 
 
+def _null_free(rows: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    null_codes = {c for c in itertools.chain.from_iterable(rows) if c & 1}
+    if null_codes:
+        rows = frozenset(row for row in rows if null_codes.isdisjoint(row))
+    return rows
+
+
 # ----------------------------------------------------------------------
 # EXPLAIN: kernel names and join order
 # ----------------------------------------------------------------------
@@ -376,7 +387,7 @@ class ColumnarQuery:
     Wraps a :class:`~repro.logic.compile.CompiledQuery` (possibly a
     stats-specialised one) and evaluates its DAG over encoded columns.
     ``answers`` decodes back to cell tuples and is bit-for-bit equal to
-    the compiled engine's.
+    the interpreter's.
     """
 
     __slots__ = ("cq",)
@@ -406,38 +417,37 @@ class ColumnarQuery:
         return _eval(self.cq._root, cctx, {})
 
     def answers(self, source) -> frozenset[tuple[Hashable, ...]]:
-        """Decoded answers — bit-for-bit equal to the compiled engine."""
+        """Decoded answers — bit-for-bit equal to the interpreter's."""
         cctx = as_columnar_context(source)
         decode = cctx.dictionary.decode_row
         return frozenset(map(decode, _eval(self.cq._root, cctx, {})))
 
-    def naive_answers(self, source) -> AnswerSet:
-        """The null-free answers, still encoded (naive evaluation's step two).
+    def naive_codes(self, source) -> frozenset[tuple[int, ...]]:
+        """The null-free encoded answer rows (naive evaluation's step two).
 
         Null rows are dropped by code parity — odd codes are nulls — so
-        no row is decoded; the set decodes or renders on demand.
+        no row is decoded.
+        """
+        return _null_free(_eval(self.cq._root, as_columnar_context(source), {}))
+
+    def naive_answers(self, source) -> AnswerSet:
+        """:meth:`naive_codes` as an encoded :class:`AnswerSet`.
+
+        The set decodes or renders on demand.
         """
         cctx = as_columnar_context(source)
-        rows = _eval(self.cq._root, cctx, {})
-        null_codes = {c for c in itertools.chain.from_iterable(rows) if c & 1}
-        if null_codes:
-            rows = [row for row in rows if null_codes.isdisjoint(row)]
-        return AnswerSet.encoded(rows, len(self.answer_vars), cctx.dictionary)
+        return AnswerSet.encoded(self.naive_codes(cctx), len(self.answer_vars), cctx.dictionary)
 
-    def lower_answers(self, source) -> frozenset[tuple[Hashable, ...]]:
+    def lower_codes(self, source) -> frozenset[tuple[int, ...]]:
         """The certain-answer lower bound: null-free rows of the ⁺ plan.
 
-        Every row is an answer in every world of ``source`` (see
-        :attr:`~repro.logic.compile.CompiledQuery.lower_plan`).
+        Every row, decoded, is an answer in every world of ``source``
+        (see :attr:`~repro.logic.compile.CompiledQuery.lower_plan`).
         """
         root = self.cq.lower_plan
         if root is None:
-            return frozenset()
-        cctx = as_columnar_context(source)
-        decode = cctx.dictionary.decode_row
-        return frozenset(
-            decode(row) for row in _eval(root, cctx, {}) if not any(c & 1 for c in row)
-        )
+            return _EMPTY
+        return _null_free(_eval(root, as_columnar_context(source), {}))
 
     def describe(self) -> str:
         """EXPLAIN-style rendering naming the chosen columnar kernels."""
@@ -462,8 +472,8 @@ class ColumnarQuery:
 def columnar_query(query, source=None) -> ColumnarQuery:
     """The columnar compilation of a :class:`~repro.logic.queries.Query`.
 
-    Without a ``source`` this shares the memoised stats-free compilation
-    with the compiled engine (identical DAG, columnar kernels).  With a
+    Without a ``source`` this is the memoised stats-free compilation
+    (the plan the oracle's worlds run).  With a
     ``source`` the instance's bucketed row counts drive the compiler's
     join ordering; the specialised plan is memoised per (query, stats
     bucket), so re-planning across small mutations is free.

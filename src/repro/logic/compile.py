@@ -6,15 +6,14 @@ and the right *baseline* for the paper's polynomial-data-complexity
 claim, but with constants that hide it: a join ``∃z (R(x,z) ∧ R(z,y))``
 costs ``O(|adom|² · |R|)`` regardless of join selectivity.
 
-This module translates formulas **bottom-up into relational-algebra
-operators** in the classic set-at-a-time discipline:
+This module translates formulas **bottom-up into a DAG of
+relational-algebra operators** in the classic set-at-a-time discipline:
 
-* relational atoms become index-assisted scans;
+* relational atoms become scans (constant positions probe an index);
 * conjunctions become chains of **hash joins** on the shared variables,
   degenerating to **semi-joins** when the right side contributes no new
-  columns (the ``∃``-heavy case) and probing the per-instance hash
-  indexes of :mod:`repro.data.indexes` when the right side is a plain
-  scan;
+  columns (the ``∃``-heavy case) and probing the scanned relation's
+  index when the right side is a plain scan;
 * negated conjuncts whose variables are already bound become
   **anti-joins**;
 * universal quantifiers compile through the dual ``∀x̄ φ ≡ ¬∃x̄ ¬φ``, so
@@ -22,29 +21,29 @@ operators** in the classic set-at-a-time discipline:
 * only *genuinely unsafe* subtrees (a bare ``¬R(x,y)``, a disjunct that
   does not bind a variable) fall back to the **active-domain
   complement/extension** — exactly the semantics the interpreter
-  implements, so the compiled evaluator is **equivalent on every
-  formula**, not just the safe fragment.
+  implements, so a compiled plan is **equivalent on every formula**,
+  not just the safe fragment.
 
-Every operator maintains the invariant that its output rows range over
-the active domain of the execution context, which makes the compiled
-result bit-for-bit equal to :func:`repro.logic.eval.answers` (the
-differential property suite in ``tests/test_compile.py`` asserts this
+Every operator's output rows range over the active domain of the
+execution context, which makes a plan's result bit-for-bit equal to
+:func:`repro.logic.eval.answers` (the differential suites in
+``tests/test_compile.py`` and ``tests/test_columnar.py`` assert this
 over random instances and queries in all fragments).
 
-Compilation is instance-independent: a :class:`CompiledQuery` is built
-once (``compiled_query`` memoises per :class:`~repro.logic.queries.Query`)
-and executed against any :class:`~repro.data.instance.Instance` or raw
-:class:`~repro.data.indexes.TableContext` — the certain-answer oracle
-re-executes one compiled plan across thousands of pool-valuation worlds.
+This module only builds plans, their certain-answer lower bound
+(:attr:`CompiledQuery.lower_plan`) and their EXPLAIN labels; the one
+executor is :mod:`repro.logic.columnar`.  Compilation is
+instance-independent: a :class:`CompiledQuery` is built once
+(``compiled_query`` memoises per :class:`~repro.logic.queries.Query`)
+and runs on naive evaluation's instance, on every world of the
+certain-answer oracle and on every datalog round.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
-from repro.data.indexes import TableContext, as_context
 from repro.logic.ast import (
     And,
     EqAtom,
@@ -63,10 +62,6 @@ from repro.logic.transform import free_vars, nnf
 
 __all__ = ["CompiledQuery", "compile_formula", "compiled_query", "clear_compile_cache"]
 
-_EMPTY: frozenset[tuple] = frozenset()
-_UNIT: frozenset[tuple] = frozenset([()])
-
-
 # ----------------------------------------------------------------------
 # operator nodes
 # ----------------------------------------------------------------------
@@ -74,9 +69,9 @@ _UNIT: frozenset[tuple] = frozenset([()])
 class Node:
     """One relational operator; ``columns`` names its output schema.
 
-    Invariant: ``evaluate`` returns a frozenset of tuples aligned with
-    ``columns`` whose values all lie in the context's active domain.
-    Results are memoised per run so shared subplans (hash-consed by
+    Invariant: its result is a set of rows aligned with ``columns``
+    whose values all lie in the context's active domain.  The executor
+    memoises results per run, so shared subplans (hash-consed by
     subformula) execute once per world.
     """
 
@@ -84,15 +79,6 @@ class Node:
 
     def __init__(self, columns: Iterable[Var]):
         self.columns: tuple[Var, ...] = tuple(columns)
-
-    def evaluate(self, ctx: TableContext, memo: dict) -> frozenset[tuple]:
-        key = id(self)
-        if key not in memo:
-            memo[key] = self._run(ctx, memo)
-        return memo[key]
-
-    def _run(self, ctx: TableContext, memo: dict) -> frozenset[tuple]:
-        raise NotImplementedError
 
     def label(self) -> str:
         return type(self).__name__
@@ -117,9 +103,6 @@ class ConstNode(Node):
     def __init__(self, truth: bool):
         super().__init__(())
         self.truth = truth
-
-    def _run(self, ctx, memo):
-        return _UNIT if self.truth else _EMPTY
 
     def label(self):
         return "true" if self.truth else "false"
@@ -166,25 +149,6 @@ class ScanNode(Node):
         self._var_positions = tuple(seen.values())
         self.is_plain = not const_positions and not eq_checks
 
-    def _run(self, ctx, memo):
-        rows = ctx.rows(self.name)
-        if not rows or len(next(iter(rows))) != self.arity:
-            # absent relation, or one stored under a different arity: the
-            # atom matches nothing (the interpreter's tuple-membership
-            # test likewise never succeeds), and probing would build an
-            # index over rows the key positions may not even reach
-            return _EMPTY
-        if self._const_positions:
-            rows = ctx.index(self.name, self._const_positions).get(self._const_key, ())
-        if self.is_plain:
-            return frozenset(rows)
-        eq, keep = self._eq_checks, self._var_positions
-        out = set()
-        for row in rows:
-            if all(row[i] == row[j] for i, j in eq):
-                out.add(tuple(row[p] for p in keep))
-        return frozenset(out)
-
     def label(self):
         if self.is_plain:
             sel = ""
@@ -201,9 +165,6 @@ class DomainNode(Node):
     def __init__(self, var: Var):
         super().__init__((var,))
 
-    def _run(self, ctx, memo):
-        return frozenset((a,) for a in ctx.adom())
-
     def label(self):
         return "adom"
 
@@ -215,9 +176,6 @@ class DiagonalNode(Node):
 
     def __init__(self, left: Var, right: Var):
         super().__init__((left, right))
-
-    def _run(self, ctx, memo):
-        return frozenset((a, a) for a in ctx.adom())
 
     def label(self):
         return "adom-diagonal"
@@ -232,9 +190,6 @@ class SingletonNode(Node):
         super().__init__((var,))
         self.value = value
 
-    def _run(self, ctx, memo):
-        return frozenset([(self.value,)]) if self.value in ctx.adom() else _EMPTY
-
     def label(self):
         return f"singleton {self.value!r}"
 
@@ -247,11 +202,6 @@ class DomainGuardNode(Node):
     def __init__(self, child: Node):
         super().__init__(child.columns)
         self.child = child
-
-    def _run(self, ctx, memo):
-        if not ctx.adom():
-            return _EMPTY
-        return self.child.evaluate(ctx, memo)
 
     def label(self):
         return "adom-guard"
@@ -286,61 +236,6 @@ class JoinNode(Node):
             isinstance(right, ScanNode) and right.is_plain and bool(shared)
         )
 
-    def _run(self, ctx, memo):
-        left_rows = self.left.evaluate(ctx, memo)
-        if not left_rows:
-            return _EMPTY
-        lk, rk, extra = self._l_key, self._r_key, self._r_extra
-
-        if self._probe:
-            stored = ctx.rows(self.right.name)
-            if not stored or len(next(iter(stored))) != self.right.arity:
-                return _EMPTY  # same arity guard as the scan itself
-            idx = ctx.index(self.right.name, rk)
-            if not extra:  # semi-join straight off the index
-                return frozenset(
-                    lr for lr in left_rows if tuple(lr[i] for i in lk) in idx
-                )
-            out = set()
-            for lr in left_rows:
-                bucket = idx.get(tuple(lr[i] for i in lk))
-                if bucket:
-                    for row in bucket:
-                        out.add(lr + tuple(row[i] for i in extra))
-            return frozenset(out)
-
-        right_rows = self.right.evaluate(ctx, memo)
-        if not right_rows:
-            return _EMPTY
-        if not extra:  # semi-join on materialised keys
-            keys = {tuple(r[i] for i in rk) for r in right_rows}
-            return frozenset(
-                lr for lr in left_rows if tuple(lr[i] for i in lk) in keys
-            )
-        out = set()
-        if len(right_rows) <= len(left_rows):
-            table: dict[tuple, list[tuple]] = {}
-            for r in right_rows:
-                table.setdefault(tuple(r[i] for i in rk), []).append(
-                    tuple(r[i] for i in extra)
-                )
-            for lr in left_rows:
-                bucket = table.get(tuple(lr[i] for i in lk))
-                if bucket:
-                    for tail in bucket:
-                        out.add(lr + tail)
-        else:
-            ltable: dict[tuple, list[tuple]] = {}
-            for lr in left_rows:
-                ltable.setdefault(tuple(lr[i] for i in lk), []).append(lr)
-            for r in right_rows:
-                bucket = ltable.get(tuple(r[i] for i in rk))
-                if bucket:
-                    tail = tuple(r[i] for i in extra)
-                    for lr in bucket:
-                        out.add(lr + tail)
-        return frozenset(out)
-
     def label(self):
         if not self._r_extra:
             kind = "semi-join"
@@ -369,19 +264,6 @@ class AntiJoinNode(Node):
         self.left, self.right = left, right
         self._l_key = tuple(left.columns.index(c) for c in right.columns)
 
-    def _run(self, ctx, memo):
-        left_rows = self.left.evaluate(ctx, memo)
-        if not left_rows:
-            return _EMPTY
-        right_rows = self.right.evaluate(ctx, memo)
-        if not right_rows:
-            return left_rows
-        lk = self._l_key
-        # the right side's full rows are the probe keys
-        return frozenset(
-            lr for lr in left_rows if tuple(lr[i] for i in lk) not in right_rows
-        )
-
     def label(self):
         return "anti-join"
 
@@ -395,8 +277,7 @@ class UnifyAntiJoinNode(Node):
     The negation step of the certain-answer lower bound
     (:attr:`CompiledQuery.lower_plan`): a null unifies with anything, so
     a row survives only if no valuation can make it match ``right``.
-    Columnar only (:func:`repro.logic.kernels.unify_anti_join`); the
-    tuple-at-a-time executor never runs a lower-bound plan.
+    Runs through :func:`repro.logic.kernels.unify_anti_join`.
     """
 
     __slots__ = ("left", "right", "_l_key")
@@ -429,16 +310,6 @@ class FilterNode(Node):
         self._col_eqs = tuple(col_eqs)
         self._const_eqs = tuple(const_eqs)
 
-    def _run(self, ctx, memo):
-        rows = self.child.evaluate(ctx, memo)
-        ce, ke = self._col_eqs, self._const_eqs
-        return frozenset(
-            row
-            for row in rows
-            if all(row[i] == row[j] for i, j in ce)
-            and all(row[i] == v for i, v in ke)
-        )
-
     def label(self):
         return f"select ({len(self._col_eqs) + len(self._const_eqs)} eqs)"
 
@@ -455,11 +326,6 @@ class ProjectNode(Node):
         super().__init__(columns)
         self.child = child
         self._indices = tuple(child.columns.index(c) for c in self.columns)
-
-    def _run(self, ctx, memo):
-        rows = self.child.evaluate(ctx, memo)
-        idx = self._indices
-        return frozenset(tuple(row[i] for i in idx) for row in rows)
 
     def label(self):
         return "project"
@@ -480,9 +346,6 @@ class UnionNode(Node):
                 raise ValueError("union needs identical column tuples")
         self.parts = tuple(parts)
 
-    def _run(self, ctx, memo):
-        return frozenset().union(*(p.evaluate(ctx, memo) for p in self.parts))
-
     def label(self):
         return f"union ({len(self.parts)})"
 
@@ -498,17 +361,6 @@ class ComplementNode(Node):
     def __init__(self, child: Node):
         super().__init__(child.columns)
         self.child = child
-
-    def _run(self, ctx, memo):
-        rows = self.child.evaluate(ctx, memo)
-        if not self.columns:
-            return _EMPTY if rows else _UNIT
-        domain = ctx.sorted_adom()
-        return frozenset(
-            row
-            for row in itertools.product(domain, repeat=len(self.columns))
-            if row not in rows
-        )
 
     def label(self):
         return f"adom-complement^{len(self.columns)}"
@@ -893,7 +745,8 @@ class CompiledQuery:
 
     Equivalent to :func:`repro.logic.eval.answers` /
     :func:`~repro.logic.eval.evaluate` on every formula and instance;
-    compiled once, executable against any instance or raw context.
+    compiled once, executed by :class:`repro.logic.columnar.ColumnarQuery`
+    against any instance or columnar context.
     """
 
     __slots__ = ("formula", "answer_vars", "_root", "_relations", "_adom_dependent", "_lower")
@@ -970,24 +823,6 @@ class CompiledQuery:
         if self._lower is _UNBUILT:
             self._lower = _certain(self._root, {})
         return self._lower
-
-    def answers(self, source) -> frozenset[tuple[Hashable, ...]]:
-        """``{ā ∈ adom^k : source ⊨ φ(ā)}`` — set-at-a-time.
-
-        ``source`` is an :class:`~repro.data.instance.Instance` or a
-        :class:`~repro.data.indexes.TableContext`.  Boolean formulas
-        yield ``{()}`` / ``frozenset()``.
-        """
-        ctx = as_context(source)
-        return self._root.evaluate(ctx, {})
-
-    def holds(self, source) -> bool:
-        """Truth of a Boolean (sentence) compilation."""
-        if not self.is_boolean:
-            raise ValueError(
-                f"compiled query has arity {len(self.answer_vars)}; use answers()"
-            )
-        return bool(self.answers(source))
 
     def describe(self) -> str:
         """EXPLAIN-style rendering of the operator tree."""

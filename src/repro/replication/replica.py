@@ -167,7 +167,7 @@ class ReplicaTailer:
         if self._thread is not None:
             raise RuntimeError("tailer already started")
         self._thread = threading.Thread(
-            target=self._run, name=f"repro-tailer-{self.primary_address}", daemon=True
+            target=self._tail_loop, name=f"repro-tailer-{self.primary_address}", daemon=True
         )
         self._thread.start()
         return self
@@ -198,7 +198,7 @@ class ReplicaTailer:
     # the tail loop
     # ------------------------------------------------------------------
 
-    def _run(self) -> None:
+    def _tail_loop(self) -> None:
         delay = self.backoff_base
         while not self._stop.is_set():
             progressed = False

@@ -143,7 +143,7 @@ class _BatchGate:
                 batch = self._pending.pop(mode)
         if not item.done:
             try:
-                self._run(batch, mode)
+                self._run_batch(batch, mode)
             finally:
                 with self._cond:
                     self._leaders.discard(mode)
@@ -152,7 +152,7 @@ class _BatchGate:
             raise item.error
         return item.result, item.group_size
 
-    def _run(self, batch: list[_Pending], mode: str) -> None:
+    def _run_batch(self, batch: list[_Pending], mode: str) -> None:
         try:
             results = self._db.evaluate_many(
                 [item.prepared for item in batch], mode=mode

@@ -1,11 +1,11 @@
 """Shared scaffolding for the cross-engine differential test suites.
 
-One generator, many suites: ``tests/test_compile.py`` (compiled ≡
-interpreter), ``tests/test_columnar.py`` (columnar ≡ compiled ≡
-interpreter) and the nightly fuzz matrix all drive the helpers here, so
-a new engine gets the full random formula × random instance × all-
-semantics matrix by listing itself in ``engines=`` — not by growing a
-parallel copy of the generator.
+One generator, many suites: ``tests/test_compile.py`` (compiled plans
+≡ interpreter), ``tests/test_columnar.py`` (columnar kernels ≡
+interpreter), ``tests/test_certain_bracket.py`` and the nightly fuzz
+matrix all drive the helpers here, so an engine gets the full random
+formula × random instance × all-semantics matrix by listing itself in
+``engines=`` — not by growing a parallel copy of the generator.
 
 The fuzz knobs are honoured exactly as before the extraction:
 ``REPRO_FUZZ`` multiplies every trial budget, ``REPRO_FUZZ_SEED``
@@ -76,8 +76,6 @@ def engine_answers(engine: str, formula, instance, head):
     never change answers.
     """
     head = tuple(Var(v) if isinstance(v, str) else v for v in head)
-    if engine == "compiled":
-        return CompiledQuery(formula, head).answers(instance)
     if engine == "interp":
         return interp_answers(formula, instance, head)
     if engine == "columnar":
@@ -98,7 +96,7 @@ def naive_answers(engine: str, query, instance):
     return drop_null_tuples(engine_answers(engine, query.formula, instance, query.answer_vars))
 
 
-def assert_equivalent(formula, instance, head=(), engines=("compiled",)):
+def assert_equivalent(formula, instance, head=(), engines=("columnar",)):
     """Each listed engine ≡ the interpreter on ``(formula, head, instance)``."""
     want = interp_answers(formula, instance, tuple(head))
     for engine in engines:

@@ -20,7 +20,6 @@ from repro.core.backends import (
 from repro.core.plan import make_plan
 from repro.data.instance import Instance
 from repro.data.values import Null
-from repro.logic.compile import compiled_query
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
@@ -264,7 +263,7 @@ class TestAutoRoutingEligibility:
     def test_forced_compiled_and_interp_stay_available(self, sem_key, text, d0):
         """columnar (the compiled operator DAG over encoded columns) and
         naive-interp stay forceable on every matrix row, and agree with
-        the compiled DAG's row executor."""
+        the interpreter's naive evaluation."""
         q = Query.boolean(parse(text))
         columnar = make_plan(q, d0, sem_key, "columnar")
         interp = make_plan(q, d0, sem_key, "naive-interp")
@@ -273,8 +272,8 @@ class TestAutoRoutingEligibility:
         answers = {
             get_backend(name).execute(q, d0, sem) for name in ("columnar", "naive-interp")
         }
-        answers.add(drop_null_tuples(compiled_query(q).answers(d0)))
-        assert len(answers) == 1  # the three naive executors agree pointwise
+        answers.add(drop_null_tuples(q.eval_raw(d0)))
+        assert len(answers) == 1  # both naive executors agree pointwise
 
     def test_explain_notes_name_kernels_on_auto_route(self, d0):
         q = Query.boolean(parse("forall x . exists y . D(x, y)"))

@@ -28,6 +28,7 @@ from diffutil import (
 )
 
 from repro.core.certain import WorldSpec, certain_answers, default_pool
+from repro.data.dictionary import columnar_context
 from repro.data.generate import random_instance
 from repro.data.instance import Instance
 from repro.data.jsonio import instance_from_json
@@ -54,7 +55,11 @@ NEG = Query(parse("exists y (R(x, y) & !S(y))"), ("x",))
 def bounds(query, instance):
     """``(lower, upper)``: the lower bound and the null-free naive answers."""
     colq = ColumnarQuery(compiled_query(query))
-    return colq.lower_answers(instance), colq.naive_answers(instance).decode()
+    decode = columnar_context(instance).dictionary.decode_row
+    return (
+        frozenset(map(decode, colq.lower_codes(instance))),
+        colq.naive_answers(instance).decode(),
+    )
 
 
 def oracle(query, instance, **kwargs):
@@ -63,13 +68,12 @@ def oracle(query, instance, **kwargs):
 
 
 def world_reference(query, instance, pool=None):
-    """``⋂ Q(v(D))`` over the pool, one compiled run per full world."""
+    """``⋂ Q(v(D))`` over the pool, one interpreter run per full world."""
     if pool is None:
         pool = default_pool(instance, query)
-    cq = compiled_query(query)
     result = None
     for world in CWA.expand(instance, list(pool)):
-        rows = cq.answers(world)
+        rows = query.eval_raw(world)
         result = rows if result is None else result & rows
     return result
 

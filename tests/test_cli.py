@@ -273,9 +273,23 @@ class TestOracleBracket:
         assert "only the gap between them is enumerated" in out
         assert "null-unifying anti-join" in out
         assert "lower bound (used when the pool has a fresh value per null)" in out
+        assert "world plan (run on every enumerated world)" in out
         assert main(["explain", self.QUERY, db, "--semantics", "owa", "--operators"]) == 0
         out = capsys.readouterr().out
         assert "gap" not in out and "lower bound" not in out
+
+    @pytest.mark.parametrize("semantics", ["cwa", "owa", "pcwa"])
+    def test_explain_prints_the_columnar_world_plan(self, db, capsys, semantics):
+        argv = ["explain", self.QUERY, db, "--semantics", semantics, "--operators", "--json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["backend"] == "enumeration"
+        operators = data["operators"]
+        assert operators[0] == "world plan (run on every enumerated world):"
+        assert operators[1].startswith("col-project")
+        assert any("col-anti-join" in line for line in operators)
+        assert not any("does not run the columnar engine" in line for line in operators)
+        assert any("null-unifying" in line for line in operators) == (semantics == "cwa")
 
 
 class TestClusterCommands:

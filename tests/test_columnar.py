@@ -1,14 +1,14 @@
-"""Differential suite for the columnar engine: columnar ≡ compiled ≡ interp.
+"""Differential suite for the columnar engine: columnar ≡ interpreter.
 
 The columnar executor (:mod:`repro.logic.columnar` over
-:mod:`repro.data.dictionary`) reuses the compiled operator DAG but runs
-it over dictionary-encoded int columns, with sort-merge/semi-join array
+:mod:`repro.data.dictionary`), the one plan executor, runs the compiled
+operator DAG over dictionary-encoded int columns, with sort-merge/semi-join array
 kernels and stats-driven join ordering.  Every behavioural claim is
 pinned differentially here, over the same generators as
 ``tests/test_compile.py`` (shared via ``tests/diffutil.py``):
 
-* random formulas × random instances, all three engines bit-for-bit
-  (the stats-specialised plan is additionally checked against the
+* random formulas × random instances, columnar ≡ interpreter
+  bit-for-bit (the stats-specialised plan is additionally checked against the
   shared plan inside ``diffutil.engine_answers``);
 * all six semantics against the interpreted world-by-world oracle;
 * dictionary round-trips, interning stability across ``with_delta`` /
@@ -27,12 +27,13 @@ from diffutil import (
     assert_equivalent,
     fuzz_rng,
     fuzz_trials,
+    interp_answers,
     interp_certain_reference,
     naive_answers,
 )
 
 from repro.core.certain import certain_answers
-from repro.core.naive import naive_eval
+from repro.core.naive import drop_null_tuples, naive_eval
 from repro.data.dictionary import (
     Dictionary,
     EncodedRelation,
@@ -59,7 +60,7 @@ from repro.session import Database
 X, Y = Null("x"), Null("y")
 x, y, z = Var("x"), Var("y"), Var("z")
 
-ENGINES = ("compiled", "columnar")
+ENGINES = ("columnar",)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +175,7 @@ class TestColumnarContext:
 
 
 # ----------------------------------------------------------------------
-# differential property tests: columnar ≡ compiled ≡ interpreter
+# differential property tests: columnar ≡ interpreter
 # ----------------------------------------------------------------------
 
 class TestDifferentialRandom:
@@ -215,7 +216,6 @@ class TestDifferentialRandom:
             )
             q = random_kary_query(SCHEMA, rng, "EPos", arity=1, max_depth=2)
             col = naive_eval(q, inst)
-            assert col == naive_answers("compiled", q, inst)
             assert col == naive_answers("interp", q, inst)
 
     @pytest.mark.parametrize("key", ["owa", "cwa", "wcwa", "pcwa", "mincwa", "minpcwa"])
@@ -251,7 +251,7 @@ class TestDifferentialRandom:
     def test_fused_project_join_kernel(self, monkeypatch, pure):
         """Projection fused into the sort-merge kernel: a many-to-many
         join whose projection collapses the expansion must agree with
-        the compiled engine on both kernel implementations."""
+        the interpreter on both kernel implementations."""
         if pure:
             monkeypatch.setattr(kernels, "_np", None)
         elif not kernels.numpy_enabled():
@@ -265,11 +265,11 @@ class TestDifferentialRandom:
             "S": [(rng.choice(nulls), rng.randint(0, 9)) for _ in range(n)],
         })
         colq = columnar_query(q, inst)
-        assert colq.answers(inst) == compiled_query(q).answers(inst)
-        assert naive_eval(q, inst) == naive_answers("compiled", q, inst)
+        assert colq.answers(inst) == interp_answers(q.formula, inst, q.answer_vars)
+        assert naive_eval(q, inst) == naive_answers("interp", q, inst)
         # nullary projection of a non-empty join (boolean shape)
         b = Query.boolean(parse("exists x, z, y (R(x, z) & S(z, y))"))
-        assert naive_eval(b, inst) == naive_answers("compiled", b, inst)
+        assert naive_eval(b, inst) == naive_answers("interp", b, inst)
 
     @pytest.mark.skipif(not kernels.numpy_enabled(), reason="numpy unavailable")
     def test_vector_kernels_above_threshold(self):
@@ -285,8 +285,9 @@ class TestDifferentialRandom:
             inst = Instance({"R": rows_r, "S": rows_s})
             colq = columnar_query(q, inst)
             assert "sort-merge-join [vector]" in colq.describe()
-            assert colq.answers(inst) == compiled_query(q).answers(inst)
-            assert naive_eval(q, inst) == naive_answers("compiled", q, inst)
+            want = interp_answers(q.formula, inst, q.answer_vars)
+            assert colq.answers(inst) == want
+            assert naive_eval(q, inst) == drop_null_tuples(want)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +310,7 @@ class TestDictionaryEdgeCases:
         assert not Dictionary.is_null_code(const_code)
         # naive evaluation sees them apart: only the null row is dropped
         q = Query(parse("R(a, b)"), ("a", "b"))
-        assert naive_eval(q, inst) == naive_answers("compiled", q, inst) == frozenset()
+        assert naive_eval(q, inst) == naive_answers("interp", q, inst) == frozenset()
         # and a full JSON round-trip re-encodes to the same codes
         again = instance_from_json(instance_to_json(inst))
         cctx2 = columnar_context(again, dictionary=d)
@@ -373,27 +374,25 @@ class TestDictionaryEdgeCases:
         assert new._cols is None  # engines that never ran columnar pay nothing
 
     def test_encoded_rows_agree_after_index_carry_over(self):
-        """After a session mutation the row context (built lazily) and
-        the derived columnar context agree on content."""
-        from repro.data.indexes import context_for
-
+        """After a session mutation the derived columnar context agrees
+        with the new instance on content."""
         db = Database({"R": [(1, X), (2, 3)], "S": [(3,), (X,), (2,)]})
         q = db.query("exists z (R(a, z) & S(z))", vars=("a",))
         first = q.evaluate().answers
         assert first == frozenset({(1,), (2,)})
         db.insert("R", (4, 2))
         inst = db.instance
-        ctx, cctx = context_for(inst), columnar_context(inst)
+        cctx = columnar_context(inst)
         for name in ("R", "S"):
             decoded = frozenset(
                 map(cctx.dictionary.decode_row, cctx.encoded(name).row_set())
             )
-            assert decoded == ctx.rows(name) == inst.tuples(name)
+            assert decoded == inst.tuples(name)
         assert q.evaluate().answers == frozenset({(1,), (2,), (4,)})
 
     def test_mutation_differential_chain(self):
         """A random insert/delete chain: after every step, columnar ≡
-        compiled ≡ interp on a fixed query battery."""
+        interp on a fixed query battery."""
         rng = fuzz_rng(606)
         queries = [
             (parse("exists z (R(a, z) & S(z))"), (Var("a"),)),
@@ -461,7 +460,7 @@ class TestStatsParity:
         }
         inst = Instance({"R": [(1, X)], "S": [(X, 4)]})
         q = Query(parse(self.QUERY), ("a", "b"))
-        results["compiled executor"] = naive_answers("compiled", q, inst)
+        results["interpreter"] = naive_answers("interp", q, inst)
         assert len(set(results.values())) == 1, results
 
 

@@ -1,19 +1,21 @@
-"""Differential tests: the compiled set-at-a-time evaluator ≡ the interpreter.
+"""Differential tests: compiled set-at-a-time plans ≡ the interpreter.
 
-The compiled pipeline (:mod:`repro.logic.compile` executing over
-:mod:`repro.data.indexes`) must be *bit-for-bit* equivalent to the
-tree-walking evaluator (:mod:`repro.logic.eval`) on every formula — the
-safe join-shaped fragment and the unsafe subtrees that fall back to
-active-domain complements alike.  These tests assert that over random
-instances and queries from the project's own generators, then pin the
-specific operator behaviours (index probing, layering, orbit
-enumeration) the certain-answer oracle builds on.
+A plan compiled by :mod:`repro.logic.compile` and run by the one plan
+executor (:mod:`repro.logic.columnar`) must be *bit-for-bit* equivalent
+to the tree-walking evaluator (:mod:`repro.logic.eval`) on every
+formula — the safe join-shaped fragment and the unsafe subtrees that
+fall back to active-domain complements alike.  These tests assert that
+over random instances and queries from the project's own generators,
+then pin the specific behaviours (layered contexts, the oracle's
+worlds, orbit enumeration, datalog rounds) the certain-answer oracle
+and the datalog engine build on.
 """
 
 import random
 
 import pytest
 from diffutil import (
+    ARBITRARY_VARS,
     SCHEMA,
     assert_equivalent,
     fuzz_rng,
@@ -26,14 +28,15 @@ from diffutil import (
 
 from repro.core.backends import available_backends, get_backend
 from repro.core.certain import (
+    WorldSpec,
     _canonical_valuations,
     certain_answers,
     default_pool,
     query_schema,
 )
 from repro.core.naive import naive_eval
+from repro.data.dictionary import ColumnarContext, EncodedRelation, columnar_context
 from repro.data.generate import random_instance
-from repro.data.indexes import TableContext, as_context, context_for
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import Null
@@ -50,6 +53,7 @@ from repro.logic.ast import (
     TrueF,
     Var,
 )
+from repro.logic.columnar import ColumnarQuery, as_columnar_context
 from repro.logic.compile import CompiledQuery, compile_formula, compiled_query
 from repro.logic.eval import answers
 from repro.logic.generate import random_kary_query, random_sentence
@@ -94,7 +98,7 @@ class TestDifferentialRandom:
 
     def test_arbitrary_formulas_with_negation(self):
         """Unrestricted ASTs: negation, →, =, constants — the unsafe zone."""
-        from diffutil import ARBITRARY_RELS, ARBITRARY_VARS
+        from diffutil import ARBITRARY_RELS
 
         rng = fuzz_rng(20130623)
         schema = Schema(ARBITRARY_RELS)
@@ -171,7 +175,7 @@ class TestUnsafeFallbacks:
 class TestBackendsAgree:
     def test_registry_has_both_engines(self):
         assert {"columnar", "naive-interp"} <= set(available_backends())
-        # the compiled executor runs inside the oracle and datalog only
+        # the naive aliases of the removed row executor stay unknown
         assert not {"compiled", "naive"} & set(available_backends())
 
     def test_naive_eval_engines_agree_randomly(self):
@@ -181,9 +185,9 @@ class TestBackendsAgree:
                 SCHEMA, rng, n_facts=rng.randint(1, 6), constants=(1, 2, 3), n_nulls=2
             )
             q = random_kary_query(SCHEMA, rng, "EPos", arity=1, max_depth=2)
-            compiled = naive_answers("compiled", q, inst)
-            assert compiled == naive_answers("interp", q, inst)
-            assert compiled == naive_eval(q, inst)
+            columnar = naive_answers("columnar", q, inst)
+            assert columnar == naive_answers("interp", q, inst)
+            assert columnar == naive_eval(q, inst)
 
     def test_unknown_engine_rejected(self):
         q = Query(parse("R(a, b)"), ("a", "b"))
@@ -194,8 +198,8 @@ class TestBackendsAgree:
 
     @pytest.mark.parametrize("key", ["owa", "cwa", "wcwa", "pcwa", "mincwa", "minpcwa"])
     def test_certain_answers_differential_per_semantics(self, key):
-        """The oracle rebuilt on the compiled engine ≡ the interpreted
-        world-by-world intersection, for every semantics."""
+        """The oracle ≡ the interpreted world-by-world intersection, for
+        every semantics."""
         sem = get_semantics(key)
         extra = {"owa": 1, "wcwa": 1}.get(key)
         rng = fuzz_rng(key)
@@ -239,51 +243,132 @@ class TestBackendsAgree:
 
 
 # ----------------------------------------------------------------------
-# execution contexts and indexes
+# execution contexts: instance contexts, layers and the oracle's worlds
 # ----------------------------------------------------------------------
 
-class TestTableContext:
+class TestColumnarLayer:
     def test_context_cached_on_instance(self):
         d = Instance({"R": [(1, 2)]})
-        assert context_for(d) is context_for(d)
-        assert as_context(d) is context_for(d)
+        assert columnar_context(d) is columnar_context(d)
+        assert as_columnar_context(d) is columnar_context(d)
 
-    def test_as_context_rejects_junk(self):
+    def test_as_columnar_context_rejects_junk(self):
         with pytest.raises(TypeError):
-            as_context({"R": [(1, 2)]})
+            as_columnar_context({"R": [(1, 2)]})
 
-    def test_index_built_lazily_and_memoised(self):
-        ctx = TableContext({"R": frozenset({(1, 2), (1, 3), (2, 3)})})
-        assert ctx.index_stats()["indexes_built"] == 0
-        idx = ctx.index("R", (0,))
-        assert sorted(idx[(1,)]) == [(1, 2), (1, 3)]
-        assert ctx.index("R", (0,)) is idx
-        assert ctx.index_stats()["indexes_built"] == 1
+    def test_layer_serves_own_relations_and_delegates_the_rest(self):
+        parent = columnar_context(Instance({"R": [(1, 2)], "S": [(3,)]}))
+        code = parent.dictionary.encode
+        own = EncodedRelation.from_codes(2, frozenset({(code(7), code(8))}))
+        layer = ColumnarContext.layer(parent, {"R": own}, frozenset({code(7), code(8)}))
+        assert layer.dictionary is parent.dictionary
+        assert layer.encoded("R") is own
+        assert layer.encoded("S") is parent.encoded("S")
+        assert layer.encoded("T") is None
+        assert parent.encoded("R") is not own
 
-    def test_index_requires_positions(self):
-        with pytest.raises(ValueError):
-            TableContext({}).index("R", ())
+    def test_layer_reports_the_given_domain(self):
+        parent = columnar_context(Instance({"R": [(1, 2)], "S": [(3,)]}))
+        code = parent.dictionary.encode
+        layer = ColumnarContext.layer(parent, {}, frozenset({code(9)}))
+        assert layer.adom_codes() == frozenset({code(9)})
+        adom = CompiledQuery(EqAtom(x, x), (x,))
+        assert ColumnarQuery(adom).answers(layer) == frozenset({(9,)})
 
-    def test_layered_context_delegates_and_shares_indexes(self):
-        base = TableContext({"S": frozenset({(1,), (2,)})})
-        w1 = TableContext({"R": frozenset({(1, 1)})}, base=base)
-        w2 = TableContext({"R": frozenset({(2, 2)})}, base=base)
-        assert w1.rows("S") == base.rows("S")
-        assert w1.index("S", (0,)) is w2.index("S", (0,))  # shared build
-        assert w1.rows("R") != w2.rows("R")
-        assert base.index_stats()["indexes_built"] == 1
-
-    def test_layered_adom_includes_base(self):
-        base = TableContext({"S": frozenset({(7,)})})
-        world = TableContext({"R": frozenset({(1, 2)})}, base=base)
-        assert world.adom() == frozenset({1, 2, 7})
-
-    def test_compiled_query_runs_on_raw_context(self):
+    def test_plan_runs_on_a_layer(self):
         cq = compile_formula(
             Exists((z,), And((RelAtom("R", (x, z)), RelAtom("S", (z, y))))), (x, y)
         )
-        ctx = TableContext({"R": frozenset({(1, 2)}), "S": frozenset({(2, 4)})})
-        assert cq.answers(ctx) == frozenset({(1, 4)})
+        parent = columnar_context(Instance({"R": [(5, 6)], "S": [(2, 4)]}))
+        code = parent.dictionary.encode
+        world = ColumnarContext.layer(
+            parent,
+            {"R": EncodedRelation.from_codes(2, frozenset({(code(1), code(2))}))},
+            frozenset(map(code, (1, 2, 4))),
+        )
+        assert ColumnarQuery(cq).answers(world) == frozenset({(1, 4)})
+        assert ColumnarQuery(cq).answers(parent) == frozenset()
+
+
+class TestInstanceIndex:
+    def test_index_built_lazily_and_memoised(self):
+        d = Instance({"R": [(1, 2), (1, 3), (2, 3)]})
+        assert d._indexes is None
+        idx = d.index("R", (0,))
+        assert sorted(idx[(1,)]) == [(1, 2), (1, 3)]
+        assert d.index("R", (0,)) is idx
+        assert d.index("T", (0,)) == {}
+        assert set(d._indexes) == {("R", (0,)), ("T", (0,))}
+
+
+@pytest.fixture
+def oracle_worlds(monkeypatch):
+    """Every ``(spec, valuation, world)`` the oracle evaluates."""
+    seen = []
+    real = WorldSpec.worlds
+
+    def spy(self, valuations, dedup):
+        for vals, world in real(self, valuations, dedup):
+            seen.append((self, vals, world))
+            yield vals, world
+
+    monkeypatch.setattr(WorldSpec, "worlds", spy)
+    return seen
+
+
+def _materialise(instance: Instance, spec: WorldSpec, vals) -> Instance:
+    """``v(D)`` for the valuation ``vals`` of the spec's null slots."""
+    decode = spec.parent.dictionary.decode
+    v = {decode(code): value for code, value in zip(spec.slot_codes, vals)}
+    return Instance(
+        {
+            name: [tuple(v.get(cell, cell) for cell in row) for row in instance.tuples(name)]
+            for name in instance.relations
+        }
+    )
+
+
+class TestOracleWorlds:
+    CWA = get_semantics("cwa")
+
+    def test_static_relation_is_the_instances_own_in_every_world(self, oracle_worlds):
+        d = Instance({"R": [(1, X), (2, 3), (4, 5)], "S": [(5,)]})
+        q = Query(parse("exists y (R(x, y) & !S(y))"), ("x",))
+        static = columnar_context(d).encoded("S")
+        for _ in range(2):  # two reads of one instance
+            assert certain_answers(q, d, self.CWA) == frozenset({(2,)})
+        assert oracle_worlds
+        for _, _, world in oracle_worlds:
+            assert world.encoded("S") is static
+            assert world.encoded("R") is not columnar_context(d).encoded("R")
+
+    def test_every_world_answers_like_the_interpreter(self, oracle_worlds):
+        """Seeded differential: each world the oracle runs, on its
+        encoded layer, ≡ the interpreter on the materialised v(D).  The
+        instances store ``S`` at arity 2 against the formulas' ``S/1``
+        and never hold the formulas' ``T``."""
+        stored = Schema({"R": 2, "S": 2})
+        rng = fuzz_rng("oracle-worlds")
+        reads = {"S": 0, "T": 0}
+        for _ in range(fuzz_trials(40)):
+            inst = random_instance(
+                stored, rng, n_facts=rng.randint(1, 5), constants=(1, 2, "a"), n_nulls=2
+            )
+            phi = random_formula(rng, rng.choice([1, 2, 3]), rng.sample(ARBITRARY_VARS, 2))
+            head = tuple(sorted(free_vars(phi), key=lambda v: v.name))
+            q = Query(phi, head)
+            for name in reads:
+                reads[name] += name in compiled_query(q).relations and (
+                    name == "T" or bool(inst.tuples(name))
+                )
+            # the default pool brackets; a one-value fresh tail enumerates
+            for pool in (None, default_pool(inst, q, n_fresh=1)):
+                oracle_worlds.clear()
+                certain_answers(q, inst, self.CWA, pool=pool)
+                for spec, vals, world in oracle_worlds:
+                    want = interp_answers(phi, _materialise(inst, spec, vals), head)
+                    assert spec.plan.answers(world) == want, (phi, inst, vals)
+        assert reads["S"] and reads["T"], reads
 
 
 class TestCompiledQueryApi:
@@ -299,12 +384,7 @@ class TestCompiledQueryApi:
     def test_extra_answer_vars_range_over_adom(self):
         db = Instance({"R": [(1, 2)], "S": [(3,)]})
         cq = CompiledQuery(RelAtom("S", (x,)), (x, y))
-        assert cq.answers(db) == answers(RelAtom("S", (x,)), db, (x, y))
-
-    def test_holds_rejects_kary(self):
-        cq = CompiledQuery(RelAtom("R", (x, y)), (x, y))
-        with pytest.raises(ValueError, match="arity"):
-            cq.holds(Instance.empty())
+        assert ColumnarQuery(cq).answers(db) == answers(RelAtom("S", (x,)), db, (x, y))
 
     def test_describe_names_the_join_strategy(self):
         q = Query(parse("exists z (R(a, z) & S(z, b))"), ("a", "b"))
@@ -399,7 +479,7 @@ class TestDatalogJoinCompiler:
                     if rule.head.name == "T" and rule.body[0].name == "T":
                         continue  # needs the fixpoint's T relation
                     assert _apply_rule(rule, edb, delta, ctx) == _apply_rule_interp(
-                        rule, edb, delta, ctx
+                        rule, edb, delta
                     )
 
     def test_semi_naive_and_naive_fixpoints_agree(self):
@@ -420,18 +500,17 @@ class TestDatalogJoinCompiler:
         from repro.datalog.engine import _match_atom
         from repro.datalog.program import Atom
 
-        facts = frozenset({(1, 2), (1, 3), (2, 3)})
-        ctx = TableContext({"E": facts})
+        edb = Instance({"E": [(1, 2), (1, 3), (2, 3)]})
         atom = Atom("E", (x, y))
         # binding x=1 should probe the (0,)-index, not scan all rows
         got = sorted(
-            tuple(b[v] for v in (x, y))
-            for b in _match_atom(atom, facts, {x: 1}, ctx, "E")
+            tuple(b[v] for v in (x, y)) for b in _match_atom(atom, edb, {x: 1})
         )
         assert got == [(1, 2), (1, 3)]
-        assert ("E", (0,)) in ctx._indexes
+        assert ("E", (0,)) in edb._indexes
         # unbound: falls back to the full scan, same matches as before
-        assert len(list(_match_atom(atom, facts, {}, ctx, "E"))) == 3
+        assert len(list(_match_atom(atom, edb, {}))) == 3
+        assert list(edb._indexes) == [("E", (0,))]
 
     def test_arity_mismatch_matches_nothing_not_crashes(self):
         from repro.datalog.engine import _apply_rule, _apply_rule_interp
@@ -451,7 +530,7 @@ class TestDatalogJoinCompiler:
 
     def test_compiled_fo_scan_arity_mismatch_matches_interp(self):
         # a unary atom over a binary relation: the interpreter's
-        # membership test never succeeds; the compiled scan must agree
+        # membership test never succeeds; the columnar scan must agree
         db = Instance({"R": [(1, 2), (2, 3)]})
         assert_equivalent(RelAtom("R", (x,)), db, (x,))
         assert_equivalent(Not(RelAtom("R", (x,))), db, (x,))

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import evaluate
 from repro.data.generate import random_instance
-from repro.data.indexes import context_for
 from repro.data.instance import Instance
 from repro.data.schema import Schema, SchemaError
 from repro.data.values import Null
@@ -118,18 +117,18 @@ class TestWithDelta:
 
 
 class TestDerivedIndexes:
-    """A write derives one execution context, the columnar one; the row
-    context and the homomorphism engine build their indexes lazily."""
+    """A write derives one execution context, the columnar one; the
+    homomorphism engine builds the instance's hash indexes lazily."""
 
     def test_writes_maintain_only_the_columnar_context(self):
         db = Database({"R": [(1, X)], "S": [(X, 4)]})
         db.evaluate(JOIN, vars=("x", "y"))  # encode: a columnar context to derive
-        context_for(db.instance)  # and a row context with nothing to carry over
+        db.instance.index("R", (0,))  # and a hash index with nothing to carry over
         db.insert("R", (2, 3))
-        assert db.instance._ctx is None
+        assert db.instance._indexes is None
         assert db.instance._cols is not None
         db.delete("R", (2, 3))
-        assert db.instance._ctx is None
+        assert db.instance._indexes is None
         assert db.instance._cols is not None
 
     def test_is_core_after_writes_matches_fresh_instance(self):
@@ -151,15 +150,15 @@ class TestDerivedIndexes:
             assert db.explain("exists v . R(v, v)").instance_is_core == fresh, (step, inst)
 
     def test_compiled_answers_match_fresh_instance(self):
-        from repro.logic.compile import compiled_query
+        from repro.logic.columnar import columnar_query
         from repro.session import as_query
 
         rng = random.Random(77)
         inst = random_instance(
             Schema({"R": 2, "S": 1}), rng, n_facts=10, constants=(1, 2, 3), n_nulls=2
         )
-        cq = compiled_query(as_query("exists z (R(x, z) & S(z))", vars=("x",)))
-        cq.answers(inst)  # build indexes on the old context
+        cq = columnar_query(as_query("exists z (R(x, z) & S(z))", vars=("x",)))
+        cq.answers(inst)  # encode the old instance
         for step in range(25):
             adds = {"R": [(rng.randint(1, 4), rng.randint(1, 4))]}
             removes = {
