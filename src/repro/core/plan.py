@@ -23,6 +23,7 @@ from repro.core.analyzer import Verdict, analyze
 from repro.core.backends import NAIVE_AUTO_BACKEND, get_backend, naive_is_certain
 from repro.data.instance import Instance
 from repro.homs.core import is_core
+from repro.logic.columnar import ColumnarQuery
 from repro.logic.compile import compiled_query
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
@@ -252,13 +253,16 @@ def make_plan(
     # result-determinacy note: when the backend can prove the answers are
     # a pure function of a known relation set, a session's result cache
     # may key on those relations' generations (repro.session)
-    cache_reads = backend.cache_relations(sem, exact, compiled_query(query))
+    cq = compiled_query(query)
+    cache_reads = backend.cache_relations(sem, exact, cq)
     if cache_reads is not None:
         shown = ", ".join(sorted(cache_reads)) if cache_reads else "∅"
         notes.append(
             f"result is a pure function of relations {{{shown}}} — "
             "session result-cache eligible, keyed on their generations"
         )
+    if name == "columnar":
+        notes.append(ColumnarQuery(cq).maintenance_note())
 
     injected_pool_size = len(pool) if pool is not None else None
 

@@ -29,13 +29,37 @@ so every cache entry renders once.
 '[[10, "b"], [2, "??a"]]'
 >>> encoded == AnswerSet.decoded(frozenset({(2, "?a"), (10, "b")}))
 True
+
+A set the columnar engine can maintain under writes also carries its
+**witness counts** (:meth:`AnswerSet.counted`): every row the plan
+projects, null rows included, mapped to the number of rows of the
+plan's projection-free child that project onto it.  That is the
+counting algorithm of Gupta, Mumick and Subrahmanian ("Maintaining
+views incrementally", SIGMOD 1993): :meth:`AnswerSet.patched` adds a
+write's signed per-row counts and returns a new set in which exactly
+the rows whose count crossed zero appear or vanish.  Once such a set
+has been rendered it keeps its rows' sort keys and JSON fragments in
+order, and a patched set updates them by bisection, so its text is
+still byte-identical to a fresh render:
+
+>>> from repro.data.values import Null
+>>> n = d.encode(Null("n"))
+>>> counted = AnswerSet.counted({(0, 2): 2, (0, n): 1}, 2, d, plan=None)
+>>> counted.to_json("Q")
+'[[10, "b"]]'
+>>> later = counted.patched({(0, 2): -1, (4, 6): 1})
+>>> later.to_json("Q"), counted.to_json("Q")
+('[[10, "b"], [2, "??a"]]', '[[10, "b"]]')
+>>> later.patched({(0, 2): -1}).to_json("Q")
+'[[2, "??a"]]'
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from itertools import chain
-from typing import Collection, Hashable
+from typing import Collection, Hashable, Mapping
 
 from repro.data.dictionary import Dictionary
 from repro.data.jsonio import render_rows
@@ -43,18 +67,47 @@ from repro.data.jsonio import render_rows
 __all__ = ["AnswerSet"]
 
 
+def _visible(row: tuple[int, ...]) -> bool:
+    """Does the row hold no null code (odd codes are nulls)?"""
+    return not any(c & 1 for c in row)
+
+
+def _visible_rows(rows: Collection[tuple[int, ...]]) -> Collection[tuple[int, ...]]:
+    """The rows holding no null code (one pass over the cells)."""
+    null_codes = {c for c in chain.from_iterable(rows) if c & 1}
+    if not null_codes:
+        return rows
+    return [row for row in rows if null_codes.isdisjoint(row)]
+
+
 class AnswerSet:
     """A set of answer rows, encoded (codes + dictionary) or decoded."""
 
-    __slots__ = ("arity", "n_rows", "_codes", "_dictionary", "_rows", "_json")
+    __slots__ = (
+        "arity",
+        "n_rows",
+        "plan",
+        "_codes",
+        "_dictionary",
+        "_rows",
+        "_json",
+        "_counts",
+        "_sorted",
+    )
 
     def __init__(self, arity, n_rows, codes, dictionary, rows):
         self.arity = arity
         self.n_rows = n_rows
+        #: the plan the witness counts are over (``None``: not counted)
+        self.plan = None
         self._codes: array | None = codes
         self._dictionary: Dictionary | None = dictionary
         self._rows: frozenset | None = rows
         self._json: str | None = None
+        self._counts: Mapping[tuple[int, ...], int] | None = None
+        # (relation, sort keys, row texts) in wire order, kept once a
+        # counted set has rendered so that patched sets can bisect it
+        self._sorted: tuple[str, list[str], list[str]] | None = None
 
     @classmethod
     def encoded(
@@ -64,6 +117,24 @@ class AnswerSet:
         return cls(arity, len(rows), array("q", chain.from_iterable(rows)), dictionary, None)
 
     @classmethod
+    def counted(
+        cls,
+        counts: Mapping[tuple[int, ...], int],
+        arity: int,
+        dictionary: Dictionary,
+        plan,
+    ) -> "AnswerSet":
+        """Rows of codes with their witness counts over ``plan``.
+
+        ``counts`` holds every row the plan projects; rows with a null
+        code stay counted but are not members of the set.
+        """
+        out = cls.encoded(_visible_rows(counts), arity, dictionary)
+        out._counts = counts
+        out.plan = plan
+        return out
+
+    @classmethod
     def decoded(cls, rows: frozenset) -> "AnswerSet":
         """A set of already-decoded rows."""
         arity = len(next(iter(rows))) if rows else 0
@@ -71,9 +142,11 @@ class AnswerSet:
 
     @property
     def is_encoded(self) -> bool:
-        return self._codes is not None
+        return self._dictionary is not None
 
     def _columns(self) -> list[array]:
+        if self._codes is None:  # a patched set: its rows are the counted ones
+            self._codes = array("q", chain.from_iterable(_visible_rows(self._counts)))
         k = self.arity
         return [self._codes[j::k] for j in range(k)]
 
@@ -95,26 +168,112 @@ class AnswerSet:
         no JSON form.
         """
         if self._json is None:
-            if self._codes is not None:
+            if self._sorted is not None:
+                self._json = "[" + ", ".join(self._sorted[2]) + "]"
+            elif self._dictionary is not None:
                 self._json = self._render(relation)
             else:
                 self._json = render_rows(relation, self._rows)
         return self._json
 
+    def _spellers(self):
+        """Functions spelling a row's sort key (``repr(row)``) and text."""
+        k = self.arity
+        # repr(row) spelled from the per-code reprs: "(a, b)", or "(a,)"
+        key = ("({},)" if k == 1 else "(" + ", ".join(["{}"] * k) + ")").format
+        row = ("[" + ", ".join(["{}"] * k) + "]").format
+        return key, row
+
     def _render(self, relation: str) -> str:
         if not self.arity:
             return "[[]]" if self.n_rows else "[]"
-        d, k = self._dictionary, self.arity
+        d = self._dictionary
+        cols = self._columns()
         distinct = set(self._codes)
         frags, reprs = d.json_fragments(distinct, relation), d.cell_reprs(distinct)
-        cols = self._columns()
-        # repr(row) spelled from the per-code reprs: "(a, b)", or "(a,)"
-        key = ("({},)" if k == 1 else "(" + ", ".join(["{}"] * k) + ")").format
+        key, row = self._spellers()
         keys = list(map(key, *(map(reprs.__getitem__, c) for c in cols)))
-        row = ("[" + ", ".join(["{}"] * k) + "]").format
         texts = list(map(row, *(map(frags.__getitem__, c) for c in cols)))
         order = sorted(range(self.n_rows), key=keys.__getitem__)
-        return "[" + ", ".join(map(texts.__getitem__, order)) + "]"
+        texts = list(map(texts.__getitem__, order))
+        if self._counts is not None:
+            self._sorted = (relation, list(map(keys.__getitem__, order)), texts)
+        return "[" + ", ".join(texts) + "]"
+
+    # ------------------------------------------------------------------
+    # maintenance under writes (witness counting)
+    # ------------------------------------------------------------------
+
+    def patched(self, delta: Mapping[tuple[int, ...], int]) -> "AnswerSet":
+        """A new set: this one's witness counts plus ``delta``'s signed ones.
+
+        Only a :meth:`counted` set can be patched.  A row is a member of
+        the result while its count is positive and it holds no null
+        code.  The receiver is left untouched; the result shares its
+        rendered row texts, patched by bisection.
+        """
+        counts = dict(self._counts)
+        appeared, vanished = [], []
+        for row, change in delta.items():
+            if not change:
+                continue
+            before = counts.get(row, 0)
+            after = before + change
+            if after:
+                counts[row] = after
+            else:
+                del counts[row]
+            if _visible(row):
+                if not before:
+                    appeared.append(row)
+                elif not after:
+                    vanished.append(row)
+        out = AnswerSet(
+            self.arity,
+            self.n_rows + len(appeared) - len(vanished),
+            None,
+            self._dictionary,
+            None,
+        )
+        out._counts = counts
+        out.plan = self.plan
+        rendered = self._sorted
+        if rendered is not None and (appeared or vanished):
+            rendered = self._patch_text(rendered, appeared, vanished)
+        out._sorted = rendered
+        return out
+
+    def _patch_text(self, rendered, appeared, vanished):
+        """``rendered`` with the rows inserted and removed, or ``None``.
+
+        ``None`` (render afresh on demand) when a new cell has no JSON
+        form, or when two rows share a sort key: the full render orders
+        ties by code position, which bisection cannot reproduce.
+        """
+        relation, keys, texts = rendered
+        d = self._dictionary
+        codes = set(chain.from_iterable(appeared + vanished))
+        try:
+            frags = d.json_fragments(codes, relation)
+        except ValueError:
+            return None
+        reprs = d.cell_reprs(codes)
+        key, row = self._spellers()
+        keys, texts = list(keys), list(texts)
+        for r in vanished:
+            k = key(*map(reprs.__getitem__, r))
+            i = bisect_left(keys, k)
+            if keys[i : i + 1] != [k] or keys[i + 1 : i + 2] == [k]:  # absent, or a tie
+                return None
+            del keys[i], texts[i]
+        for r in appeared:
+            k = key(*map(reprs.__getitem__, r))
+            i = bisect_left(keys, k)
+            if i < len(keys) and keys[i] == k:
+                return None
+            keys.insert(i, k)
+            texts.insert(i, row(*map(frags.__getitem__, r)))
+        return relation, keys, texts
 
     # ------------------------------------------------------------------
     # the set protocol in-process callers use

@@ -42,6 +42,13 @@ instance (the differential suites in ``tests/test_compile.py`` and
 by code parity and returns an encoded
 :class:`~repro.data.answers.AnswerSet`.
 
+Naive answers are maintained under writes where the plan allows it
+(:func:`maintenance_gaps`): the evaluation that fills a result-cache
+entry counts each answer's witnesses, and :func:`maintained_answers`
+runs the plan's projection-free child over a layer holding only a
+write's delta rows, then adds the signed counts to the entry's
+(:meth:`~repro.data.answers.AnswerSet.patched`).
+
 Compilation is stats-aware: :func:`columnar_query` with a source feeds
 the instance's bucketed row counts into the compiler's join-ordering
 key (:func:`repro.logic.compile._order_cost`), so the smallest relation
@@ -51,10 +58,11 @@ seeds each join chain.
 from __future__ import annotations
 
 import itertools
-from typing import Hashable
+from collections import Counter
+from typing import Hashable, Iterable
 
 from repro.data.answers import AnswerSet
-from repro.data.dictionary import ColumnarContext, columnar_context
+from repro.data.dictionary import ColumnarContext, EncodedRelation, columnar_context
 from repro.data.instance import Instance
 from repro.logic import kernels
 from repro.logic.compile import (
@@ -82,6 +90,8 @@ __all__ = [
     "columnar_query",
     "columnar_naive_eval",
     "as_columnar_context",
+    "maintenance_gaps",
+    "maintained_answers",
 ]
 
 _EMPTY: frozenset[tuple[int, ...]] = frozenset()
@@ -162,6 +172,11 @@ def _guard(node, cctx, memo):
     return _eval(node.child, cctx, memo)
 
 
+#: a scan ⋈ scan whose left side has at most 1/_PROBE_RATIO of the right
+#: side's rows probes the right side's hash index instead of merging
+_PROBE_RATIO = 16
+
+
 def _vector_probe(node) -> bool:
     """Is this probe join a single-column scan ⋈ scan (kernel shape)?"""
     left = node.left
@@ -183,11 +198,14 @@ def _join(node, cctx, memo):
             return _EMPTY
         if _vector_probe(node):
             lrel = cctx.encoded(node.left.name)
-            if lrel is not None and lrel.arity == node.left.arity:
+            if lrel is None or lrel.arity != node.left.arity:
+                return _EMPTY
+            if lrel.n_rows * _PROBE_RATIO > rrel.n_rows:
                 if extra:
                     return kernels.sort_merge_join(lrel, rrel, lk[0], rk[0], extra)
                 return kernels.semi_join(lrel, rrel, lk[0], rk[0])
-            return _EMPTY
+            # a handful of rows (a write's delta) against a large relation:
+            # probing its cached index beats a merge over all of it
         left_rows = _eval(node.left, cctx, memo)
         if not left_rows:
             return _EMPTY
@@ -279,35 +297,46 @@ def _filter(node, cctx, memo):
     )
 
 
+def _projection_stack(node: Node) -> tuple[Node, tuple[int, ...]]:
+    """The first node under ``node``'s projections, and their composition."""
+    indices = tuple(range(len(node.columns)))
+    while isinstance(node, ProjectNode):
+        indices = tuple(node._indices[i] for i in indices)
+        node = node.child
+    return node, indices
+
+
 def _project(node, cctx, memo):
     # compose stacked projections (the compiler emits project-of-project
     # chains): one pass over the rows instead of one full materialised
     # intermediate per layer
-    indices = node._indices
-    child = node.child
-    while isinstance(child, ProjectNode):
-        inner = child._indices
-        indices = tuple(inner[i] for i in indices)
-        child = child.child
-    # fuse the projection into the sort-merge kernel: many-to-many joins
-    # expand and projections collapse, so gathering only the projected
-    # columns (and deduping vectorised) skips the wide intermediate
-    if isinstance(child, JoinNode) and child._r_extra and _vector_probe(child):
-        left, right = child.left, child.right
-        lrel = cctx.encoded(left.name)
-        rrel = cctx.encoded(right.name)
-        if (
-            lrel is None
-            or lrel.arity != left.arity
-            or rrel is None
-            or rrel.arity != right.arity
-        ):
-            return _EMPTY
-        return kernels.sort_merge_join_project(
-            lrel, rrel, child._l_key[0], child._r_key[0], child._r_extra, indices
-        )
+    child, indices = _projection_stack(node)
+    fused = _fused_project(child, indices, cctx)
+    if fused is not None:
+        return fused
     rows = _eval(child, cctx, memo)
     return frozenset(tuple(row[i] for i in indices) for row in rows)
+
+
+def _fused_project(child, indices, cctx, counted=False):
+    """``child`` projected onto ``indices`` by the fused sort-merge kernel.
+
+    ``None`` when ``child`` is not a scan ⋈ scan on one column.  Many-to-
+    many joins expand and projections collapse, so gathering only the
+    projected columns (and deduping vectorised) skips the wide
+    intermediate.  ``counted`` as in
+    :func:`~repro.logic.kernels.sort_merge_join_project`.
+    """
+    if not (isinstance(child, JoinNode) and child._r_extra and _vector_probe(child)):
+        return None
+    left, right = child.left, child.right
+    lrel = cctx.encoded(left.name)
+    rrel = cctx.encoded(right.name)
+    if lrel is None or lrel.arity != left.arity or rrel is None or rrel.arity != right.arity:
+        return {} if counted else _EMPTY
+    return kernels.sort_merge_join_project(
+        lrel, rrel, child._l_key[0], child._r_key[0], child._r_extra, indices, counted
+    )
 
 
 def _union(node, cctx, memo):
@@ -348,6 +377,99 @@ def _null_free(rows: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     if null_codes:
         rows = frozenset(row for row in rows if null_codes.isdisjoint(row))
     return rows
+
+
+# ----------------------------------------------------------------------
+# maintenance under writes: witness counting
+# ----------------------------------------------------------------------
+
+def maintenance_gaps(root: Node) -> dict[str, str | None]:
+    """Can cached answers of ``root`` be maintained under writes?
+
+    Per relation the plan scans: ``None`` when they can under writes to
+    that relation, else the reason they are recomputed.  They can when
+    the root is a stack of projections over scans, filters and joins,
+    the relation is scanned exactly once, and no semi-join right side
+    lies between that scan and the root.  Every row of the
+    projection-free child then extends exactly one row of the
+    relation, so a write changes the child's rows by the child run
+    over the written rows alone.
+    """
+    child, _ = _projection_stack(root)
+    scans: Counter[str] = Counter()
+    gaps: dict[str, str | None] = {}
+
+    def visit(node: Node, gap: str | None) -> None:
+        if isinstance(node, ScanNode):
+            scans[node.name] += 1
+            gaps[node.name] = gap
+        elif isinstance(node, FilterNode):
+            visit(node.child, gap)
+        elif isinstance(node, JoinNode):
+            visit(node.left, gap)
+            semi = None if node._r_extra else "it is the right side of a semi-join"
+            visit(node.right, gap or semi)
+        else:
+            for sub in node.children():
+                visit(sub, gap or f"a {_kernel_name(node)} lies between its scan and the root")
+
+    visit(child, None)
+    for name, n in scans.items():
+        if n > 1:
+            gaps[name] = f"it is scanned {n} times (self-join)"
+    return gaps
+
+
+def _counted(root: Node, cctx: ColumnarContext) -> dict[tuple[int, ...], int]:
+    """The root's rows, each mapped to its witness count in the child."""
+    child, indices = _projection_stack(root)
+    fused = _fused_project(child, indices, cctx, counted=True)
+    if fused is not None:
+        return fused
+    return Counter(tuple(row[i] for i in indices) for row in _eval(child, cctx, {}))
+
+
+def maintained_answers(
+    answers: AnswerSet,
+    source,
+    relation: str,
+    added: Iterable[tuple],
+    removed: Iterable[tuple],
+) -> AnswerSet | None:
+    """``answers`` after ``relation`` gained ``added`` and lost ``removed``.
+
+    ``answers`` must be a counted set from :meth:`ColumnarQuery.naive_answers`,
+    and ``source`` the instance after the write.  The plan's
+    projection-free child runs over a layer of ``source`` holding only
+    the written rows, once per sign; every other relation, with its
+    cached sort runs, comes from ``source``.  ``None`` when the answers
+    cannot be maintained under writes to ``relation``.
+    """
+    root = answers.plan
+    cctx = as_columnar_context(source)
+    if (
+        root is None
+        or answers._dictionary is not cctx.dictionary
+        or maintenance_gaps(root).get(relation, "unread") is not None
+    ):
+        return None
+    child, indices = _projection_stack(root)
+    encode_row = cctx.dictionary.encode_row
+    delta: Counter[tuple[int, ...]] = Counter()
+    for rows, sign in ((removed, -1), (added, 1)):
+        codes = frozenset(map(encode_row, rows))
+        if not codes:
+            continue
+        arity = len(next(iter(codes)))
+        # the plan reads no domain; any non-empty one passes its guards
+        layer = ColumnarContext.layer(
+            cctx,
+            {relation: EncodedRelation.from_codes(arity, codes)},
+            frozenset(itertools.chain.from_iterable(codes)),
+        )
+        for row in _eval(child, layer, {}):
+            delta[tuple(row[i] for i in indices)] += sign
+    return answers.patched(delta)
 
 
 # ----------------------------------------------------------------------
@@ -433,10 +555,15 @@ class ColumnarQuery:
     def naive_answers(self, source) -> AnswerSet:
         """:meth:`naive_codes` as an encoded :class:`AnswerSet`.
 
-        The set decodes or renders on demand.
+        The set decodes or renders on demand.  When writes to some
+        relation can be maintained (:func:`maintenance_gaps`), the same
+        run counts each row's witnesses and the set carries them.
         """
         cctx = as_columnar_context(source)
-        return AnswerSet.encoded(self.naive_codes(cctx), len(self.answer_vars), cctx.dictionary)
+        arity, root = len(self.answer_vars), self.cq._root
+        if not self.adom_dependent and None in maintenance_gaps(root).values():
+            return AnswerSet.counted(_counted(root, cctx), arity, cctx.dictionary, root)
+        return AnswerSet.encoded(self.naive_codes(cctx), arity, cctx.dictionary)
 
     def lower_codes(self, source) -> frozenset[tuple[int, ...]]:
         """The certain-answer lower bound: null-free rows of the ⁺ plan.
@@ -448,6 +575,18 @@ class ColumnarQuery:
         if root is None:
             return _EMPTY
         return _null_free(_eval(root, as_columnar_context(source), {}))
+
+    def maintenance_note(self) -> str:
+        """EXPLAIN's account of what a write to a read relation costs."""
+        if self.adom_dependent:
+            return "recomputed after writes: the plan reads the active domain"
+        gaps = maintenance_gaps(self.cq._root)
+        kept = ", ".join(sorted(n for n, gap in gaps.items() if gap is None))
+        lost = "; ".join(f"{n}: {gap}" for n, gap in sorted(gaps.items()) if gap is not None)
+        if not kept:
+            return f"recomputed after writes: {lost or 'the plan scans no relation'}"
+        note = f"answers maintained under writes to {kept} (witness counting)"
+        return f"{note}; recomputed after writes to {lost}" if lost else note
 
     def describe(self) -> str:
         """EXPLAIN-style rendering naming the chosen columnar kernels."""

@@ -30,6 +30,7 @@ It works on intermediate row sets and has the pure path only.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from repro.data.dictionary import EncodedRelation
 
@@ -150,7 +151,8 @@ def sort_merge_join_project(
     r_pos: int,
     extra: tuple[int, ...],
     indices: tuple[int, ...],
-) -> frozenset[tuple[int, ...]]:
+    counted: bool = False,
+) -> frozenset[tuple[int, ...]] | dict[tuple[int, ...], int]:
     """:func:`sort_merge_join` with the projection fused into the kernel.
 
     ``indices`` selects columns of the joined row ``l + r[extra]``
@@ -159,15 +161,18 @@ def sort_merge_join_project(
     the vector path gathers **only the projected columns** and dedups
     the expansion with ``np.unique`` at C speed, so the wide joined
     intermediate is never materialised as Python tuples at all.
+
+    ``counted=True`` returns a dict instead: each projected row mapped
+    to the number of joined rows projecting onto it (its witnesses).
     """
     if not left.n_rows or not right.n_rows:
-        return _EMPTY
+        return {} if counted else _EMPTY
     if _np is not None and left.n_rows + right.n_rows >= MIN_VECTOR_ROWS:
-        return _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices)
-    return _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices)
+        return _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted)
+    return _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted)
 
 
-def _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices):
+def _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted):
     l_order, l_sorted = left.np_order(l_pos)
     r_order, r_sorted = right.np_order(r_pos)
     lo = _np.searchsorted(r_sorted, l_sorted, side="left")
@@ -175,9 +180,9 @@ def _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices):
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
-        return _EMPTY
-    if not indices:
-        return _UNIT  # nullary projection of a non-empty join
+        return {} if counted else _EMPTY
+    if not indices:  # nullary projection of a non-empty join
+        return {(): total} if counted else _UNIT
     l_idx = _np.repeat(l_order, counts)
     offsets = _np.arange(total) - _np.repeat(_np.cumsum(counts) - counts, counts)
     r_idx = r_order[_np.repeat(lo, counts) + offsets]
@@ -187,16 +192,21 @@ def _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices):
             mat[:, k] = left.np_column(col)[l_idx]
         else:
             mat[:, k] = right.np_column(extra[col - left.arity])[r_idx]
-    mat = _np.unique(mat, axis=0)
-    return frozenset(map(tuple, mat.tolist()))
+    uniq = _np.unique(mat, axis=0)
+    if not counted:
+        return frozenset(map(tuple, uniq.tolist()))
+    if len(uniq) == total:  # every joined row projects onto its own row
+        return dict.fromkeys(map(tuple, uniq.tolist()), 1)
+    uniq, witnesses = _np.unique(mat, axis=0, return_counts=True)
+    return dict(zip(map(tuple, uniq.tolist()), witnesses.tolist()))
 
 
-def _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices):
+def _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted):
     l_rows = left.sorted_rows(l_pos)
     r_rows = right.sorted_rows(r_pos)
     n_left, n_right = len(l_rows), len(r_rows)
     la = left.arity
-    out: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
     i = j = 0
     while i < n_left and j < n_right:
         a, b = l_rows[i][l_pos], r_rows[j][r_pos]
@@ -212,14 +222,14 @@ def _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices):
             while i < n_left and l_rows[i][l_pos] == a:
                 lr = l_rows[i]
                 for tail in tails:
-                    out.add(
+                    out.append(
                         tuple(
                             lr[c] if c < la else tail[c - la] for c in indices
                         )
                     )
                 i += 1
             j = j_end
-    return frozenset(out)
+    return Counter(out) if counted else frozenset(out)
 
 
 # ----------------------------------------------------------------------

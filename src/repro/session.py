@@ -46,6 +46,7 @@ can monkeypatch the defining module and observe every call.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from importlib import import_module
 from time import monotonic, perf_counter, time
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -61,6 +62,7 @@ from repro.data import dictionary as _dictionary
 from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.data.schema import Schema
+from repro.logic import columnar as _columnar
 from repro.logic import compile as _compile
 from repro.logic.ast import Formula
 from repro.logic.parser import parse
@@ -76,6 +78,10 @@ from repro.storage.store import RecoveryInfo, Storage, encode_delta_record
 _homs_core = import_module("repro.homs.core")
 
 __all__ = ["Database", "DegradedError", "PreparedQuery", "as_query"]
+
+#: how many writes the delta log keeps for maintaining cached answers; a
+#: cache entry older than that is recomputed instead
+DELTA_LOG_SIZE = 64
 
 
 class DegradedError(RuntimeError):
@@ -278,6 +284,7 @@ class PreparedQuery:
             backend = _backends.get_backend(plan.backend)
             key = db._result_key(self, plan)
             cached = db._result_get(key)
+            basis = db._maintenance_basis(plan, key, cached)
             # a cache hit never enumerates, so the pool is not even built
             pool = self.pool if backend.uses_pool and cached is None else None
             stats = {
@@ -291,20 +298,18 @@ class PreparedQuery:
             limit = db.limit
         stats["planning_s"] = perf_counter() - start
         if cached is not None:
-            return db._hit_result(plan, cached, stats)
-        result = _engine.execute_plan(
+            return db._served_result(plan, cached, stats)
+        return db._miss_result(
             plan,
-            self.query,
+            self,
             instance,
-            self.semantics,
+            key,
+            basis,
+            stats,
             pool=pool,
             extra_facts=extra_facts,
             limit=limit,
-            stats=stats,
         )
-        if key is not None:
-            db._result_put(key, result.answer_set)
-        return result
 
     def __call__(self, mode: str = "auto") -> EvalResult:
         return self.evaluate(mode)
@@ -455,12 +460,20 @@ class Database:
         # is an AnswerSet, rendered to wire text at most once
         self._results: dict[tuple, AnswerSet] = {}
         self._results_max = max(0, result_cache_size)
+        # per plan (a result key minus its generations) the newest key
+        # recorded: older keys of the plan can never be requested again
+        self._newest: dict[tuple, tuple] = {}
         self._result_stats = {
             "hits": 0,
             "misses": 0,
             "uncacheable": 0,
             "evictions": 0,
+            "maintained": 0,
         }
+        # the effective deltas of the last writes, oldest first, each as
+        # (the written relations' new generations, Instance.with_delta's
+        # changes): cached answers are maintained from them
+        self._deltas: deque[tuple[dict, dict]] = deque(maxlen=DELTA_LOG_SIZE)
         if self._storage is not None and seeded:
             # a fresh data directory seeded with an instance: snapshot it
             # now, so the seed survives a restart with zero writes
@@ -515,6 +528,7 @@ class Database:
                 self._extra_facts = value
                 self._generation += 1
                 self._epoch += 1
+                self._deltas.clear()
                 self._notify({"type": "reset", "generation": self._generation})
                 self._gen_cond.notify_all()
 
@@ -596,6 +610,7 @@ class Database:
             self._instance = new
             self._generation += 1
             self._rel_gens.update(new_rel_gens)
+            self._deltas.append((new_rel_gens, changes))
             self._core_flag = None
             count = sum(len(added) + len(removed) for added, removed in changes.values())
             if record is not None and self._listeners:
@@ -661,7 +676,7 @@ class Database:
             self._generation += 1
             self._epoch += 1
             self._core_flag = None
-            self._results.clear()
+            self._clear_results()
             # no WAL record carries this transition: replicas must resync
             self._notify({"type": "reset", "generation": self._generation})
             self._gen_cond.notify_all()
@@ -872,7 +887,7 @@ class Database:
             }
             self._epoch += 1
             self._core_flag = None
-            self._results.clear()
+            self._clear_results()
             self._batch_pool_key = None
             self._notify({"type": "reset", "generation": self._generation})
             self._gen_cond.notify_all()
@@ -932,13 +947,85 @@ class Database:
         self._result_stats["hits"] += 1
         return found
 
-    def _result_put(self, key: tuple, answers: AnswerSet) -> None:
+    def _result_put(self, key: tuple, answers: AnswerSet, *, maintained: bool = False) -> None:
+        """Record ``answers`` under ``key``, dropping the entry it supersedes.
+
+        Within an epoch generations only grow, so an entry whose key
+        differs from a newer one of the same plan only by older
+        generations can never be requested again.  A late put of such
+        a key is dropped instead of stored.
+        """
+        plan_id, gens = key[:-1], key[-1]
         with self._lock:
+            if maintained:
+                self._result_stats["maintained"] += 1
+            newest = self._newest.get(plan_id)
+            if newest is not None and newest != key:
+                if all(g <= n for (_, g), (_, n) in zip(gens, newest[-1])):
+                    return  # older than what is cached: dead on arrival
+                self._results.pop(newest, None)
+            self._newest[plan_id] = key
             self._results.pop(key, None)
             self._results[key] = answers
             while len(self._results) > self._results_max:
-                self._results.pop(next(iter(self._results)))
+                evicted = next(iter(self._results))
+                del self._results[evicted]
+                if self._newest.get(evicted[:-1]) == evicted:
+                    del self._newest[evicted[:-1]]
                 self._result_stats["evictions"] += 1
+
+    def _clear_results(self) -> None:
+        """Forget every cached result and the delta log (caller holds the lock)."""
+        self._results.clear()
+        self._newest.clear()
+        self._deltas.clear()
+
+    def _maintenance_basis(
+        self, plan: Plan, key: tuple | None, cached: AnswerSet | None
+    ) -> tuple[AnswerSet, str, set, set] | None:
+        """What a columnar miss can maintain its answers from, or ``None``.
+
+        ``(answers, relation, added, removed)``: the newest cached
+        answers of the same plan, the one read relation written since,
+        and the net rows it gained and lost, composed from the delta
+        log.  ``None`` when there is no such entry, when writes touched
+        another read relation too, or when the log no longer reaches
+        back to the entry.  Caller holds the lock.
+        """
+        if cached is not None or key is None or plan.backend != "columnar":
+            return None
+        newest = self._newest.get(key[:-1])
+        prior = self._results.get(newest) if newest is not None else None
+        if prior is None or prior.plan is None:
+            return None
+        before = dict(newest[-1])
+        moved = [(name, gen) for name, gen in key[-1] if before[name] != gen]
+        if len(moved) != 1:
+            return None
+        ((name, gen),) = moved
+        since = before[name]
+        steps = [
+            changes[name]
+            for gens, changes in self._deltas
+            if since < gens.get(name, since) <= gen
+        ]
+        if len(steps) != gen - since:
+            return None
+        added: set = set()
+        removed: set = set()
+        for step_added, step_removed in steps:
+            # an effective delta removes present rows, then adds absent ones
+            for row in step_removed:
+                if row in added:
+                    added.discard(row)
+                else:
+                    removed.add(row)
+            for row in step_added:
+                if row in removed:
+                    removed.discard(row)
+                else:
+                    added.add(row)
+        return prior, name, added, removed
 
     @staticmethod
     def _cache_stats_fields(key: tuple | None, cached: AnswerSet | None) -> dict:
@@ -949,18 +1036,50 @@ class Database:
                 else "miss" if key is not None
                 else "uncacheable"
             ),
+            "maintained": False,
+            "delta_rows": 0,
         }
         if key is not None:
             fields["generations"] = dict(key[-1])
         return fields
 
     @staticmethod
-    def _hit_result(plan: Plan, answers: AnswerSet, stats: dict) -> EvalResult:
-        """An :class:`EvalResult` served from the cache (no execution)."""
-        stats.update(backend=plan.backend, mode=plan.mode, execution_s=0.0)
+    def _served_result(
+        plan: Plan, answers: AnswerSet, stats: dict, execution_s: float = 0.0
+    ) -> EvalResult:
+        """An :class:`EvalResult` for answers the backend did not compute."""
+        stats.update(backend=plan.backend, mode=plan.mode, execution_s=execution_s)
         return EvalResult(
             answers, plan.backend, plan.exact, plan.direction, plan.verdict, stats
         )
+
+    def _miss_result(
+        self,
+        plan: Plan,
+        prepared: PreparedQuery,
+        instance: Instance,
+        key: tuple | None,
+        basis: tuple | None,
+        stats: dict,
+        **execute_kwargs,
+    ) -> EvalResult:
+        """Evaluate a cache miss and record it: maintained from ``basis``
+        (see :meth:`_maintenance_basis`) when it allows, else executed."""
+        if basis is not None:
+            start = perf_counter()
+            prior, relation, added, removed = basis
+            answers = _columnar.maintained_answers(prior, instance, relation, added, removed)
+            if answers is not None:
+                stats.update(maintained=True, delta_rows=len(added) + len(removed))
+                result = self._served_result(plan, answers, stats, perf_counter() - start)
+                self._result_put(key, answers, maintained=True)
+                return result
+        result = _engine.execute_plan(
+            plan, prepared.query, instance, prepared.semantics, stats=stats, **execute_kwargs
+        )
+        if key is not None:
+            self._result_put(key, result.answer_set)
+        return result
 
     @property
     def cache_stats(self) -> dict[str, int]:
@@ -1092,20 +1211,21 @@ class Database:
             generation = self._generation
             extra_facts = self._extra_facts
             limit = self.limit
-            entries: list[tuple[PreparedQuery, Plan, float, tuple | None, AnswerSet | None]] = []
+            entries: list[tuple] = []
             for p in prepared:
                 t0 = perf_counter()
                 plan = p.plan(mode)  # cached per relevant state and mode
                 key = self._result_key(p, plan)
                 cached = self._result_get(key)
-                entries.append((p, plan, perf_counter() - t0, key, cached))
+                basis = self._maintenance_basis(plan, key, cached)
+                entries.append((p, plan, perf_counter() - t0, key, cached, basis))
             # one superset pool for the whole batch — but only when some
             # cache-missing plan actually routes to a pool-reading backend
             shared_pool: tuple[Hashable, ...] | None = None
             pool_build = 0.0
             if any(
                 cached is None and _backends.get_backend(plan.backend).uses_pool
-                for _, plan, _, _, cached in entries
+                for _, plan, _, _, cached, _ in entries
             ):
                 extra: set[Hashable] = set()
                 for p in prepared:
@@ -1120,7 +1240,7 @@ class Database:
                     self._batch_pool_key = memo_key
                 shared_pool = self._batch_pool
         results: list[EvalResult] = []
-        for p, plan, planning, key, cached in entries:
+        for p, plan, planning, key, cached, basis in entries:
             uses_pool = _backends.get_backend(plan.backend).uses_pool
             stats: dict[str, object] = {
                 "planning_s": planning,
@@ -1137,20 +1257,19 @@ class Database:
                 **self._cache_stats_fields(key, cached),
             }
             if cached is not None:
-                results.append(self._hit_result(plan, cached, stats))
+                results.append(self._served_result(plan, cached, stats))
                 continue
-            result = _engine.execute_plan(
+            result = self._miss_result(
                 plan,
-                p.query,
+                p,
                 instance,
-                p.semantics,
+                key,
+                basis,
+                stats,
                 pool=shared_pool if uses_pool else None,
                 extra_facts=extra_facts,
                 limit=limit,
-                stats=stats,
             )
-            if key is not None:
-                self._result_put(key, result.answer_set)
             results.append(result)
         return results
 
