@@ -206,7 +206,9 @@ def _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted)
     r_rows = right.sorted_rows(r_pos)
     n_left, n_right = len(l_rows), len(r_rows)
     la = left.arity
-    out: list[tuple[int, ...]] = []
+    # counting keeps every joined row; deduping needs only the distinct ones
+    out: list | set = [] if counted else set()
+    add = out.append if counted else out.add
     i = j = 0
     while i < n_left and j < n_right:
         a, b = l_rows[i][l_pos], r_rows[j][r_pos]
@@ -222,11 +224,7 @@ def _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted)
             while i < n_left and l_rows[i][l_pos] == a:
                 lr = l_rows[i]
                 for tail in tails:
-                    out.append(
-                        tuple(
-                            lr[c] if c < la else tail[c - la] for c in indices
-                        )
-                    )
+                    add(tuple(lr[c] if c < la else tail[c - la] for c in indices))
                 i += 1
             j = j_end
     return Counter(out) if counted else frozenset(out)
