@@ -76,7 +76,7 @@ def main() -> None:
     possible = client.call(op="query", query="exists y (R(2, 3) & S(3, y))")
     assert possible["holds"]
 
-    # 4. an explicit batch shares one plan/pool pass (evaluate_many)
+    # 4. an explicit batch answers every query from one snapshot (evaluate_many)
     batch = client.call(
         op="batch",
         queries=[

@@ -3,8 +3,8 @@
 Shows what the :class:`repro.session.Database` facade adds on top of the
 free functions: preparation caches the Figure-1 analysis and the
 enumeration pool, ``explain`` exposes the routing decision, backends are
-selectable and pluggable, ``evaluate_many`` amortises planning over a
-batch, and mutations invalidate the caches transparently.  Run with::
+selectable and pluggable, ``evaluate_many`` answers a batch from one
+snapshot, and mutations invalidate the caches transparently.  Run with::
 
     python examples/session_api.py
 """
@@ -52,7 +52,7 @@ print(f"answers per backend: { {k: bool(v) for k, v in by_backend.items()} }")
 assert by_backend["columnar"] == by_backend["enumeration"] == by_backend["ctable"]
 
 # ----------------------------------------------------------------------
-# 5. Batches: one pool + one core check for many queries
+# 5. Batches: one snapshot, each query with its own pool
 # ----------------------------------------------------------------------
 
 batch = db.evaluate_many(

@@ -215,7 +215,6 @@ def _cmd_serve(args) -> int:
         max_conns=args.max_conns,
         idle_timeout_s=max(0.0, args.idle_timeout_s),
         executor_threads=args.threads,
-        batch=not args.no_batch,
         replicate_from=args.replica_of,
     )
     tailer = server.service.tailer
@@ -587,11 +586,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0.0,
         help="reap a connection idle (or stalled mid-frame) this long "
         "(0 = never; slowloris defence)",
-    )
-    p_serve.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable coalescing of concurrent query requests into evaluate_many batches",
     )
     p_serve.add_argument(
         "--data-dir",

@@ -4,12 +4,11 @@ The serving layer that turns the engine from one-shot evaluation into a
 long-lived service:
 
 * :class:`QueryService` — the transport-free core: it translates JSON
-  request objects (``{"op": "query", ...}``) into session operations,
-  counts what it serves, and **coalesces concurrent query requests into
-  one** :meth:`~repro.session.Database.evaluate_many` **batch** via a
-  group-commit gate, so compatible certain-answer requests that arrive
-  while another batch is running share one pool build and one core
-  check;
+  request objects (``{"op": "query", ...}``) into session operations and
+  counts what it serves.  Every read goes through
+  :meth:`~repro.session.Database.evaluate_many` on its own (a ``query``
+  is a batch of one, a ``batch`` op one call for all its queries), so a
+  request never waits for, or depends on, another request in flight;
 * :class:`AsyncServer` — the serving core: one asyncio event loop
   multiplexing thousands of connections with per-connection request
   **pipelining** (``id``-correlated, out-of-order responses),
@@ -97,86 +96,6 @@ class _Reject(Exception):
         self.fields = {"error": error, **fields}
 
 
-class _Pending:
-    """One query request waiting in the batch gate."""
-
-    __slots__ = ("prepared", "result", "error", "done", "group_size")
-
-    def __init__(self, prepared: PreparedQuery):
-        self.prepared = prepared
-        self.result = None
-        self.error: Exception | None = None
-        self.done = False
-        self.group_size = 0
-
-
-class _BatchGate:
-    """Group-commit for query requests.
-
-    A thread arriving for a given mode when no batch is running becomes
-    the *leader*: it drains every compatible request currently queued
-    (its own plus whatever piled up while the previous batch ran) and
-    evaluates them in one ``evaluate_many`` call.  Followers wait; when
-    the batch completes, the leader steps down and any follower whose
-    request is still queued is woken to lead the next round — so a
-    leader serves exactly one batch and no request's latency depends on
-    the arrival rate of later ones.  A lone request is a batch of one:
-    no timers, no artificial latency.
-    """
-
-    def __init__(self, db: Database):
-        self._db = db
-        self._cond = threading.Condition()
-        self._pending: dict[str, list[_Pending]] = {}
-        self._leaders: set[str] = set()
-
-    def evaluate(self, prepared: PreparedQuery, mode: str = "auto"):
-        """Evaluate through the gate; returns ``(EvalResult, group_size)``."""
-        item = _Pending(prepared)
-        with self._cond:
-            self._pending.setdefault(mode, []).append(item)
-            while not item.done and mode in self._leaders:
-                self._cond.wait()
-            if not item.done:
-                # no batch in flight: lead one round with whatever queued
-                self._leaders.add(mode)
-                batch = self._pending.pop(mode)
-        if not item.done:
-            try:
-                self._run_batch(batch, mode)
-            finally:
-                with self._cond:
-                    self._leaders.discard(mode)
-                    self._cond.notify_all()
-        if item.error is not None:
-            raise item.error
-        return item.result, item.group_size
-
-    def _run_batch(self, batch: list[_Pending], mode: str) -> None:
-        try:
-            results = self._db.evaluate_many(
-                [item.prepared for item in batch], mode=mode
-            )
-            for item, result in zip(batch, results):
-                item.result = result
-                item.group_size = len(batch)
-        except Exception:
-            # one bad request must not poison its batch-mates: fall back
-            # to individual evaluation so each request gets its own
-            # result or its own error
-            for item in batch:
-                try:
-                    item.result = item.prepared.evaluate(mode)
-                    item.group_size = 1
-                except Exception as err:  # noqa: BLE001 - reported per request
-                    item.error = err
-        finally:
-            with self._cond:
-                for item in batch:
-                    item.done = True
-                self._cond.notify_all()
-
-
 class QueryService:
     """Translate JSON requests into operations on one shared session.
 
@@ -194,19 +113,14 @@ class QueryService:
     False
     """
 
-    #: request fields every op understands
-    _COMMON = ("id", "op")
-
     def __init__(
         self,
         db: Database,
         *,
-        batch: bool = True,
         feed: ReplicationFeed | None = None,
         tailer: ReplicaTailer | None = None,
     ):
         self.db = db
-        self._batch = _BatchGate(db) if batch else None
         #: the replication feed serving downstream replicas (``None`` = off)
         self.feed = feed
         #: the tailer streaming from an upstream primary; its presence
@@ -415,7 +329,7 @@ class QueryService:
             raise ValueError("'mode' must be a backend name or 'auto'")
         return mode
 
-    def _render(self, prepared: PreparedQuery, result, group_size: int = 1) -> dict:
+    def _render(self, prepared: PreparedQuery, result, batched: bool = False) -> dict:
         # the answers' wire text, rendered once per result-cache entry;
         # the response writer (jsonio.dumps) splices it in as is
         payload = {
@@ -427,9 +341,9 @@ class QueryService:
             "method": result.method,
             "cache": result.stats.get("result_cache"),
             "generation": result.stats.get("generation"),
-            "batched": group_size > 1,
+            "batched": batched,
         }
-        if group_size > 1:
+        if batched:
             with self._lock:
                 self._counters["batched_requests"] += 1
         return payload
@@ -440,11 +354,7 @@ class QueryService:
         mode = self._mode(request)
         with self._lock:
             self._counters["queries"] += 1
-        if self._batch is not None:
-            result, group_size = self._batch.evaluate(prepared, mode)
-        else:
-            result, group_size = prepared.evaluate(mode), 1
-        return self._render(prepared, result, group_size)
+        return self._render(prepared, self.db.evaluate_many([prepared], mode=mode)[0])
 
     def _op_batch(self, request: dict) -> dict:
         """An explicit client-side batch: one evaluate_many, one response."""
@@ -460,18 +370,20 @@ class QueryService:
         return {
             "ok": True,
             "results": [
-                self._render(p, r, len(prepared)) for p, r in zip(prepared, results)
+                self._render(p, r, len(prepared) > 1) for p, r in zip(prepared, results)
             ],
         }
 
-    def _rows(self, request: dict, field: str = "rows") -> list[tuple]:
+    @staticmethod
+    def _rows(request: dict) -> tuple[str, list[tuple]]:
+        """The validated ``relation`` and its decoded ``rows``."""
         relation = request.get("relation")
         if not isinstance(relation, str) or not relation:
             raise ValueError("'relation' must be a non-empty string")
-        rows = request.get(field)
+        rows = request.get("rows")
         if not isinstance(rows, list):
-            raise ValueError(f"'{field}' must be a list of rows")
-        return [decode_row(relation, row) for row in rows]
+            raise ValueError("'rows' must be a list of rows")
+        return relation, [decode_row(relation, row) for row in rows]
 
     def _mutated(self, changed: int) -> dict:
         with self._lock:
@@ -480,15 +392,13 @@ class QueryService:
 
     def _op_insert(self, request: dict) -> dict:
         self._require_primary()
-        return self._mutated(
-            self.db.insert(request["relation"], *self._rows(request))
-        )
+        relation, rows = self._rows(request)
+        return self._mutated(self.db.insert(relation, *rows))
 
     def _op_delete(self, request: dict) -> dict:
         self._require_primary()
-        return self._mutated(
-            self.db.delete(request["relation"], *self._rows(request))
-        )
+        relation, rows = self._rows(request)
+        return self._mutated(self.db.delete(relation, *rows))
 
     def _op_delta(self, request: dict) -> dict:
         self._require_primary()
@@ -572,8 +482,7 @@ class QueryService:
 
     def _op_explain(self, request: dict) -> dict:
         prepared = self._prepare(request)
-        mode = request.get("mode", "auto")
-        return {"ok": True, "plan": prepared.plan(mode).to_dict()}
+        return {"ok": True, "plan": prepared.plan(self._mode(request)).to_dict()}
 
     def _op_dump(self, request: dict) -> dict:
         return {"ok": True, "instance": json.loads(instance_to_json(self.db.instance))}
@@ -650,7 +559,7 @@ class AsyncServer:
     One event loop multiplexes every connection, so an idle client
     costs a heap object instead of a parked thread; the blocking
     session work still runs on a bounded :class:`ThreadPoolExecutor`,
-    feeding the :class:`_BatchGate` group-commit.  What it adds:
+    one request per job.  What it adds:
 
     * **pipelining** — each request line becomes its own task; a client
       may send N requests before reading anything, and responses are
@@ -1102,7 +1011,6 @@ def serve(
     max_conns: int = 1024,
     idle_timeout_s: float = 0.0,
     executor_threads: int = 8,
-    batch: bool = True,
     instance=None,
     semantics: str = "cwa",
     path: str | None = None,
@@ -1145,7 +1053,7 @@ def serve(
         tailer = ReplicaTailer(
             db, replicate_from, backoff_base=backoff_base, backoff_cap=backoff_cap
         )
-    service = QueryService(db, batch=batch, feed=replication_feed, tailer=tailer)
+    service = QueryService(db, feed=replication_feed, tailer=tailer)
     server = AsyncServer(
         service,
         host=host,

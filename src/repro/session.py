@@ -268,48 +268,10 @@ class PreparedQuery:
     def evaluate(self, mode: str = "auto") -> EvalResult:
         """Evaluate against the session's current instance via the cached plan.
 
-        Planning happens under the session lock so the snapshot
-        (instance, plan, pool, result-cache key) is consistent — note a
-        *first-time* plan may pay the core check or a pool build there;
-        warm paths are dictionary lookups.  The backend itself runs
-        outside the lock against the immutable snapshot, so concurrent
-        readers execute in parallel and a cache hit skips execution
-        entirely (``stats["result_cache"] == "hit"``).
+        A batch of one through :meth:`Database.evaluate_many`, the
+        session's single evaluation path.
         """
-        db = self._db
-        start = perf_counter()
-        with db._lock:
-            instance = db._instance
-            plan = self.plan(mode)
-            backend = _backends.get_backend(plan.backend)
-            key = db._result_key(self, plan)
-            cached = db._result_get(key)
-            basis = db._maintenance_basis(plan, key, cached)
-            # a cache hit never enumerates, so the pool is not even built
-            pool = self.pool if backend.uses_pool and cached is None else None
-            stats = {
-                # the pool actually materialised for this run (0 = none:
-                # the backend does not enumerate)
-                "pool_size": len(pool) if pool is not None else 0,
-                "generation": db._generation,
-                **db._cache_stats_fields(key, cached),
-            }
-            extra_facts = db._extra_facts
-            limit = db.limit
-        stats["planning_s"] = perf_counter() - start
-        if cached is not None:
-            return db._served_result(plan, cached, stats)
-        return db._miss_result(
-            plan,
-            self,
-            instance,
-            key,
-            basis,
-            stats,
-            pool=pool,
-            extra_facts=extra_facts,
-            limit=limit,
-        )
+        return self._db.evaluate_many([self], mode=mode)[0]
 
     def __call__(self, mode: str = "auto") -> EvalResult:
         return self.evaluate(mode)
@@ -452,10 +414,6 @@ class Database:
         # session serving ad-hoc query texts cannot grow without limit
         self._prepared: dict[tuple, PreparedQuery] = {}
         self._prepared_max = max(1, prepared_cache_size)
-        # memo for the batch pool: (generation, extra constants) → pool
-        # (a tuple, so backends cannot corrupt the cache in place)
-        self._batch_pool_key: tuple | None = None
-        self._batch_pool: tuple[Hashable, ...] | None = None
         # generation-keyed LRU result cache (see _result_key); an entry
         # is an AnswerSet, rendered to wire text at most once
         self._results: dict[tuple, AnswerSet] = {}
@@ -503,7 +461,7 @@ class Database:
 
         Selective invalidation does **not** key on this — see
         :meth:`rel_generation` — but whole-instance caches (the
-        enumeration pool, the batch-pool memo) still do.
+        enumeration pool) still do.
         """
         return self._generation
 
@@ -888,7 +846,6 @@ class Database:
             self._epoch += 1
             self._core_flag = None
             self._clear_results()
-            self._batch_pool_key = None
             self._notify({"type": "reset", "generation": self._generation})
             self._gen_cond.notify_all()
             if self._storage is not None:
@@ -1192,21 +1149,25 @@ class Database:
         return self.query(source, vars, semantics=semantics).plan(mode)
 
     def evaluate_many(self, sources: Iterable, *, mode: str = "auto") -> list[EvalResult]:
-        """Evaluate a batch, sharing pool construction and the core check.
+        """Evaluate queries against one snapshot: the single evaluation path.
 
-        One constant pool is built covering the instance plus *every*
-        query's constants (a superset pool keeps enumeration exact —
-        it only enumerates more worlds), and the core check is computed
-        at most once for the whole batch via the session cache.  Results
-        served from the result cache skip execution entirely; the pool
-        is only materialised when some cache-missing plan reads it.
-        Each result's ``stats`` reports its own planning/execution time
-        plus ``batch=True`` and the shared pool size.
+        Every query is planned, looked up in the result cache and, on a
+        miss that routes to a pool-reading backend, given *its own*
+        enumeration pool (:attr:`PreparedQuery.pool`: the query's
+        constants plus the instance's, built once per generation) — all
+        under one lock acquisition, so the whole batch sees one
+        generation.  A first-time plan may pay the core check (computed
+        at most once per generation for the session) or a pool build
+        there; both count in ``planning_s``.  The backends then run
+        outside the lock against the immutable snapshot, so concurrent
+        readers execute in parallel, and a cache hit skips execution
+        entirely (``stats["result_cache"] == "hit"``).  A batch answers
+        and fails exactly as its queries do alone: each result is the
+        query's solo result, and the first query that fails alone
+        raises its own error.
         """
         with self._lock:
             prepared = [self.query(s) for s in sources]
-            if not prepared:
-                return []
             instance = self._instance
             generation = self._generation
             extra_facts = self._extra_facts
@@ -1218,42 +1179,18 @@ class Database:
                 key = self._result_key(p, plan)
                 cached = self._result_get(key)
                 basis = self._maintenance_basis(plan, key, cached)
-                entries.append((p, plan, perf_counter() - t0, key, cached, basis))
-            # one superset pool for the whole batch — but only when some
-            # cache-missing plan actually routes to a pool-reading backend
-            shared_pool: tuple[Hashable, ...] | None = None
-            pool_build = 0.0
-            if any(
-                cached is None and _backends.get_backend(plan.backend).uses_pool
-                for _, plan, _, _, cached, _ in entries
-            ):
-                extra: set[Hashable] = set()
-                for p in prepared:
-                    extra |= set(p.query.constants())
-                memo_key = (generation, frozenset(extra))
-                if self._batch_pool_key != memo_key:
-                    t0 = perf_counter()
-                    self._batch_pool = tuple(
-                        _certain.default_pool(instance, extra_constants=extra)
-                    )
-                    pool_build = perf_counter() - t0
-                    self._batch_pool_key = memo_key
-                shared_pool = self._batch_pool
+                # a cache hit never enumerates, so the pool is not even built
+                uses_pool = _backends.get_backend(plan.backend).uses_pool
+                pool = p.pool if uses_pool and cached is None else None
+                entries.append((p, plan, perf_counter() - t0, key, cached, basis, pool))
         results: list[EvalResult] = []
-        for p, plan, planning, key, cached, basis in entries:
-            uses_pool = _backends.get_backend(plan.backend).uses_pool
+        for p, plan, planning, key, cached, basis, pool in entries:
             stats: dict[str, object] = {
                 "planning_s": planning,
-                # one-off cost of building the shared pool, reported
-                # on every result of the batch that paid it
-                "pool_build_s": pool_build,
-                "pool_size": (
-                    len(shared_pool)
-                    if shared_pool is not None and uses_pool and cached is None
-                    else 0
-                ),
+                # the pool actually materialised for this run (0 = none:
+                # the backend does not enumerate)
+                "pool_size": len(pool) if pool is not None else 0,
                 "generation": generation,
-                "batch": True,
                 **self._cache_stats_fields(key, cached),
             }
             if cached is not None:
@@ -1266,7 +1203,7 @@ class Database:
                 key,
                 basis,
                 stats,
-                pool=shared_pool if uses_pool else None,
+                pool=pool,
                 extra_facts=extra_facts,
                 limit=limit,
             )

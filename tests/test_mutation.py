@@ -347,7 +347,6 @@ class TestResultCache:
         assert all(r.stats["result_cache"] == "miss" for r in first)
         assert all(r.stats["result_cache"] == "hit" for r in second)
         assert [r.answers for r in first] == [r.answers for r in second]
-        assert all(r.stats["batch"] is True for r in second)
 
     def test_single_and_batch_paths_share_entries(self):
         db = Database({"R": [(1, 2)]})

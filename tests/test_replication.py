@@ -424,9 +424,14 @@ class TestEndToEndOverTCP:
                 assert read["ok"] and read["holds"]
                 assert replica_db.generation == primary_db.generation
                 assert replica_db.instance == primary_db.instance
-                stats = rpc(replica.address, op="stats")
-                assert stats["replication"]["tailer"]["snapshots_loaded"] == 1
-                assert stats["replication"]["tailer"]["frames_applied"] >= 1
+
+                def counted():
+                    # the tailer counts a frame only after apply_delta has
+                    # published it, so its counters trail the generation
+                    tailer = rpc(replica.address, op="stats")["replication"]["tailer"]
+                    return tailer["frames_applied"] >= 1 and tailer["snapshots_loaded"] == 1
+
+                assert wait_until(counted)
             replica_db.close()
         primary_db.close()
 
@@ -487,7 +492,13 @@ class TestEndToEndOverTCP:
                     assert wait_until(self.converged(replica.address, primary_db))
                     assert replica_db.instance == primary_db.instance
                     assert replica_db.generation == primary_db.generation == 15
-                    tailer = rpc(replica.address, op="stats")["replication"]["tailer"]
+
+                    def tailer_stats():
+                        return rpc(replica.address, op="stats")["replication"]["tailer"]
+
+                    # the counters trail the published generation
+                    assert wait_until(lambda: tailer_stats()["frames_applied"] >= 15)
+                    tailer = tailer_stats()
                     # exactly once: 15 generations, 15 applied frames
                     assert tailer["frames_applied"] == 15
                     assert tailer["gaps"] == 0 and tailer["divergences"] == 0

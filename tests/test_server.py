@@ -1,10 +1,9 @@
-"""The JSON-lines serving layer: QueryService ops, the batch gate and the
+"""The JSON-lines serving layer: QueryService ops, read isolation and the
 TCP server."""
 
 import json
 import socket
 import threading
-import time
 
 import pytest
 
@@ -109,6 +108,8 @@ class TestQueryServiceOps:
             {"op": "query", "query": "R(x, y)", "vars": "xy"},
             {"op": "batch", "queries": ["R(x, y)"]},
             {"op": "batch", "queries": [{"query": "R(x, y)"}], "mode": ["x"]},
+            {"op": "explain", "query": "R(x, y)", "mode": ["x"]},
+            {"op": "delete", "rows": [[1]]},
         ],
     )
     def test_bad_requests_become_error_responses(self, service, request_):
@@ -117,6 +118,7 @@ class TestQueryServiceOps:
         # the error names the bad field; it never leaks a Python internal
         for leak in ("object has no attribute", "unhashable type"):
             assert leak not in response["error"]
+        assert response["error"] not in ("'relation'", "'rows'")  # bare KeyError text
 
     @pytest.mark.parametrize("op", ["query", "explain", "batch"])
     @pytest.mark.parametrize(
@@ -145,24 +147,23 @@ class TestQueryServiceOps:
 
 
 class TestBatchGate:
+    """There is no batch gate: a query request never waits for another."""
+
     def test_single_request_is_batch_of_one(self, service):
         response = service.handle({"op": "query", "query": JOIN})
         assert response["ok"] and response["batched"] is False
 
-    def test_concurrent_requests_coalesce(self, monkeypatch):
+    def test_stalled_query_does_not_block_another(self, monkeypatch):
         db = Database({"R": [(1, 2), (2, 3)]})
         service = QueryService(db)
         real = db.evaluate_many
-        calls = []
-        first_entered = threading.Event()
+        stalled = threading.Event()
         release = threading.Event()
 
         def slow(sources, *, mode="auto"):
-            sources = list(sources)
-            calls.append(len(sources))
-            if len(calls) == 1:
-                first_entered.set()
-                assert release.wait(5)
+            if not stalled.is_set():
+                stalled.set()
+                assert release.wait(10)
             return real(sources, mode=mode)
 
         monkeypatch.setattr(db, "evaluate_many", slow)
@@ -171,47 +172,41 @@ class TestBatchGate:
         def client(i, text):
             responses[i] = service.handle({"op": "query", "query": text})
 
-        leader = threading.Thread(target=client, args=(0, "exists x (R(x, 2))"))
-        leader.start()
-        assert first_entered.wait(5)
-        followers = [
-            threading.Thread(target=client, args=(i, f"exists x (R(x, {i}))"))
-            for i in (1, 2)
-        ]
-        for t in followers:
-            t.start()
-        # wait until both followers are queued behind the stalled leader
-        deadline = time.time() + 5
-        while time.time() < deadline:
-            with service._batch._cond:
-                if len(service._batch._pending.get("auto", [])) == 2:
-                    break
-            time.sleep(0.002)
-        release.set()
-        leader.join(5)
-        for t in followers:
-            t.join(5)
-        assert calls == [1, 2]  # leader alone, then the two followers together
-        assert responses[0]["batched"] is False
-        assert responses[1]["batched"] and responses[2]["batched"]
-        assert all(responses[i]["ok"] for i in responses)
+        first = threading.Thread(target=client, args=(0, "exists x (R(x, 2))"))
+        first.start()
+        try:
+            assert stalled.wait(5)
+            # same mode as the stalled read: answered while it still waits
+            second = threading.Thread(target=client, args=(1, "exists x (R(x, 3))"))
+            second.start()
+            second.join(5)
+            assert 1 in responses and responses[1]["ok"] and responses[1]["holds"]
+            assert 0 not in responses
+        finally:
+            release.set()
+            first.join(5)
+        assert not first.is_alive() and not second.is_alive()
+        assert responses[0]["ok"] and responses[0]["batched"] is False
 
-    def test_bad_batchmate_does_not_poison_others(self, monkeypatch):
+    def test_bad_batchmate_does_not_poison_others(self):
         db = Database({"R": [(1, X)]}, semantics="cwa")
+        db.limit = 1
         service = QueryService(db)
-
-        def explode(sources, *, mode="auto"):
-            raise ValueError("batch went sideways")
-
-        monkeypatch.setattr(db, "evaluate_many", explode)
+        bad = service.handle(
+            {"op": "query", "query": "forall u . exists v . R(u, v)", "mode": "enumeration"}
+        )
+        assert bad["ok"] is False and "limit 1" in bad["error"]
         response = service.handle({"op": "query", "query": "exists z (R(1, z))"})
-        assert response["ok"] and response["holds"]  # individual fallback
+        assert response["ok"] and response["holds"]
 
-    def test_batching_can_be_disabled(self):
-        db = Database({"R": [(1, 2)]})
-        service = QueryService(db, batch=False)
-        response = service.handle({"op": "query", "query": "exists x (R(x, 2))"})
-        assert response["ok"] and response["batched"] is False
+    def test_only_a_multi_query_batch_op_is_batched(self, service):
+        single = service.handle({"op": "batch", "queries": [{"query": JOIN}]})
+        assert [r["batched"] for r in single["results"]] == [False]
+        pair = service.handle(
+            {"op": "batch", "queries": [{"query": JOIN}, {"query": "exists u (R(u, 1))"}]}
+        )
+        assert [r["batched"] for r in pair["results"]] == [True, True]
+        assert service.handle({"op": "stats"})["requests"]["batched_requests"] == 2
 
 
 class TestTCPServer:

@@ -9,6 +9,7 @@ from repro.data.values import Null
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
+from repro.semantics.base import ExpansionLimitError
 from repro.session import Database, PreparedQuery
 
 X, Y = Null("x"), Null("y")
@@ -273,13 +274,14 @@ class TestEvaluateMany:
         solo = [db.evaluate(q) for q in self.QUERIES]
         assert [r.answers for r in batch] == [r.answers for r in solo]
 
-    def test_shares_pool_and_core_check(self, monkeypatch):
+    def test_builds_one_pool_per_query_and_one_core_check(self, monkeypatch):
         counts = {"pool": 0, "is_core": 0}
         counting(monkeypatch, "repro.core.certain.default_pool", counts, "pool")
         counting(monkeypatch, "repro.homs.core.is_core", counts, "is_core")
         db = Database(Instance({"D": [(X, X), (X, 1)]}), semantics="mincwa")
-        db.evaluate_many(self.QUERIES, mode="enumeration")
-        assert counts["pool"] == 1  # one shared pool for the whole batch
+        # a repeated text is the same prepared query, so it shares its pool
+        db.evaluate_many(self.QUERIES + self.QUERIES[:1], mode="enumeration")
+        assert counts["pool"] == len(self.QUERIES)  # one per distinct query
         assert counts["is_core"] <= 1
 
     def test_all_naive_batch_builds_no_pool(self, monkeypatch, d0):
@@ -292,49 +294,85 @@ class TestEvaluateMany:
 
     def test_batch_stats(self, d0):
         db = Database(d0, semantics="cwa")
-        for result in db.evaluate_many(self.QUERIES):
-            assert result.stats["batch"] is True
+        for text, result in zip(self.QUERIES, db.evaluate_many(self.QUERIES)):
             assert result.stats["execution_s"] >= 0
             assert result.stats["pool_size"] >= 0
-            assert result.stats["pool_build_s"] >= 0
+            # a batch result reports exactly what a solo evaluation does
+            assert set(result.stats) == set(db.evaluate(text).stats)
 
-    def test_batch_pool_build_time_attributed(self, d0):
-        db = Database(d0, semantics="cwa")
-        first = db.evaluate_many(self.QUERIES, mode="enumeration")
-        again = db.evaluate_many(self.QUERIES, mode="enumeration")
-        assert any(r.stats["pool_build_s"] > 0 for r in first)
-        assert all(r.stats["pool_build_s"] == 0 for r in again)  # memo hit
+    def test_pool_build_time_lands_in_planning(self, monkeypatch, d0):
+        import importlib
+        import time
 
-    def test_repeated_batches_reuse_the_shared_pool(self, monkeypatch):
+        certain_mod = importlib.import_module("repro.core.certain")
+        real = certain_mod.default_pool
+        builds = []
+
+        def slow_pool(*args, **kwargs):
+            builds.append(args)
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certain_mod, "default_pool", slow_pool)
+        db = Database(d0, semantics="mincwa")
+        (first,) = db.evaluate_many([FORALL_TEXT], mode="enumeration")
+        (again,) = db.evaluate_many([FORALL_TEXT], mode="enumeration")
+        assert first.stats["pool_size"] and first.stats["planning_s"] >= 0.05
+        assert again.stats["pool_size"] and len(builds) == 1  # reused, not rebuilt
+
+    def test_repeated_batches_reuse_each_query_pool(self, monkeypatch):
         counts = {"pool": 0}
         counting(monkeypatch, "repro.core.certain.default_pool", counts, "pool")
         db = Database(Instance({"D": [(X, X), (X, 1)]}), semantics="mincwa")
         db.evaluate_many(self.QUERIES, mode="enumeration")
         db.evaluate_many(self.QUERIES, mode="enumeration")
-        assert counts["pool"] == 1  # memoised across identical batches
+        for text in self.QUERIES:
+            db.query(text).evaluate("enumeration")  # solo shares the same pool
+        assert counts["pool"] == len(self.QUERIES)
         db.add_fact("D", (2, 3))
         db.evaluate_many(self.QUERIES, mode="enumeration")
-        assert counts["pool"] == 2  # mutation invalidates the memo
+        assert counts["pool"] == 2 * len(self.QUERIES)  # a write invalidates them
 
-    def test_shared_pool_covers_all_query_constants(self, monkeypatch):
-        seen_pools = []
-        import importlib
-
-        certain_mod = importlib.import_module("repro.core.certain")
-        real = certain_mod.default_pool
-
-        def spy(*args, **kwargs):
-            pool = real(*args, **kwargs)
-            seen_pools.append(pool)
-            return pool
-
-        monkeypatch.setattr(certain_mod, "default_pool", spy)
+    def test_each_query_pool_holds_its_own_constants(self, monkeypatch):
+        counts = {"pool": 0}
+        counting(monkeypatch, "repro.core.certain.default_pool", counts, "pool")
         db = Database(Instance({"D": [(X, Y)]}), semantics="cwa")
-        db.evaluate_many(
-            ["exists x . D(x, 41)", "exists x . D(42, x)"], mode="enumeration"
-        )
-        assert len(seen_pools) == 1
-        assert {41, 42} <= set(seen_pools[0])
+        first, second = (db.query(t) for t in ("exists x . D(x, 41)", "exists x . D(42, x)"))
+        db.evaluate_many([first, second], mode="enumeration")
+        assert counts["pool"] == 2
+        assert 41 in first.pool and 42 not in first.pool
+        assert 42 in second.pool and 41 not in second.pool
+
+    def test_batch_answers_and_errors_like_solo(self):
+        forall = "forall y (R(x, y) -> S(y))"
+        wide = "exists y (R(7, y) | R(8, y) | R(9, y) | R(10, y))"  # naive-routed
+        failing = "forall y (R(x, y) -> S(y) | y = 7 | y = 8 | y = 9 | y = 10)"
+
+        def fresh():
+            # a fresh session per run: no result cached by an earlier one
+            db = Database({"R": [(1, X), (2, Y)], "S": []}, semantics="cwa")
+            db.limit = 30
+            return db
+
+        def outcome(run):
+            try:
+                return [(r.method, r.answers) for r in run()]
+            except ExpansionLimitError as err:
+                return str(err)
+
+        def solo(texts):
+            # the first query that fails alone decides the batch's error
+            results = []
+            for text in texts:
+                got = outcome(lambda: [fresh().evaluate(text)])
+                if isinstance(got, str):
+                    return got
+                results += got
+            return results
+
+        assert isinstance(outcome(lambda: [fresh().evaluate(failing)]), str)
+        for texts in ([forall, wide], [wide, forall], [forall, failing], [failing, wide]):
+            assert outcome(lambda: fresh().evaluate_many(texts)) == solo(texts), texts
 
     def test_empty_batch(self, d0):
         assert Database(d0).evaluate_many([]) == []
