@@ -18,7 +18,6 @@ from typing import Hashable, Iterable, Iterator, Sequence
 from repro.constraints.deps import FunctionalDependency, satisfies
 from repro.data.instance import Instance
 from repro.data.schema import Schema
-from repro.logic.eval import evaluate
 from repro.logic.queries import Query
 from repro.semantics.base import Semantics
 
@@ -73,31 +72,12 @@ def certain_answers_under(
     Raises ``ValueError`` when no world over the pool is consistent —
     the incomplete database contradicts the constraints.
     """
-    from repro.core.certain import default_pool, query_schema
+    from repro.core.certain import certain_over_expansion, default_pool
 
     if pool is None:
         pool = default_pool(instance, query)
     sem = ConstrainedSemantics(base, constraints)
-    schema = instance.schema().union(query_schema(query))
-    result: frozenset[tuple[Hashable, ...]] | None = None
-    for world in sem.expand(
-        instance, list(pool), schema=schema, extra_facts=extra_facts, limit=limit
-    ):
-        if result is None:
-            result = query.eval_raw(world)
-        elif query.is_boolean:
-            if result and not evaluate(query.formula, world):
-                result = frozenset()
-        else:
-            adom = world.adom()
-            result = frozenset(
-                row
-                for row in result
-                if all(v in adom for v in row)
-                and evaluate(query.formula, world, dict(zip(query.answer_vars, row)))
-            )
-        if not result:
-            break
+    result = certain_over_expansion(query, instance, sem, pool, extra_facts, limit)
     if result is None:
         raise ValueError(
             "no consistent world over the pool: the database violates the constraints"

@@ -94,6 +94,7 @@ __all__ = [
     "query_schema",
     "certain_answers",
     "certain_holds",
+    "certain_over_expansion",
     "WorldSpec",
 ]
 
@@ -102,7 +103,6 @@ def _pool_parts(
     instance: Instance,
     query: Query | None = None,
     n_fresh: int | None = None,
-    extra_constants: Iterable[Hashable] = (),
 ) -> tuple[list[Hashable], list[str]]:
     """``(sorted base constants, fresh tail)`` of the default pool.
 
@@ -113,7 +113,6 @@ def _pool_parts(
     base: set[Hashable] = set(instance.constants())
     if query is not None:
         base |= set(query.constants())
-    base.update(extra_constants)
     if n_fresh is None:
         n_fresh = len(instance.nulls()) + 1
     fresh: list[str] = []
@@ -130,7 +129,6 @@ def default_pool(
     instance: Instance,
     query: Query | None = None,
     n_fresh: int | None = None,
-    extra_constants: Iterable[Hashable] = (),
 ) -> list[Hashable]:
     """The constant pool making bounded enumeration exact (see module doc).
 
@@ -139,10 +137,9 @@ def default_pool(
     :func:`repro.data.values.sort_key`), never by raw ``repr``, so
     instances mixing ``int`` and ``str`` cells always enumerate in the
     same order regardless of construction order, and limit truncation
-    is reproducible.  ``extra_constants`` widens the pool (e.g. with
-    the constants of a whole query batch) without changing the scheme.
+    is reproducible.
     """
-    base, fresh = _pool_parts(instance, query, n_fresh, extra_constants)
+    base, fresh = _pool_parts(instance, query, n_fresh)
     return base + fresh
 
 
@@ -644,18 +641,37 @@ def certain_answers(
         # neither the instance nor the query are anonymous to both, so
         # permuting them fixes D and Q while permuting worlds — exactly
         # the genericity the orbit transversal needs.  (For the default
-        # pool this recovers the |Null(D)|+1 fresh constants; for a
-        # session's batch pool it also covers the other queries'
-        # constants, which are fresh with respect to *this* query.)
+        # pool this recovers the |Null(D)|+1 fresh constants.)
         known = instance.constants() | set(query.constants())
         fresh_tail = tuple(v for v in pool if v not in known)
         return _certain_by_valuations(
             cq, instance, semantics, list(pool), fresh_tail, limit, stats_out=stats_out
         )
+    result = certain_over_expansion(query, instance, semantics, pool, extra_facts, limit, stats_out)
+    if result is None:
+        raise RuntimeError(
+            f"[[D]] came out empty over the pool — {semantics!r} violated totality"
+        )
+    return result
+
+
+def certain_over_expansion(
+    query: Query,
+    instance: Instance,
+    semantics: Semantics,
+    pool: Sequence[Hashable],
+    extra_facts: int | None = None,
+    limit: int = 500_000,
+    stats_out: dict | None = None,
+) -> frozenset[tuple[Hashable, ...]] | None:
+    """``⋂ Q(E)`` over the worlds ``semantics.expand`` yields; ``None`` if none.
+
+    Stops at the first world that empties the intersection.
+    """
     schema = instance.schema().union(query_schema(query))
     # the worlds share one dictionary, so they intersect on encoded rows
     dictionary = Dictionary()
-    plan = ColumnarQuery(cq)
+    plan = ColumnarQuery(compiled_query(query))
     result: frozenset[tuple[int, ...]] | None = None
     worlds = 0
     for complete in semantics.expand(
@@ -668,11 +684,7 @@ def certain_answers(
             break
     if stats_out is not None:
         stats_out.update(mode="expand", worlds=worlds)
-    if result is None:
-        raise RuntimeError(
-            f"[[D]] came out empty over the pool — {semantics!r} violated totality"
-        )
-    return frozenset(map(dictionary.decode_row, result))
+    return None if result is None else frozenset(map(dictionary.decode_row, result))
 
 
 def certain_holds(

@@ -13,9 +13,16 @@ for every representable value, and values that are *not* representable
 (non-scalar cells, nulls whose label itself starts with ``?``) raise
 :class:`ValueError` instead of being silently stringified.
 
-An answer set goes on the wire as its rows sorted by the ``repr`` of
-each row tuple (:func:`render_rows`).  A :class:`RawJSON` carries text
-already rendered; :func:`dumps` splices it into a response line as is:
+This module is the one codec for a *relation map*, the ``{relation:
+[rows]}`` object that instance files, snapshots, the write-ahead log,
+the replication frames and the ``dump`` op all carry:
+:func:`encode_relations` sorts each relation's rows by the ``repr`` of
+the row tuple, so equal maps encode to equal bytes, and
+:func:`decode_relations` checks the shape before it decodes a cell.
+Each format keeps its own ``json.dumps`` call.  An answer set goes on
+the wire as one relation's rows in the same order (:func:`render_rows`).
+A :class:`RawJSON` carries text already rendered; :func:`dumps` splices
+it into a response line as is:
 
 >>> line = dumps({"ok": True, "answers": RawJSON('[[1, "??x"]]')})
 >>> line
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 from repro.data.instance import Instance
 from repro.data.values import Null
@@ -39,6 +46,10 @@ __all__ = [
     "encode_cell",
     "decode_row",
     "encode_row",
+    "decode_rows",
+    "encode_rows",
+    "decode_relations",
+    "encode_relations",
     "dumps",
     "instance_from_json",
     "instance_to_json",
@@ -93,9 +104,39 @@ def encode_row(relation: str, row: Iterable[Hashable]) -> list:
     return [encode_cell(relation, v) for v in row]
 
 
+def decode_rows(relation: str, rows) -> list[tuple[Hashable, ...]]:
+    """One relation's JSON row list → its fact tuples."""
+    if not isinstance(rows, list):
+        raise ValueError(f"relation {relation!r}: expected a list of rows, got {rows!r}")
+    return [decode_row(relation, row) for row in rows]
+
+
+def encode_rows(relation: str, rows: Iterable[tuple]) -> list[list]:
+    """One relation's rows → JSON arrays, sorted by the ``repr`` of each row."""
+    return [encode_row(relation, row) for row in sorted(rows, key=repr)]
+
+
+def decode_relations(data) -> dict[str, list[tuple[Hashable, ...]]]:
+    """A decoded JSON ``{relation: [rows]}`` object → fact tuples per relation."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"expected an object mapping relation names to row lists, got {data!r}"
+        )
+    return {name: decode_rows(name, rows) for name, rows in data.items()}
+
+
+def encode_relations(
+    relations: Instance | Mapping[str, Iterable[tuple]],
+) -> dict[str, list[list]]:
+    """Rows per relation (or every relation of an instance) → a JSON-ready map."""
+    if isinstance(relations, Instance):
+        relations = {name: relations.tuples(name) for name in relations.relations}
+    return {name: encode_rows(name, rows) for name, rows in relations.items()}
+
+
 def render_rows(relation: str, rows: Iterable[tuple]) -> str:
     """An answer set's JSON text: rows sorted by ``repr``, cells encoded."""
-    return json.dumps([encode_row(relation, row) for row in sorted(rows, key=repr)])
+    return json.dumps(encode_rows(relation, rows))
 
 
 class RawJSON:
@@ -175,17 +216,7 @@ def _raw(obj) -> RawJSON:
 
 def instance_from_json(text: str) -> Instance:
     """Parse the JSON instance format (see module docstring)."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("instance JSON must be an object of relation → rows")
-    rels: dict[str, list[tuple]] = {}
-    for name, rows in data.items():
-        if not isinstance(rows, list):
-            raise ValueError(
-                f"relation {name!r}: expected a list of rows, got {rows!r}"
-            )
-        rels[name] = [decode_row(name, row) for row in rows]
-    return Instance(rels)
+    return Instance(decode_relations(json.loads(text)))
 
 
 def instance_to_json(instance: Instance) -> str:
@@ -196,11 +227,4 @@ def instance_to_json(instance: Instance) -> str:
     nulls; cells that are not JSON scalars raise :class:`ValueError`
     instead of being silently stringified.
     """
-    data = {
-        name: [
-            encode_row(name, row)
-            for row in sorted(instance.tuples(name), key=repr)
-        ]
-        for name in instance.relations
-    }
-    return json.dumps(data)
+    return json.dumps(encode_relations(instance))

@@ -35,7 +35,7 @@ from time import monotonic
 from typing import TYPE_CHECKING, Iterator
 
 from repro import faults as _faults
-from repro.data.jsonio import encode_row
+from repro.data.jsonio import encode_relations
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.session import Database
@@ -222,15 +222,11 @@ class ReplicationFeed:
         with db._lock:
             instance = db.instance
             position = db.position
-        encoded = {
-            name: [encode_row(name, row) for row in sorted(instance.tuples(name), key=repr)]
-            for name in instance.relations
-        }
         frame = {
             "frame": "snapshot",
             "generation": position["generation"],
             "rel_generations": position["rel_generations"],
-            "instance": encoded,
+            "instance": encode_relations(instance),
         }
         return frame, position["generation"]
 

@@ -33,8 +33,7 @@ from time import monotonic
 from typing import TYPE_CHECKING, Callable
 
 from repro import faults as _faults
-from repro.data.instance import Instance
-from repro.data.jsonio import decode_row
+from repro.data.jsonio import decode_relations
 from repro.session import DegradedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -58,12 +57,6 @@ def parse_address(address: str | tuple) -> tuple[str, int]:
     return host, int(port)
 
 
-def _decode_side(side: dict | None) -> dict[str, list[tuple]]:
-    if not side:
-        return {}
-    return {name: [decode_row(name, row) for row in rows] for name, rows in side.items()}
-
-
 def apply_frame(db: Database, frame: dict) -> str:
     """Apply one replication frame to ``db``; returns the outcome.
 
@@ -84,10 +77,7 @@ def apply_frame(db: Database, frame: dict) -> str:
     # reconnect — dense generations make re-application idempotent)
     _faults.fire("replica.apply")
     if kind == "snapshot":
-        relations = frame.get("instance") or {}
-        instance = Instance(
-            {name: [decode_row(name, row) for row in rows] for name, rows in relations.items()}
-        )
+        instance = decode_relations(frame.get("instance") or {})
         db.restore(instance, frame["generation"], frame.get("rel_generations") or {})
         return "snapshot"
     if kind == "delta":
@@ -96,7 +86,10 @@ def apply_frame(db: Database, frame: dict) -> str:
             return "skipped"
         if generation != db.generation + 1:
             return "gap"
-        db.apply_delta(_decode_side(frame.get("adds")), _decode_side(frame.get("removes")))
+        db.apply_delta(
+            decode_relations(frame.get("adds") or {}),
+            decode_relations(frame.get("removes") or {}),
+        )
         if db.generation != generation:
             return "diverged"  # the delta was not effective here: state drift
         for name, gen in (frame.get("rel_generations") or {}).items():

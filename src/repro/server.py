@@ -60,7 +60,7 @@ from typing import Iterator
 
 from repro import faults as _faults
 from repro.core.analyzer import FIGURE_1
-from repro.data.jsonio import RawJSON, decode_row, dumps, instance_to_json
+from repro.data.jsonio import RawJSON, decode_relations, decode_rows, dumps, encode_relations
 from repro.replication.feed import ReplicationFeed
 from repro.replication.replica import ReplicaTailer
 from repro.session import Database, DegradedError, PreparedQuery
@@ -81,6 +81,11 @@ PROTO_VERSION = 2
 #: the optional protocol features every node serves, advertised by
 #: ``ping`` and ``stats``
 FEATURES = ("pipelining", "deadline_ms")
+
+
+def _is_number(value, types) -> bool:
+    """``isinstance(value, types)``, except that a JSON ``true``/``false`` is no number."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 class _Reject(Exception):
@@ -253,18 +258,17 @@ class QueryService:
         min_rel = request.get("min_rel_generation")
         if min_g is None and not min_rel:
             return
-        if min_g is not None and (not isinstance(min_g, int) or min_g < 0):
+        if min_g is not None and not (_is_number(min_g, int) and min_g >= 0):
             raise ValueError("'min_generation' must be a non-negative integer")
         if min_rel is not None and (
             not isinstance(min_rel, dict)
             or not all(
-                isinstance(name, str) and isinstance(gen, int)
-                for name, gen in min_rel.items()
+                isinstance(name, str) and _is_number(gen, int) for name, gen in min_rel.items()
             )
         ):
             raise ValueError("'min_rel_generation' must map relation names to integers")
         timeout = request.get("wait_timeout_s", 2.0)
-        if not isinstance(timeout, (int, float)) or timeout < 0:
+        if not (_is_number(timeout, (int, float)) and timeout >= 0):
             raise ValueError("'wait_timeout_s' must be a non-negative number")
         if self.db.wait_for_generation(min_g, min_rel, timeout=float(timeout)):
             return
@@ -318,9 +322,21 @@ class QueryService:
             raise ValueError(
                 f"unknown semantics {semantics!r}; choose from {sorted(FIGURE_1)}"
             )
-        return self.db.query(
+        prepared = self.db.query(
             text, tuple(vars_) if vars_ is not None else None, semantics=semantics
         )
+        # the evaluators match an atom of the wrong arity against nothing;
+        # over the wire that silent empty answer is a client mistake
+        instance = self.db.instance
+        for name, arity in prepared.schema.items():
+            if instance.tuples(name) and instance.arity(name) != arity:
+                raise _Reject(
+                    f"schema: the query reads {name!r} with arity {arity}, but the "
+                    f"instance holds {name!r} with arity {instance.arity(name)}",
+                    error_type="schema",
+                    relation=name,
+                )
+        return prepared
 
     @staticmethod
     def _mode(request: dict) -> str:
@@ -380,10 +396,7 @@ class QueryService:
         relation = request.get("relation")
         if not isinstance(relation, str) or not relation:
             raise ValueError("'relation' must be a non-empty string")
-        rows = request.get("rows")
-        if not isinstance(rows, list):
-            raise ValueError("'rows' must be a list of rows")
-        return relation, [decode_row(relation, row) for row in rows]
+        return relation, decode_rows(relation, request.get("rows"))
 
     def _mutated(self, changed: int) -> dict:
         with self._lock:
@@ -402,21 +415,11 @@ class QueryService:
 
     def _op_delta(self, request: dict) -> dict:
         self._require_primary()
-
-        def decode_side(side) -> dict[str, list[tuple]] | None:
-            mapping = request.get(side)
-            if mapping is None:
-                return None
-            if not isinstance(mapping, dict):
-                raise ValueError(f"'{side}' must map relation names to row lists")
-            return {
-                name: [decode_row(name, row) for row in rows]
-                for name, rows in mapping.items()
-            }
-
-        return self._mutated(
-            self.db.apply_delta(decode_side("adds"), decode_side("removes"))
+        adds, removes = (
+            decode_relations({} if request.get(side) is None else request[side])
+            for side in ("adds", "removes")
         )
+        return self._mutated(self.db.apply_delta(adds, removes))
 
     def _op_checkpoint(self, request: dict) -> dict:
         """Force a snapshot + WAL truncation on a durable session.
@@ -485,7 +488,7 @@ class QueryService:
         return {"ok": True, "plan": prepared.plan(self._mode(request)).to_dict()}
 
     def _op_dump(self, request: dict) -> dict:
-        return {"ok": True, "instance": json.loads(instance_to_json(self.db.instance))}
+        return {"ok": True, "instance": encode_relations(self.db.instance)}
 
     def _op_stats(self, request: dict) -> dict:
         with self._lock:

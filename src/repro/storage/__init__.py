@@ -3,6 +3,8 @@
 ``Database(path="...")`` turns a memory-only session into a durable
 one.  The division of labour:
 
+* :mod:`repro.storage.framing` — the checksummed frame both files are
+  built from;
 * :mod:`repro.storage.snapshot` — the versioned, checksummed,
   binary-framed snapshot of (instance rows + generation counters),
   published by atomic replace;

@@ -16,8 +16,9 @@ File layout (all integers little-endian)::
 
 The header JSON carries ``{"generation", "rel_gens", "relations":
 [[name, n_rows], ...]}``; each relation frame is the JSON list of its
-rows in the :mod:`repro.data.jsonio` cell encoding (``"?x"`` = null ⊥x,
-``"??x"`` = the constant ``"?x"``), sorted for deterministic bytes.
+rows as :func:`repro.data.jsonio.encode_rows` writes them
+(``"?x"`` = null ⊥x, ``"??x"`` = the constant ``"?x"``; rows sorted for
+deterministic bytes), in the frames of :mod:`repro.storage.framing`.
 
 Snapshots are written to a temporary sibling and published with
 ``os.replace`` + directory fsync, so a crash mid-write leaves the old
@@ -31,22 +32,18 @@ from __future__ import annotations
 import errno
 import json
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults as _faults
 from repro.data.instance import Instance
-from repro.data.jsonio import decode_row, encode_row
+from repro.data.jsonio import decode_rows, encode_rows
+from repro.storage.framing import _HEADER, _frame, _fsync_dir, _read_frame
 
 __all__ = ["SnapshotError", "SnapshotState", "read_snapshot", "write_snapshot"]
 
 MAGIC = b"REPROSNP"
 FORMAT_VERSION = 1
-
-_HEADER = struct.Struct("<8sH")
-_U32 = struct.Struct("<I")
 
 
 class SnapshotError(Exception):
@@ -60,21 +57,6 @@ class SnapshotState:
     instance: Instance
     generation: int = 0
     rel_gens: dict[str, int] = field(default_factory=dict)
-
-
-def _frame(payload: bytes) -> bytes:
-    return _U32.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload))
-
-
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def write_snapshot(
@@ -98,11 +80,10 @@ def write_snapshot(
     """
     registry = _faults.coerce(faults)
     instance = state.instance
-    names = list(instance.relations)  # sorted by Instance
     frames: list[bytes] = []
     header_relations: list[list] = []
-    for name in names:
-        rows = [encode_row(name, row) for row in sorted(instance.tuples(name), key=repr)]
+    for name in instance.relations:  # sorted; one relation encoded at a time
+        rows = encode_rows(name, instance.tuples(name))
         payload = json.dumps(rows, separators=(",", ":")).encode("utf-8")
         frames.append(_frame(payload))
         header_relations.append([name, len(rows)])
@@ -147,18 +128,13 @@ def write_snapshot(
     return len(blob)
 
 
-def _read_frame(blob: bytes, pos: int, path: Path, what: str) -> tuple[bytes, int]:
-    if pos + _U32.size > len(blob):
+def _checked_frame(blob: bytes, pos: int, path: Path, what: str) -> tuple[bytes, int]:
+    frame = _read_frame(blob, pos)
+    if frame is None:
         raise SnapshotError(f"{path}: truncated {what} frame at byte {pos}")
-    (length,) = _U32.unpack_from(blob, pos)
-    end = pos + _U32.size + length + _U32.size
-    if end > len(blob):
-        raise SnapshotError(f"{path}: truncated {what} frame at byte {pos}")
-    payload = blob[pos + _U32.size : pos + _U32.size + length]
-    (crc,) = _U32.unpack_from(blob, end - _U32.size)
-    if zlib.crc32(payload) != crc:
+    if frame[0] is None:
         raise SnapshotError(f"{path}: checksum mismatch in {what} frame at byte {pos}")
-    return payload, end
+    return frame
 
 
 def read_snapshot(path: str | os.PathLike) -> SnapshotState:
@@ -179,7 +155,7 @@ def read_snapshot(path: str | os.PathLike) -> SnapshotState:
             f"{path}: snapshot format version {version} is not supported "
             f"(this build reads version {FORMAT_VERSION}); refusing to guess"
         )
-    header_bytes, pos = _read_frame(blob, _HEADER.size, path, "header")
+    header_bytes, pos = _checked_frame(blob, _HEADER.size, path, "header")
     try:
         header = json.loads(header_bytes)
     except ValueError as err:
@@ -187,16 +163,16 @@ def read_snapshot(path: str | os.PathLike) -> SnapshotState:
     relations: dict[str, list[tuple]] = {}
     for entry in header.get("relations", []):
         name, n_rows = entry
-        payload, pos = _read_frame(blob, pos, path, f"relation {name!r}")
+        payload, pos = _checked_frame(blob, pos, path, f"relation {name!r}")
         try:
-            rows = json.loads(payload)
+            rows = decode_rows(name, json.loads(payload))
         except ValueError as err:
             raise SnapshotError(f"{path}: undecodable rows for {name!r}: {err}") from None
         if len(rows) != n_rows:
             raise SnapshotError(
                 f"{path}: relation {name!r} has {len(rows)} rows, header says {n_rows}"
             )
-        relations[name] = [decode_row(name, row) for row in rows]
+        relations[name] = rows
     if pos != len(blob):
         raise SnapshotError(f"{path}: {len(blob) - pos} trailing bytes after the last frame")
     return SnapshotState(

@@ -31,7 +31,7 @@ from typing import Hashable, Iterator, Mapping
 
 from repro import faults as _faults
 from repro.data.instance import Instance
-from repro.data.jsonio import decode_row, encode_row
+from repro.data.jsonio import decode_relations, encode_relations
 from repro.storage.snapshot import SnapshotState, read_snapshot, write_snapshot
 from repro.storage.wal import WriteAheadLog
 
@@ -57,23 +57,6 @@ class RecoveryInfo:
     had_snapshot: bool
 
 
-def _decode_side(side: Mapping[str, list] | None) -> dict[str, list[tuple]]:
-    if not side:
-        return {}
-    return {
-        name: [decode_row(name, row) for row in rows] for name, rows in side.items()
-    }
-
-
-def _encode_side(changes: Mapping[str, frozenset], index: int) -> dict[str, list]:
-    out: dict[str, list] = {}
-    for name, sides in changes.items():
-        rows = sides[index]
-        if rows:
-            out[name] = [encode_row(name, row) for row in sorted(rows, key=repr)]
-    return out
-
-
 def encode_delta_record(
     changes: Mapping[str, tuple[frozenset, frozenset]],
     generation: int,
@@ -91,8 +74,8 @@ def encode_delta_record(
         "g": generation,
         "rg": {name: rel_gens[name] for name in sorted(changes)},
     }
-    adds = _encode_side(changes, 0)
-    removes = _encode_side(changes, 1)
+    adds = encode_relations({name: sides[0] for name, sides in changes.items() if sides[0]})
+    removes = encode_relations({name: sides[1] for name, sides in changes.items() if sides[1]})
     if adds:
         record["adds"] = adds
     if removes:
@@ -159,9 +142,10 @@ class Storage:
                 # crash hit before the log was truncated: already applied
                 skipped += 1
                 continue
-            adds = _decode_side(record.get("adds"))
-            removes = _decode_side(record.get("removes"))
-            instance, _changes = instance.with_delta(adds, removes)
+            instance, _changes = instance.with_delta(
+                decode_relations(record.get("adds") or {}),
+                decode_relations(record.get("removes") or {}),
+            )
             generation = record["g"]
             for name, gen in record.get("rg", {}).items():
                 rel_gens[name] = gen
@@ -188,30 +172,13 @@ class Storage:
         for record in records:
             yield {
                 "generation": record["g"],
-                "adds": _decode_side(record.get("adds")),
-                "removes": _decode_side(record.get("removes")),
+                "adds": decode_relations(record.get("adds") or {}),
+                "removes": decode_relations(record.get("removes") or {}),
             }
 
     # ------------------------------------------------------------------
     # journaling
     # ------------------------------------------------------------------
-
-    def log_delta(
-        self,
-        changes: Mapping[str, tuple[frozenset, frozenset]],
-        generation: int,
-        rel_gens: Mapping[str, int],
-    ) -> int:
-        """Append one effective delta; returns the offset to :meth:`sync` to.
-
-        ``changes`` is exactly what :meth:`Instance.with_delta` reported
-        (effective adds/removes per touched relation); ``generation``
-        and ``rel_gens`` are the counters *after* the write, so replay
-        restores them bit-identically.  Encoding happens before any
-        bytes are written: a non-JSON-representable cell raises before
-        the session publishes anything.
-        """
-        return self.append_record(encode_delta_record(changes, generation, rel_gens))
 
     def append_record(self, record: dict) -> int:
         """Append an already-encoded record (see :func:`encode_delta_record`)."""

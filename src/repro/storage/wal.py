@@ -6,7 +6,7 @@ Every effective mutation of a durable :class:`~repro.session.Database`
 acknowledged to the caller only after the record is fsync'd — so an
 acknowledged delta survives ``kill -9``.
 
-Record framing (one record, little-endian)::
+Record framing (:mod:`repro.storage.framing`; little-endian)::
 
     u32 payload length | payload bytes | u32 crc32(payload)
 
@@ -38,23 +38,18 @@ from __future__ import annotations
 import errno
 import json
 import os
-import struct
 import threading
 import time
-import zlib
 from pathlib import Path
-from typing import Iterator
 
 from repro import faults as _faults
+from repro.storage.framing import _HEADER, _U32, _frame, _fsync_dir, _read_frame
 
 __all__ = ["WalError", "WriteAheadLog", "MAGIC", "FORMAT_VERSION"]
 
 #: file header: magic + format version (refuse anything else cleanly)
 MAGIC = b"REPROWAL"
 FORMAT_VERSION = 1
-
-_HEADER = struct.Struct("<8sH")
-_U32 = struct.Struct("<I")
 
 
 class WalError(Exception):
@@ -73,27 +68,10 @@ def _contains_valid_frame(blob: bytes, start: int, limit: int = 256 * 1024) -> b
     """
     stop = min(len(blob), start + limit)
     for pos in range(start, stop - _U32.size + 1):
-        (length,) = _U32.unpack_from(blob, pos)
-        frame_end = pos + _U32.size + length + _U32.size
-        if length == 0 or frame_end > len(blob):
-            continue
-        payload = blob[pos + _U32.size : frame_end - _U32.size]
-        (crc,) = _U32.unpack_from(blob, frame_end - _U32.size)
-        if zlib.crc32(payload) == crc:
+        frame = _read_frame(blob, pos)
+        if frame is not None and frame[0]:  # complete, valid and non-empty
             return True
     return False
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync the containing directory so renames/creates are durable."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return  # e.g. platforms without directory fds
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class WriteAheadLog:
@@ -171,15 +149,11 @@ class WriteAheadLog:
         pos = _HEADER.size
         good = pos
         while pos < len(blob):
-            if pos + _U32.size > len(blob):
-                break  # torn length word
-            (length,) = _U32.unpack_from(blob, pos)
-            end = pos + _U32.size + length + _U32.size
-            if end > len(blob):
-                break  # torn payload or checksum
-            payload = blob[pos + _U32.size : pos + _U32.size + length]
-            (crc,) = _U32.unpack_from(blob, end - _U32.size)
-            if zlib.crc32(payload) != crc:
+            frame = _read_frame(blob, pos)
+            if frame is None:
+                break  # torn length word, payload or checksum
+            payload, end = frame
+            if payload is None:
                 if end < len(blob):
                     # a bad checksum *followed by more data* is not a torn
                     # tail — the log rotted mid-file and replaying past it
@@ -232,18 +206,11 @@ class WriteAheadLog:
         if len(blob) < _HEADER.size:
             return []
         records: list[dict] = []
-        pos = _HEADER.size
-        while pos + _U32.size <= len(blob):
-            (length,) = _U32.unpack_from(blob, pos)
-            end = pos + _U32.size + length + _U32.size
-            if end > len(blob):
-                break
-            payload = blob[pos + _U32.size : pos + _U32.size + length]
-            (crc,) = _U32.unpack_from(blob, end - _U32.size)
-            if zlib.crc32(payload) != crc:
-                break
+        frame = _read_frame(blob, _HEADER.size)
+        while frame is not None and frame[0] is not None:
+            payload, end = frame
             records.append(json.loads(payload))
-            pos = end
+            frame = _read_frame(blob, end)
         return records
 
     # ------------------------------------------------------------------
@@ -290,8 +257,7 @@ class WriteAheadLog:
         :meth:`truncate` (a checkpoint) resets the log; the session's
         degraded mode enforces exactly that ordering.
         """
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        frame = _U32.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload))
+        frame = _frame(json.dumps(record, separators=(",", ":")).encode("utf-8"))
         with self._lock:
             if self._file is None:
                 raise WalError(f"{self.path}: log is not open for appending")
@@ -431,18 +397,6 @@ class WriteAheadLog:
             if self._first_append is None:
                 return 0.0
             return time.monotonic() - self._first_append
-
-    def iter_offsets(self) -> Iterator[int]:  # pragma: no cover - debugging aid
-        """Offsets of each record frame (for inspection tools)."""
-        blob = self.path.read_bytes()
-        pos = _HEADER.size
-        while pos + _U32.size <= len(blob):
-            (length,) = _U32.unpack_from(blob, pos)
-            end = pos + _U32.size + length + _U32.size
-            if end > len(blob):
-                return
-            yield pos
-            pos = end
 
     def close(self) -> None:
         with self._lock:

@@ -44,11 +44,6 @@ class TestDefaultPool:
         d = Instance({"R": [(X, Y)]})
         assert len(default_pool(d, n_fresh=0)) == 0
 
-    def test_extra_constants_widen_the_pool(self):
-        d = Instance({"R": [(1, X)]})
-        pool = default_pool(d, extra_constants={41, 42})
-        assert 41 in pool and 42 in pool
-
     # ------------------------------------------------------------------
     # regression: pool order must be deterministic and type-stable
     # (sorting by repr interleaved int and str constants — repr("0") is

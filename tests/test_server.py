@@ -4,6 +4,7 @@ TCP server."""
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -105,6 +106,7 @@ class TestQueryServiceOps:
             {"op": "insert", "relation": "R"},
             {"op": "insert", "rows": [[1]]},
             {"op": "delta", "adds": [["R", 1]]},
+            {"op": "delta", "adds": {"R": 5}},
             {"op": "query", "query": "R(x, y)", "vars": "xy"},
             {"op": "batch", "queries": ["R(x, y)"]},
             {"op": "batch", "queries": [{"query": "R(x, y)"}], "mode": ["x"]},
@@ -116,7 +118,7 @@ class TestQueryServiceOps:
         response = service.handle(request_)
         assert response["ok"] is False and response["error"]
         # the error names the bad field; it never leaks a Python internal
-        for leak in ("object has no attribute", "unhashable type"):
+        for leak in ("object has no attribute", "unhashable type", "is not iterable"):
             assert leak not in response["error"]
         assert response["error"] not in ("'relation'", "'rows'")  # bare KeyError text
 
@@ -136,6 +138,38 @@ class TestQueryServiceOps:
         response = service.handle(request)
         assert response["ok"] is False
         assert response["error"].startswith(error)
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"min_generation": True}, "'min_generation' must be a non-negative integer"),
+            ({"min_generation": False}, "'min_generation' must be a non-negative integer"),
+            (
+                {"min_rel_generation": {"R": True}},
+                "'min_rel_generation' must map relation names to integers",
+            ),
+            (
+                {"min_generation": 0, "wait_timeout_s": True},
+                "'wait_timeout_s' must be a non-negative number",
+            ),
+        ],
+        ids=["true-generation", "false-generation", "true-rel-generation", "true-timeout"],
+    )
+    def test_boolean_staleness_fields_get_field_errors(self, service, fields, error):
+        # a JSON boolean is no generation: it must not wait out the timeout
+        # and answer stale
+        request = {"op": "query", "query": "R(x, y)", "wait_timeout_s": 2.0, **fields}
+        started = time.monotonic()
+        response = service.handle(request)
+        assert time.monotonic() - started < 1.0
+        assert response == {"ok": False, "error": error}
+
+    def test_arity_mismatch_is_a_schema_error(self, service):
+        response = service.handle({"op": "query", "query": "R(x)"})
+        assert response["ok"] is False
+        assert response["error_type"] == "schema" and response["relation"] == "R"
+        # the library still evaluates the atom as matching nothing
+        assert service.db.query("R(x)").evaluate().answers == frozenset()
 
     def test_bad_json_line(self, service):
         response = json.loads(service.handle_line("{nope"))
