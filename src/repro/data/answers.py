@@ -144,6 +144,11 @@ class AnswerSet:
     def is_encoded(self) -> bool:
         return self._dictionary is not None
 
+    @property
+    def is_rendered(self) -> bool:
+        """Is the wire text already cached (:meth:`to_json` costs nothing)?"""
+        return self._json is not None
+
     def _columns(self) -> list[array]:
         if self._codes is None:  # a patched set: its rows are the counted ones
             self._codes = array("q", chain.from_iterable(_visible_rows(self._counts)))

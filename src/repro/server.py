@@ -12,16 +12,20 @@ long-lived service:
 * :class:`AsyncServer` — the serving core: one asyncio event loop
   multiplexing thousands of connections with per-connection request
   **pipelining** (``id``-correlated, out-of-order responses),
-  semaphore-bounded **admission control** (typed ``overloaded`` frames
+  slot-bounded **admission control** (typed ``overloaded`` frames
   instead of unbounded queueing), server-enforced ``deadline_ms``, and
   ``drain()`` backpressure.  ``repro serve`` (:mod:`repro.cli`) wires
   it to a command line; ``docs/serving.md`` is the architecture tour.
 
 Concurrency model: the :class:`~repro.session.Database` is already
 thread-safe (immutable instance snapshots + per-relation generation
-counters), so executor threads call straight into it.  Mutations apply
+counters), so worker threads call straight into it.  Mutations apply
 atomically; readers either hit the generation-keyed result cache or
-evaluate against a consistent snapshot.
+evaluate against a consistent snapshot.  A ``query`` whose rendered
+answer is already cached is answered on the event loop itself
+(:meth:`QueryService.serve_cached`); everything else runs on a small
+worker pool, as in the AMPED design of the Flash web server (Pai,
+Druschel and Zwaenepoel, USENIX ATC 1999).
 
 When the shared session is durable (``Database(path=...)``), mutations
 are journaled/fsync'd before they are acknowledged, the ``checkpoint``
@@ -53,8 +57,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Iterator
 
@@ -86,6 +90,11 @@ FEATURES = ("pipelining", "deadline_ms")
 def _is_number(value, types) -> bool:
     """``isinstance(value, types)``, except that a JSON ``true``/``false`` is no number."""
     return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _valid_deadline(deadline_ms) -> bool:
+    """Is ``deadline_ms`` absent or a positive number?"""
+    return deadline_ms is None or (_is_number(deadline_ms, (int, float)) and deadline_ms > 0)
 
 
 class _Reject(Exception):
@@ -216,13 +225,21 @@ class QueryService:
             yield {"ok": False, "error": "replication feed is disabled on this node"}
             return
         position = request.get("position") or {}
-        generation = position.get("generation", 0)
-        if not isinstance(generation, int) or generation < 0:
+        replica = request.get("replica") or {}
+        generation = position.get("generation", 0) if isinstance(position, dict) else 0
+        error = None
+        if not isinstance(position, dict):
+            error = "'position' must be an object"
+        elif not isinstance(replica, dict):
+            error = "'replica' must be an object"
+        elif not (_is_number(generation, int) and generation >= 0):
+            error = "'position.generation' must be a non-negative integer"
+        if error is not None:
             with self._lock:
                 self._counters["errors"] += 1
-            yield {"ok": False, "error": "'position.generation' must be a non-negative integer"}
+            yield {"ok": False, "error": error}
             return
-        announced = (request.get("replica") or {}).get("address")
+        announced = replica.get("address")
         link = self.feed.register(announced if isinstance(announced, str) else None)
         try:
             yield {"ok": True, "frame": "hello", "role": self.role,
@@ -254,19 +271,9 @@ class QueryService:
         ``stale`` frame carrying this node's applied position — never a
         silently stale answer.
         """
-        min_g = request.get("min_generation")
-        min_rel = request.get("min_rel_generation")
+        min_g, min_rel = self._floors(request)
         if min_g is None and not min_rel:
             return
-        if min_g is not None and not (_is_number(min_g, int) and min_g >= 0):
-            raise ValueError("'min_generation' must be a non-negative integer")
-        if min_rel is not None and (
-            not isinstance(min_rel, dict)
-            or not all(
-                isinstance(name, str) and _is_number(gen, int) for name, gen in min_rel.items()
-            )
-        ):
-            raise ValueError("'min_rel_generation' must map relation names to integers")
         timeout = request.get("wait_timeout_s", 2.0)
         if not (_is_number(timeout, (int, float)) and timeout >= 0):
             raise ValueError("'wait_timeout_s' must be a non-negative number")
@@ -284,6 +291,24 @@ class QueryService:
             min_generation=min_g,
             min_rel_generation=min_rel,
         )
+
+    @staticmethod
+    def _floors(request: dict) -> tuple[int | None, dict | None]:
+        """The validated ``min_generation`` and ``min_rel_generation`` floors."""
+        min_g = request.get("min_generation")
+        min_rel = request.get("min_rel_generation")
+        if min_g is None and not min_rel:
+            return None, None
+        if min_g is not None and not (_is_number(min_g, int) and min_g >= 0):
+            raise ValueError("'min_generation' must be a non-negative integer")
+        if min_rel is not None and (
+            not isinstance(min_rel, dict)
+            or not all(
+                isinstance(name, str) and _is_number(gen, int) for name, gen in min_rel.items()
+            )
+        ):
+            raise ValueError("'min_rel_generation' must map relation names to integers")
+        return min_g, min_rel
 
     # ------------------------------------------------------------------
     # ops
@@ -308,7 +333,9 @@ class QueryService:
             "features": list(FEATURES),
         }
 
-    def _prepare(self, request: dict) -> PreparedQuery:
+    @staticmethod
+    def _query_spec(request: dict) -> tuple[str, tuple | None, str | None]:
+        """The validated ``query`` text, ``vars`` and ``semantics`` of a request."""
         text = request.get("query")
         if not isinstance(text, str) or not text:
             raise ValueError("'query' must be non-empty query text")
@@ -322,9 +349,11 @@ class QueryService:
             raise ValueError(
                 f"unknown semantics {semantics!r}; choose from {sorted(FIGURE_1)}"
             )
-        prepared = self.db.query(
-            text, tuple(vars_) if vars_ is not None else None, semantics=semantics
-        )
+        return text, tuple(vars_) if vars_ is not None else None, semantics
+
+    def _prepare(self, request: dict) -> PreparedQuery:
+        text, vars_, semantics = self._query_spec(request)
+        prepared = self.db.query(text, vars_, semantics=semantics)
         # the evaluators match an atom of the wrong arity against nothing;
         # over the wire that silent empty answer is a client mistake
         instance = self.db.instance
@@ -371,6 +400,36 @@ class QueryService:
         with self._lock:
             self._counters["queries"] += 1
         return self._render(prepared, self.db.evaluate_many([prepared], mode=mode)[0])
+
+    def serve_cached(self, request: dict) -> dict | None:
+        """Answer a ``query`` request now if its rendered answer is cached.
+
+        The event loop's fast path: returns the response
+        :meth:`handle` gives, or ``None`` when the request is not a
+        valid ``query`` or :meth:`Database.rendered_hit` declines (the
+        session lock is busy, the floors are unmet, the text was never
+        prepared, the plan is stale, the entry is missing or not yet
+        rendered).  It never blocks, parses, plans or renders.
+        :meth:`handle` runs under the probe's lock, so the hit cannot
+        vanish and the counters move exactly as on the worker path.
+        """
+        if request.get("op") != "query":
+            return None
+        try:
+            text, vars_, semantics = self._query_spec(request)
+            mode = self._mode(request)
+            min_g, min_rel = self._floors(request)
+        except ValueError:
+            return None  # the worker path answers the field error
+        with self.db.rendered_hit(
+            text,
+            vars_,
+            semantics=semantics,
+            mode=mode,
+            generation=min_g,
+            rel_generations=min_rel,
+        ) as hit:
+            return self.handle(request) if hit else None
 
     def _op_batch(self, request: dict) -> dict:
         """An explicit client-side batch: one evaluate_many, one response."""
@@ -556,23 +615,101 @@ class _AsyncConn:
         self.tasks: set[asyncio.Task] = set()
 
 
+class _WorkerPool:
+    """Worker threads that run blocking requests for the event loop.
+
+    A job is an ``(asyncio future, request)`` pair on one
+    :class:`queue.SimpleQueue`.  A worker runs ``service.handle`` on
+    the request and resolves the future on the loop with
+    ``call_soon_threadsafe``, with the response or with whatever
+    ``handle`` raised.  Workers start lazily, one per job the running
+    ones cannot take, up to ``max_workers``, and are named
+    ``repro-async-N``.  Only the loop thread calls :meth:`submit` and
+    :meth:`close`.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, service: QueryService, max_workers: int):
+        self._loop = loop
+        self._service = service
+        self._max_workers = max_workers
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        #: jobs submitted and not yet settled (read and written on the loop)
+        self._pending = 0
+        self._closed = False
+        self.threads: list[threading.Thread] = []
+
+    def submit(self, request: dict) -> asyncio.Future:
+        """Queue one request; the future resolves to its response."""
+        if self._closed:
+            raise RuntimeError("the worker pool is shut down")
+        fut = self._loop.create_future()
+        self._pending += 1
+        if len(self.threads) < min(self._pending, self._max_workers):
+            thread = threading.Thread(
+                target=self._work, daemon=True, name=f"repro-async-{len(self.threads)}"
+            )
+            thread.start()
+            self.threads.append(thread)
+        self._jobs.put((fut, request))
+        return fut
+
+    def _settle(self, fut: asyncio.Future, response, error) -> None:
+        self._pending -= 1
+        if fut.cancelled():
+            return
+        if error is None:
+            fut.set_result(response)
+        else:
+            fut.set_exception(error)
+
+    def _work(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            fut, request = job
+            try:
+                response, error = self._service.handle(request), None
+            except BaseException as err:  # noqa: BLE001 - handle() never raises, but a
+                # bug must still free the slot; awaiting the future re-raises it
+                response, error = None, err
+            try:
+                self._loop.call_soon_threadsafe(self._settle, fut, response, error)
+            except RuntimeError:
+                return  # the loop is closed: nobody awaits the answer
+
+    def close(self) -> None:
+        """Cancel the queued jobs, then stop each worker after its current one."""
+        if self._closed:
+            return
+        self._closed = True
+        while True:
+            try:
+                fut, _request = self._jobs.get_nowait()
+            except queue.Empty:
+                break
+            fut.cancel()
+        for _ in self.threads:
+            self._jobs.put(None)
+
+
 class AsyncServer:
     """An asyncio front end for a :class:`QueryService` (protocol v2).
 
     One event loop multiplexes every connection, so an idle client
-    costs a heap object instead of a parked thread; the blocking
-    session work still runs on a bounded :class:`ThreadPoolExecutor`,
-    one request per job.  What it adds:
+    costs a heap object instead of a parked thread.  A ``query`` whose
+    rendered answer is cached is answered on the loop itself
+    (:meth:`QueryService.serve_cached`); all other session work runs
+    on a pool of at most ``executor_threads`` worker threads, one
+    request per job.  What it adds:
 
     * **pipelining** — each request line becomes its own task; a client
       may send N requests before reading anything, and responses are
       written as they finish, **out of order**, correlated by the
       echoed ``id``;
     * **admission control** — at most ``max_inflight`` requests may
-      occupy executor slots; the next one is shed *immediately* with a
+      occupy worker slots; the next one is shed *immediately* with a
       typed ``overloaded`` frame (never queued unboundedly, never a
       silent drop), and ``max_conns`` bounds accepted connections the
-      same way;
+      same way.  A cache hit answered on the loop takes no slot, so it
+      is never shed;
     * **deadlines** — a request carrying ``deadline_ms`` gets at most
       that long of server residency; past it the client receives a
       typed ``deadline`` frame while the already-running op finishes
@@ -614,7 +751,7 @@ class AsyncServer:
         self.address: tuple[str, int] | None = None
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._executor: ThreadPoolExecutor | None = None
+        self._pool: _WorkerPool | None = None
         self._conns: set[_AsyncConn] = set()
         self._tasks: set[asyncio.Task] = set()
         self._inflight = 0
@@ -633,9 +770,7 @@ class AsyncServer:
     async def start_async(self) -> "AsyncServer":
         """Bind and start accepting on the running event loop."""
         self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.executor_threads, thread_name_prefix="repro-async"
-        )
+        self._pool = _WorkerPool(self._loop, self.service, self.executor_threads)
         self._server = await asyncio.start_server(
             self._handle_conn, self._host, self._port, limit=_LINE_LIMIT
         )
@@ -662,8 +797,8 @@ class AsyncServer:
         for conn in list(self._conns):
             conn.writer.close()
         await asyncio.sleep(0)  # let per-connection loops notice
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        if self._pool is not None:
+            self._pool.close()
 
     # ------------------------------------------------------------------
     # sync facade
@@ -821,6 +956,13 @@ class AsyncServer:
                 # the connection becomes a replication stream until EOF
                 await self._serve_replicate(conn, request)
                 return
+            if isinstance(request, dict) and _valid_deadline(request.get("deadline_ms")):
+                # a rendered cache hit is answered here, on the loop: no
+                # slot, no task, no thread hop
+                response = self.service.serve_cached(request)
+                if response is not None:
+                    await self._respond_obj(conn, response, request.get("id"))
+                    continue
             task = asyncio.create_task(self._serve_request(conn, request, text))
             conn.tasks.add(task)
             self._tasks.add(task)
@@ -881,11 +1023,7 @@ class AsyncServer:
                 return
             rid = request.get("id")
             deadline_ms = request.get("deadline_ms")
-            if deadline_ms is not None and (
-                isinstance(deadline_ms, bool)
-                or not isinstance(deadline_ms, (int, float))
-                or deadline_ms <= 0
-            ):
+            if not _valid_deadline(deadline_ms):
                 self.service.bump("requests")
                 self.service.bump("errors")
                 await self._respond_obj(
@@ -912,14 +1050,12 @@ class AsyncServer:
                     rid,
                 )
                 return
+            fut = self._pool.submit(request)
             self._inflight += 1
-            fut = self._loop.run_in_executor(
-                self._executor, self.service.handle, request
-            )
             fut.add_done_callback(self._release_slot)
             if deadline_ms is not None:
                 try:
-                    # shield: the executor job cannot be interrupted, so a
+                    # shield: the worker's job cannot be interrupted, so a
                     # blown deadline abandons the wait (the slot stays
                     # held until the job truly finishes) and answers now
                     response = await asyncio.wait_for(

@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from contextlib import contextmanager
 from importlib import import_module
 from time import monotonic, perf_counter, time
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core import analyzer as _analyzer
 from repro.core import backends as _backends
@@ -228,6 +229,18 @@ class PreparedQuery:
         gens = tuple(db._rel_gens.get(name, 0) for name in self.schema.relations)
         core_gen = db._generation if self.verdict.over_cores_only else -1
         return (db._epoch, gens, core_gen)
+
+    def _cached_plan(self, mode: str) -> Plan | None:
+        """The plan for ``mode`` cached under the current key, else ``None``.
+
+        Never plans or analyzes: a cached plan implies that the verdict
+        and schema its key reads are cached too.  Caller holds the
+        session lock.
+        """
+        cached = self._plans.get(mode)
+        if cached is None or self._plans_key != self._plan_key():
+            return None
+        return cached
 
     def plan(self, mode: str = "auto") -> Plan:
         """The evaluation plan (cached per relevant instance state and mode).
@@ -806,10 +819,7 @@ class Database:
         deadline = None if timeout is None else monotonic() + timeout
         with self._gen_cond:
             while True:
-                caught_up = (
-                    generation is None or self._generation >= generation
-                ) and all(self._rel_gens.get(n, 0) >= g for n, g in floors.items())
-                if caught_up:
+                if self._caught_up(generation, floors):
                     return True
                 if deadline is None:
                     self._gen_cond.wait()
@@ -818,6 +828,12 @@ class Database:
                     if remaining <= 0:
                         return False
                     self._gen_cond.wait(remaining)
+
+    def _caught_up(self, generation: int | None, floors: Mapping[str, int] | None) -> bool:
+        """Have the counters reached the floor(s)?  Caller holds the lock."""
+        return (generation is None or self._generation >= generation) and all(
+            self._rel_gens.get(n, 0) >= g for n, g in (floors or {}).items()
+        )
 
     def restore(self, instance, generation: int, rel_generations: Mapping[str, int]) -> None:
         """Install replicated state **verbatim** — counters included.
@@ -880,13 +896,10 @@ class Database:
         relation changes the key (miss), while writes elsewhere leave it
         untouched (hit).
         """
-        if not self._results_max:
-            return None
         backend = _backends.get_backend(plan.backend)
         cq = _compile.compiled_query(prepared.query)
         reads = backend.cache_relations(prepared.semantics, plan.exact, cq)
         if reads is None:
-            self._result_stats["uncacheable"] += 1
             return None
         gens = tuple(
             (name, self._rel_gens.get(name, 0)) for name in sorted(reads)
@@ -1038,6 +1051,52 @@ class Database:
             self._result_put(key, result.answer_set)
         return result
 
+    @contextmanager
+    def rendered_hit(
+        self,
+        source: str,
+        vars: Sequence | None = None,
+        *,
+        semantics: Semantics | str | None = None,
+        mode: str = "auto",
+        generation: int | None = None,
+        rel_generations: Mapping[str, int] | None = None,
+    ) -> Iterator[bool]:
+        """Would ``evaluate_many([source], mode=mode)`` be a rendered cache hit?
+
+        Yields ``True`` when the evaluation would hit a result-cache
+        entry whose wire text (:meth:`AnswerSet.to_json`) is already
+        cached and the ``generation``/``rel_generations`` floors are
+        already met; the session lock is then held for the whole
+        ``with`` body, so the hit cannot vanish before the caller
+        serves it.  The probe itself never blocks or computes: it
+        declines (yields ``False``) when the lock is busy, when the
+        source was never prepared with these ``vars`` and
+        ``semantics``, when no plan is cached under the current key,
+        or when the entry is missing or not rendered.  It counts
+        nothing in :attr:`cache_stats`.
+        """
+        if not self._lock.acquire(blocking=False):
+            yield False
+            return
+        try:
+            yield self._is_rendered_hit(
+                source, vars, semantics, mode, generation, rel_generations
+            )
+        finally:
+            self._lock.release()
+
+    def _is_rendered_hit(self, source, vars, semantics, mode, generation, floors) -> bool:
+        """The check of :meth:`rendered_hit` (caller holds the lock)."""
+        if not self._caught_up(generation, floors):
+            return False
+        sem = self._resolve_semantics(semantics)
+        prepared = self._prepared.get(self._intern_key(source, vars, None, sem))
+        plan = prepared._cached_plan(mode) if prepared is not None else None
+        key = self._result_key(prepared, plan) if plan is not None else None
+        answers = self._results.get(key) if key is not None else None
+        return answers is not None and answers.is_rendered
+
     @property
     def cache_stats(self) -> dict[str, int]:
         """Result-cache counters: hits, misses, uncacheable, evictions, entries."""
@@ -1099,9 +1158,7 @@ class Database:
                     "name cannot be overridden for an already-prepared query"
                 )
             if semantics is not None:
-                wanted = (
-                    get_semantics(semantics) if isinstance(semantics, str) else semantics
-                )
+                wanted = self._resolve_semantics(semantics)
                 # identity, not key: two Semantics objects may share a key
                 # yet expand differently
                 if wanted is not source.semantics:
@@ -1110,14 +1167,10 @@ class Database:
                         f"{source.semantics.key!r}; re-prepare it for {wanted.key!r}"
                     )
             return source
-        sem = self._semantics if semantics is None else (
-            get_semantics(semantics) if isinstance(semantics, str) else semantics
-        )
+        sem = self._resolve_semantics(semantics)
         # vars/name overrides on a Query source are rejected by as_query
         # below, before anything is inserted into the cache.
-        # the semantics *object* (identity-hashed) keys the cache — a
-        # custom Semantics sharing a registry key must not collide
-        key = (source, tuple(vars) if vars is not None else None, name, sem)
+        key = self._intern_key(source, vars, name, sem)
         if not isinstance(source, str):
             try:
                 hash(key)  # Query/Formula are usually hashable values
@@ -1133,6 +1186,21 @@ class Database:
             return cached
 
     prepare = query
+
+    def _resolve_semantics(self, semantics: Semantics | str | None) -> Semantics:
+        """The semantics object a query names (``None``: the session default)."""
+        if semantics is None:
+            return self._semantics
+        return get_semantics(semantics) if isinstance(semantics, str) else semantics
+
+    @staticmethod
+    def _intern_key(source, vars: Sequence | None, name: str | None, sem: Semantics) -> tuple:
+        """The key :meth:`query` interns a source under.
+
+        The semantics *object* (identity-hashed) keys the table: a
+        custom Semantics sharing a registry key must not collide.
+        """
+        return (source, tuple(vars) if vars is not None else None, name, sem)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -1176,7 +1244,11 @@ class Database:
             for p in prepared:
                 t0 = perf_counter()
                 plan = p.plan(mode)  # cached per relevant state and mode
-                key = self._result_key(p, plan)
+                key = None
+                if self._results_max:
+                    key = self._result_key(p, plan)
+                    if key is None:
+                        self._result_stats["uncacheable"] += 1
                 cached = self._result_get(key)
                 basis = self._maintenance_basis(plan, key, cached)
                 # a cache hit never enumerates, so the pool is not even built

@@ -19,7 +19,10 @@ The acceptance criteria of the async redesign live here:
 import asyncio
 import gc
 import json
+import random
+import re
 import socket
+import sys
 import threading
 import time
 
@@ -35,6 +38,7 @@ from repro.client import (
     OverloadedServerError,
     StaleReadError,
 )
+from repro.data.jsonio import dumps
 from repro.server import (
     FEATURES,
     PROTO_VERSION,
@@ -242,6 +246,23 @@ class TestDeadlines:
             frame = wire.recv()
             assert not frame["ok"] and "deadline_ms" in frame["error"]
             assert frame["id"] == 1
+            wire.close()
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize(
+        "deadline_ms", [True, "100", 0, [5]], ids=["true", "text", "zero", "list"]
+    )
+    def test_deadline_ms_is_checked_before_a_cache_hit(self, deadline_ms):
+        service = QueryService(Database(INSTANCE))
+        service.handle({"op": "query", "query": "R(x, y)"})  # now a rendered hit
+        server = AsyncServer(service).start()
+        try:
+            wire = Wire(server.address)
+            wire.send({"id": 1, "op": "query", "query": "R(x, y)", "deadline_ms": deadline_ms})
+            assert wire.recv() == {
+                "ok": False, "error": "'deadline_ms' must be a positive number", "id": 1,
+            }
             wire.close()
         finally:
             server.shutdown()
@@ -616,5 +637,289 @@ class TestFrameLimits:
                 after = admin.stats()["requests"]["requests"]
             # the query ran once (no retry); the second stats call is the +1
             assert after - before == 2
+        finally:
+            server.shutdown()
+
+
+def handled_on(monkeypatch) -> dict:
+    """Record, per request id, the name of the thread ``handle`` ran on."""
+    threads = {}
+    original = QueryService.handle
+
+    def handle(self, request):
+        if isinstance(request, dict) and "id" in request:
+            threads[request["id"]] = threading.current_thread().name
+        return original(self, request)
+
+    monkeypatch.setattr(QueryService, "handle", handle)
+    return threads
+
+
+def is_worker(thread_name: str) -> bool:
+    return re.fullmatch(r"repro-async-\d+", thread_name) is not None
+
+
+class TestInlineHits:
+    """A query whose rendered answer is cached is answered on the event loop."""
+
+    QUERIES = [
+        {"query": "R(x, y)"},
+        {"query": "exists z (R(x, z) & S(z, y))"},
+        {"query": "S(x, y)", "vars": ["y", "x"]},
+        {"query": "R(x, y)", "semantics": "owa"},
+        {"query": "exists x (S(x, 9))"},
+        {"query": "exists z (R(x, z) & !T(z))", "vars": ["x"]},
+    ]
+
+    def stream(self, seed: int, n: int = 160) -> list[dict]:
+        """A seeded mix of repeated queries and writes to R, S and T."""
+        rng = random.Random(seed)
+        requests = []
+        for i in range(n):
+            if rng.random() < 0.8:
+                request = {"op": "query", **rng.choice(self.QUERIES)}
+            else:
+                relation = rng.choice(["R", "S", "T"])
+                row = [rng.randrange(5) for _ in range(1 if relation == "T" else 2)]
+                request = {"op": rng.choice(["insert", "delete"]), "relation": relation,
+                           "rows": [row]}
+            requests.append({"id": i, **request})
+        return requests
+
+    def run_stream(self, requests: list[dict]) -> tuple[list[str], dict]:
+        """Each request's response line from a live server, then its stats."""
+        server = serve(Database(INSTANCE))
+        try:
+            wire = Wire(server.address)
+            lines = []
+            for request in requests:
+                wire.send(request)
+                lines.append(wire.reader.readline().rstrip("\n"))
+            wire.send({"op": "stats"})
+            stats = wire.recv()
+            wire.close()
+        finally:
+            server.shutdown()
+        return lines, stats
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inline_hits_match_the_worker_path(self, monkeypatch, seed):
+        requests = self.stream(seed)
+        threads = handled_on(monkeypatch)
+        lines, stats = self.run_stream(requests)
+        inline = [i for i, name in threads.items() if name == "repro-async-loop"]
+        # serial ground truth: the same requests against an identical session
+        reference = QueryService(Database(INSTANCE))
+        assert lines == [dumps(reference.handle(request)) for request in requests]
+        hits = [i for i in inline if json.loads(lines[i])["cache"] == "hit"]
+        assert hits == inline and len(inline) >= 40
+
+        # the same stream with the probe switched off: every request takes
+        # the pool, and the counters move exactly as they did inline
+        monkeypatch.setattr(QueryService, "serve_cached", lambda self, request: None)
+        threads.clear()
+        pool_lines, pool_stats = self.run_stream(requests)
+        assert all(is_worker(name) for name in threads.values())
+        assert pool_lines == lines
+        assert pool_stats["requests"] == stats["requests"]
+        for counter in ("hits", "misses", "maintained", "uncacheable"):
+            assert pool_stats["result_cache"][counter] == stats["result_cache"][counter]
+
+    QUERY = {"op": "query", "query": "R(x, y)"}
+
+    def decline_case(self, case: str, service: QueryService):
+        """Put ``service`` where the probe declines; return (request, release)."""
+        db = service.db
+        if case == "lock-busy":
+            holding, release = threading.Event(), threading.Event()
+
+            def hold():
+                with db._lock:
+                    holding.set()
+                    release.wait(10)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            holding.wait(10)
+            return self.QUERY, release.set
+        if case == "floor-unmet":
+            request = {**self.QUERY, "min_generation": db.generation + 1, "wait_timeout_s": 10}
+            # a write to a relation the query does not read meets the floor
+            return request, lambda: db.insert("T", (7,))
+        if case == "not-prepared":
+            return {"op": "query", "query": "S(x, y)"}, None
+        if case == "plan-stale":
+            db.insert("R", (3, 4))
+            return self.QUERY, None
+        if case == "not-rendered":
+            text = "exists z (R(x, z) & S(z, y))"
+            assert db.query(text).evaluate().stats["result_cache"] == "miss"
+            return {"op": "query", "query": text}, None
+        raise AssertionError(case)
+
+    EXPECTED = {
+        "lock-busy": [[1, 2], [2, 3]],
+        "floor-unmet": [[1, 2], [2, 3]],
+        "not-prepared": [[2, 4]],
+        "plan-stale": [[1, 2], [2, 3], [3, 4]],
+        "not-rendered": [[1, 4]],
+    }
+
+    @pytest.mark.parametrize("case", list(EXPECTED))
+    def test_probe_declines_and_the_pool_answers(self, monkeypatch, case):
+        db = Database(INSTANCE)
+        service = QueryService(db)
+        service.handle(self.QUERY)  # R(x, y) is now a rendered hit
+        assert service.serve_cached(self.QUERY) is not None
+        request, release = self.decline_case(case, service)
+        cache, counters = dict(db._result_stats), dict(service._counters)
+        started = time.monotonic()
+        assert service.serve_cached(request) is None
+        assert time.monotonic() - started < 0.5  # declined, never waited
+        assert db._result_stats == cache and service._counters == counters
+        threads = handled_on(monkeypatch)
+        server = AsyncServer(service).start()
+        try:
+            wire = Wire(server.address)
+            wire.send({"id": "r", **request})
+            if release is not None:
+                time.sleep(0.2)  # the worker is now parked behind the lock or floor
+                release()
+            response = wire.recv()
+            wire.close()
+        finally:
+            server.shutdown()
+        assert response["ok"] and response["answers"] == self.EXPECTED[case], response
+        assert is_worker(threads["r"])
+
+    def test_concurrent_reads_and_writes_stay_consistent(self):
+        # inline hits on the loop race writes and misses on the workers:
+        # every answer must be the state at the generation it reports, and
+        # no counter may lose an update
+        service = QueryService(Database(INSTANCE))
+        server = AsyncServer(service, executor_threads=4).start()
+        reads = []
+
+        def writer():
+            # generation g holds (g + 1) // 2 new R rows: odd writes go to
+            # R, even ones to T, which R(x, y) does not read
+            with Client(server.address) as client:
+                for i in range(80):
+                    if i % 2:
+                        client.insert("T", [[i]])
+                    else:
+                        client.insert("R", [[100 + i, 100 + i]])
+
+        def reader():
+            with Client(server.address) as client:
+                for _ in range(100):
+                    reads.append(client.query("R(x, y)"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)]
+            threads += [threading.Thread(target=reader) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            with Client(server.address) as client:
+                stats = client.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+        for response in reads:
+            n = (response["generation"] + 1) // 2
+            expected = [[1, 2], [2, 3]] + [[100 + 2 * i, 100 + 2 * i] for i in range(n)]
+            assert sorted(response["answers"]) == sorted(expected), response["generation"]
+        assert len(reads) == 300
+        counters = stats["requests"]
+        assert (counters["queries"], counters["mutations"]) == (300, 80)
+        assert counters["requests"] == 300 + 80 + 1
+        cache = stats["result_cache"]
+        assert cache["hits"] + cache["misses"] == 300 and cache["hits"] > 0
+
+    def test_cache_hit_is_served_while_the_only_slot_is_held(self):
+        service = QueryService(Database(INSTANCE))
+        server = AsyncServer(service, max_inflight=1).start()
+        try:
+            wire = Wire(server.address)
+            wire.send({"id": 0, **self.QUERY})
+            assert wire.recv()["cache"] == "miss"  # rendered from now on
+            blocker = Wire(server.address)
+            blocker.send({**self.QUERY, "min_generation": 99, "wait_timeout_s": 1.0})
+            time.sleep(0.1)  # the blocker holds the only slot
+            wire.send({"id": 1, **self.QUERY})
+            hit = wire.recv()
+            assert hit["id"] == 1 and hit["cache"] == "hit"
+            assert hit["answers"] == [[1, 2], [2, 3]]
+            wire.send({"id": 2, "op": "ping"})
+            assert wire.recv()["error_type"] == "overloaded"
+            assert blocker.recv()["error_type"] == "stale"
+            wire.close()
+            blocker.close()
+        finally:
+            server.shutdown()
+
+
+class TestWorkerPool:
+    BLOCKER = {"op": "query", "query": "R(x, y)", "min_generation": 99}
+
+    def test_workers_start_lazily_up_to_executor_threads(self):
+        server = AsyncServer(QueryService(Database(INSTANCE)), executor_threads=3).start()
+        try:
+            assert server._pool.threads == []  # nothing has run yet
+            wire = Wire(server.address)
+            wire.send({"op": "ping"})
+            assert wire.recv()["pong"]
+            assert [t.name for t in server._pool.threads] == ["repro-async-0"]
+            for i in range(7):
+                wire.send({"id": i, **self.BLOCKER, "wait_timeout_s": 0.2})
+            frames = [wire.recv() for _ in range(7)]
+            assert all(frame["error_type"] == "stale" for frame in frames)
+            names = [t.name for t in server._pool.threads]
+            assert names == ["repro-async-0", "repro-async-1", "repro-async-2"]
+            wire.close()
+        finally:
+            server.shutdown()
+
+    def test_shutdown_cancels_queued_jobs_and_stops_every_worker(self, monkeypatch):
+        handled = handled_on(monkeypatch)
+        server = AsyncServer(QueryService(Database(INSTANCE)), executor_threads=1).start()
+        wire = Wire(server.address)
+        wire.send({"id": "blocker", **self.BLOCKER, "wait_timeout_s": 0.5})
+        time.sleep(0.1)  # the one worker is parked in the blocker
+        for i in range(3):
+            wire.send({"id": i, "op": "ping"})  # queued behind it
+        time.sleep(0.1)
+        workers = list(server._pool.threads)
+        server.shutdown()
+        for thread in workers:
+            thread.join(5)
+        assert not any(thread.is_alive() for thread in workers)
+        assert not any(is_worker(t.name) and t in workers for t in threading.enumerate())
+        assert list(handled) == ["blocker"]  # the queued pings were cancelled, never run
+        wire.close()
+
+    def test_a_raising_handle_frees_its_slot(self, monkeypatch):
+        original = QueryService.handle
+
+        def handle(self, request):
+            if request.get("op") == "query":
+                raise RuntimeError("boom")
+            return original(self, request)
+
+        monkeypatch.setattr(QueryService, "handle", handle)
+        server = AsyncServer(QueryService(Database(INSTANCE)), max_inflight=1).start()
+        try:
+            wire = Wire(server.address)
+            wire.send({"id": 1, **self.BLOCKER})  # raises on the worker: no answer
+            time.sleep(0.2)
+            wire.send({"id": 2, "op": "ping"})
+            frame = wire.recv()
+            assert frame["id"] == 2 and frame["pong"]  # admitted: the slot was freed
+            wire.close()
         finally:
             server.shutdown()

@@ -386,6 +386,32 @@ class TestReplicaRoleAndPromotion:
         response = service.handle({"op": "replicate", "position": {"generation": 0}})
         assert response["ok"] is False and "streaming" in response["error"]
 
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"position": {"generation": True}},
+             "'position.generation' must be a non-negative integer"),
+            ({"position": {"generation": -1}},
+             "'position.generation' must be a non-negative integer"),
+            ({"position": [1]}, "'position' must be an object"),
+            ({"position": "x"}, "'position' must be an object"),
+            ({"replica": "abc"}, "'replica' must be an object"),
+        ],
+        ids=["true-generation", "negative-generation", "list-position", "text-position",
+             "text-replica"],
+    )
+    def test_bad_replicate_requests_get_field_errors(self, fields, error):
+        db = Database()
+        feed = ReplicationFeed(db)
+        service = QueryService(db, feed=feed)
+        try:
+            frames = list(service.replicate_stream({"op": "replicate", **fields}))
+            assert frames == [{"ok": False, "error": error}]
+            assert feed.stats["replicas"] == []  # no replica link was registered
+            assert service.handle({"op": "stats"})["requests"]["errors"] == 1
+        finally:
+            feed.close()
+
 
 class TestEndToEndOverTCP:
     """Primary and replica as real served nodes (in-process servers,
