@@ -154,26 +154,25 @@ def _cmd_explain(args) -> int:
     plan = db.explain(query, mode=args.mode)
     operators: str | None = None
     if args.operators:
-        if plan.backend == "columnar":
-            from repro.logic.columnar import columnar_query
-
-            colq = columnar_query(query, instance)
-            order = colq.join_order()
-            operators = colq.describe()
-            if order:
-                operators += "\njoin order: " + " ⋈ ".join(order)
-        elif plan.backend == "enumeration":
-            from repro.logic.columnar import columnar_query
-
-            colq = columnar_query(query)
-            operators = "world plan (run on every enumerated world):\n" + colq.describe()
-            if get_semantics(plan.semantics).substitution_only:
-                operators += (
-                    "\nlower bound (used when the pool has a fresh value per null):\n"
-                    + colq.describe_lower()
-                )
-        else:
+        if plan.backend not in ("columnar", "enumeration"):
             operators = f"(backend {plan.backend!r} does not run the columnar engine)"
+        else:
+            from repro.logic.columnar import columnar_query
+
+            # the one compiled plan of the query, whichever backend runs it
+            colq = columnar_query(query)
+            operators = colq.describe()
+            if plan.backend == "columnar":
+                order = colq.join_order()
+                if order:
+                    operators += "\njoin order: " + " ⋈ ".join(order)
+            else:
+                operators = "world plan (run on every enumerated world):\n" + operators
+                if get_semantics(plan.semantics).substitution_only:
+                    operators += (
+                        "\nlower bound (used when the pool has a fresh value per null):\n"
+                        + colq.describe_lower()
+                    )
     if args.as_json:
         data = plan.to_dict()
         if operators is not None:

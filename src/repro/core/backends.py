@@ -5,9 +5,8 @@ certain answers.  The engine ships four:
 
 * ``columnar``     — two-step naive evaluation (Section 2.4) executed by
   the compiled operator DAG over dictionary-encoded int columns
-  (:mod:`repro.logic.columnar`): array kernels, sort-merge joins,
-  stats-driven join ordering.  The default whenever Figure 1 proves
-  naive evaluation exact;
+  (:mod:`repro.logic.columnar`): array kernels and sort-merge joins.
+  The default whenever Figure 1 proves naive evaluation exact;
 * ``naive-interp`` — naive evaluation by the tuple-at-a-time tree
   walker, retained as the differential-testing reference;
 * ``enumeration``  — the bounded certain-answer oracle: intersect
@@ -165,16 +164,18 @@ class ColumnarBackend(NaiveBackend):
     The compiled operator DAG (:mod:`repro.logic.compile`), run over
     int-encoded columns: constants and nulls are interned into a
     per-database dictionary, joins execute as array kernels (sort-merge
-    on single shared columns, encoded hash joins elsewhere), join order
-    follows per-instance column stats, and null rows are dropped at the
-    code level (:mod:`repro.logic.columnar`).  The answers come back
-    still encoded, as an :class:`~repro.data.answers.AnswerSet`.
+    on single shared columns, encoded hash joins elsewhere), and null
+    rows are dropped at the code level (:mod:`repro.logic.columnar`).
+    It runs the query's one memoised plan
+    (:func:`~repro.logic.compile.compiled_query`), the plan EXPLAIN
+    describes.  The answers come back still encoded, as an
+    :class:`~repro.data.answers.AnswerSet`.
     """
 
     name = "columnar"
     summary = (
         "columnar naive evaluation (dictionary-encoded int columns, array "
-        "kernels, sort-merge joins, stats-driven join order)"
+        "kernels, sort-merge joins)"
     )
 
     def execute(self, query, instance, semantics, *, pool=None, extra_facts=None, limit=500_000):

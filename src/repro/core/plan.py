@@ -204,9 +204,9 @@ def make_plan(
             # as the forced differential reference)
             name = NAIVE_AUTO_BACKEND
             notes.append(
-                "columnar executor: joins ordered by per-instance column "
-                "stats; `repro explain --operators` names the chosen "
-                "kernels and join order"
+                "columnar executor: one compiled plan per query; "
+                "`repro explain --operators` names the chosen kernels "
+                "and join order"
             )
         else:
             name = "enumeration"

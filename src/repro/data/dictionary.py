@@ -300,10 +300,6 @@ class EncodedRelation:
             self._key_sets[position] = keys
         return keys
 
-    def distinct(self, position: int) -> int:
-        """Number of distinct codes in one column (join-order stats)."""
-        return len(self.key_set(position))
-
     def sorted_rows(self, position: int) -> list[tuple[int, ...]]:
         """Rows sorted by one column's code (pure sort-merge runs)."""
         rows = self._sorted_rows.get(position)
@@ -411,19 +407,6 @@ class ColumnarContext:
                 return None
             out.append(code)
         return tuple(out)
-
-    def stats_key(self) -> tuple[tuple[str, int], ...]:
-        """Bucketed per-relation row counts for stats-driven join ordering.
-
-        Counts are rounded up to powers of two so the (memoised)
-        stats-specialised compilation is stable under small mutations;
-        the pseudo-relation ``"%adom"`` carries the domain size.  No
-        encoding is forced — counts come straight off the row sets.
-        """
-        rels = self._instance._relations
-        parts = [(name, 1 << max(len(rows) - 1, 0).bit_length()) for name, rows in rels.items()]
-        parts.append(("%adom", 1 << max(len(self._instance.adom()) - 1, 0).bit_length()))
-        return tuple(sorted(parts))
 
     def __repr__(self) -> str:
         if self._parent is not None:

@@ -318,17 +318,7 @@ class Instance:
         out._sorted_adom = None
         out._indexes = None
         out._cols = None
-        if self._adom is not None and not any(rem for _add, rem in changes.values()):
-            # insert-only delta: the active domain only grows, so it can
-            # be carried over incrementally; deletions force a lazy
-            # recount (a removed value may still occur elsewhere)
-            grown = set(self._adom)
-            for added, _removed in changes.values():
-                for row in added:
-                    grown.update(row)
-            out._adom = frozenset(grown)
-        else:
-            out._adom = None
+        out._adom = None
         return out, changes
 
     # ------------------------------------------------------------------

@@ -48,11 +48,6 @@ entry counts each answer's witnesses, and :func:`maintained_answers`
 runs the plan's projection-free child over a layer holding only a
 write's delta rows, then adds the signed counts to the entry's
 (:meth:`~repro.data.answers.AnswerSet.patched`).
-
-Compilation is stats-aware: :func:`columnar_query` with a source feeds
-the instance's bucketed row counts into the compiler's join-ordering
-key (:func:`repro.logic.compile._order_cost`), so the smallest relation
-seeds each join chain.
 """
 
 from __future__ import annotations
@@ -81,7 +76,6 @@ from repro.logic.compile import (
     SingletonNode,
     UnifyAntiJoinNode,
     UnionNode,
-    _compiled_with_stats,
     compiled_query,
 )
 
@@ -506,8 +500,8 @@ def _collect_scans(node: Node, out: list[str]) -> None:
 class ColumnarQuery:
     """A compiled plan bound to the columnar executor.
 
-    Wraps a :class:`~repro.logic.compile.CompiledQuery` (possibly a
-    stats-specialised one) and evaluates its DAG over encoded columns.
+    Wraps a :class:`~repro.logic.compile.CompiledQuery` and evaluates
+    its DAG over encoded columns.
     ``answers`` decodes back to cell tuples and is bit-for-bit equal to
     the interpreter's.
     """
@@ -608,20 +602,13 @@ class ColumnarQuery:
         return f"ColumnarQuery({head or '·'} ← {self.formula!r})"
 
 
-def columnar_query(query, source=None) -> ColumnarQuery:
-    """The columnar compilation of a :class:`~repro.logic.queries.Query`.
+def columnar_query(query) -> ColumnarQuery:
+    """The columnar executor over the memoised :func:`compiled_query`.
 
-    Without a ``source`` this is the memoised stats-free compilation
-    (the plan the oracle's worlds run).  With a
-    ``source`` the instance's bucketed row counts drive the compiler's
-    join ordering; the specialised plan is memoised per (query, stats
-    bucket), so re-planning across small mutations is free.
+    One plan per query: naive evaluation, EXPLAIN, answer maintenance
+    and the oracle's worlds all run (or describe) this same DAG.
     """
-    if source is None:
-        return ColumnarQuery(compiled_query(query))
-    cctx = as_columnar_context(source)
-    cq = _compiled_with_stats(query.formula, query.answer_vars, cctx.stats_key())
-    return ColumnarQuery(cq)
+    return ColumnarQuery(compiled_query(query))
 
 
 def columnar_naive_eval(query, instance: Instance) -> AnswerSet:
@@ -631,4 +618,4 @@ def columnar_naive_eval(query, instance: Instance) -> AnswerSet:
     :func:`repro.core.naive.naive_eval` decodes it.
     """
     cctx = columnar_context(instance)
-    return columnar_query(query, cctx).naive_answers(cctx)
+    return columnar_query(query).naive_answers(cctx)

@@ -377,15 +377,15 @@ def _sorted_vars(vars_: Iterable[Var]) -> list[Var]:
     return sorted(set(vars_), key=lambda v: v.name)
 
 
-def _compile(phi: Formula, memo: dict[Formula, Node], stats=None) -> Node:
+def _compile(phi: Formula, memo: dict[Formula, Node]) -> Node:
     node = memo.get(phi)
     if node is None:
-        node = _build(phi, memo, stats)
+        node = _build(phi, memo)
         memo[phi] = node
     return node
 
 
-def _build(phi: Formula, memo: dict[Formula, Node], stats) -> Node:
+def _build(phi: Formula, memo: dict[Formula, Node]) -> Node:
     match phi:
         case TrueF():
             return ConstNode(True)
@@ -398,20 +398,20 @@ def _build(phi: Formula, memo: dict[Formula, Node], stats) -> Node:
         case Not(sub=sub):
             # post-NNF this is an atom; the generic complement keeps the
             # compiler total for hand-built non-NNF trees as well
-            return ComplementNode(_compile(sub, memo, stats))
+            return ComplementNode(_compile(sub, memo))
         case And():
-            return _compile_and(_flatten_and(phi), memo, stats)
+            return _compile_and(_flatten_and(phi), memo)
         case Or(subs=subs):
-            return _compile_or(subs, memo, stats)
+            return _compile_or(subs, memo)
         case Implies(left=left, right=right):
-            return _compile(Or((nnf(left, True), nnf(right))), memo, stats)
+            return _compile(Or((nnf(left, True), nnf(right))), memo)
         case Exists(vars=vs, sub=sub):
-            return _compile_exists(vs, sub, memo, stats)
+            return _compile_exists(vs, sub, memo)
         case Forall(vars=vs, sub=sub):
             # ∀x̄ φ ≡ ¬∃x̄ ¬φ: the violator set is join-shaped (guards
             # become anti-joins), and the complement only ranges over the
             # formula's own free variables
-            violators = _compile(Exists(vs, nnf(sub, True)), memo, stats)
+            violators = _compile(Exists(vs, nnf(sub, True)), memo)
             return ComplementNode(violators)
     raise TypeError(f"not a formula: {phi!r}")
 
@@ -427,8 +427,8 @@ def _compile_eq(left, right) -> Node:
     return ConstNode(left == right)
 
 
-def _compile_exists(vs: tuple[Var, ...], sub: Formula, memo, stats=None) -> Node:
-    child = _compile(sub, memo, stats)
+def _compile_exists(vs: tuple[Var, ...], sub: Formula, memo) -> Node:
+    child = _compile(sub, memo)
     bound = set(vs)
     keep = [c for c in child.columns if c not in bound]
     node = child if len(keep) == len(child.columns) else ProjectNode(child, keep)
@@ -449,8 +449,8 @@ def _flatten_and(phi: And) -> list[Formula]:
     return out
 
 
-def _compile_or(subs: Sequence[Formula], memo, stats=None) -> Node:
-    children = [_compile(s, memo, stats) for s in subs]
+def _compile_or(subs: Sequence[Formula], memo) -> Node:
+    children = [_compile(s, memo) for s in subs]
     all_cols = _sorted_vars(c for n in children for c in n.columns)
     padded: list[Node] = []
     for node in children:
@@ -480,45 +480,7 @@ def _selectivity(node: Node) -> int:
     return 3
 
 
-def _order_cost(node: Node, stats) -> int:
-    """Join-order key: static class ranks, or stats-driven cardinalities.
-
-    Without ``stats`` this is exactly the historical :func:`_selectivity`
-    ranking — the shared (stats-free) plans are bit-for-bit stable.
-    With ``stats`` (a mapping of relation name to row count, plus the
-    pseudo-relation ``"%adom"`` for the domain size) producers are
-    ordered by estimated output cardinality instead, so a small relation
-    seeds the join chain even when the static ranks tie.  Join order
-    never affects results (set semantics) — only performance.
-    """
-    if stats is None:
-        return _selectivity(node)
-    adom = max(1, stats.get("%adom", 16))
-    if isinstance(node, (SingletonNode, ConstNode)):
-        return 0
-    if isinstance(node, ScanNode):
-        # each bound position (constant probe or repeated variable)
-        # shrinks the estimate by the classic 1/4 selectivity guess
-        shrink = 4 ** (len(node._const_positions) + len(node._eq_checks))
-        return max(1, stats.get(node.name, adom) // shrink)
-    if isinstance(node, (DomainNode, DiagonalNode)):
-        return adom
-    if isinstance(node, DomainGuardNode):
-        return _order_cost(node.child, stats)
-    if isinstance(node, (ProjectNode, FilterNode)):
-        return _order_cost(node.child, stats)
-    if isinstance(node, UnionNode):
-        return sum(_order_cost(p, stats) for p in node.parts)
-    if isinstance(node, AntiJoinNode):
-        return _order_cost(node.left, stats)
-    if isinstance(node, JoinNode):
-        return max(_order_cost(node.left, stats), _order_cost(node.right, stats))
-    if isinstance(node, ComplementNode):
-        return adom ** max(1, len(node.columns))
-    return adom
-
-
-def _compile_and(conjuncts: list[Formula], memo, stats=None) -> Node:
+def _compile_and(conjuncts: list[Formula], memo) -> Node:
     out_cols = _sorted_vars(v for c in conjuncts for v in free_vars(c))
 
     filters: list[tuple] = []        # EqAtoms with at least one variable
@@ -535,7 +497,7 @@ def _compile_and(conjuncts: list[Formula], memo, stats=None) -> Node:
                 # free variables are bound (the guarded-fragment case)
                 negatives.append(Exists(vs, nnf(sub, True)))
             case _:
-                producers.append(_compile(c, memo, stats))
+                producers.append(_compile(c, memo))
 
     # variables mentioned only by filters/negatives need a base producer
     covered_somewhere = {v for n in producers for v in n.columns}
@@ -558,7 +520,7 @@ def _compile_and(conjuncts: list[Formula], memo, stats=None) -> Node:
         chain: Node = ConstNode(True)
     else:
         order = list(enumerate(producers))
-        first = min(order, key=lambda p: (_order_cost(p[1], stats), len(p[1].columns), p[0]))
+        first = min(order, key=lambda p: (_selectivity(p[1]), len(p[1].columns), p[0]))
         order.remove(first)
         chain = first[1]
     covered = set(chain.columns)
@@ -590,7 +552,7 @@ def _compile_and(conjuncts: list[Formula], memo, stats=None) -> Node:
         neg_rest = []
         for needed, rep in pending_negs:
             if needed <= covered:
-                chain = AntiJoinNode(chain, _compile(rep, memo, stats))
+                chain = AntiJoinNode(chain, _compile(rep, memo))
             else:
                 neg_rest.append((needed, rep))
         pending_negs = neg_rest
@@ -605,7 +567,7 @@ def _compile_and(conjuncts: list[Formula], memo, stats=None) -> Node:
                 idx, node = p
                 shared = sum(1 for c in node.columns if c in covered)
                 new = len(node.columns) - shared
-                return (shared == 0, -shared, _order_cost(node, stats), new, idx)
+                return (shared == 0, -shared, _selectivity(node), new, idx)
 
             nxt = min(order, key=key)
             order.remove(nxt)
@@ -755,8 +717,6 @@ class CompiledQuery:
         self,
         formula: Formula,
         answer_vars: Sequence[Var | str] = (),
-        *,
-        stats=None,
     ):
         self.formula = formula
         self.answer_vars = tuple(
@@ -767,7 +727,7 @@ class CompiledQuery:
             names = ", ".join(sorted(v.name for v in missing))
             raise ValueError(f"answer variables do not cover free variables: {names}")
         memo: dict[Formula, Node] = {}
-        root = _compile(nnf(formula), memo, stats)
+        root = _compile(nnf(formula), memo)
         for v in self.answer_vars:
             # extra answer variables range freely over the active domain,
             # mirroring the interpreter's enumeration
@@ -843,21 +803,6 @@ def _compiled(formula: Formula, answer_vars: tuple[Var, ...]) -> CompiledQuery:
     return CompiledQuery(formula, answer_vars)
 
 
-@lru_cache(maxsize=512)
-def _compiled_with_stats(
-    formula: Formula,
-    answer_vars: tuple[Var, ...],
-    stats_key: tuple[tuple[str, int], ...],
-) -> CompiledQuery:
-    """Stats-specialised compilation, memoised on the bucketed stats.
-
-    ``stats_key`` is the bucketed row-count snapshot produced by
-    :meth:`repro.data.dictionary.ColumnarContext.stats_key` — counts
-    rounded to powers of two, so small mutations reuse the same plan.
-    """
-    return CompiledQuery(formula, answer_vars, stats=dict(stats_key))
-
-
 def compiled_query(query) -> CompiledQuery:
     """The memoised compilation of a :class:`~repro.logic.queries.Query`.
 
@@ -871,4 +816,3 @@ def compiled_query(query) -> CompiledQuery:
 def clear_compile_cache() -> None:
     """Drop memoised compilations (tests and long-lived deployments)."""
     _compiled.cache_clear()
-    _compiled_with_stats.cache_clear()

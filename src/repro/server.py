@@ -67,7 +67,7 @@ from repro.core.analyzer import FIGURE_1
 from repro.data.jsonio import RawJSON, decode_relations, decode_rows, dumps, encode_relations
 from repro.replication.feed import ReplicationFeed
 from repro.replication.replica import ReplicaTailer
-from repro.session import Database, DegradedError, PreparedQuery
+from repro.session import Database, DegradedError, PreparedQuery, Written
 
 __all__ = [
     "FEATURES",
@@ -457,10 +457,12 @@ class QueryService:
             raise ValueError("'relation' must be a non-empty string")
         return relation, decode_rows(relation, request.get("rows"))
 
-    def _mutated(self, changed: int) -> dict:
+    def _mutated(self, changed: Written) -> dict:
         with self._lock:
             self._counters["mutations"] += 1
-        return {"ok": True, "changed": changed, "generation": self.db.generation}
+        # the write's own generation: ``self.db.generation`` may already
+        # include a later concurrent write
+        return {"ok": True, "changed": int(changed), "generation": changed.generation}
 
     def _op_insert(self, request: dict) -> dict:
         self._require_primary()

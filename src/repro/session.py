@@ -78,7 +78,7 @@ from repro.storage.store import RecoveryInfo, Storage, encode_delta_record
 # attribute, so the module object must come from the import system.
 _homs_core = import_module("repro.homs.core")
 
-__all__ = ["Database", "DegradedError", "PreparedQuery", "as_query"]
+__all__ = ["Database", "DegradedError", "PreparedQuery", "Written", "as_query"]
 
 #: how many writes the delta log keeps for maintaining cached answers; a
 #: cache entry older than that is recomputed instead
@@ -106,6 +106,22 @@ class DegradedError(RuntimeError):
       checkpoint, but a crash before that checkpoint loses it.  Either
       way the caller was told "not acknowledged", which stays truthful.
     """
+
+
+class Written(int):
+    """A write's count of changed facts, carrying the generation it left.
+
+    :meth:`Database.apply_delta` (and so ``insert``/``delete``) returns
+    one: it is the plain count, and ``generation`` is the session
+    generation that write published (the current one for a no-op),
+    read under the write's own lock — so a write ack never carries a
+    later concurrent write's generation.
+    """
+
+    def __new__(cls, count: int, generation: int) -> "Written":
+        out = super().__new__(cls, count)
+        out.generation = generation
+        return out
 
 
 def as_query(source, vars=None, name: str | None = None) -> Query:
@@ -522,12 +538,14 @@ class Database:
         self,
         adds: Mapping[str, Iterable[Sequence[Hashable]]] | None = None,
         removes: Mapping[str, Iterable[Sequence[Hashable]]] | None = None,
-    ) -> int:
+    ) -> Written:
         """Apply a batch of insertions/deletions atomically.
 
-        Returns the number of facts that actually changed.  The whole
-        delta lands as **one** state transition: concurrent readers see
-        either the old or the new instance, never a half-applied mix.
+        Returns the number of facts that actually changed, as a
+        :class:`Written` that also names the generation this write
+        published.  The whole delta lands as **one** state transition:
+        concurrent readers see either the old or the new instance, never
+        a half-applied mix.
         Null-carrying rows are welcome — a new null simply widens the
         valuation space the oracle enumerates.
 
@@ -555,7 +573,7 @@ class Database:
             storage = self._storage
             new, changes = self._instance.with_delta(adds, removes)
             if not changes:
-                return 0
+                return Written(0, self._generation)
             # one source of truth for the post-write counters: the same
             # dict is journaled and then published, so the WAL can never
             # diverge from what recovery must restore
@@ -583,7 +601,10 @@ class Database:
             self._rel_gens.update(new_rel_gens)
             self._deltas.append((new_rel_gens, changes))
             self._core_flag = None
-            count = sum(len(added) + len(removed) for added, removed in changes.values())
+            written = Written(
+                sum(len(added) + len(removed) for added, removed in changes.values()),
+                self._generation,
+            )
             if record is not None and self._listeners:
                 self._notify({"type": "delta", "record": record})
             self._gen_cond.notify_all()
@@ -608,13 +629,13 @@ class Database:
                     # failed auto-compaction degrades the session but
                     # must not turn that ack into an error
                     pass
-        return count
+        return written
 
-    def insert(self, relation: str, *rows: Sequence[Hashable]) -> int:
+    def insert(self, relation: str, *rows: Sequence[Hashable]) -> Written:
         """Insert facts into ``relation``; returns how many were new."""
         return self.apply_delta(adds={relation: rows})
 
-    def delete(self, relation: str, *rows: Sequence[Hashable]) -> int:
+    def delete(self, relation: str, *rows: Sequence[Hashable]) -> Written:
         """Delete facts from ``relation``; returns how many were present."""
         return self.apply_delta(removes={relation: rows})
 

@@ -32,8 +32,8 @@ from repro.logic.ast import (
     TrueF,
     Var,
 )
-from repro.logic.columnar import ColumnarQuery, as_columnar_context
-from repro.logic.compile import CompiledQuery, _compiled_with_stats
+from repro.logic.columnar import ColumnarQuery
+from repro.logic.compile import CompiledQuery
 from repro.logic.eval import answers, evaluate
 from repro.logic.transform import free_vars
 
@@ -69,25 +69,12 @@ def interp_answers(formula, instance, head):
 
 
 def engine_answers(engine: str, formula, instance, head):
-    """Raw (pre-null-drop) answers of one engine on a bare formula.
-
-    ``columnar`` runs the shared stats-free plan *and* the instance's
-    stats-specialised plan and asserts they agree — join order must
-    never change answers.
-    """
+    """Raw (pre-null-drop) answers of one engine on a bare formula."""
     head = tuple(Var(v) if isinstance(v, str) else v for v in head)
     if engine == "interp":
         return interp_answers(formula, instance, head)
     if engine == "columnar":
-        shared = ColumnarQuery(CompiledQuery(formula, head)).answers(instance)
-        cctx = as_columnar_context(instance)
-        specialised = ColumnarQuery(
-            _compiled_with_stats(formula, head, cctx.stats_key())
-        ).answers(instance)
-        assert shared == specialised, (
-            f"stats-driven join order changed answers on {formula!r}"
-        )
-        return shared
+        return ColumnarQuery(CompiledQuery(formula, head)).answers(instance)
     raise ValueError(f"unknown differential engine {engine!r}")
 
 

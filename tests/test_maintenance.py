@@ -18,6 +18,10 @@ pinned here:
   recomputing every time;
 * **it falls back** — a log that no longer reaches back, a write to two
   read relations, a self-join and ``replace`` all recompute;
+* **EXPLAIN tells the truth** — over several join shapes and skewed
+  instances, a write to a relation the maintenance note lists as
+  maintained is served maintained, and one it lists as recomputed is
+  recomputed;
 * **dead entries go** — a key superseded by a newer one of the same
   plan is dropped, for every backend.
 
@@ -25,6 +29,7 @@ Both kernel paths run; CI runs this file again under
 ``REPRO_PURE_KERNELS=1``.
 """
 
+import itertools
 import json
 
 import pytest
@@ -266,6 +271,68 @@ class TestFallbacks:
             "answers maintained under writes to R (witness counting); "
             "recomputed after writes to S: it is the right side of a semi-join"
         )
+
+
+def skewed(sizes: dict[str, tuple[int, int]]) -> Instance:
+    """``{name: (arity, rows)}``: rows ``(i % 7, …, i % 7, i)``, so joins match."""
+    return Instance(
+        {
+            name: [(i % 7,) * (arity - 1) + (i,) for i in range(rows)]
+            for name, (arity, rows) in sizes.items()
+        }
+    )
+
+
+def explained_split(db: Database, text: str, head) -> tuple[set[str], set[str]]:
+    """(maintained, recomputed) relations, as EXPLAIN's notes state them."""
+    notes = db.explain(text, head).notes
+    (cache,) = [n for n in notes if n.startswith("result is a pure function of relations")]
+    reads = set(cache[cache.index("{") + 1 : cache.index("}")].split(", "))
+    (note,) = [n for n in notes if "after writes" in n or "maintained under" in n]
+    prefix = "answers maintained under writes to "
+    kept = set()
+    if note.startswith(prefix):
+        kept = set(note[len(prefix) : note.index(" (witness counting)")].split(", "))
+    return kept, reads - kept
+
+
+class TestExplainMatchesExecution:
+    """EXPLAIN's maintenance note describes the plan a write then runs."""
+
+    SHAPES = [
+        ("exists v (R(u, v) & S(v))", ("u",), {"R": 2, "S": 1}),
+        (JOIN, ("x", "y"), {"R": 2, "S": 2}),
+        ("R(x, y) & exists z (S(y, z))", ("x", "y"), {"R": 2, "S": 2}),
+        ("exists z, w (R(x, z) & S(z, w) & T(w, y))", ("x", "y"), {"R": 2, "S": 2, "T": 2}),
+        ("exists z (R(x, z) & S(z, 3))", ("x",), {"R": 2, "S": 2}),
+        (SELF_JOIN, ("x", "y"), {"R": 2}),
+    ]
+    #: row counts of the relations in name order (cycled): skewed both
+    #: ways, even, and a three-way spread
+    SKEWS = [(2, 200), (200, 2), (20, 20), (2, 60, 200)]
+
+    @pytest.mark.parametrize("text, head, arities", SHAPES, ids=[s[0] for s in SHAPES])
+    @pytest.mark.parametrize("counts", SKEWS, ids=["-".join(map(str, c)) for c in SKEWS])
+    def test_each_read_relation_behaves_as_explained(
+        self, kernel_path, text, head, arities, counts
+    ):
+        sizes = {
+            name: (arity, counts[i % len(counts)])
+            for i, (name, arity) in enumerate(sorted(arities.items()))
+        }
+        kept, recomputed = explained_split(Database(skewed(sizes)), text, head)
+        assert kept | recomputed == set(arities)
+        for name, (arity, _rows) in sizes.items():
+            db = Database(skewed(sizes))
+            q = db.query(text, head)
+            q.evaluate()
+            present = db.instance.tuples(name)
+            row = next(r for k in itertools.count(3) if (r := (k,) * arity) not in present)
+            assert db.insert(name, row) == 1
+            result = q.evaluate()
+            assert result.stats["result_cache"] == "miss"
+            assert result.stats["maintained"] is (name in kept), (text, sizes, name)
+            assert result.answers == Database(db.instance).evaluate(text, head).answers
 
 
 class TestSupersededEntries:

@@ -208,6 +208,34 @@ class TestSessionMutation:
         assert db.apply_delta(adds={"R": [(1, 2)]}) == 0
         assert db.generation == g and db.rel_generation("R") == 0
 
+    def test_write_reports_the_generation_it_published(self):
+        db = Database({"R": [(1, 2)]})
+        written = db.insert("R", (2, 3), (3, 4))
+        assert written == 2 and written.generation == db.generation == 1
+        noop = db.delete("R", (9, 9))
+        assert noop == 0 and noop.generation == 1
+
+    def test_insert_into_an_unread_relation_copies_nothing(self):
+        """One insert allocates in proportion to the delta, not the instance:
+        nothing carries the active domain (or any relation) forward."""
+        import tracemalloc
+
+        rng = random.Random(1)
+        zs = list(range(1000))
+        rng.shuffle(zs)
+        r_rows = [(x, zs[x]) for x in range(999)] + [(999, X)]
+        s_rows = [(z, 10_000 + z) for z in range(989)] + [(5_000 + k, k) for k in range(10)]
+        db = Database({"R": r_rows, "S": s_rows + [(X, 20_000)], "T": [(0,)]})
+        assert len(db.query(JOIN, vars=("x", "y")).evaluate().answers) == 989
+        for fresh in range(1, 4):
+            tracemalloc.start()
+            try:
+                db.insert("T", (fresh,))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 1024, peak
+
     def test_null_carrying_mutation(self):
         db = Database({"R": [(1, X)]}, semantics="cwa")
         q = db.query("exists z (R(x, z) & S(z))", vars=("x",))

@@ -58,6 +58,36 @@ class TestQueryServiceOps:
         assert response["ok"] and response["changed"] == 2
         assert service.db.instance.tuples("T") == {(5,)}
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "insert", "relation": "T", "rows": [[1]]},
+            {"op": "delete", "relation": "R", "rows": [[1, "?x"]]},
+            {"op": "delta", "adds": {"T": [[5]]}, "removes": {"S": [["?x", 4]]}},
+        ],
+        ids=["insert", "delete", "delta"],
+    )
+    def test_write_ack_carries_its_own_generation(self, service, monkeypatch, request_):
+        """Another write published between ``apply_delta`` returning and
+        the ack being built must not lend the ack its generation."""
+        db = service.db
+        records = []
+        db.add_listener(lambda event: records.append(event.get("record")))
+        apply_delta = db.apply_delta
+
+        def then_another_write(adds=None, removes=None):
+            written = apply_delta(adds, removes)
+            apply_delta(adds={"U": [(len(records),)]})
+            return written
+
+        monkeypatch.setattr(db, "apply_delta", then_another_write)
+        ack = service.handle(request_)
+        own, later = records
+        written = [own.get(side, {}).values() for side in ("adds", "removes")]
+        assert ack["ok"] and ack["changed"] == sum(len(rows) for side in written for rows in side)
+        assert ack["generation"] == own["g"] == 1
+        assert db.generation == later["g"] == 2
+
     def test_mutation_preserves_unrelated_cache(self, service):
         service.handle({"op": "query", "query": JOIN, "vars": ["x", "y"]})
         service.handle({"op": "insert", "relation": "T", "rows": [[1]]})
