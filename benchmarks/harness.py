@@ -24,9 +24,11 @@ trajectory PR over PR.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import random
+import statistics
 import sys
 import time
 
@@ -308,6 +310,16 @@ def _timed(thunk) -> float:
     start = time.perf_counter()
     thunk()
     return time.perf_counter() - start
+
+
+def _median_timed(thunk, n: int = 5) -> float:
+    """The median of ``n`` timed calls, after one untimed warm-up call.
+
+    For millisecond-scale steps that touch the file system, where one
+    cold sample mostly measures the page cache and the scheduler.
+    """
+    thunk()
+    return statistics.median(_timed(thunk) for _ in range(n))
 
 
 def _legacy_certain_cwa(query: Query, instance: Instance) -> frozenset:
@@ -685,6 +697,11 @@ def serving(quick: bool) -> list[dict]:
     db = Database({k: list(v) for k, v in base.items()})
     q = db.query(join_text, vars=("x", "y"))
     want = q.evaluate().answers
+    # each timed loop starts from a fresh collection: a full collection
+    # over the objects earlier sections leave alive costs as much as the
+    # whole incremental loop, and would land in whichever loop reaches
+    # the threshold first
+    gc.collect()
     start = time.perf_counter()
     for i in range(n_inc):
         db.insert("S", (1000 + i,))
@@ -695,6 +712,7 @@ def serving(quick: bool) -> list[dict]:
     )
 
     grown_s = list(s_rows)
+    gc.collect()
     start = time.perf_counter()
     for i in range(n_re):
         grown_s.append((1000 + i,))
@@ -844,11 +862,15 @@ def serving_durable(quick: bool) -> list[dict]:
             db.insert("R", (i, i + 1))
         n_facts = db.instance.fact_count()
         db.close()
-        replay_t = _timed(lambda: Database(path=str(root / "data"), fsync=False).close())
+        replay_t = _median_timed(
+            lambda: Database(path=str(root / "data"), fsync=False).close()
+        )
         compact = Database(path=str(root / "data"), fsync=False)
         compact.checkpoint()
         compact.close()
-        snapshot_t = _timed(lambda: Database(path=str(root / "data"), fsync=False).close())
+        snapshot_t = _median_timed(
+            lambda: Database(path=str(root / "data"), fsync=False).close()
+        )
         shutil.rmtree(root, ignore_errors=True)
         print(
             f"{f'{n_records} WAL records':<28} {replay_t * 1e3:>10.1f}ms "
@@ -1174,8 +1196,6 @@ def qos(quick: bool) -> list[dict]:
     ``docs/serving.md`` — soak it with ``benchmarks/qos_soak.py``, where
     the server is a separate process with default GC.)"""
     heading("QOS — async core at 100/1k/5k connections vs itself at 64")
-    import gc
-
     from repro.server import serve
     from repro.session import Database
 

@@ -207,6 +207,8 @@ class EnumerationBackend(Backend):
 
     Fills ``stats_out`` with the oracle's enumeration metadata (mode,
     worlds evaluated) for :class:`~repro.core.engine.EvalResult.stats`.
+    Under a substitution-only semantics the answers come back still
+    encoded, as an :class:`~repro.data.answers.AnswerSet`.
     """
 
     name = "enumeration"
@@ -230,10 +232,12 @@ class EnumerationBackend(Backend):
 
     def execute(self, query, instance, semantics, *, pool=None, extra_facts=None,
                 limit=500_000, stats_out=None):
-        return _certain.certain_answers(
+        rows = _certain.certain_answers(
             query, instance, semantics, pool=pool, extra_facts=extra_facts,
             limit=limit, stats_out=stats_out,
         )
+        # a substitution-only oracle's rows carry their encoded form
+        return getattr(rows, "encoded", rows)
 
 
 class CTableBackend(Backend):

@@ -24,15 +24,19 @@ Execution is **incremental**.  The query is compiled once per batch
 (:func:`repro.logic.compile.compiled_query`, memoised on the query
 value) and the same set-at-a-time plan is re-executed across all worlds
 by the columnar executor (:mod:`repro.logic.columnar`), intersecting
-encoded rows.  For substitution-only semantics (CWA) the oracle never
-materialises an :class:`~repro.data.instance.Instance` per world;
-instead it
+encoded rows.  For substitution-only semantics (CWA) the oracle works
+in dictionary codes end to end and never materialises an
+:class:`~repro.data.instance.Instance` per world; instead it
 
+* reads each relation's null-free rows, null rows and cell codes from
+  its encoded form
+  (:meth:`~repro.data.dictionary.EncodedRelation.null_split`, cached
+  per relation version),
 * substitutes the codes of pool values into the null slots (odd codes)
-  of the instance's encoded rows, each world a
+  of the null rows only, each world a
   :meth:`~repro.data.dictionary.ColumnarContext.layer` over the
   instance's columnar context, whose null-free relations — and their
-  indexes — every world shares,
+  indexes — and null-free rows every world shares,
 * enumerates only one valuation per orbit of the interchangeable
   fresh-constant tail (restricted-growth canonical form),
 * restricts enumeration to the *plan-relevant* nulls — those occurring
@@ -40,10 +44,14 @@ instead it
   domain-independent (``CompiledQuery.adom_dependent`` is false), since
   two worlds agreeing on the read relations then yield identical
   answers,
-* and evaluates a handful of *seed worlds* first (the all-fresh
-  valuation and the constant collapses), whose extremes tend to empty
-  the running intersection immediately, and stops as soon as it is
-  empty.
+* evaluates a handful of *seed worlds* first (the constant
+  collapses), whose extremes tend to empty the running intersection
+  immediately, and stops as soon as it is empty,
+* and keeps its answers as an encoded
+  :class:`~repro.data.answers.AnswerSet`, fresh-value rows dropped by
+  code: :func:`certain_answers` returns the decoded rows carrying that
+  set, and the ``enumeration`` backend hands the set on, so the server
+  renders it from per-code memos.
 
 Orbit skipping is sound because the skipped worlds are permutation
 images of enumerated ones: a genuine certain answer contains no fresh
@@ -58,14 +66,17 @@ Under CWA the enumeration is **bracketed** first:
   bound (:attr:`~repro.logic.compile.CompiledQuery.lower_plan`, run on
   the instance itself, with negation as a null-unifying anti-join).
   Its rows hold in every world, so they are answered directly.
-* ``upper`` is the null-free naive answer set.  It is the answer of the
-  all-fresh world, which is one of the enumerated worlds whenever the
-  pool's fresh tail has a value per relevant null; otherwise the
-  bracket stays off.
+* ``upper`` is the null-free naive answer set.  Naive evaluation
+  treats every null as a fresh constant, so it is the answer of the
+  all-fresh world, a world of the pool whenever the pool's fresh tail
+  has a value per relevant null; otherwise the bracket stays off.
 
 Only the gap ``upper − lower`` is enumerated, with the running
 intersection seeded at the gap, so a small gap takes the per-row
-residual path from the first world on.
+residual path from the first world on.  The all-fresh world holds
+every ``upper`` row, so it can never remove a gap row: it is marked
+seen and never evaluated.  A read with no relevant null therefore
+needs no world at all.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
+from repro.data.answers import AnswerSet
 from repro.data.dictionary import (
     ColumnarContext,
     Dictionary,
@@ -81,7 +93,7 @@ from repro.data.dictionary import (
 )
 from repro.data.instance import Instance
 from repro.data.schema import Schema
-from repro.data.values import Null, sort_key
+from repro.data.values import sort_key
 from repro.logic.ast import RelAtom
 from repro.logic.columnar import ColumnarQuery
 from repro.logic.compile import CompiledQuery, compiled_query
@@ -110,9 +122,9 @@ def _pool_parts(
     of the pool is the interchangeable fresh-constant tail (the orbit
     structure its incremental enumerator exploits).
     """
-    base: set[Hashable] = set(instance.constants())
+    base: frozenset[Hashable] = instance.constants()
     if query is not None:
-        base |= set(query.constants())
+        base |= query.constants()
     if n_fresh is None:
         n_fresh = len(instance.nulls()) + 1
     fresh: list[str] = []
@@ -225,7 +237,8 @@ class WorldSpec:
     space: the plan, the instance's columnar context (the parent of
     every world), the code-space row templates of the null-carrying
     relations the plan reads, and the orbit structure (base choices vs
-    fresh tail).  Every intersection runs on encoded rows.
+    fresh tail).  Valuations are tuples of codes, one per slot, and
+    every intersection runs on encoded rows.
     """
 
     __slots__ = (
@@ -245,30 +258,32 @@ class WorldSpec:
                  read_base_cells, base_choices, collapse_order, fresh_tail):
         self.plan = plan
         self.parent = parent
-        #: ``{name: (arity, encoded rows)}``; an odd code is a null slot
+        #: ``{name: (arity, null-free rows, null rows)}``; every world
+        #: shares the null-free rows, and an odd code in a null row is a
+        #: valuation slot
         self.templates = templates
         #: the null code of each valuation slot
         self.slot_codes = slot_codes
         #: the codes every world's domain holds beside the valuation image
         self.base_adom = base_adom
-        #: cells of the plan-read relations that every world shares
-        #: (static rows + template constants) — the valuation image is
-        #: the only world-varying part of the read cells
+        #: codes of the plan-read relations' cells that every world
+        #: shares (static rows + template constants) — the valuation
+        #: image is the only world-varying part of the read cells
         self.read_base_cells = read_base_cells
         self.n_slots = len(slot_codes)
+        #: the codes of the pool's non-fresh values
         self.base_choices = base_choices
         #: ``base_choices`` in the order the total-collapse seed worlds
         #: try them (see :meth:`seed_valuations`)
         self.collapse_order = collapse_order
+        #: the codes of the pool's interchangeable fresh values
         self.fresh_tail = fresh_tail
 
-    def seed_valuations(self) -> Iterator[tuple[Hashable, ...]]:
-        """Extreme worlds whose evaluation tends to kill the intersection.
+    def seed_valuations(self) -> Iterator[tuple[int, ...]]:
+        """Per-constant total collapses, whose worlds tend to kill the intersection.
 
-        The all-distinct-fresh valuation (the "most generic" world) and
-        the per-constant total collapses are canonical valuations, so
-        re-encountering them during the main sweep is caught by the
-        content dedup.
+        They are canonical valuations, so re-encountering them during
+        the main sweep is caught by the content dedup.
 
         The collapses try first the values held by the most plan-read
         relations: collapsing every null onto a value that the query
@@ -280,31 +295,42 @@ class WorldSpec:
         n = self.n_slots
         if n == 0:
             return
-        if len(self.fresh_tail) >= n:
-            yield tuple(self.fresh_tail[:n])
         for c in self.collapse_order:
             yield (c,) * n
 
+    def all_fresh(self) -> tuple[int, ...]:
+        """The all-distinct-fresh valuation: the world naive evaluation sees.
+
+        Only defined when the fresh tail has a value per slot.
+        """
+        return self.fresh_tail[: self.n_slots]
+
+    def world_key(self, vals: tuple[int, ...]) -> tuple[frozenset, ...]:
+        """The content key of the world of ``vals``.
+
+        Per template relation, the substituted null rows that are not
+        among its null-free rows: the world's relation is the null-free
+        rows plus these, so two worlds are equal iff their keys are.
+        """
+        image = dict(zip(self.slot_codes, vals))
+        return tuple(
+            frozenset(tuple(image[c] if c & 1 else c for c in row) for row in null_rows)
+            - free
+            for _, free, null_rows in self.templates.values()
+        )
+
     def worlds(
-        self, valuations: Iterable[tuple[Hashable, ...]], seen: set
-    ) -> Iterator[tuple[tuple[Hashable, ...], ColumnarContext]]:
+        self, valuations: Iterable[tuple[int, ...]], seen: set
+    ) -> Iterator[tuple[tuple[int, ...], ColumnarContext]]:
         """``(valuation, world context)`` per valuation with a new world.
 
         A world is a layer over the instance's context holding the
-        substituted template relations; ``seen`` (world content keys)
-        skips a world an earlier valuation already built.  Valuations
-        are encoded through the instance's dictionary, which so gains at
-        most the pool's values.
+        substituted template relations; ``seen`` (:meth:`world_key`
+        values) skips a world an earlier valuation already built.
         """
-        encode = self.parent.dictionary.encode
-        templates, slot_codes, base_adom = self.templates, self.slot_codes, self.base_adom
+        templates, base_adom = self.templates, self.base_adom
         for vals in valuations:
-            image = dict(zip(slot_codes, map(encode, vals)))
-            rels = {
-                name: frozenset(tuple(image[c] if c & 1 else c for c in row) for row in rows)
-                for name, (_, rows) in templates.items()
-            }
-            key = tuple(rels.values())
+            key = self.world_key(vals)
             if key in seen:
                 continue
             seen.add(key)
@@ -314,10 +340,10 @@ class WorldSpec:
             yield vals, ColumnarContext.layer(
                 self.parent,
                 {
-                    name: EncodedRelation.from_codes(templates[name][0], rows)
-                    for name, rows in rels.items()
+                    name: EncodedRelation.from_codes(arity, free | extra if extra else free)
+                    for (name, (arity, free, _)), extra in zip(templates.items(), key)
                 },
-                base_adom | frozenset(image.values()),
+                base_adom | frozenset(vals),
             )
 
     def _residual_candidates(self, running: frozenset):
@@ -326,7 +352,7 @@ class WorldSpec:
         Eligible when the plan is domain-independent, the query is
         non-Boolean, the running intersection is small, and every
         residual compiles domain-independent.  Each entry is
-        ``(row, probe, needed)`` where ``needed`` lists the row's values
+        ``(row, probe, needed)`` where ``needed`` lists the row's codes
         that only a valuation image can put among the read cells.
         """
         plan = self.plan
@@ -337,38 +363,33 @@ class WorldSpec:
         decode = self.parent.dictionary.decode_row
         out = []
         for codes in running:
-            row = decode(codes)
-            probe = _residual_query(plan.formula, plan.answer_vars, row)
+            probe = _residual_query(plan.formula, plan.answer_vars, decode(codes))
             if probe is None:
                 return None
-            needed = tuple(v for v in set(row) if v not in self.read_base_cells)
+            needed = tuple(c for c in set(codes) if c not in self.read_base_cells)
             out.append((codes, probe, needed))
         return out
 
     def _verify(
         self,
         candidates: list,
-        valuations: Iterable[tuple[Hashable, ...]],
+        valuations: Iterable[tuple[int, ...]],
         seen: set,
     ) -> tuple[frozenset, int, bool]:
         """Drop candidates falsified by some world (the residual fast path).
 
         ``row ∈ Q(world)`` iff the residual ``φ(row)`` holds *and* every
-        value of ``row`` is among the world's read cells — which differ
+        code of ``row`` is among the world's read cells — which differ
         from :attr:`read_base_cells` only by the valuation's image.
         """
         alive = list(candidates)
         worlds = 0
         for vals, world in self.worlds(valuations, seen):
             worlds += 1
-            vset: set | None = None
             survivors = []
             for row, probe, needed in alive:
-                if needed:
-                    if vset is None:
-                        vset = set(vals)
-                    if not all(v in vset for v in needed):
-                        continue
+                if needed and not all(c in vals for c in needed):
+                    continue
                 if probe.raw_codes(world):
                     survivors.append((row, probe, needed))
             alive = survivors
@@ -378,7 +399,7 @@ class WorldSpec:
 
     def run(
         self,
-        valuations: Iterable[tuple[Hashable, ...]],
+        valuations: Iterable[tuple[int, ...]],
         running: frozenset | None,
         seen: set,
     ) -> tuple[frozenset | None, int, bool]:
@@ -418,41 +439,33 @@ def _build_spec(
     pool: Sequence[Hashable],
     fresh_tail: Sequence[Hashable],
     limit: int,
-) -> tuple[WorldSpec, frozenset, dict]:
+) -> tuple[WorldSpec, dict]:
     """Split the instance into a :class:`WorldSpec` plus oracle metadata.
 
-    Performs the plan-relevance restriction: when the compiled plan is
+    Reads the null/constant split of each encoded relation
+    (:meth:`~repro.data.dictionary.EncodedRelation.null_split`, cached
+    per relation version) instead of scanning cells.  Performs the
+    plan-relevance restriction: when the compiled plan is
     domain-independent, only nulls occurring in relations the plan reads
     are enumerated (worlds agreeing on those relations answer alike, so
     the intersection over the full valuation space equals the one over
     the restricted space).
     """
-    nulls = sorted(instance.nulls(), key=sort_key)
+    parent = columnar_context(instance)
+    dictionary = parent.dictionary
     read = cq.relations
     restrict = not cq.adom_dependent
-    null_rows: dict[str, frozenset] = {}
-    static: dict[str, frozenset] = {}
-    for name in instance.relations:
-        rows = instance.tuples(name)
-        if any(isinstance(v, Null) for row in rows for v in row):
-            null_rows[name] = rows
-        else:
-            static[name] = rows
-
-    if restrict:
-        relevant_set = {
-            v
-            for name in null_rows
-            if name in read
-            for row in null_rows[name]
-            for v in row
-            if isinstance(v, Null)
-        }
-        relevant = [n for n in nulls if n in relevant_set]
-        template_names = [name for name in null_rows if name in read]
-    else:
-        relevant = list(nulls)
-        template_names = list(null_rows)
+    # a restricted plan never reads the domain, so only the relations it
+    # reads matter (and are encoded)
+    splits = {
+        name: parent.encoded(name).null_split()
+        for name in instance.relations
+        if name in read or not restrict
+    }
+    slots: set[int] = set()
+    for split in splits.values():
+        slots |= split.null_codes
+    relevant = sorted(slots, key=lambda c: sort_key(dictionary.decode(c)))
 
     guard_limit(len(pool) ** len(relevant), limit, f"{semantics.name} expansion")
 
@@ -462,55 +475,43 @@ def _build_spec(
         # a single interchangeable value that every valuation must use is
         # not a skippable tail: no world's active domain avoids it, so
         # rows mentioning it can be genuinely certain — enumerate plainly
-        fresh_tail, fresh_set = (), frozenset()
+        fresh_tail = ()
         base_choices = list(pool)
 
-    parent = columnar_context(instance)
-    encode = parent.dictionary.encode
-    # templates are the instance's own encoded rows: every odd code in
-    # them is a relevant null, i.e. a valuation slot
     templates = {}
-    for name in sorted(template_names):
-        rel = parent.encoded(name)
-        templates[name] = (rel.arity, rel.row_tuples())
-    base_constants: set[Hashable] = set()
-    read_cells: set[Hashable] = set()
-    # per constant, the number of plan-read relations holding it
-    held_by: dict[Hashable, int] = {}
-    for name in template_names:
-        cells = {
-            v for row in null_rows[name] for v in row if not isinstance(v, Null)
-        }
-        base_constants |= cells
-        read_cells |= cells
-        for v in cells:
-            held_by[v] = held_by.get(v, 0) + 1
-    for name, rows in static.items():
-        cells = {v for row in rows for v in row}
-        base_constants |= cells
-        if name in read:
-            read_cells |= cells
-            for v in cells:
-                held_by[v] = held_by.get(v, 0) + 1
+    base_adom: set[int] = set()
+    read_cells: set[int] = set()
+    # per constant code, the number of plan-read relations holding it
+    held_by: dict[int, int] = {}
+    for name, split in splits.items():
+        if split.null_codes:
+            templates[name] = (parent.encoded(name).arity, split.free_rows, split.null_rows)
+        base_adom |= split.const_codes
+        if split.null_codes or name in read:
+            read_cells |= split.const_codes
+            for c in split.const_codes:
+                held_by[c] = held_by.get(c, 0) + 1
 
+    encode = dictionary.encode
+    choices = tuple(map(encode, base_choices))
     spec = WorldSpec(
         plan=ColumnarQuery(cq),
         parent=parent,
         templates=templates,
-        slot_codes=tuple(map(encode, relevant)),
-        base_adom=frozenset(map(encode, base_constants)),
+        slot_codes=tuple(relevant),
+        base_adom=frozenset(base_adom),
         read_base_cells=frozenset(read_cells),
-        base_choices=tuple(base_choices),
+        base_choices=choices,
         # a stable sort: ties keep the pool order
-        collapse_order=tuple(sorted(base_choices, key=lambda v: -held_by.get(v, 0))),
-        fresh_tail=tuple(fresh_tail),
+        collapse_order=tuple(sorted(choices, key=lambda c: -held_by.get(c, 0))),
+        fresh_tail=tuple(map(encode, fresh_tail)),
     )
     info = {
-        "total_nulls": len(nulls),
+        "total_nulls": len(instance.nulls()),
         "relevant_nulls": len(relevant),
-        "restricted": restrict and len(relevant) < len(nulls),
+        "restricted": restrict and len(relevant) < len(instance.nulls()),
     }
-    return spec, fresh_set, info
+    return spec, info
 
 
 def _certain_by_valuations(
@@ -521,7 +522,7 @@ def _certain_by_valuations(
     fresh_tail: Sequence[Hashable],
     limit: int,
     stats_out: dict | None = None,
-) -> frozenset[tuple[Hashable, ...]]:
+) -> AnswerSet:
     """``⋂ Q(v(D))`` over valuations, without building an Instance per world.
 
     Each world is a layer over the instance's columnar context: the
@@ -529,9 +530,10 @@ def _certain_by_valuations(
     the null-carrying relations the plan reads are substituted per
     valuation from code-space templates.  ``fresh_tail`` lists the
     interchangeable pool values — those mentioned by neither the
-    instance nor the query (empty = enumerate the full product).
+    instance nor the query (empty = enumerate the full product).  The
+    answers stay encoded.
     """
-    spec, fresh_set, info = _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
+    spec, info = _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
 
     if stats_out is not None:
         stats_out.update(info)
@@ -545,23 +547,25 @@ def _certain_by_valuations(
             raise RuntimeError(
                 f"[[D]] came out empty over the pool — {semantics!r} violated totality"
             )
-    result = frozenset(map(spec.parent.dictionary.decode_row, codes))
-    if result and fresh_set:
+    if codes and spec.fresh_tail:
         # a certain answer never mentions a fresh constant (some world's
         # active domain avoids it); dropping such rows here replays what
         # the skipped permutation-image worlds would have done
-        result = frozenset(row for row in result if fresh_set.isdisjoint(row))
-    return result
+        fresh = frozenset(spec.fresh_tail)
+        codes = frozenset(row for row in codes if fresh.isdisjoint(row))
+    return AnswerSet.encoded(codes, len(cq.answer_vars), spec.parent.dictionary)
 
 
 def _bracketed(spec: WorldSpec, stats_out: dict | None) -> frozenset:
     """``lower ∪ (the gap rows that survive every world)``, encoded.
 
     ``lower`` (the null-free rows of the plan's lower bound) holds in
-    every world; ``upper`` (the null-free naive answers) is the answer
-    of the all-fresh world, which the pool's fresh tail can build.  So
-    only ``upper − lower`` needs worlds: the sweep starts from the gap
-    and stops once no gap row is left.
+    every world.  ``upper`` (the null-free naive answers) is the answer
+    of the all-fresh world, which the pool's fresh tail can build: that
+    world holds every ``upper`` row, so it can never remove a gap row
+    and is marked seen instead of evaluated.  So only ``upper − lower``
+    needs worlds: the sweep starts from the gap and stops once no gap
+    row is left.
     """
     lower = spec.plan.lower_codes(spec.parent)
     upper = spec.plan.naive_codes(spec.parent)
@@ -569,7 +573,8 @@ def _bracketed(spec: WorldSpec, stats_out: dict | None) -> frozenset:
     survivors: frozenset = frozenset()
     worlds = 0
     if gap:
-        survivors, _, worlds, _ = _sweep(spec, gap)
+        seen = {spec.world_key(spec.all_fresh())}
+        survivors, _, worlds, _ = _sweep(spec, gap, seen)
     if stats_out is not None:
         stats_out.update(
             mode="bracket", worlds=worlds, lower=len(lower), upper=len(upper), gap=len(gap)
@@ -579,7 +584,7 @@ def _bracketed(spec: WorldSpec, stats_out: dict | None) -> frozenset:
 
 def _enumerated(spec: WorldSpec, stats_out: dict | None) -> frozenset | None:
     """``⋂ Q(v(D))`` over every world, encoded."""
-    result, seed_worlds, worlds, in_seeds = _sweep(spec, None)
+    result, seed_worlds, worlds, in_seeds = _sweep(spec, None, set())
     if stats_out is not None:
         stats_out.update(
             seed_worlds=seed_worlds, mode="seed" if in_seeds else "serial", worlds=worlds
@@ -588,16 +593,16 @@ def _enumerated(spec: WorldSpec, stats_out: dict | None) -> frozenset | None:
 
 
 def _sweep(
-    spec: WorldSpec, running: frozenset | None
+    spec: WorldSpec, running: frozenset | None, seen: set
 ) -> tuple[frozenset | None, int, int, bool]:
     """``running ∩ ⋂ Q(v(D))`` over the seed worlds, then the canonical sweep.
 
     Returns ``(intersection, seed_worlds, worlds, emptied_by_seeds)``.
     Extreme seed worlds often empty the intersection at once; when they
     do not, the sweep restarts from their intersection (so it can switch
-    to residual probing) and skips them through the shared ``seen``.
+    to residual probing) and skips them through the shared ``seen``,
+    which also holds any world the caller already accounts for.
     """
-    seen: set[tuple] = set()
     result, seed_worlds, stopped = spec.run(spec.seed_valuations(), running, seen)
     if stopped:
         return result, seed_worlds, seed_worlds, True
@@ -607,6 +612,22 @@ def _sweep(
         seen,
     )
     return result, seed_worlds, seed_worlds + worlds, False
+
+
+class _EncodedRows(frozenset):
+    """Decoded certain answers that also carry their encoded form.
+
+    A plain frozenset to every caller of :func:`certain_answers`; the
+    ``enumeration`` backend hands on :attr:`encoded`, an encoded
+    :class:`~repro.data.answers.AnswerSet` over the instance's
+    dictionary, so a served answer renders from the dictionary's
+    per-code memos.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
 
 
 def certain_answers(
@@ -624,7 +645,8 @@ def certain_answers(
     otherwise, matching :meth:`Query.eval_raw`.  The query is compiled
     once (memoised across calls) and the same set-at-a-time plan runs on
     every world; enumeration stops as soon as the running intersection
-    is empty.
+    is empty.  Under a substitution-only semantics the rows also carry
+    the oracle's encoded answers as ``.encoded``.
 
     ``stats_out``, when given, is filled in place with enumeration
     metadata: ``mode`` (``bracket``/``seed``/``serial``/``expand``),
@@ -642,11 +664,14 @@ def certain_answers(
         # permuting them fixes D and Q while permuting worlds — exactly
         # the genericity the orbit transversal needs.  (For the default
         # pool this recovers the |Null(D)|+1 fresh constants.)
-        known = instance.constants() | set(query.constants())
-        fresh_tail = tuple(v for v in pool if v not in known)
-        return _certain_by_valuations(
+        consts, q_consts = instance.constants(), query.constants()
+        fresh_tail = tuple(v for v in pool if v not in consts and v not in q_consts)
+        encoded = _certain_by_valuations(
             cq, instance, semantics, list(pool), fresh_tail, limit, stats_out=stats_out
         )
+        rows = _EncodedRows(encoded.decode())
+        rows.encoded = encoded
+        return rows
     result = certain_over_expansion(query, instance, semantics, pool, extra_facts, limit, stats_out)
     if result is None:
         raise RuntimeError(

@@ -15,11 +15,13 @@ consumer asks for it, then keeps it:
   in-process callers (``EvalResult.answers``).
 
 The server only ever asks for the text, so a result-cache entry it
-serves holds codes plus text and never decoded rows.
+serves holds codes plus text and never decoded rows.  The CWA
+certain-answer oracle (:mod:`repro.core.certain`) intersects encoded
+rows too, and its answers stay encoded the same way.
 
-Answers computed any other way (enumeration, ctable, the interpreted
-reference) wrap their decoded frozenset in the same type,
-so every cache entry renders once.
+Answers computed any other way (enumeration under the other
+semantics, ctable, the interpreted reference) wrap their decoded
+frozenset in the same type, so every cache entry renders once.
 
 >>> from repro.data.dictionary import Dictionary
 >>> d = Dictionary()

@@ -49,7 +49,8 @@ from __future__ import annotations
 import json
 import threading
 from array import array
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.data.instance import Instance
 from repro.data.jsonio import encode_cell
@@ -58,6 +59,7 @@ from repro.data.values import Null
 __all__ = [
     "Dictionary",
     "EncodedRelation",
+    "NullSplit",
     "ColumnarContext",
     "columnar_context",
     "derive_columnar",
@@ -188,6 +190,19 @@ class Dictionary:
         return f"Dictionary({len(self._consts)} consts, {len(self._nulls)} nulls)"
 
 
+class NullSplit(NamedTuple):
+    """A relation's rows and cells split by code parity (odd = null)."""
+
+    #: the rows holding no null code
+    free_rows: frozenset[tuple[int, ...]]
+    #: the rows holding at least one null code
+    null_rows: tuple[tuple[int, ...], ...]
+    #: the distinct constant codes of the relation
+    const_codes: frozenset[int]
+    #: the distinct null codes of the relation
+    null_codes: frozenset[int]
+
+
 class EncodedRelation:
     """One relation stored as columns of int codes.
 
@@ -209,6 +224,7 @@ class EncodedRelation:
         "_np_orders",
         "_sorted_rows",
         "_distinct",
+        "_split",
     )
 
     def __init__(self, arity: int, columns: tuple[array, ...]):
@@ -223,6 +239,7 @@ class EncodedRelation:
         self._np_orders: dict[int, tuple[object, object]] = {}
         self._sorted_rows: dict[int, list[tuple[int, ...]]] = {}
         self._distinct: dict[int, int] = {}
+        self._split: NullSplit | None = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple], dictionary: Dictionary) -> "EncodedRelation":
@@ -272,6 +289,28 @@ class EncodedRelation:
         if self._row_set is None:
             self._row_set = frozenset(self.row_tuples())
         return self._row_set
+
+    def null_split(self) -> NullSplit:
+        """The rows and cells split into null-free and null parts (cached).
+
+        Cached on the relation, so it is computed once per relation
+        version: the contexts of later generations share untouched
+        relations (:func:`derive_columnar`) and their splits with them.
+        """
+        split = self._split
+        if split is None:
+            cells = frozenset(chain.from_iterable(self.columns))
+            null_codes = frozenset(c for c in cells if c & 1)
+            rows = self.row_set()
+            if null_codes:
+                null_rows = tuple(r for r in rows if not null_codes.isdisjoint(r))
+                split = NullSplit(
+                    rows.difference(null_rows), null_rows, cells - null_codes, null_codes
+                )
+            else:
+                split = NullSplit(rows, (), cells, null_codes)
+            self._split = split
+        return split
 
     # ------------------------------------------------------------------
     # access paths (all lazy, all memoised)

@@ -38,7 +38,16 @@ class Instance:
     False
     """
 
-    __slots__ = ("_relations", "_hash", "_adom", "_sorted_adom", "_indexes", "_cols")
+    __slots__ = (
+        "_relations",
+        "_hash",
+        "_adom",
+        "_sorted_adom",
+        "_nulls",
+        "_constants",
+        "_indexes",
+        "_cols",
+    )
 
     def __init__(self, relations: Mapping[str, Iterable[tuple]] | None = None):
         rels: dict[str, frozenset[tuple]] = {}
@@ -62,6 +71,8 @@ class Instance:
         # "mutation" builds a new Instance with fresh (empty) caches.
         self._adom: frozenset[Hashable] | None = None
         self._sorted_adom: tuple[Hashable, ...] | None = None
+        self._nulls: frozenset[Null] | None = None
+        self._constants: frozenset[Hashable] | None = None
         self._indexes = None  # hash indexes (see index())
         self._cols = None  # columnar context (repro.data.dictionary)
 
@@ -158,12 +169,21 @@ class Instance:
         return self._sorted_adom
 
     def nulls(self) -> frozenset[Null]:
-        """The nulls occurring in the instance (``Null(D)``)."""
-        return frozenset(v for v in self.adom() if isinstance(v, Null))
+        """The nulls occurring in the instance (``Null(D)``, cached)."""
+        if self._nulls is None:
+            self._split_adom()
+        return self._nulls
 
     def constants(self) -> frozenset[Hashable]:
-        """The constants occurring in the instance (``Const(D)``)."""
-        return frozenset(v for v in self.adom() if not isinstance(v, Null))
+        """The constants occurring in the instance (``Const(D)``, cached)."""
+        if self._constants is None:
+            self._split_adom()
+        return self._constants
+
+    def _split_adom(self) -> None:
+        nulls = frozenset(v for v in self.adom() if isinstance(v, Null))
+        self._nulls = nulls
+        self._constants = self._adom - nulls if nulls else self._adom
 
     def is_complete(self) -> bool:
         """True iff no nulls occur (``adom(D) ⊆ Const``)."""
@@ -316,6 +336,8 @@ class Instance:
         out._relations = rels
         out._hash = None
         out._sorted_adom = None
+        out._nulls = None
+        out._constants = None
         out._indexes = None
         out._cols = None
         out._adom = None

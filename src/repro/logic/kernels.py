@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 
 from repro.data.dictionary import EncodedRelation
 
@@ -260,6 +262,14 @@ def semi_join(
 # null-unifying anti-join
 # ----------------------------------------------------------------------
 
+def _key_getter(positions: tuple[int, ...]):
+    """A function projecting a row onto ``positions`` as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions)
+
+
 def unify_anti_join(
     left: frozenset[tuple[int, ...]],
     l_key: tuple[int, ...],
@@ -272,11 +282,31 @@ def unify_anti_join(
     The test is per position, so it over-approximates unification — a
     null occurring twice is not forced to one value — and can only keep
     fewer rows.  ``right`` rows are aligned with ``l_key``.
+
+    When ``right`` holds no null, a left row whose key holds none either
+    unifies exactly with an equal right row: it is kept iff its key is
+    not in ``right``, one set probe.
     """
     if not left or not right:
         return left
     if not l_key:
         return _EMPTY  # a nullary right row unifies with everything
+    key_of = _key_getter(l_key)
+    out: list[tuple[int, ...]] = []
+    if not any(c & 1 for c in chain.from_iterable(right)):
+        # an odd code in a key is one of these, so a key disjoint from
+        # them holds no null
+        nulls = {c for c in chain.from_iterable(left) if c & 1}
+        rest = []
+        for row in left:
+            key = key_of(row)
+            if not nulls.isdisjoint(key):
+                rest.append(row)
+            elif key not in right:
+                out.append(row)
+        if not rest:
+            return frozenset(out)
+        left = rest
     # right rows grouped by the positions where they hold a constant
     groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for r in right:
@@ -284,9 +314,8 @@ def unify_anti_join(
         groups.setdefault(fixed, set()).add(tuple(r[i] for i in fixed))
     # per left null pattern: (positions both sides fix, right keys there)
     probes: dict[tuple[int, ...], list] = {}
-    out = []
     for row in left:
-        key = tuple(row[i] for i in l_key)
+        key = key_of(row)
         k_fixed = tuple(i for i, c in enumerate(key) if not c & 1)
         tests = probes.get(k_fixed)
         if tests is None:

@@ -317,9 +317,9 @@ def oracle_worlds(monkeypatch):
 
 
 def _materialise(instance: Instance, spec: WorldSpec, vals) -> Instance:
-    """``v(D)`` for the valuation ``vals`` of the spec's null slots."""
+    """``v(D)`` for the valuation ``vals`` (codes) of the spec's null slots."""
     decode = spec.parent.dictionary.decode
-    v = {decode(code): value for code, value in zip(spec.slot_codes, vals)}
+    v = {decode(code): decode(value) for code, value in zip(spec.slot_codes, vals)}
     return Instance(
         {
             name: [tuple(v.get(cell, cell) for cell in row) for row in instance.tuples(name)]
