@@ -77,6 +77,13 @@ residual path from the first world on.  The all-fresh world holds
 every ``upper`` row, so it can never remove a gap row: it is marked
 seen and never evaluated.  A read with no relevant null therefore
 needs no world at all.
+
+A bracketed result keeps both bounds as witness-counted sets
+(:attr:`~repro.data.answers.AnswerSet.bracket`).  Given such a result
+and a write to one read relation (``prior``), :func:`certain_answers`
+patches the bounds by the write's delta
+(:func:`~repro.logic.columnar.maintained_answers`) instead of
+recomputing them, and enumerates worlds for the new gap alone.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import sort_key
 from repro.logic.ast import RelAtom
-from repro.logic.columnar import ColumnarQuery
+from repro.logic.columnar import ColumnarQuery, maintained_answers
 from repro.logic.compile import CompiledQuery, compiled_query
 from repro.logic.queries import Query
 from repro.logic.transform import subformulas, substitute
@@ -216,7 +223,7 @@ _RESIDUAL_MAX = 8
 
 
 @lru_cache(maxsize=8192)
-def _residual_query(formula, answer_vars, row) -> ColumnarQuery | None:
+def _residual_query(cq: CompiledQuery, row) -> ColumnarQuery | None:
     """``φ(ā)`` compiled as a Boolean probe, or ``None`` when unusable.
 
     Substituting the answer constants turns the output join into an
@@ -224,10 +231,11 @@ def _residual_query(formula, answer_vars, row) -> ColumnarQuery | None:
     running intersection is down to a handful of candidate rows.  Only
     domain-independent residuals qualify: their truth is a pure function
     of the relations read, so it transfers between a restricted world
-    context and the full world.
+    context and the full world.  Keyed on the compiled query object (the
+    memoised :func:`compiled_query`), so a lookup hashes no formula.
     """
-    cq = CompiledQuery(substitute(formula, dict(zip(answer_vars, row))), ())
-    return None if cq.adom_dependent else ColumnarQuery(cq)
+    probe = CompiledQuery(substitute(cq.formula, dict(zip(cq.answer_vars, row))), ())
+    return None if probe.adom_dependent else ColumnarQuery(probe)
 
 
 class WorldSpec:
@@ -363,7 +371,7 @@ class WorldSpec:
         decode = self.parent.dictionary.decode_row
         out = []
         for codes in running:
-            probe = _residual_query(plan.formula, plan.answer_vars, decode(codes))
+            probe = _residual_query(plan.cq, decode(codes))
             if probe is None:
                 return None
             needed = tuple(c for c in set(codes) if c not in self.read_base_cells)
@@ -522,7 +530,8 @@ def _certain_by_valuations(
     fresh_tail: Sequence[Hashable],
     limit: int,
     stats_out: dict | None = None,
-) -> AnswerSet:
+    prior: tuple | None = None,
+) -> tuple[AnswerSet, bool]:
     """``⋂ Q(v(D))`` over valuations, without building an Instance per world.
 
     Each world is a layer over the instance's columnar context: the
@@ -531,7 +540,8 @@ def _certain_by_valuations(
     valuation from code-space templates.  ``fresh_tail`` lists the
     interchangeable pool values — those mentioned by neither the
     instance nor the query (empty = enumerate the full product).  The
-    answers stay encoded.
+    answers stay encoded; a bracketed run's set carries its bounds.
+    Returns ``(answers, bounds patched from prior)``.
     """
     spec, info = _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
 
@@ -539,8 +549,9 @@ def _certain_by_valuations(
         stats_out.update(info)
 
     codes: frozenset | None
+    bracket, maintained = None, False
     if len(spec.fresh_tail) >= spec.n_slots:
-        codes = _bracketed(spec, stats_out)
+        codes, bracket, maintained = _bracketed(spec, stats_out, prior)
     else:
         codes = _enumerated(spec, stats_out)
         if codes is None:
@@ -553,10 +564,39 @@ def _certain_by_valuations(
         # the skipped permutation-image worlds would have done
         fresh = frozenset(spec.fresh_tail)
         codes = frozenset(row for row in codes if fresh.isdisjoint(row))
-    return AnswerSet.encoded(codes, len(cq.answer_vars), spec.parent.dictionary)
+    out = AnswerSet.encoded(codes, len(cq.answer_vars), spec.parent.dictionary)
+    out.bracket = bracket
+    return out, maintained
 
 
-def _bracketed(spec: WorldSpec, stats_out: dict | None) -> frozenset:
+def _patched_bounds(spec: WorldSpec, prior: tuple) -> tuple[AnswerSet | None, AnswerSet] | None:
+    """The bounds of ``prior`` patched by its write, or ``None``.
+
+    ``prior`` is ``(answers, relation, added, removed)``: an earlier
+    answer set of this query carrying its bracket, and the net rows
+    ``relation`` gained and lost since.  ``None`` when ``answers``
+    carries no bracket of this plan or a bound cannot be maintained
+    under writes to ``relation`` (:func:`~repro.logic.columnar.maintained_answers`).
+    """
+    answers, relation, added, removed = prior
+    if answers.bracket is None:
+        return None
+    lower, upper = answers.bracket
+    if upper.plan is not spec.plan.cq._root:
+        return None
+    upper = maintained_answers(upper, spec.parent, relation, added, removed)
+    if upper is None:
+        return None
+    if lower is not None:
+        lower = maintained_answers(lower, spec.parent, relation, added, removed)
+        if lower is None:
+            return None
+    return lower, upper
+
+
+def _bracketed(
+    spec: WorldSpec, stats_out: dict | None, prior: tuple | None
+) -> tuple[frozenset, tuple | None, bool]:
     """``lower ∪ (the gap rows that survive every world)``, encoded.
 
     ``lower`` (the null-free rows of the plan's lower bound) holds in
@@ -566,9 +606,20 @@ def _bracketed(spec: WorldSpec, stats_out: dict | None) -> frozenset:
     and is marked seen instead of evaluated.  So only ``upper − lower``
     needs worlds: the sweep starts from the gap and stops once no gap
     row is left.
+
+    The bounds are patched from ``prior`` (:func:`_patched_bounds`) when
+    it allows, else computed on the instance, counted where they can be
+    (``lower`` is ``None`` when the query has no lower-bound plan).
+    Returns ``(rows, bounds, patched)``; ``bounds`` is ``None`` unless
+    ``upper`` is counted, so that a later read can patch them.
     """
-    lower = spec.plan.lower_codes(spec.parent)
-    upper = spec.plan.naive_codes(spec.parent)
+    bounds = _patched_bounds(spec, prior) if prior is not None else None
+    patched = bounds is not None
+    if not patched:
+        bounds = spec.plan.lower_answers(spec.parent), spec.plan.naive_answers(spec.parent)
+    lower_set, upper_set = bounds
+    lower = lower_set.code_rows() if lower_set is not None else frozenset()
+    upper = upper_set.code_rows()
     gap = upper - lower
     survivors: frozenset = frozenset()
     worlds = 0
@@ -579,7 +630,7 @@ def _bracketed(spec: WorldSpec, stats_out: dict | None) -> frozenset:
         stats_out.update(
             mode="bracket", worlds=worlds, lower=len(lower), upper=len(upper), gap=len(gap)
         )
-    return lower | survivors
+    return lower | survivors, bounds if upper_set.plan is not None else None, patched
 
 
 def _enumerated(spec: WorldSpec, stats_out: dict | None) -> frozenset | None:
@@ -621,10 +672,11 @@ class _EncodedRows(frozenset):
     ``enumeration`` backend hands on :attr:`encoded`, an encoded
     :class:`~repro.data.answers.AnswerSet` over the instance's
     dictionary, so a served answer renders from the dictionary's
-    per-code memos.
+    per-code memos.  :attr:`maintained` says whether the bracket's
+    bounds were patched from a ``prior`` result.
     """
 
-    __slots__ = ("encoded",)
+    __slots__ = ("encoded", "maintained")
 
     def __repr__(self) -> str:
         return repr(frozenset(self))
@@ -638,6 +690,7 @@ def certain_answers(
     extra_facts: int | None = None,
     limit: int = 500_000,
     stats_out: dict | None = None,
+    prior: tuple | None = None,
 ) -> frozenset[tuple[Hashable, ...]]:
     """``⋂ { Q(E) : E ∈ [[instance]] }`` over the (defaulted) pool.
 
@@ -653,6 +706,18 @@ def certain_answers(
     ``worlds`` evaluated, and for substitution-only semantics the null
     counts of the plan-relevance restriction.  A ``bracket`` run also
     reports the sizes of ``lower``, ``upper`` and their ``gap``.
+
+    ``prior`` maintains a bracketed read under a write:
+    ``(answers, relation, added, removed)`` is an earlier result's
+    ``.encoded`` set of the same query (it carries the bracket's
+    counted bounds) and the net rows ``relation`` gained and lost since.
+    The bounds are then patched by witness counting and only the new
+    gap is enumerated; ``stats_out`` reads as for a full run.  The full
+    oracle runs instead when the bracket does not apply, the prior set
+    carries no bounds, or a bound cannot be maintained under writes to
+    ``relation`` (a negated side, a self-join).  Under a
+    substitution-only semantics the rows' ``.maintained`` says which
+    happened.
     """
     if pool is None:
         base, fresh = _pool_parts(instance, query)
@@ -666,11 +731,12 @@ def certain_answers(
         # pool this recovers the |Null(D)|+1 fresh constants.)
         consts, q_consts = instance.constants(), query.constants()
         fresh_tail = tuple(v for v in pool if v not in consts and v not in q_consts)
-        encoded = _certain_by_valuations(
-            cq, instance, semantics, list(pool), fresh_tail, limit, stats_out=stats_out
+        encoded, maintained = _certain_by_valuations(
+            cq, instance, semantics, list(pool), fresh_tail, limit, stats_out, prior
         )
         rows = _EncodedRows(encoded.decode())
         rows.encoded = encoded
+        rows.maintained = maintained
         return rows
     result = certain_over_expansion(query, instance, semantics, pool, extra_facts, limit, stats_out)
     if result is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import textwrap
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from repro.core.analyzer import Verdict, analyze
@@ -82,9 +81,13 @@ class Plan:
     #: free-form planner remarks
     notes: tuple[str, ...] = ()
 
-    @cached_property
+    @property
     def cost(self) -> CostHints:
-        """Rough cost signals, computed on first read."""
+        """Rough cost signals, computed on each read.
+
+        A session's plan outlives writes, so the signals describe the
+        instance as it is when they are read.
+        """
         return self.cost_hints()
 
     def to_dict(self) -> dict:
@@ -135,11 +138,8 @@ class Plan:
             core_line = "not needed"
         else:
             core_line = "instance is a core" if self.instance_is_core else "instance is NOT a core"
-        bound = (
-            "huge (cap exceeded)"
-            if self.cost.valuation_bound < 0
-            else str(self.cost.valuation_bound)
-        )
+        cost = self.cost
+        bound = "huge (cap exceeded)" if cost.valuation_bound < 0 else str(cost.valuation_bound)
         reason = textwrap.fill(
             self.verdict.reason, width=66, subsequent_indent=" " * 16
         )
@@ -152,8 +152,8 @@ class Plan:
             f"                {reason}",
             f"  exactness   : {status}",
             f"  core check  : {core_line}",
-            f"  cost        : {self.cost.fact_count} facts, {self.cost.null_count} nulls, "
-            f"pool {self.cost.pool_size} → ≤ {bound} valuations",
+            f"  cost        : {cost.fact_count} facts, {cost.null_count} nulls, "
+            f"pool {cost.pool_size} → ≤ {bound} valuations",
         ]
         for note in self.notes:
             lines.append(f"  note        : {note}")
@@ -174,6 +174,7 @@ def make_plan(
     core_check: Callable[[], bool] | None = None,
     pool: Sequence[Hashable] | None = None,
     extra_facts: int | None = None,
+    current: Callable[[], Instance] | None = None,
 ) -> Plan:
     """Plan the evaluation of ``query`` on ``instance`` under ``semantics``.
 
@@ -182,6 +183,10 @@ def make_plan(
     force.  ``verdict``, ``core_check`` and ``pool`` let a session layer
     inject cached values so preparing a query pays for the analyzer,
     the core check and pool construction exactly once.
+
+    Only the core check reads ``instance``; the cost hints read
+    ``current()`` when given (a session's instance at the time EXPLAIN
+    asks, for a plan that outlives writes), else ``instance``.
     """
     sem = get_semantics(semantics) if isinstance(semantics, str) else semantics
     if verdict is None:
@@ -263,20 +268,28 @@ def make_plan(
         )
     if name == "columnar":
         notes.append(ColumnarQuery(cq).maintenance_note())
+    elif name == "enumeration" and cache_reads is not None:
+        # cacheable oracle runs are bracketed (substitution-only semantics)
+        notes.append(ColumnarQuery(cq).maintenance_note(bracket=True))
 
     injected_pool_size = len(pool) if pool is not None else None
+    # the hints must not hold ``instance`` itself when ``current`` is
+    # given: a session's plan would keep that version (and its caches)
+    # alive for as long as the plan lives
+    read_instance = current if current is not None else (lambda: instance)
 
     def cost_hints() -> CostHints:
-        null_count = len(instance.nulls())
+        now = read_instance()
+        null_count = len(now.nulls())
         pool_size = injected_pool_size
         if pool_size is None:
             # arithmetic identity with len(default_pool(instance, query)):
             # the base constants plus |nulls|+1 fresh values — avoids
             # materialising and sorting a pool just for a cost hint
-            pool_size = len(instance.constants() | query.constants()) + null_count + 1
+            pool_size = len(now.constants() | query.constants()) + null_count + 1
         raw_bound = pool_size**null_count
         return CostHints(
-            fact_count=instance.fact_count(),
+            fact_count=now.fact_count(),
             null_count=null_count,
             pool_size=pool_size,
             valuation_bound=raw_bound if raw_bound <= _VALUATION_CAP else -1,

@@ -89,6 +89,7 @@ class AnswerSet:
         "arity",
         "n_rows",
         "plan",
+        "bracket",
         "_codes",
         "_dictionary",
         "_rows",
@@ -102,6 +103,10 @@ class AnswerSet:
         self.n_rows = n_rows
         #: the plan the witness counts are over (``None``: not counted)
         self.plan = None
+        #: a CWA oracle answer's ``(lower, upper)`` bounds as counted
+        #: sets (``lower`` is ``None`` when the query has no lower-bound
+        #: plan), or ``None``
+        self.bracket: tuple[AnswerSet | None, AnswerSet] | None = None
         self._codes: array | None = codes
         self._dictionary: Dictionary | None = dictionary
         self._rows: frozenset | None = rows
@@ -156,6 +161,14 @@ class AnswerSet:
             self._codes = array("q", chain.from_iterable(_visible_rows(self._counts)))
         k = self.arity
         return [self._codes[j::k] for j in range(k)]
+
+    def code_rows(self) -> frozenset[tuple[int, ...]]:
+        """The member rows as tuples of codes (an encoded set only)."""
+        if self._counts is not None:
+            return frozenset(_visible_rows(self._counts))
+        if not self.arity:
+            return frozenset([()] * self.n_rows)
+        return frozenset(zip(*self._columns()))
 
     def decode(self) -> frozenset[tuple[Hashable, ...]]:
         """The rows as cell tuples, decoded on the first call only."""

@@ -50,6 +50,7 @@ import json
 import threading
 from array import array
 from itertools import chain
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.data.instance import Instance
@@ -225,6 +226,7 @@ class EncodedRelation:
         "_sorted_rows",
         "_distinct",
         "_split",
+        "_one_use",
     )
 
     def __init__(self, arity: int, columns: tuple[array, ...]):
@@ -240,6 +242,8 @@ class EncodedRelation:
         self._sorted_rows: dict[int, list[tuple[int, ...]]] = {}
         self._distinct: dict[int, int] = {}
         self._split: NullSplit | None = None
+        #: built over codes for one evaluation (see :meth:`matching`)
+        self._one_use = False
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple], dictionary: Dictionary) -> "EncodedRelation":
@@ -265,6 +269,7 @@ class EncodedRelation:
         rel.n_rows = len(rows)
         rel._columns = None
         rel._row_set = rows
+        rel._one_use = True
         return rel
 
     @property
@@ -331,6 +336,24 @@ class EncodedRelation:
             self._indexes[positions] = idx
         return idx
 
+    def matching(
+        self, positions: tuple[int, ...], key: tuple[int, ...]
+    ) -> Iterable[tuple[int, ...]]:
+        """The rows holding ``key`` at ``positions``.
+
+        A relation built over codes (:meth:`from_codes`: an oracle
+        world's, a write's delta) serves one evaluation and is dropped,
+        so its rows are filtered; any other relation probes its cached
+        :meth:`index`.
+        """
+        if not self._one_use:
+            return self.index(positions).get(key, ())
+        if len(positions) == 1:
+            (i,), (k,) = positions, key
+            return [row for row in self._row_set if row[i] == k]
+        get = itemgetter(*positions)
+        return [row for row in self._row_set if get(row) == key]
+
     def key_set(self, position: int) -> frozenset[int]:
         """The distinct codes of one column (semi-join probe set)."""
         keys = self._key_sets.get(position)
@@ -379,7 +402,10 @@ class ColumnarContext:
     access, so binding a context to an instance is O(1) and a query only
     pays for the relations it scans.  Cached on the instance
     (``instance._cols``), which is sound because instances are
-    immutable: mutation swaps the instance.
+    immutable: mutation swaps the instance.  The context holds the
+    instance's relation map, not the instance, so a superseded instance
+    version and its encoded relations are freed as soon as nothing
+    holds them, with no wait for the cycle collector.
 
     :meth:`layer` builds a context over a parent instead: an oracle world
     or a datalog round holds its own encoded relations and domain, and
@@ -387,11 +413,11 @@ class ColumnarContext:
     accumulated — comes from the parent.
     """
 
-    __slots__ = ("dictionary", "_instance", "_encoded", "_adom_codes", "_parent")
+    __slots__ = ("dictionary", "_relations", "_encoded", "_adom_codes", "_parent")
 
     def __init__(self, instance: Instance, dictionary: Dictionary):
         self.dictionary = dictionary
-        self._instance = instance
+        self._relations = instance._relations
         self._encoded: dict[str, EncodedRelation] = {}
         self._adom_codes: frozenset[int] | None = None
         self._parent: ColumnarContext | None = None
@@ -410,7 +436,7 @@ class ColumnarContext:
         """
         ctx = cls.__new__(cls)
         ctx.dictionary = parent.dictionary
-        ctx._instance = None
+        ctx._relations = None
         ctx._encoded = encoded
         ctx._adom_codes = adom_codes
         ctx._parent = parent
@@ -422,7 +448,7 @@ class ColumnarContext:
         if rel is None:
             if self._parent is not None:
                 return self._parent.encoded(name)
-            rows = self._instance._relations.get(name)
+            rows = self._relations.get(name)
             if rows is None:
                 return None
             rel = EncodedRelation.from_rows(rows, self.dictionary)
@@ -433,7 +459,8 @@ class ColumnarContext:
         """The active domain as a set of codes (lazily encoded)."""
         if self._adom_codes is None:
             encode = self.dictionary.encode
-            self._adom_codes = frozenset(map(encode, self._instance.adom()))
+            cells = set(chain.from_iterable(chain.from_iterable(self._relations.values())))
+            self._adom_codes = frozenset(map(encode, cells))
         return self._adom_codes
 
     def try_encode_key(self, values: Sequence[Hashable]) -> tuple[int, ...] | None:
@@ -451,7 +478,7 @@ class ColumnarContext:
         if self._parent is not None:
             return f"ColumnarContext(layer of {len(self._encoded)} relations over {self._parent!r})"
         return (
-            f"ColumnarContext({len(self._encoded)}/{len(self._instance._relations)} "
+            f"ColumnarContext({len(self._encoded)}/{len(self._relations)} "
             f"relations encoded; {self.dictionary!r})"
         )
 

@@ -47,14 +47,18 @@ Naive answers are maintained under writes where the plan allows it
 entry counts each answer's witnesses, and :func:`maintained_answers`
 runs the plan's projection-free child over a layer holding only a
 write's delta rows, then adds the signed counts to the entry's
-(:meth:`~repro.data.answers.AnswerSet.patched`).
+(:meth:`~repro.data.answers.AnswerSet.patched`).  The certain-answer
+oracle keeps both bounds of its bracket the same way
+(:func:`bracket_gaps`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Hashable, Iterable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Hashable, Iterable, Mapping
 
 from repro.data.answers import AnswerSet
 from repro.data.dictionary import ColumnarContext, EncodedRelation, columnar_context
@@ -85,6 +89,7 @@ __all__ = [
     "columnar_naive_eval",
     "as_columnar_context",
     "maintenance_gaps",
+    "bracket_gaps",
     "maintained_answers",
 ]
 
@@ -131,7 +136,7 @@ def _scan(node, cctx, memo):
         key = cctx.try_encode_key(node._const_key)
         if key is None:
             return _EMPTY  # a never-interned constant occurs in no row
-        rows = rel.index(node._const_positions).get(key, ())
+        rows = rel.matching(node._const_positions, key)
     else:
         rows = rel.row_tuples()
     eq, keep = node._eq_checks, node._var_positions
@@ -259,10 +264,8 @@ def _anti_join(node, cctx, memo):
     right_rows = _eval(node.right, cctx, memo)
     if not right_rows:
         return left_rows
-    lk = node._l_key
-    return frozenset(
-        lr for lr in left_rows if tuple(lr[i] for i in lk) not in right_rows
-    )
+    key_of = kernels.key_getter(node._l_key)
+    return frozenset(lr for lr in left_rows if key_of(lr) not in right_rows)
 
 
 def _unify_anti_join(node, cctx, memo):
@@ -308,8 +311,7 @@ def _project(node, cctx, memo):
     fused = _fused_project(child, indices, cctx)
     if fused is not None:
         return fused
-    rows = _eval(child, cctx, memo)
-    return frozenset(tuple(row[i] for i in indices) for row in rows)
+    return frozenset(map(kernels.key_getter(indices), _eval(child, cctx, memo)))
 
 
 def _fused_project(child, indices, cctx, counted=False):
@@ -377,17 +379,22 @@ def _null_free(rows: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
 # maintenance under writes: witness counting
 # ----------------------------------------------------------------------
 
-def maintenance_gaps(root: Node) -> dict[str, str | None]:
+@lru_cache(maxsize=1024)
+def maintenance_gaps(root: Node) -> Mapping[str, str | None]:
     """Can cached answers of ``root`` be maintained under writes?
 
     Per relation the plan scans: ``None`` when they can under writes to
     that relation, else the reason they are recomputed.  They can when
-    the root is a stack of projections over scans, filters and joins,
-    the relation is scanned exactly once, and no semi-join right side
-    lies between that scan and the root.  Every row of the
-    projection-free child then extends exactly one row of the
-    relation, so a write changes the child's rows by the child run
-    over the written rows alone.
+    the root is a stack of projections over scans, filters, joins and
+    anti-joins (plain or null-unifying), the relation is scanned
+    exactly once, and neither a semi-join's right side nor an
+    anti-join's negated side lies between that scan and the root.
+    Every row of the projection-free child then extends exactly one row
+    of the relation, so a write changes the child's rows by the child
+    run over the written rows alone (the negated sides are unchanged:
+    Gupta, Mumick and Subrahmanian's counting, SIGMOD 1993).
+
+    Memoised per plan node (plans are immutable), as a read-only view.
     """
     child, _ = _projection_stack(root)
     scans: Counter[str] = Counter()
@@ -403,6 +410,9 @@ def maintenance_gaps(root: Node) -> dict[str, str | None]:
             visit(node.left, gap)
             semi = None if node._r_extra else "it is the right side of a semi-join"
             visit(node.right, gap or semi)
+        elif isinstance(node, (AntiJoinNode, UnifyAntiJoinNode)):
+            visit(node.left, gap)
+            visit(node.right, gap or "it is the negated side of an anti-join")
         else:
             for sub in node.children():
                 visit(sub, gap or f"a {_kernel_name(node)} lies between its scan and the root")
@@ -411,6 +421,21 @@ def maintenance_gaps(root: Node) -> dict[str, str | None]:
     for name, n in scans.items():
         if n > 1:
             gaps[name] = f"it is scanned {n} times (self-join)"
+    return MappingProxyType(gaps)
+
+
+def bracket_gaps(cq: CompiledQuery) -> dict[str, str | None]:
+    """:func:`maintenance_gaps` of both bounds of the certain-answer bracket.
+
+    The naive plan and the lower-bound plan
+    (:attr:`~repro.logic.compile.CompiledQuery.lower_plan`) must both
+    allow it.  The lower-bound plan keeps the naive plan's left spines,
+    so it scans every relation whose writes the naive plan maintains.
+    """
+    gaps = dict(maintenance_gaps(cq._root))
+    if cq.lower_plan is not None:
+        for name, gap in maintenance_gaps(cq.lower_plan).items():
+            gaps[name] = gaps.get(name) or gap
     return gaps
 
 
@@ -420,7 +445,19 @@ def _counted(root: Node, cctx: ColumnarContext) -> dict[tuple[int, ...], int]:
     fused = _fused_project(child, indices, cctx, counted=True)
     if fused is not None:
         return fused
-    return Counter(tuple(row[i] for i in indices) for row in _eval(child, cctx, {}))
+    return Counter(map(kernels.key_getter(indices), _eval(child, cctx, {})))
+
+
+def _answer_set(root: Node, cctx: ColumnarContext, arity: int, count: bool) -> AnswerSet:
+    """The null-free rows of ``root`` as an encoded :class:`AnswerSet`.
+
+    With ``count`` (the plan reads no domain), when writes to some
+    relation can be maintained (:func:`maintenance_gaps`), the same run
+    counts each row's witnesses and the set carries them.
+    """
+    if count and None in maintenance_gaps(root).values():
+        return AnswerSet.counted(_counted(root, cctx), arity, cctx.dictionary, root)
+    return AnswerSet.encoded(_null_free(_eval(root, cctx, {})), arity, cctx.dictionary)
 
 
 def maintained_answers(
@@ -432,12 +469,13 @@ def maintained_answers(
 ) -> AnswerSet | None:
     """``answers`` after ``relation`` gained ``added`` and lost ``removed``.
 
-    ``answers`` must be a counted set from :meth:`ColumnarQuery.naive_answers`,
-    and ``source`` the instance after the write.  The plan's
-    projection-free child runs over a layer of ``source`` holding only
-    the written rows, once per sign; every other relation, with its
-    cached sort runs, comes from ``source``.  ``None`` when the answers
-    cannot be maintained under writes to ``relation``.
+    ``answers`` must be a counted set from :meth:`ColumnarQuery.naive_answers`
+    or :meth:`ColumnarQuery.lower_answers`, and ``source`` the instance
+    after the write.  The plan's projection-free child runs over a layer
+    of ``source`` holding only the written rows, once per sign; every
+    other relation, with its cached sort runs, comes from ``source``.
+    ``None`` when the answers cannot be maintained under writes to
+    ``relation``.
     """
     root = answers.plan
     cctx = as_columnar_context(source)
@@ -448,6 +486,7 @@ def maintained_answers(
     ):
         return None
     child, indices = _projection_stack(root)
+    project = kernels.key_getter(indices)
     encode_row = cctx.dictionary.encode_row
     delta: Counter[tuple[int, ...]] = Counter()
     for rows, sign in ((removed, -1), (added, 1)):
@@ -461,8 +500,8 @@ def maintained_answers(
             {relation: EncodedRelation.from_codes(arity, codes)},
             frozenset(itertools.chain.from_iterable(codes)),
         )
-        for row in _eval(child, layer, {}):
-            delta[tuple(row[i] for i in indices)] += sign
+        for row in map(project, _eval(child, layer, {})):
+            delta[row] += sign
     return answers.patched(delta)
 
 
@@ -538,26 +577,16 @@ class ColumnarQuery:
         decode = cctx.dictionary.decode_row
         return frozenset(map(decode, _eval(self.cq._root, cctx, {})))
 
-    def naive_codes(self, source) -> frozenset[tuple[int, ...]]:
-        """The null-free encoded answer rows (naive evaluation's step two).
+    def naive_answers(self, source) -> AnswerSet:
+        """The null-free answer rows (naive evaluation's step two), encoded.
 
         Null rows are dropped by code parity — odd codes are nulls — so
-        no row is decoded.
-        """
-        return _null_free(_eval(self.cq._root, as_columnar_context(source), {}))
-
-    def naive_answers(self, source) -> AnswerSet:
-        """:meth:`naive_codes` as an encoded :class:`AnswerSet`.
-
-        The set decodes or renders on demand.  When writes to some
+        no row is decoded; the set decodes or renders on demand.  When writes to some
         relation can be maintained (:func:`maintenance_gaps`), the same
         run counts each row's witnesses and the set carries them.
         """
         cctx = as_columnar_context(source)
-        arity, root = len(self.answer_vars), self.cq._root
-        if not self.adom_dependent and None in maintenance_gaps(root).values():
-            return AnswerSet.counted(_counted(root, cctx), arity, cctx.dictionary, root)
-        return AnswerSet.encoded(self.naive_codes(cctx), arity, cctx.dictionary)
+        return _answer_set(self.cq._root, cctx, len(self.answer_vars), not self.adom_dependent)
 
     def lower_codes(self, source) -> frozenset[tuple[int, ...]]:
         """The certain-answer lower bound: null-free rows of the ⁺ plan.
@@ -570,16 +599,37 @@ class ColumnarQuery:
             return _EMPTY
         return _null_free(_eval(root, as_columnar_context(source), {}))
 
-    def maintenance_note(self) -> str:
-        """EXPLAIN's account of what a write to a read relation costs."""
+    def lower_answers(self, source) -> AnswerSet | None:
+        """:meth:`lower_codes` as an encoded :class:`AnswerSet`, counted
+        like :meth:`naive_answers`; ``None`` when there is no lower-bound
+        plan (the bound is empty)."""
+        root = self.cq.lower_plan
+        if root is None:
+            return None
+        cctx = as_columnar_context(source)
+        return _answer_set(root, cctx, len(self.answer_vars), not self.adom_dependent)
+
+    def maintenance_note(self, bracket: bool = False) -> str:
+        """EXPLAIN's account of what a write to a read relation costs.
+
+        ``bracket``: of a certain-answer oracle read, whose bracket
+        bounds are maintained (:func:`bracket_gaps`) and whose gap is
+        enumerated again.
+        """
         if self.adom_dependent:
             return "recomputed after writes: the plan reads the active domain"
-        gaps = maintenance_gaps(self.cq._root)
+        gaps = bracket_gaps(self.cq) if bracket else maintenance_gaps(self.cq._root)
         kept = ", ".join(sorted(n for n, gap in gaps.items() if gap is None))
         lost = "; ".join(f"{n}: {gap}" for n, gap in sorted(gaps.items()) if gap is not None)
         if not kept:
             return f"recomputed after writes: {lost or 'the plan scans no relation'}"
-        note = f"answers maintained under writes to {kept} (witness counting)"
+        if bracket:
+            note = (
+                f"bracket bounds maintained under writes to {kept} (witness counting), "
+                "then only their gap is enumerated"
+            )
+        else:
+            note = f"answers maintained under writes to {kept} (witness counting)"
         return f"{note}; recomputed after writes to {lost}" if lost else note
 
     def describe(self) -> str:

@@ -803,16 +803,20 @@ def _compiled(formula: Formula, answer_vars: tuple[Var, ...]) -> CompiledQuery:
     return CompiledQuery(formula, answer_vars)
 
 
+@lru_cache(maxsize=1024)
 def compiled_query(query) -> CompiledQuery:
     """The memoised compilation of a :class:`~repro.logic.queries.Query`.
 
     Queries are immutable values, so one compilation serves every
     evaluation — the certain-answer oracle re-executes it across all
-    pool-valuation worlds of a batch.
+    pool-valuation worlds of a batch.  Looked up by the query (whose
+    hash is memoised), then by formula and answer variables, so queries
+    differing only in name share one compilation.
     """
     return _compiled(query.formula, query.answer_vars)
 
 
 def clear_compile_cache() -> None:
     """Drop memoised compilations (tests and long-lived deployments)."""
+    compiled_query.cache_clear()
     _compiled.cache_clear()

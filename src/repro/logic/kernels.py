@@ -41,6 +41,7 @@ __all__ = [
     "sort_merge_join_project",
     "semi_join",
     "unify_anti_join",
+    "key_getter",
     "numpy_enabled",
     "kernel_suffix",
 ]
@@ -262,11 +263,13 @@ def semi_join(
 # null-unifying anti-join
 # ----------------------------------------------------------------------
 
-def _key_getter(positions: tuple[int, ...]):
+def key_getter(positions: tuple[int, ...]):
     """A function projecting a row onto ``positions`` as a tuple."""
     if len(positions) == 1:
         (i,) = positions
         return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
     return itemgetter(*positions)
 
 
@@ -291,7 +294,7 @@ def unify_anti_join(
         return left
     if not l_key:
         return _EMPTY  # a nullary right row unifies with everything
-    key_of = _key_getter(l_key)
+    key_of = key_getter(l_key)
     out: list[tuple[int, ...]] = []
     if not any(c & 1 for c in chain.from_iterable(right)):
         # an odd code in a key is one of these, so a key disjoint from

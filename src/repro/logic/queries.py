@@ -29,6 +29,11 @@ class Query:
     ``answer_vars`` lists the free variables in answer-column order; a
     Boolean query has an empty tuple.  Construction validates that the
     declared variables are exactly the free variables of the formula.
+
+    The hash and :meth:`constants` are memoised on the value: both walk
+    the whole formula tree, and a served read looks a query up in
+    several caches.  The memos stay out of pickles (a string's hash
+    differs between processes).
     """
 
     formula: Formula
@@ -68,7 +73,21 @@ class Query:
 
     def constants(self) -> frozenset[Hashable]:
         """Constants mentioned in the query (the ``C`` of C-genericity)."""
-        return constants_used(self.formula)
+        memo = self.__dict__.get("_constants")
+        if memo is None:
+            memo = constants_used(self.formula)
+            object.__setattr__(self, "_constants", memo)
+        return memo
+
+    def __hash__(self) -> int:
+        memo = self.__dict__.get("_hash")
+        if memo is None:
+            memo = hash((self.formula, self.answer_vars, self.name))
+            object.__setattr__(self, "_hash", memo)
+        return memo
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_constants")}
 
     def fragments(self) -> tuple[str, ...]:
         """The syntactic fragments containing this query's formula."""

@@ -22,8 +22,8 @@ The session is **long-lived and mutable**: :meth:`Database.insert`,
 instance *incrementally* — the untouched relations keep their frozen
 row sets and dictionary-encoded columns
 (:func:`repro.data.dictionary.derive_columnar`), and invalidation is tracked by **per-relation generation counters**
-instead of one global epoch.  A prepared query's cached plan survives
-writes to relations it never mentions, and a bounded **result cache**
+instead of one global epoch.  A prepared query's cached plan reads no
+rows, so it survives writes, and a bounded **result cache**
 (keyed by query value × backend × the generations of the relations the
 compiled plan actually reads) turns repeated evaluation into a lookup
 whenever the touched relations are disjoint from what the plan reads —
@@ -159,14 +159,13 @@ class PreparedQuery:
 
     per *relevant* instance state:
 
-    * the :class:`~repro.core.plan.Plan` per requested mode — invalidated
-      only when a relation the query mentions changes (or, for verdicts
-      that hinge on the core check, on any write at all);
-
-    and at most once per instance generation:
-
-    * the constant pool for bounded enumeration (it reflects every
-      constant of the instance, so any write may change it).
+    * the :class:`~repro.core.plan.Plan` per requested mode — it reads
+      no rows (its cost hints read the instance when EXPLAIN asks), so
+      it survives writes; only ``replace``/``extra_facts`` (the epoch)
+      and, for verdicts that hinge on the core check, any write re-plan;
+    * the constant pool for bounded enumeration — rebuilt only when the
+      instance's constants or its number of nulls change, the only
+      parts of the instance the pool reflects.
     """
 
     __slots__ = (
@@ -176,7 +175,7 @@ class PreparedQuery:
         "_verdict",
         "_schema",
         "_pool",
-        "_pool_generation",
+        "_pool_key",
         "_plans",
         "_plans_key",
     )
@@ -188,7 +187,7 @@ class PreparedQuery:
         self._verdict = None
         self._schema: Schema | None = None
         self._pool: tuple[Hashable, ...] | None = None
-        self._pool_generation = -1
+        self._pool_key: tuple | None = None
         self._plans: dict[str, Plan] = {}
         self._plans_key: tuple | None = None
 
@@ -216,35 +215,35 @@ class PreparedQuery:
 
     @property
     def pool(self) -> tuple[Hashable, ...]:
-        """The enumeration pool for the current instance (cached per generation).
+        """The enumeration pool for the current instance.
 
-        Returned as a tuple: the cache is shared across evaluations, so
-        handing out a mutable alias would let callers corrupt it.  Built
-        under the session lock so a concurrent writer cannot slip a
-        generation bump between the pool build and its stamp (which
-        would mark a stale pool current).
+        Cached per content: :func:`~repro.core.certain.default_pool` is a
+        function of the instance's constants and its number of nulls, so
+        a write that changes neither keeps the pool.  Returned as a
+        tuple: the cache is shared across evaluations, so handing out a
+        mutable alias would let callers corrupt it.  Built under the
+        session lock so a concurrent writer cannot swap the instance
+        between the pool build and its stamp.
         """
         with self._db._lock:
-            if self._pool_generation != self._db.generation:
-                self._pool = tuple(
-                    _certain.default_pool(self._db.instance, self.query)
-                )
-                self._pool_generation = self._db.generation
+            instance = self._db.instance
+            key = (instance.constants(), len(instance.nulls()))
+            if self._pool_key != key:
+                self._pool = tuple(_certain.default_pool(instance, self.query))
+                self._pool_key = key
             return self._pool
 
     def _plan_key(self) -> tuple:
         """What a cached plan depends on, as a comparable value.
 
-        The per-relation generations of the relations the query mentions,
-        the session epoch (``replace``/``extra_facts`` assignments
-        re-plan everything), and — only when the verdict is
-        positive *over cores*, so routing hinges on a whole-instance
-        property — the global mutation counter.
+        The session epoch (``replace``/``extra_facts`` assignments
+        re-plan everything) and — only when the verdict is positive
+        *over cores*, so routing hinges on a whole-instance property —
+        the global mutation counter.  Nothing else in a plan reads the
+        instance.
         """
         db = self._db
-        gens = tuple(db._rel_gens.get(name, 0) for name in self.schema.relations)
-        core_gen = db._generation if self.verdict.over_cores_only else -1
-        return (db._epoch, gens, core_gen)
+        return (db._epoch, db._generation if self.verdict.over_cores_only else -1)
 
     def _cached_plan(self, mode: str) -> Plan | None:
         """The plan for ``mode`` cached under the current key, else ``None``.
@@ -284,6 +283,7 @@ class PreparedQuery:
                     verdict=self.verdict,
                     core_check=self._db.instance_is_core,
                     extra_facts=self._db.extra_facts,
+                    current=lambda: self._db.instance,
                 )
                 self._plans[mode] = cached
             return cached
@@ -974,20 +974,22 @@ class Database:
     def _maintenance_basis(
         self, plan: Plan, key: tuple | None, cached: AnswerSet | None
     ) -> tuple[AnswerSet, str, set, set] | None:
-        """What a columnar miss can maintain its answers from, or ``None``.
+        """What a miss can maintain its answers from, or ``None``.
 
         ``(answers, relation, added, removed)``: the newest cached
         answers of the same plan, the one read relation written since,
         and the net rows it gained and lost, composed from the delta
-        log.  ``None`` when there is no such entry, when writes touched
-        another read relation too, or when the log no longer reaches
-        back to the entry.  Caller holds the lock.
+        log.  The answers are a ``columnar`` run's counted set or a CWA
+        oracle run's set carrying its bracket's counted bounds.  ``None``
+        when there is no such entry, when writes touched another read
+        relation too, or when the log no longer reaches back to the
+        entry.  Caller holds the lock.
         """
-        if cached is not None or key is None or plan.backend != "columnar":
+        if cached is not None or key is None:
             return None
         newest = self._newest.get(key[:-1])
         prior = self._results.get(newest) if newest is not None else None
-        if prior is None or prior.plan is None:
+        if prior is None or (prior.plan is None and prior.bracket is None):
             return None
         before = dict(newest[-1])
         moved = [(name, gen) for name, gen in key[-1] if before[name] != gen]
@@ -1055,15 +1057,35 @@ class Database:
         **execute_kwargs,
     ) -> EvalResult:
         """Evaluate a cache miss and record it: maintained from ``basis``
-        (see :meth:`_maintenance_basis`) when it allows, else executed."""
+        (see :meth:`_maintenance_basis`) when it allows, else executed.
+
+        An oracle miss with a basis runs :func:`~repro.core.certain.certain_answers`
+        with it, which patches the bracket's bounds or else runs in full.
+        """
         if basis is not None:
             start = perf_counter()
             prior, relation, added, removed = basis
-            answers = _columnar.maintained_answers(prior, instance, relation, added, removed)
+            if prior.bracket is not None:
+                oracle: dict[str, object] = {}
+                rows = _certain.certain_answers(
+                    prepared.query,
+                    instance,
+                    prepared.semantics,
+                    pool=execute_kwargs["pool"],
+                    limit=execute_kwargs["limit"],
+                    stats_out=oracle,
+                    prior=basis,
+                )
+                answers, maintained = rows.encoded, rows.maintained
+                stats["oracle"] = oracle
+            else:
+                answers = _columnar.maintained_answers(prior, instance, relation, added, removed)
+                maintained = answers is not None
             if answers is not None:
-                stats.update(maintained=True, delta_rows=len(added) + len(removed))
+                if maintained:
+                    stats.update(maintained=True, delta_rows=len(added) + len(removed))
                 result = self._served_result(plan, answers, stats, perf_counter() - start)
-                self._result_put(key, answers, maintained=True)
+                self._result_put(key, answers, maintained=maintained)
                 return result
         result = _engine.execute_plan(
             plan, prepared.query, instance, prepared.semantics, stats=stats, **execute_kwargs

@@ -284,15 +284,19 @@ def skewed(sizes: dict[str, tuple[int, int]]) -> Instance:
 
 
 def explained_split(db: Database, text: str, head) -> tuple[set[str], set[str]]:
-    """(maintained, recomputed) relations, as EXPLAIN's notes state them."""
+    """(maintained, recomputed) relations, as EXPLAIN's notes state them.
+
+    A ``columnar`` plan's note names its maintained answers, an oracle
+    plan's its maintained bracket bounds."""
     notes = db.explain(text, head).notes
     (cache,) = [n for n in notes if n.startswith("result is a pure function of relations")]
     reads = set(cache[cache.index("{") + 1 : cache.index("}")].split(", "))
     (note,) = [n for n in notes if "after writes" in n or "maintained under" in n]
-    prefix = "answers maintained under writes to "
     kept = set()
-    if note.startswith(prefix):
-        kept = set(note[len(prefix) : note.index(" (witness counting)")].split(", "))
+    for subject in ("answers", "bracket bounds"):
+        prefix = f"{subject} maintained under writes to "
+        if note.startswith(prefix):
+            kept = set(note[len(prefix) : note.index(" (witness counting)")].split(", "))
     return kept, reads - kept
 
 
@@ -306,6 +310,12 @@ class TestExplainMatchesExecution:
         ("exists z, w (R(x, z) & S(z, w) & T(w, y))", ("x", "y"), {"R": 2, "S": 2, "T": 2}),
         ("exists z (R(x, z) & S(z, 3))", ("x",), {"R": 2, "S": 2}),
         (SELF_JOIN, ("x", "y"), {"R": 2}),
+        # negation routes to the CWA oracle, whose bracket bounds are
+        # maintained under writes to an anti-join's left side only
+        ("exists y (R(x, y) & !S(y))", ("x",), {"R": 2, "S": 1}),
+        ("R(x, y) & !S(y, x)", ("x", "y"), {"R": 2, "S": 2}),
+        ("exists y, z (R(x, y) & S(y, z) & !T(z))", ("x",), {"R": 2, "S": 2, "T": 1}),
+        ("exists y (R(x, y) & !R(y, x))", ("x",), {"R": 2}),
     ]
     #: row counts of the relations in name order (cycled): skewed both
     #: ways, even, and a three-way spread
@@ -350,7 +360,9 @@ class TestSupersededEntries:
         assert [r.method for r in results] == ["columnar", "columnar", "enumeration"]
         stats = db.cache_stats
         assert stats["entries"] == 3 and stats["evictions"] == 0
-        assert stats["maintained"] == 50
+        # JOIN's answers and the oracle's bracket bounds are maintained
+        # (50 writes each); SELF_JOIN recomputes
+        assert stats["maintained"] == 100
 
     def test_a_late_put_does_not_bring_a_dead_key_back(self):
         db = Database({"R": [(1, 2)], "S": [(2, 3)]})

@@ -271,7 +271,21 @@ class TestPlanSurvival:
         db.insert("T", (10,))
         assert q.plan() is plan  # T is not mentioned by the query
         db.insert("R", (5, 6))
-        assert q.plan() is not plan  # R is
+        assert q.plan() is plan  # nor does a write to R change the plan
+
+    def test_explain_cost_reflects_a_write(self):
+        db = Database({"R": [(1, 2)], "S": [(2, 3)]}, semantics="cwa")
+        q = db.query("exists y (R(x, y) & !S(y))", vars=("x",))
+        plan = q.plan()
+        before = plan.cost
+        assert (before.fact_count, before.null_count) == (2, 0)
+        db.insert("R", (5, Null("n")), (6, 7))
+        assert q.plan() is plan
+        after = db.explain(q).cost
+        assert (after.fact_count, after.null_count) == (4, 1)
+        assert after.pool_size == len(q.pool)  # the pool the oracle now enumerates
+        assert "4 facts, 1 nulls" in db.explain(q).render()
+        assert db.explain(q).to_dict()["cost"] == after.to_dict()
 
     def test_core_dependent_plan_invalidated_by_any_write(self):
         db = Database(Instance({"D": [(X, X), (X, 1)]}), semantics="mincwa")

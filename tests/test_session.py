@@ -207,8 +207,25 @@ class TestInvalidation:
         db.add_fact("D", (7, 8))
         q.evaluate()
         assert counts["pool"] == 2
-        assert q.plan() is not plan_before
+        # the plan reads no rows, so it survives the write; the pool
+        # reflects the new constants
+        assert q.plan() is plan_before
         assert 7 in q.pool and 8 in q.pool
+
+    def test_write_keeping_constants_and_nulls_keeps_pool(self, monkeypatch):
+        counts = {"pool": 0}
+        counting(monkeypatch, "repro.core.certain.default_pool", counts, "pool")
+        db = Database(Instance({"R": [(1, 2), (2, X)], "S": [(2,)]}), semantics="cwa")
+        q = db.query("exists y (R(x, y) & !S(y))", vars=("x",))
+        q.evaluate()
+        pool = q.pool
+        db.insert("R", (2, 1))  # constants {1, 2} and one null, as before
+        db.delete("R", (1, 2))
+        assert q.evaluate().answers == {(2,)}
+        assert q.pool is pool and counts["pool"] == 1
+        db.insert("R", (3, Y))  # a new constant and a new null
+        q.evaluate()
+        assert counts["pool"] == 2 and 3 in q.pool and len(q.pool) == len(pool) + 2
 
     def test_mutation_changes_answers(self):
         db = Database(Instance({"D": [(1, 2)]}), semantics="cwa")
