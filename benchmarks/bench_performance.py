@@ -16,12 +16,12 @@ import pytest
 
 from repro.core import certain_answers, naive_eval
 from repro.core.backends import NAIVE_AUTO_BACKEND
-from repro.core.engine import evaluate
 from repro.data.generate import random_instance
 from repro.data.schema import Schema
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
+from repro.session import Database
 
 SCHEMA = Schema({"R": 2, "S": 1})
 JOIN = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"), name="join2")
@@ -57,8 +57,9 @@ def test_naive_vs_enumeration_same_answer_cwa(benchmark):
     instance = make_instance(5, n_nulls=2)
 
     def run():
-        fast = evaluate(GUARDED, instance, semantics="cwa")  # naive route
-        slow = evaluate(GUARDED, instance, semantics="cwa", mode="enumeration")
+        db = Database(instance, semantics="cwa")
+        fast = db.evaluate(GUARDED)  # naive route
+        slow = db.evaluate(GUARDED, mode="enumeration")
         assert fast.answers == slow.answers
         return fast.method, slow.method
 
@@ -79,5 +80,5 @@ def test_oracle_cost_by_semantics(benchmark, key):
 def test_engine_naive_route_cost(benchmark):
     """End-to-end engine cost when the analyzer approves naive evaluation."""
     instance = make_instance(16, n_nulls=3)
-    result = benchmark(evaluate, JOIN, instance, "owa")
+    result = benchmark(lambda: Database(instance, semantics="owa").evaluate(JOIN))
     assert result.method == NAIVE_AUTO_BACKEND

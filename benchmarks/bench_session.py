@@ -1,18 +1,18 @@
-"""Experiment SESSION — what preparing a query buys over the free function.
+"""Experiment SESSION — what preparing a query buys over a one-shot call.
 
-The legacy ``evaluate`` re-runs the Figure-1 analyzer, the core check
-and pool construction on every call; a prepared query pays for them
-once.  These benches measure the per-call planning overhead that the
-session API amortises — the gap is the "serving traffic" story of the
-API redesign: for cheap naive-routed queries, planning dominates the
-actual evaluation, so caching it is a direct throughput win.
+A one-shot caller opens a fresh ``Database`` per evaluation and so
+pays the Figure-1 analyzer, the core check and pool construction on
+every call; a prepared query pays for them once.  These benches measure
+the per-call planning overhead that the session API amortises — the gap
+is the "serving traffic" story of the API redesign: for cheap
+naive-routed queries, planning dominates the actual evaluation, so
+caching it is a direct throughput win.
 """
 
 import random
 
 import pytest
 
-from repro.core.engine import evaluate
 from repro.data.generate import random_instance
 from repro.data.schema import Schema
 from repro.session import Database
@@ -35,7 +35,7 @@ def test_free_function_reruns_planning(benchmark, n_facts):
     db = Database(instance, semantics="cwa")
     query = db.query(GUARDED_TEXT).query
     benchmark.extra_info["n_facts"] = n_facts
-    benchmark(evaluate, query, instance, "cwa")
+    benchmark(lambda: Database(instance, semantics="cwa").evaluate(query))
 
 
 @pytest.mark.parametrize("n_facts", [8, 32])

@@ -11,7 +11,7 @@ Run with::
     python examples/closed_world_audit.py
 """
 
-from repro import Instance, NullFactory, Query, analyze, evaluate, parse
+from repro import Database, Instance, NullFactory, Query, analyze, parse
 
 fresh = NullFactory("user")
 
@@ -46,7 +46,8 @@ rule1 = Query.boolean(
 )
 verdict = analyze(rule1, "cwa")
 print(f"\n[{rule1.name}] in fragment {verdict.fragment}? sound={verdict.sound}")
-result = evaluate(rule1, log, semantics="cwa")
+audit = Database(log, semantics="cwa")
+result = audit.evaluate(rule1)
 print(f"  audit verdict (certain under CWA): {result.holds} (method={result.method})")
 assert result.method == "columnar" and result.exact
 
@@ -64,7 +65,7 @@ rule2 = Query.boolean(
 verdict2 = analyze(rule2, "cwa")
 print(f"\n[{rule2.name}] sound={verdict2.sound}")
 print(f"  reason: {verdict2.reason}")
-result2 = evaluate(rule2, log, semantics="cwa")
+result2 = audit.evaluate(rule2)
 print(f"  audit verdict (certain under CWA): {result2.holds} (method={result2.method})")
 # Anonymisation makes this NOT certain: u2 (low) might be the same
 # person as u1?  No — marked nulls are distinct unless unified by a
@@ -76,7 +77,7 @@ assert result2.method == "enumeration"
 # 4. Where naive evaluation would have lied
 # ----------------------------------------------------------------------
 
-naive2 = evaluate(rule2, log, semantics="cwa", mode="columnar")
+naive2 = audit.evaluate(rule2, mode="columnar")
 print(
     f"\nnaive evaluation would claim {naive2.holds} for [{rule2.name}] — "
     f"{'the SAME' if naive2.holds == result2.holds else 'a DIFFERENT'} answer "

@@ -17,7 +17,7 @@ Run with::
     python examples/cores_and_minimality.py
 """
 
-from repro import Instance, Null, Query, evaluate, parse
+from repro import Database, Instance, Null, Query, parse
 from repro.core import certain_holds, naive_holds
 from repro.data.generate import cores_graph_example, cycle, disjoint_union
 from repro.homs.core import core, is_core
@@ -58,10 +58,10 @@ print(
 # naive disagrees with certain exactly because Q(D) ≠ Q(core(D)).
 
 # The engine knows: off-core it refuses naive evaluation ...
-result = evaluate(reflexive, solution, semantics="mincwa")
+result = Database(solution, semantics="mincwa").evaluate(reflexive)
 print(f"engine method off-core: {result.method} → {result.holds}")
 # ... and on the core it routes naively with an exactness guarantee.
-result_core = evaluate(reflexive, core(solution), semantics="mincwa")
+result_core = Database(core(solution), semantics="mincwa").evaluate(reflexive)
 print(f"engine method on-core:  {result_core.method} → {result_core.holds}")
 assert result.holds and result_core.holds
 

@@ -12,7 +12,7 @@ Run with::
     python examples/data_integration.py
 """
 
-from repro import Instance, NullFactory, Query, analyze, evaluate, parse
+from repro import Database, Instance, NullFactory, Query, analyze, parse
 from repro.algebra import from_instance
 
 # ----------------------------------------------------------------------
@@ -57,7 +57,8 @@ q_known = Query(
 )
 verdict = analyze(q_known, "owa")
 print(f"\n[{q_known.name}] analyzer: sound={verdict.sound} → {verdict.reason}")
-result = evaluate(q_known, mediated, semantics="owa")
+session = Database(mediated, semantics="owa")
+result = session.evaluate(q_known)
 print(f"certain answers: {sorted(result.answers)}  (method={result.method})")
 assert result.answers == frozenset({("ada",), ("bob",), ("eve",)})
 
@@ -71,7 +72,7 @@ q_dept = Query(
     ("d",),
     name="dept_of_120_earner",
 )
-result = evaluate(q_dept, mediated, semantics="owa")
+result = session.evaluate(q_dept)
 print(f"\n[{q_dept.name}] certain answers: {sorted(result.answers)}")
 assert result.answers == frozenset({("research",)})
 
@@ -99,7 +100,7 @@ q_all_paid = Query.boolean(
 )
 for semantics in ("owa", "cwa"):
     verdict = analyze(q_all_paid, semantics)
-    result = evaluate(q_all_paid, mediated, semantics=semantics)
+    result = session.evaluate(q_all_paid, semantics=semantics)
     print(
         f"\n[{q_all_paid.name}] under {semantics.upper()}: certain={result.holds} "
         f"(method={result.method}, sound fragment: {verdict.fragment})"

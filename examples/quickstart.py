@@ -6,7 +6,7 @@ API.  Run with::
     python examples/quickstart.py
 """
 
-from repro import Database, Instance, Null, Query, analyze, evaluate, parse
+from repro import Database, Instance, Null, Query, analyze, parse
 
 # ----------------------------------------------------------------------
 # 1. An incomplete database with marked nulls (the paper's introduction)
@@ -55,8 +55,8 @@ for semantics in ("owa", "cwa"):
 bot, bot2 = Null(""), Null("'")
 d0 = Instance({"D": [(bot, bot2), (bot2, bot)]})
 
-owa_result = evaluate(total, d0, semantics="owa")  # enumeration fallback
-cwa_result = evaluate(total, d0, semantics="cwa")  # naive, provably exact
+owa_result = Database(d0, semantics="owa").evaluate(total)  # enumeration fallback
+cwa_result = Database(d0, semantics="cwa").evaluate(total)  # naive, provably exact
 print(f"\nOn D0 = {d0!r}:")
 print(f"  OWA certain answer: {owa_result.holds}  (method={owa_result.method})")
 print(f"  CWA certain answer: {cwa_result.holds}  (method={cwa_result.method})")

@@ -2,8 +2,8 @@
 
 Shows what the :class:`repro.session.Database` facade adds on top of the
 free functions: preparation caches the Figure-1 analysis and the
-enumeration pool, ``explain`` exposes the routing decision, backends are
-selectable and pluggable, ``evaluate_many`` answers a batch from one
+enumeration pool, ``explain`` exposes the routing decision, the three
+backends are selectable by name, ``evaluate_many`` answers a batch from one
 snapshot, and mutations invalidate the caches transparently.  Run with::
 
     python examples/session_api.py
@@ -42,14 +42,14 @@ plan = db.explain(total, mode="enumeration")
 assert plan.backend == "enumeration" and plan.exact
 
 # ----------------------------------------------------------------------
-# 4. Backends: columnar / enumeration / ctable agree where the theory says so
+# 4. Backends: columnar / naive-interp / enumeration agree where the theory says so
 # ----------------------------------------------------------------------
 
-print(f"\nregistered backends: {', '.join(available_backends())}")
+print(f"\nbackends: {', '.join(available_backends())}")
 cycle = db.query("exists u, v . D(u, v) & D(v, u)", name="cycle")
 by_backend = {mode: cycle.evaluate(mode).answers for mode in available_backends()}
 print(f"answers per backend: { {k: bool(v) for k, v in by_backend.items()} }")
-assert by_backend["columnar"] == by_backend["enumeration"] == by_backend["ctable"]
+assert by_backend["columnar"] == by_backend["naive-interp"] == by_backend["enumeration"]
 
 # ----------------------------------------------------------------------
 # 5. Batches: one snapshot, each query with its own pool

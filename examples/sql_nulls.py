@@ -12,7 +12,7 @@ Run with::
     python examples/sql_nulls.py
 """
 
-from repro import Instance, Query, evaluate, parse
+from repro import Database, Instance, Query, parse
 from repro.data.codd import from_sql_rows, to_sql_rows
 from repro.orders.codd import cwa_codd_leq, hoare_leq, plotkin_leq
 from repro.orders.semantic import leq_cwa, leq_owa, leq_pcwa
@@ -28,7 +28,7 @@ db = from_sql_rows({"X": [(1,), (2,), (3,)], "Y": [(1,), (None,)]})
 print("X =", sorted(db.tuples("X")), " Y =", sorted(db.tuples("Y"), key=repr))
 
 not_in = Query(parse("X(v) & !Y(v)"), ("v",), name="not_in")
-result = evaluate(not_in, db, semantics="cwa")
+result = Database(db, semantics="cwa").evaluate(not_in)
 print(f"certain answers to X NOT IN Y under CWA: {set(result.answers)}")
 # The certain answer is empty — but for the *right* reason: the single
 # null can be any one of 2 or 3, and no tuple survives every valuation.
@@ -38,7 +38,7 @@ assert result.answers == frozenset()
 # the paradox dissolves; model that by replacing the null:
 y_null = next(iter(db.tuples("Y") - {(1,)}))[0]
 resolved = db.apply({y_null: 1})
-result2 = evaluate(not_in, resolved, semantics="cwa")
+result2 = Database(resolved, semantics="cwa").evaluate(not_in)
 print(f"after resolving the null to 1: {sorted(result2.answers)}")
 assert result2.answers == frozenset({(2,), (3,)})
 

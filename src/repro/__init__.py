@@ -19,9 +19,10 @@ Quickstart (the session API)::
 
 Preparing a query caches the Figure-1 analysis, the parse and the
 constant pool, so repeated evaluation pays only for execution; plans
-route through pluggable backends (``columnar``, ``naive-interp``,
-``enumeration``, ``ctable``).  The free functions (``evaluate``, ``certain_answers``,
-``naive_eval``) remain as one-shot legacy wrappers.
+route to one of three backends (``columnar``, ``naive-interp``,
+``enumeration``).  ``Database`` is the one front door for evaluation;
+the free functions ``certain_answers`` and ``naive_eval`` compute the
+paper's two notions directly, without planning or caching.
 
 Sessions are mutable (``db.insert``/``delete``/``apply_delta``,
 incremental and thread-safe) and optionally **durable**:
@@ -42,14 +43,12 @@ from repro.core import (
     available_backends,
     certain_answers,
     certain_holds,
-    evaluate,
     get_backend,
     make_plan,
     naive_eval,
     naive_holds,
     possible_answers,
     possible_holds,
-    register_backend,
 )
 from repro.data import Instance, Null, NullFactory, Schema
 from repro.homs import core, find_homomorphism, has_homomorphism, is_core
@@ -93,14 +92,12 @@ __all__ = [
     "available_backends",
     "certain_answers",
     "certain_holds",
-    "evaluate",
     "get_backend",
     "make_plan",
     "naive_eval",
     "naive_holds",
     "possible_answers",
     "possible_holds",
-    "register_backend",
     "Database",
     "DegradedError",
     "PreparedQuery",

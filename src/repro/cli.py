@@ -49,7 +49,7 @@ from repro.client import (
     StaleReadError,
     TransportError,
 )
-from repro.core import analyze, evaluate
+from repro.core import analyze
 from repro.core.analyzer import FIGURE_1
 from repro.core.backends import available_backends
 from repro.data.instance import Instance
@@ -131,17 +131,7 @@ def _print_oracle(result) -> None:
 def _cmd_evaluate(args) -> int:
     query = _build_query(args.query)
     instance = _load_instance(args.instance)
-    result = evaluate(query, instance, semantics=args.semantics, mode=args.mode)
-    _print_result(query, result)
-    _print_oracle(result)
-    return 0
-
-
-def _cmd_certain(args) -> int:
-    """The oracle, explicitly: bounded enumeration with its world count."""
-    query = _build_query(args.query)
-    instance = _load_instance(args.instance)
-    result = evaluate(query, instance, semantics=args.semantics, mode="enumeration")
+    result = Database(instance, semantics=args.semantics).evaluate(query, mode=args.mode)
     _print_result(query, result)
     _print_oracle(result)
     return 0
@@ -516,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     p_certain.add_argument("query")
     p_certain.add_argument("instance", help="path to the JSON instance file")
     p_certain.add_argument("--semantics", choices=sorted(FIGURE_1), default="cwa")
-    p_certain.set_defaults(func=_cmd_certain)
+    p_certain.set_defaults(func=_cmd_evaluate, mode="enumeration")
 
     p_explain = sub.add_parser(
         "explain", help="show the evaluation plan (backend, verdict, cost) without running"

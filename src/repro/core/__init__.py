@@ -6,17 +6,14 @@ from repro.core.naive import drop_null_tuples, naive_eval, naive_holds
 from repro.core.backends import (
     Backend,
     ColumnarBackend,
-    CTableBackend,
     EnumerationBackend,
     NaiveBackend,
     NaiveInterpBackend,
     available_backends,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.plan import CostHints, Plan, make_plan
-from repro.core.engine import EvalResult, evaluate, execute_plan
+from repro.core.engine import EvalResult, execute_plan
 from repro.core.monotone import (
     HOM_CLASSES,
     Counterexample,
@@ -38,16 +35,12 @@ __all__ = [
     "ColumnarBackend",
     "NaiveInterpBackend",
     "EnumerationBackend",
-    "CTableBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
     "CostHints",
     "Plan",
     "make_plan",
     "EvalResult",
-    "evaluate",
     "execute_plan",
     "HOM_CLASSES",
     "Counterexample",

@@ -1,7 +1,7 @@
-"""Pluggable evaluation backends and their registry.
+"""The evaluation backends, looked up by name.
 
 A :class:`Backend` is one strategy for computing (an approximation of)
-certain answers.  The engine ships four:
+certain answers.  The engine has exactly three:
 
 * ``columnar``     — two-step naive evaluation (Section 2.4) executed by
   the compiled operator DAG over dictionary-encoded int columns
@@ -10,16 +10,10 @@ certain answers.  The engine ships four:
 * ``naive-interp`` — naive evaluation by the tuple-at-a-time tree
   walker, retained as the differential-testing reference;
 * ``enumeration``  — the bounded certain-answer oracle: intersect
-  ``Q(E)`` over the members of ``[[D]]`` drawn from a finite pool;
-* ``ctable``       — lift the naive database into a conditional table
-  (Imielinski & Lipski 1984) and intersect over its worlds; the CWA
-  semantics of c-tables, so only valid under ``cwa``.
+  ``Q(E)`` over the members of ``[[D]]`` drawn from a finite pool.
 
-Backends are looked up by name through a registry so deployments can
-plug in their own (sharded, remote, approximate…) strategies without
-touching the planner: implement :class:`Backend`, call
-:func:`register_backend`, and the name becomes available to
-``Database``, the legacy ``evaluate(mode=...)`` wrapper and the CLI.
+``mode="auto"`` routes to ``columnar`` or ``enumeration``; any of the
+three names forces that backend, in ``Database`` and the CLI alike.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Sequence
 
-from repro.ctables.table import CInstance
 from repro.core import certain as _certain
 from repro.core.naive import drop_null_tuples
 from repro.core.analyzer import Verdict
@@ -35,7 +28,7 @@ from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.logic import columnar as _columnar
 from repro.logic.queries import Query
-from repro.semantics.base import Semantics, guard_limit
+from repro.semantics.base import Semantics
 
 __all__ = [
     "Backend",
@@ -43,11 +36,8 @@ __all__ = [
     "ColumnarBackend",
     "NaiveInterpBackend",
     "EnumerationBackend",
-    "CTableBackend",
     "naive_is_certain",
     "NAIVE_AUTO_BACKEND",
-    "register_backend",
-    "unregister_backend",
     "get_backend",
     "available_backends",
 ]
@@ -63,21 +53,13 @@ def naive_is_certain(verdict: Verdict, instance_is_core: bool | None) -> bool:
 class Backend(ABC):
     """One evaluation strategy, selectable by name through the planner."""
 
-    #: registry key; also the ``method`` reported in :class:`EvalResult`
+    #: lookup key; also the ``method`` reported in :class:`EvalResult`
     name: str = ""
     #: one-line description used by ``Plan.render()`` and the CLI
     summary: str = ""
     #: does :meth:`execute` read the constant pool?  The session layer
     #: skips pool construction entirely for backends that don't.
     uses_pool: bool = True
-    #: does :meth:`execute` accept a ``stats_out`` keyword (a dict it
-    #: fills with execution metadata)?  The engine only passes it to
-    #: backends that opt in, so plug-in backends with the historical
-    #: signature keep working.
-    reports_stats: bool = False
-
-    def validate(self, semantics: Semantics) -> None:
-        """Raise :class:`ValueError` when this backend cannot serve ``semantics``."""
 
     def cache_relations(self, semantics: Semantics, exact: bool, cq) -> frozenset[str] | None:
         """Which relations the result is a pure function of, or ``None``.
@@ -122,11 +104,13 @@ class Backend(ABC):
         pool: Sequence[Hashable] | None = None,
         extra_facts: int | None = None,
         limit: int = 500_000,
+        stats_out: dict | None = None,
     ) -> frozenset[tuple[Hashable, ...]] | AnswerSet:
         """Compute the answer set (null-free tuples; ``{()}`` = Boolean true).
 
         A frozenset of rows, or an :class:`~repro.data.answers.AnswerSet`
-        that may still be dictionary-encoded.
+        that may still be dictionary-encoded.  A backend with execution
+        metadata to report fills ``stats_out``; the others ignore it.
         """
 
     def __repr__(self) -> str:
@@ -138,7 +122,7 @@ class NaiveBackend(Backend):
 
     The shared base of the naive-evaluation engines: it holds the
     Figure-1 exactness and result-cache contract, and each subclass
-    supplies :meth:`execute`.  Not registered itself.
+    supplies :meth:`execute`.  Not selectable itself.
     """
 
     uses_pool = False
@@ -178,7 +162,8 @@ class ColumnarBackend(NaiveBackend):
         "kernels, sort-merge joins)"
     )
 
-    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None, limit=500_000):
+    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None,
+                limit=500_000, stats_out=None):
         return _columnar.columnar_naive_eval(query, instance)
 
 
@@ -198,7 +183,8 @@ class NaiveInterpBackend(NaiveBackend):
     name = "naive-interp"
     summary = "tree-walking naive evaluation (tuple-at-a-time; differential reference)"
 
-    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None, limit=500_000):
+    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None,
+                limit=500_000, stats_out=None):
         return drop_null_tuples(query.eval_raw(instance))
 
 
@@ -213,7 +199,6 @@ class EnumerationBackend(Backend):
 
     name = "enumeration"
     summary = "bounded certain-answer oracle (intersect Q(E) over [[D]] on a pool)"
-    reports_stats = True
 
     def exactness(self, semantics, verdict, instance_is_core, extra_facts):
         if semantics.enumeration_exact(extra_facts):
@@ -240,57 +225,11 @@ class EnumerationBackend(Backend):
         return getattr(rows, "encoded", rows)
 
 
-class CTableBackend(Backend):
-    """Lift the instance into a conditional table and intersect over its worlds.
-
-    Naive databases are the ``⊤``-condition special case of c-tables,
-    whose possible-world semantics is CWA — so this backend is exact for
-    ``cwa`` and refuses every other semantics.  It exists as the bridge
-    to the strong-representation machinery in :mod:`repro.ctables`
-    (query results that *stay* conditional instead of collapsing to
-    certain answers).
-    """
-
-    name = "ctable"
-    summary = "conditional-table worlds (Imielinski–Lipski CWA; exact under cwa)"
-
-    def validate(self, semantics: Semantics) -> None:
-        if semantics.key != "cwa":
-            raise ValueError(
-                f"the ctable backend implements the CWA possible-world semantics "
-                f"of conditional tables and cannot serve {semantics.key!r}; "
-                f"use semantics='cwa' or another backend"
-            )
-
-    def exactness(self, semantics, verdict, instance_is_core, extra_facts):
-        return True, ""
-
-    def execute(self, query, instance, semantics, *, pool=None, extra_facts=None, limit=500_000):
-        if pool is None:
-            pool = _certain.default_pool(instance, query)
-        lifted = CInstance.from_instance(instance)
-        guard_limit(
-            len(pool) ** len(lifted.nulls()), limit, "ctable world enumeration"
-        )
-        return lifted.certain_answers(query, pool=pool)
-
-
-_REGISTRY: dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
-    """Add ``backend`` to the registry under ``backend.name``."""
-    if not backend.name:
-        raise ValueError("backend must declare a non-empty name")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} is already registered (pass replace=True)")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (mainly for tests and plug-in teardown)."""
-    _REGISTRY.pop(name, None)
+_REGISTRY: dict[str, Backend] = {
+    "columnar": ColumnarBackend(),
+    "naive-interp": NaiveInterpBackend(),
+    "enumeration": EnumerationBackend(),
+}
 
 
 def get_backend(name: str) -> Backend:
@@ -304,11 +243,6 @@ def get_backend(name: str) -> Backend:
 
 
 def available_backends() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
+    """The backend names, sorted."""
     return tuple(sorted(_REGISTRY))
 
-
-register_backend(ColumnarBackend())
-register_backend(NaiveInterpBackend())
-register_backend(EnumerationBackend())
-register_backend(CTableBackend())

@@ -61,7 +61,7 @@ class Plan:
 
     #: rendering of the planned query
     query: str
-    #: the backend that will run (registry name)
+    #: the backend that will run (its name)
     backend: str
     #: the requested mode ("auto" or a forced backend name)
     mode: str
@@ -116,12 +116,7 @@ class Plan:
 
     def render(self) -> str:
         """A human-readable multi-line rendering (``repro explain``)."""
-        try:
-            summary = get_backend(self.backend).summary
-        except ValueError:
-            # plans outlive the registry (a plug-in backend may have been
-            # unregistered since planning); render degrades, not crashes
-            summary = "(backend no longer registered)"
+        summary = get_backend(self.backend).summary
         sound = "SOUND" if self.verdict.sound else "not sound"
         if self.verdict.over_cores_only:
             sound += " (over cores)"
@@ -205,7 +200,7 @@ def make_plan(
         core_needed = verdict.sound and verdict.over_cores_only
         if naive_is_certain(verdict, ensure_core() if core_needed else True):
             # naive evaluation is provably exact — run the columnar
-            # dictionary-encoded executor (naive-interp stays registered
+            # dictionary-encoded executor (naive-interp stays selectable
             # as the forced differential reference)
             name = NAIVE_AUTO_BACKEND
             notes.append(
@@ -224,7 +219,6 @@ def make_plan(
         name = mode
 
     backend = get_backend(name)
-    backend.validate(sem)
     if backend.needs_core_check(verdict):
         ensure_core()
     exact, direction = backend.exactness(sem, verdict, core_flag, extra_facts)

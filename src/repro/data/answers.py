@@ -20,8 +20,8 @@ certain-answer oracle (:mod:`repro.core.certain`) intersects encoded
 rows too, and its answers stay encoded the same way.
 
 Answers computed any other way (enumeration under the other
-semantics, ctable, the interpreted reference) wrap their decoded
-frozenset in the same type, so every cache entry renders once.
+semantics, the interpreted reference) wrap their decoded frozenset in
+the same type, so every cache entry renders once.
 
 >>> from repro.data.dictionary import Dictionary
 >>> d = Dictionary()

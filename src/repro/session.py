@@ -997,13 +997,18 @@ class Database:
             return None
         ((name, gen),) = moved
         since = before[name]
-        steps = [
-            changes[name]
-            for gens, changes in self._deltas
-            if since < gens.get(name, since) <= gen
-        ]
+        # every write to a relation logs one delta and bumps its
+        # generation by one, so the writes since the entry are its
+        # newest gen - since deltas: walk back from the newest only
+        steps = []
+        for gens, changes in reversed(self._deltas):
+            if name in gens:
+                steps.append(changes[name])
+                if len(steps) == gen - since:
+                    break
         if len(steps) != gen - since:
             return None
+        steps.reverse()
         added: set = set()
         removed: set = set()
         for step_added, step_removed in steps:

@@ -1,24 +1,20 @@
-"""Tests for repro.core.backends: the strategy registry and the built-in backends."""
+"""Tests for repro.core.backends: the backend lookup and the three backends."""
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core import analyze, certain_answers, drop_null_tuples, naive_eval
 from repro.core.backends import (
     NAIVE_AUTO_BACKEND,
-    Backend,
     ColumnarBackend,
-    CTableBackend,
     EnumerationBackend,
     NaiveBackend,
     NaiveInterpBackend,
     available_backends,
     get_backend,
     naive_is_certain,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.plan import make_plan
-from repro.data.instance import Instance
 from repro.data.values import Null
 from repro.logic.parser import parse
 from repro.logic.queries import Query
@@ -26,18 +22,18 @@ from repro.semantics import get_semantics
 from repro.server import QueryService
 from repro.session import Database
 
-X, Y = Null("x"), Null("y")
+X = Null("x")
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"columnar", "naive-interp", "enumeration", "ctable"} <= set(available_backends())
+        assert available_backends() == ("columnar", "enumeration", "naive-interp")
+        assert all(get_backend(name).name == name for name in available_backends())
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("columnar"), NaiveBackend)
         assert isinstance(get_backend("naive-interp"), NaiveInterpBackend)
         assert isinstance(get_backend("enumeration"), EnumerationBackend)
-        assert isinstance(get_backend("ctable"), CTableBackend)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -49,7 +45,7 @@ class TestRegistry:
         are unknown backends through the session and the wire service."""
         want = (
             f"unknown backend {mode!r}; "
-            "available: columnar, ctable, enumeration, naive-interp"
+            "available: columnar, enumeration, naive-interp"
         )
         db = Database({"R": [(1, X)]})
         with pytest.raises(ValueError) as err:
@@ -58,45 +54,37 @@ class TestRegistry:
         response = QueryService(db).handle({"op": "query", "query": "R(x, y)", "mode": mode})
         assert response["ok"] is False and response["error"] == want
 
-    def test_register_and_unregister_custom_backend(self):
-        class EmptyBackend(Backend):
-            name = "always-empty"
-            summary = "returns no answers"
-
-            def exactness(self, semantics, verdict, instance_is_core, extra_facts):
-                return False, "subset"
-
-            def execute(self, query, instance, semantics, *, pool=None,
-                        extra_facts=None, limit=500_000):
-                return frozenset()
-
-        try:
-            register_backend(EmptyBackend())
-            assert "always-empty" in available_backends()
-            assert get_backend("always-empty").execute(None, None, None) == frozenset()
-        finally:
-            unregister_backend("always-empty")
-        assert "always-empty" not in available_backends()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(ColumnarBackend())
-
-    def test_duplicate_registration_with_replace(self):
-        register_backend(ColumnarBackend(), replace=True)
-        assert isinstance(get_backend("columnar"), ColumnarBackend)
-
-    def test_unnamed_backend_rejected(self):
-        class Anonymous(Backend):
-            def exactness(self, semantics, verdict, instance_is_core, extra_facts):
-                return True, ""
-
-            def execute(self, query, instance, semantics, *, pool=None,
-                        extra_facts=None, limit=500_000):
-                return frozenset()
-
-        with pytest.raises(ValueError, match="non-empty name"):
-            register_backend(Anonymous())
+    @pytest.mark.parametrize(
+        "entry",
+        ["make_plan", "Database.evaluate", "Database.explain", "wire", "evaluate", "explain"],
+    )
+    def test_ctable_is_not_a_backend(self, entry, d0, tmp_path, capsys):
+        """``mode="ctable"`` is refused everywhere a mode is named, and
+        the error names the three backends."""
+        q = Query.boolean(parse("exists x . D(x, x)"))
+        if entry in ("make_plan", "Database.evaluate", "Database.explain"):
+            with pytest.raises(ValueError) as err:
+                if entry == "make_plan":
+                    make_plan(q, d0, "cwa", mode="ctable")
+                elif entry == "Database.evaluate":
+                    Database(d0).evaluate(q, mode="ctable")
+                else:
+                    Database(d0).explain(q, mode="ctable")
+            message = str(err.value)
+        elif entry == "wire":
+            request = {"op": "query", "query": "exists x . D(x, x)", "mode": "ctable"}
+            response = QueryService(Database(d0)).handle(request)
+            assert response["ok"] is False
+            message = response["error"]
+        else:
+            db = tmp_path / "d.json"
+            db.write_text('{"D": [["?a", "?b"]]}')
+            with pytest.raises(SystemExit) as err:
+                cli_main([entry, "exists x . D(x, x)", str(db), "--mode", "ctable"])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+        assert "'ctable'" in message
+        assert all(name in message for name in ("columnar", "enumeration", "naive-interp"))
 
 
 class TestNaiveBackend:
@@ -146,59 +134,6 @@ class TestEnumerationBackend:
             "superset",
         )
         assert backend.exactness(get_semantics("cwa"), verdict, None, None) == (True, "")
-
-
-class TestCTableBackend:
-    def test_refuses_non_cwa(self):
-        backend = get_backend("ctable")
-        for key in ("owa", "wcwa", "pcwa", "mincwa", "minpcwa"):
-            with pytest.raises(ValueError, match="ctable"):
-                backend.validate(get_semantics(key))
-        backend.validate(get_semantics("cwa"))  # no raise
-
-    def test_boolean_agreement_with_enumeration(self, d0):
-        q = Query.boolean(parse("exists x, y . D(x, y) & D(y, x)"))
-        sem = get_semantics("cwa")
-        assert get_backend("ctable").execute(q, d0, sem) == get_backend(
-            "enumeration"
-        ).execute(q, d0, sem)
-
-    def test_kary_agreement_with_enumeration(self, intro_db, join_query):
-        sem = get_semantics("cwa")
-        assert get_backend("ctable").execute(join_query, intro_db, sem) == get_backend(
-            "enumeration"
-        ).execute(join_query, intro_db, sem)
-
-    def test_universal_query_agreement(self, d0, forall_exists_query):
-        sem = get_semantics("cwa")
-        assert get_backend("ctable").execute(forall_exists_query, d0, sem) == get_backend(
-            "enumeration"
-        ).execute(forall_exists_query, d0, sem)
-
-    def test_always_exact_under_cwa(self):
-        backend = get_backend("ctable")
-        verdict = analyze(Query.boolean(parse("forall x . exists y . D(x, y)")), "cwa")
-        assert backend.exactness(get_semantics("cwa"), verdict, None, None) == (True, "")
-
-    def test_respects_explicit_pool(self):
-        d = Instance({"D": [(X, 1)]})
-        q = Query(parse("D(x, y)"), ("x", "y"))
-        sem = get_semantics("cwa")
-        got = get_backend("ctable").execute(q, d, sem, pool=[1, 2])
-        assert got == certain_answers(q, d, sem, pool=[1, 2])
-
-    def test_limit_guards_world_explosion(self):
-        # regression: the limit knob must bound ctable world enumeration
-        # instead of being silently ignored
-        from repro.semantics.base import ExpansionLimitError
-
-        d = Instance({"D": [(X, Y), (Y, X)]})
-        q = Query.boolean(parse("exists v . D(v, v)"))
-        sem = get_semantics("cwa")
-        with pytest.raises(ExpansionLimitError, match="ctable"):
-            get_backend("ctable").execute(q, d, sem, limit=3)
-        # a generous limit still evaluates
-        assert get_backend("ctable").execute(q, d, sem, limit=10**6) == frozenset()
 
 
 class TestColumnarBackend:

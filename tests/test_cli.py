@@ -154,17 +154,10 @@ class TestExplainCommand:
 
     def test_explain_forced_mode(self, capsys):
         code = main(
-            ["explain", "exists x . D(x, x)", "--semantics", "cwa", "--mode", "ctable"]
+            ["explain", "exists x . D(x, x)", "--semantics", "cwa", "--mode", "naive-interp"]
         )
         assert code == 0
-        assert "ctable" in capsys.readouterr().out
-
-    def test_explain_ctable_refused_under_owa(self, capsys):
-        code = main(
-            ["explain", "exists x . D(x, x)", "--semantics", "owa", "--mode", "ctable"]
-        )
-        assert code == 2
-        assert "ctable" in capsys.readouterr().err
+        assert "naive-interp" in capsys.readouterr().out
 
     def test_expansion_limit_reported_cleanly(self, tmp_path, capsys):
         # many nulls → world enumeration exceeds the limit; the CLI must
@@ -173,8 +166,8 @@ class TestExplainCommand:
         rows = [[f"?n{i}", f"?n{i+1}"] for i in range(8)]
         db.write_text(json.dumps({"D": rows}))
         code = main(
-            ["evaluate", "exists x . D(x, x)", str(db), "--semantics", "cwa",
-             "--mode", "ctable"]
+            ["evaluate", "exists x . D(x, x)", str(db), "--semantics", "owa",
+             "--mode", "enumeration"]
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -229,16 +222,6 @@ class TestCommands:
         )
         assert code == 0
         assert "enumeration" in capsys.readouterr().out
-
-    def test_ctable_mode(self, tmp_path, capsys):
-        db = tmp_path / "db.json"
-        db.write_text(json.dumps({"D": [["?a", "?b"], ["?b", "?a"]]}))
-        code = main(
-            ["evaluate", "exists x, y . D(x,y) & D(y,x)", str(db), "--mode", "ctable"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "certain answer: True" in out and "ctable" in out
 
 
 class TestOracleBracket:

@@ -3,8 +3,9 @@
 import pytest
 from diffutil import fuzz_rng, fuzz_trials
 
-from repro.core import evaluate
 from repro.core.certain import certain_answers, certain_holds, default_pool, query_schema
+from repro.core.engine import execute_plan
+from repro.core.plan import make_plan
 from repro.data.generate import random_instance
 from repro.data.instance import Instance
 from repro.data.schema import Schema
@@ -12,6 +13,7 @@ from repro.data.values import Null
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
+from repro.session import Database
 
 X, Y = Null("x"), Null("y")
 K, K1 = Null(""), Null("'")
@@ -179,7 +181,10 @@ class TestOracleStats:
         assert stats["mode"] in mode
 
     def test_stats_surface_in_eval_result(self):
-        result = evaluate(NEG, GAP_INSTANCE, "cwa", mode="enumeration", pool=[1, 2])
+        # a session builds its own pool, so the pool without fresh values
+        # goes to the engine's one execution call directly
+        plan = make_plan(NEG, GAP_INSTANCE, "cwa", mode="enumeration", pool=[1, 2])
+        result = execute_plan(plan, NEG, GAP_INSTANCE, pool=[1, 2])
         oracle = result.stats["oracle"]
         assert oracle["worlds"] >= 1
         assert oracle["mode"] in ("seed", "serial")
@@ -191,7 +196,7 @@ class TestOracleStats:
         certain_answers(JOIN, instance, get_semantics("cwa"), stats_out=stats)
         assert stats["mode"] == "bracket" and stats["worlds"] == 0
         assert (stats["lower"], stats["upper"], stats["gap"]) == (0, 0, 0)
-        result = evaluate(JOIN, instance, "cwa", mode="enumeration")
+        result = Database(instance, semantics="cwa").evaluate(JOIN, mode="enumeration")
         oracle = result.stats["oracle"]
         assert oracle["mode"] == "bracket" and oracle["worlds"] == 0
         assert "relevant_nulls" in oracle and "total_nulls" in oracle

@@ -1,6 +1,7 @@
 """Tests for conditional tables: conditions, worlds, strong representation."""
 
 import pytest
+from diffutil import arbitrary_case, fuzz_rng, fuzz_trials
 
 from repro.ctables import (
     CFact,
@@ -20,8 +21,11 @@ from repro.ctables import (
 )
 from repro.data.instance import Instance
 from repro.data.values import Null
+from repro.logic.ast import Exists
 from repro.logic.parser import parse
 from repro.logic.queries import Query
+from repro.semantics import get_semantics
+from repro.session import Database
 
 X, Y = Null("x"), Null("y")
 
@@ -225,3 +229,49 @@ class TestStrongRepresentation:
         out = difference(ct, "A", "B", "Q")
         q = Query(parse("Q(v)"), ("v",))
         assert out.certain_answers(q) == frozenset({(1,)})
+
+
+def test_lifted_certain_answers_match_the_oracle():
+    """A naive instance lifted to a c-table (every condition ``⊤``) has
+    the CWA certain answers the enumeration oracle computes."""
+    rng = fuzz_rng("ctable-vs-enumeration")
+    for _ in range(fuzz_trials(60)):
+        phi, head, inst = arbitrary_case(rng)
+        db = Database(inst, semantics="cwa")
+        lifted = CInstance.from_instance(inst)
+        # the query and its Boolean closure: most random heads are not empty
+        for q in (Query(phi, head), Query.boolean(Exists(head, phi) if head else phi)):
+            want = db.evaluate(q, mode="enumeration").answers
+            assert lifted.certain_answers(q) == want, (q, inst)
+
+
+class TestLiftedInstance:
+    """``CInstance.from_instance`` on the paper's fixtures: the lifted
+    c-table has the CWA worlds and certain answers of the naive table."""
+
+    def test_boolean_agreement_with_enumeration(self, d0):
+        q = Query.boolean(parse("exists x, y . D(x, y) & D(y, x)"))
+        want = Database(d0, semantics="cwa").evaluate(q, mode="enumeration").answers
+        assert CInstance.from_instance(d0).certain_answers(q) == want
+
+    def test_kary_agreement_with_enumeration(self, intro_db, join_query):
+        want = Database(intro_db, semantics="cwa").evaluate(join_query, mode="enumeration")
+        assert CInstance.from_instance(intro_db).certain_answers(join_query) == want.answers
+
+    def test_universal_query_agreement(self, d0, forall_exists_query):
+        db = Database(d0, semantics="cwa")
+        want = db.evaluate(forall_exists_query, mode="enumeration").answers
+        assert CInstance.from_instance(d0).certain_answers(forall_exists_query) == want
+
+    def test_respects_explicit_pool(self):
+        from repro.core.certain import certain_answers
+
+        d = Instance({"D": [(X, 1)]})
+        q = Query(parse("D(x, y)"), ("x", "y"))
+        got = CInstance.from_instance(d).certain_answers(q, pool=[1, 2])
+        assert got == certain_answers(q, d, get_semantics("cwa"), pool=[1, 2])
+
+    def test_worlds_are_the_cwa_worlds(self, d0):
+        pool = [1, 2, 3]
+        want = set(get_semantics("cwa").expand(d0, pool))
+        assert set(CInstance.from_instance(d0).worlds(pool)) == want

@@ -229,6 +229,32 @@ class TestFallbacks:
         assert result.stats["result_cache"] == "miss" and not result.stats["maintained"]
         assert result.answers == Database(db.instance).evaluate(JOIN, ("x", "y")).answers
 
+    @pytest.mark.parametrize(
+        "unrelated", [0, DELTA_LOG_SIZE - 3, DELTA_LOG_SIZE - 2, 2 * DELTA_LOG_SIZE]
+    )
+    def test_log_full_of_other_writes(self, unrelated):
+        # three writes to R, then writes to T that push the log past its
+        # size: the read is maintained while the log still holds all three
+        db, q = self.setup_db()
+        db.insert("R", (60, 0))
+        db.delete("R", (0, 0))
+        db.insert("R", (0, 0))
+        for i in range(unrelated):
+            db.insert("T", (i,))
+        result = q.evaluate()
+        reaches = 3 + unrelated <= DELTA_LOG_SIZE
+        assert result.stats["result_cache"] == "miss"
+        assert result.stats["maintained"] == reaches
+        if reaches:
+            assert result.stats["delta_rows"] == 1
+        assert result.answers == Database(db.instance).evaluate(JOIN, ("x", "y")).answers
+        # the newest entry sits behind a full log of T writes; one more
+        # write to R is maintained from it
+        db.insert("R", (61, 1))
+        result = q.evaluate()
+        assert result.stats["maintained"] and result.stats["delta_rows"] == 1
+        assert result.answers == Database(db.instance).evaluate(JOIN, ("x", "y")).answers
+
     def test_write_to_two_read_relations_recomputes(self):
         db, q = self.setup_db()
         writes = [

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.core import evaluate
 from repro.data.generate import random_instance
 from repro.data.instance import Instance
 from repro.data.schema import Schema, SchemaError
@@ -258,7 +257,7 @@ class TestSessionMutation:
                 rows = list(db.instance.tuples(name))
                 if rows:
                     db.delete(name, rng.choice(rows))
-            want = evaluate(q.query, db.instance, "cwa").answers
+            want = Database(db.instance, semantics="cwa").evaluate(q.query).answers
             assert q.evaluate().answers == want
             assert q.evaluate("enumeration").answers == want
 

@@ -4,7 +4,7 @@ Each test names the paper location it reproduces.  These are the
 ground-truth anchors for the benchmark harness (EXPERIMENTS.md).
 """
 
-from repro.core import analyze, certain_answers, certain_holds, evaluate, naive_eval
+from repro.core import analyze, certain_answers, certain_holds, naive_eval
 from repro.data.generate import (
     cores_graph_example,
     cycle,
@@ -21,6 +21,7 @@ from repro.homs.minimal import is_d_minimal, iter_minimal_valuations
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
+from repro.session import Database
 
 X, Y = Null("x"), Null("y")
 
@@ -205,7 +206,7 @@ class TestEngineOnPaperExamples:
         db = intro_example()
         q = Query(parse("exists z (R(x, z) & S(z, y))"), ("x", "y"))
         for key in ("owa", "cwa", "wcwa", "pcwa"):
-            result = evaluate(q, db, semantics=key)
+            result = Database(db, semantics=key).evaluate(q)
             assert result.method == "columnar"
             assert result.answers == frozenset({(1, 4)}), key
 

@@ -82,15 +82,14 @@ class TestForcedModes:
         assert plan.instance_is_core is False
         assert any("auto would choose 'enumeration'" in n for n in plan.notes)
 
-    def test_forced_ctable_under_cwa(self, d0):
+    @pytest.mark.parametrize("backend", ["columnar", "enumeration", "naive-interp"])
+    def test_every_backend_plans_under_every_semantics(self, backend, d0):
+        # no backend refuses a semantics: forcing one only changes the
+        # exactness it reports
         q = Query.boolean(parse("exists x . D(x, x)"))
-        plan = make_plan(q, d0, "cwa", mode="ctable")
-        assert plan.backend == "ctable" and plan.exact
-
-    def test_forced_ctable_under_owa_raises(self, d0):
-        q = Query.boolean(parse("exists x . D(x, x)"))
-        with pytest.raises(ValueError, match="ctable"):
-            make_plan(q, d0, "owa", mode="ctable")
+        for semantics in ("owa", "cwa", "wcwa", "pcwa", "mincwa", "minpcwa"):
+            plan = make_plan(q, d0, semantics, mode=backend)
+            assert plan.backend == backend and plan.mode == backend
 
     def test_unknown_mode_raises(self, d0):
         q = Query.boolean(parse("exists x . D(x, x)"))
@@ -157,11 +156,12 @@ class TestPlanRendering:
         assert "columnar" in repr(plan) and "exact" in repr(plan)
         assert isinstance(plan, Plan)
 
-    def test_render_survives_unregistered_backend(self, intro_db, join_query):
-        from dataclasses import replace
+    @pytest.mark.parametrize("backend", ["columnar", "enumeration", "naive-interp"])
+    def test_render_names_each_backend(self, backend, d0, forall_exists_query):
+        from repro.core.backends import get_backend
 
-        plan = replace(make_plan(join_query, intro_db, "owa"), backend="gone")
-        assert "no longer registered" in plan.render()
+        plan = make_plan(forall_exists_query, d0, "cwa", mode=backend)
+        assert f"backend     : {backend} — {get_backend(backend).summary}" in plan.render()
 
     def test_execute_plan_rejects_semantics_mismatch(self, intro_db, join_query):
         from repro.core.engine import execute_plan

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import certain_answers, evaluate, naive_eval
-from repro.core.plan import Plan
+from repro.core import certain_answers, naive_eval
+from repro.core.engine import execute_plan
+from repro.core.plan import Plan, make_plan
 from repro.data.instance import Instance
 from repro.data.values import Null
 from repro.logic.parser import parse
@@ -37,7 +38,7 @@ class TestDatabaseBasics:
     def test_query_evaluates_like_free_function(self, intro_db, join_query):
         db = Database(intro_db, semantics="owa")
         prepared = db.query(join_query)
-        assert prepared.evaluate().answers == evaluate(join_query, intro_db, "owa").answers
+        assert prepared.evaluate().answers == naive_eval(join_query, intro_db)
 
     def test_text_query_with_vars(self, intro_db):
         db = Database(intro_db, semantics="owa")
@@ -417,30 +418,13 @@ class TestBackendSelection:
     def test_all_backends_selectable_by_name(self, d0):
         db = Database(d0, semantics="cwa")
         text = "exists x, y . D(x, y) & D(y, x)"
-        answers = {
-            mode: db.evaluate(text, mode=mode).answers
-            for mode in ("columnar", "enumeration", "ctable")
+        results = {
+            mode: db.evaluate(text, mode=mode)
+            for mode in ("columnar", "naive-interp", "enumeration")
         }
-        assert answers["enumeration"] == answers["ctable"]
-        # this query is sound under CWA, so naive agrees as well
-        assert answers["columnar"] == answers["enumeration"]
-
-    def test_ctable_agrees_with_enumeration_on_kary(self, intro_db, join_query):
-        db = Database(intro_db, semantics="cwa")
-        q = db.query(join_query)
-        assert q.evaluate("ctable").answers == q.evaluate("enumeration").answers
-
-    def test_ctable_rejected_outside_cwa(self, d0):
-        db = Database(d0, semantics="owa")
-        with pytest.raises(ValueError, match="ctable"):
-            db.evaluate("exists x . D(x, x)", mode="ctable")
-
-    def test_legacy_wrapper_accepts_all_backends(self, d0):
-        q = Query.boolean(parse("exists x, y . D(x, y) & D(y, x)"))
-        for mode in ("columnar", "enumeration", "ctable"):
-            result = evaluate(q, d0, semantics="cwa", mode=mode)
-            assert result.method == mode
-            assert result.holds
+        assert all(result.method == mode for mode, result in results.items())
+        # this query is sound under CWA, so naive agrees with the oracle
+        assert all(result.holds for result in results.values())
 
     def test_unknown_mode_raises(self, d0):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -451,10 +435,11 @@ class TestAgainstReference:
     """The session path must compute exactly what the primitives compute."""
 
     @pytest.mark.parametrize("semantics", ["owa", "cwa", "wcwa", "pcwa", "mincwa"])
-    def test_auto_matches_free_evaluate(self, d0, semantics):
+    def test_auto_matches_plan_then_execute(self, d0, semantics):
         q = Query.boolean(parse(FORALL_TEXT))
         db = Database(d0, semantics=semantics)
-        assert db.evaluate(q).answers == evaluate(q, d0, semantics).answers
+        plan = make_plan(q, d0, semantics)
+        assert db.evaluate(q).answers == execute_plan(plan, q, d0).answers
 
     def test_naive_backend_is_naive_eval(self, intro_db, join_query):
         db = Database(intro_db, semantics="owa")
