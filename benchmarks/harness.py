@@ -7,23 +7,34 @@ Prints, in order:
   fragment where naive evaluation provably disagrees,
 * the worked-example table (E2-intro, E2-D0, Section 10),
 * the orderings correspondence tables (Theorems 6.2, 7.1, Libkin 2011),
-* the performance summary (naive vs oracle).
+* the timed sections: the certain-answer oracle, columnar plans and
+  kernels, the homomorphism engine, serving, durability, replication
+  and QoS.
+
+Each timed section is its own gate.  It times the code under test and a
+living reference on the same input in the same run — naive evaluation
+and full world enumeration for the oracle, the interpreter for columnar
+plans, the pure-Python kernels for the vector kernels, the legacy
+extender for the CSP engine, WAL replay for snapshot load — and asserts
+the ratio against a bar (see :func:`bar`).  A ratio does not depend on
+how fast the host is, so no stored baseline is needed; absolute serving
+latency is bounded by ``perfbench/`` instead.  A broken bar raises
+:class:`BarFailure` and the run exits non-zero.
 
 Run with::
 
-    python benchmarks/harness.py            # full run (~1 minute)
-    python benchmarks/harness.py --quick    # fewer trials
+    python benchmarks/harness.py            # full run (~3 minutes)
+    python benchmarks/harness.py --quick    # fewer trials, smaller inputs
     python benchmarks/harness.py --json BENCH.json   # also dump numbers
 
-``--json`` writes the measured numbers (figure-1 row timings, the
-naive-vs-oracle table, and the columnar-vs-interpreted engine
-comparison) to a machine-readable file so CI can track the performance
-trajectory PR over PR.
+``--json`` writes every section's rows, each barred row with its
+measured ``ratio`` and its ``bar``, to a machine-readable file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import platform
@@ -40,6 +51,7 @@ from repro.core import (
     naive_holds,
 )
 from repro.core.analyzer import FIGURE_1
+from repro.core.certain import certain_over_expansion, default_pool
 from repro.data.generate import (
     cores_graph_example,
     cycle,
@@ -53,6 +65,7 @@ from repro.data.schema import Schema
 from repro.data.values import Null
 from repro.homs.core import core, is_core
 from repro.homs.minimal import is_d_minimal
+from repro.logic import kernels
 from repro.logic.columnar import columnar_naive_eval
 from repro.logic.generate import random_sentence
 from repro.logic.parser import parse
@@ -264,52 +277,50 @@ def orderings() -> None:
 
 
 # ----------------------------------------------------------------------
-# performance
+# in-run ratio bars
 # ----------------------------------------------------------------------
 
-def performance() -> list[dict]:
-    heading("PERF — naive evaluation vs certain-answer oracle (wall clock)")
-    join = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
-    print(f"{'n_facts':>8} {'n_nulls':>8} {'naive':>12} {'oracle(CWA)':>14} {'speedup':>9}")
-    rule()
-    rows: list[dict] = []
-    for n_facts, n_nulls in ((4, 1), (4, 2), (6, 3), (8, 4), (10, 5)):
-        rng = random.Random(1000 + n_facts * 10 + n_nulls)
-        # resample until the instance really carries n_nulls distinct nulls,
-        # so the oracle's |pool|^n valuation cost is the one reported
-        while True:
-            instance = random_instance(
-                SCHEMA, rng, n_facts=n_facts, constants=(1, 2, 3, 4),
-                n_nulls=n_nulls, null_probability=0.7,
-            )
-            if len(instance.nulls()) == n_nulls:
-                break
-        start = time.perf_counter()
-        for _ in range(5):
-            naive_eval(join, instance)
-        naive_t = (time.perf_counter() - start) / 5
-        start = time.perf_counter()
-        certain_answers(join, instance, get_semantics("cwa"))
-        oracle_t = time.perf_counter() - start
-        print(
-            f"{n_facts:>8} {len(instance.nulls()):>8} {naive_t * 1e6:>10.0f}µs "
-            f"{oracle_t * 1e6:>12.0f}µs {oracle_t / max(naive_t, 1e-9):>8.0f}x"
+class BarFailure(AssertionError):
+    """A timed section measured a ratio outside its bar."""
+
+
+def bar(
+    label: str,
+    ratio: float,
+    bound: float,
+    reference: str,
+    at_most: bool = False,
+    enforce: bool = True,
+) -> dict:
+    """Print and enforce one in-run ratio bar; return its fields for the JSON row.
+
+    ``ratio`` compares the code under test with ``reference`` — living
+    code timed on the same input in the same run — so the bar holds on
+    any host: both sides slow down together.  ``at_most`` flips the bar
+    from a floor (a speedup) to a ceiling (a cost ratio).  With
+    ``enforce=False`` the ratio is only reported: ``--quick`` passes it
+    for bars whose smaller inputs leave too little margin to tell a
+    regression from noise.
+    """
+    ok = ratio <= bound if at_most else ratio >= bound
+    sign = "≤" if at_most else "≥"
+    verdict = ("ok" if ok else "FAILED") + ("" if enforce else ", not enforced")
+    print(f"  bar {label}: {ratio:.2f}× against {reference} (must be {sign} {bound}×) {verdict}")
+    if enforce and not ok:
+        raise BarFailure(
+            f"{label}: {ratio:.2f}× against {reference} breaks the {sign} {bound}× bar"
         )
-        rows.append(
-            {
-                "n_facts": n_facts,
-                "n_nulls": n_nulls,
-                "naive_us": round(naive_t * 1e6, 2),
-                "oracle_cwa_us": round(oracle_t * 1e6, 2),
-            }
-        )
-    return rows
+    return {"ratio": round(ratio, 3), "bar": f"{sign}{bound}"}
 
 
 def _timed(thunk) -> float:
     start = time.perf_counter()
     thunk()
     return time.perf_counter() - start
+
+
+def _best_timed(thunk, n: int = 3) -> float:
+    return min(_timed(thunk) for _ in range(n))
 
 
 def _median_timed(thunk, n: int = 5) -> float:
@@ -322,41 +333,101 @@ def _median_timed(thunk, n: int = 5) -> float:
     return statistics.median(_timed(thunk) for _ in range(n))
 
 
-def _legacy_certain_cwa(query: Query, instance: Instance) -> frozenset:
-    """The seed's oracle loop: materialise each valuation image as an
-    :class:`Instance` and intersect interpreted evaluations — the
-    'before' column of the engine comparison."""
-    from repro.core.certain import default_pool, query_schema
-    from repro.logic.eval import evaluate
+# ----------------------------------------------------------------------
+# the certain-answer oracle
+# ----------------------------------------------------------------------
 
-    from repro.logic.eval import answers as interp_answers
+#: the paper's economic claim on these instances: the CWA oracle costs
+#: about what naive evaluation costs (measured 2.6–5.0×)
+ORACLE_NAIVE_BAR = 15.0
+#: the oracle against enumerating every world, from 4 nulls (measured
+#: 169–294× at 4 nulls, 34000–48000× at 5)
+ORACLE_EXPANSION_BAR = 50.0
 
+
+def oracle(quick: bool) -> list[dict]:
+    """CWA certain answers of a self-join against two living references.
+
+    Each row times naive evaluation, :func:`certain_answers` (the
+    bracketed oracle) and :func:`certain_over_expansion` (one query per
+    world of ``semantics.expand``, the enumeration the bracket avoids)
+    on one random instance with exactly ``n_nulls`` nulls.  The
+    enumeration runs only where it finishes in seconds: it is
+    ``|pool|^n_nulls`` worlds.
+    """
+    heading("ORACLE — certain answers (CWA) vs naive evaluation and full enumeration")
+    join = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
     sem = get_semantics("cwa")
-    pool = default_pool(instance, query)
-    schema = instance.schema().union(query_schema(query))
-    result = None
-    for complete in sem.expand(instance, list(pool), schema=schema):
-        if result is None:
-            if query.is_boolean:
-                result = (
-                    frozenset([()]) if evaluate(query.formula, complete) else frozenset()
-                )
-            else:
-                result = interp_answers(query.formula, complete, query.answer_vars)
-        elif query.is_boolean:
-            if not evaluate(query.formula, complete):
-                result = frozenset()
-        else:
-            adom = complete.adom()
-            result = frozenset(
-                row
-                for row in result
-                if all(v in adom for v in row)
-                and evaluate(query.formula, complete, dict(zip(query.answer_vars, row)))
+    print(
+        f"{'n_facts':>8} {'nulls':>6} {'pool':>5} {'naive':>10} {'oracle':>10} "
+        f"{'mode':>8} {'enumerated':>12}"
+    )
+    rule()
+    rows: list[dict] = []
+    cases = ((4, 1), (6, 3), (8, 4), (12, 6)) if quick else (
+        (4, 1), (4, 2), (6, 3), (8, 4), (10, 5), (12, 6)
+    )
+    max_enumerated_nulls = 4 if quick else 5
+    for n_facts, n_nulls in cases:
+        rng = random.Random(1000 + n_facts * 10 + n_nulls)
+        # resample until the instance really carries n_nulls distinct nulls,
+        # so the enumeration's |pool|^n cost is the one reported
+        while True:
+            instance = random_instance(
+                SCHEMA, rng, n_facts=n_facts, constants=(1, 2, 3, 4),
+                n_nulls=n_nulls, null_probability=0.7,
             )
-        if not result:
-            break
-    return result if result is not None else frozenset()
+            if len(instance.nulls()) == n_nulls:
+                break
+        pool = default_pool(instance, join)
+        stats: dict = {}
+        naive_t = _best_timed(lambda: naive_eval(join, instance), 20)
+        oracle_t = _best_timed(
+            lambda: certain_answers(join, instance, sem, stats_out=stats), 20
+        )
+        row = {
+            "workload": "oracle_cwa",
+            "n_facts": n_facts,
+            "n_nulls": n_nulls,
+            "pool_size": len(pool),
+            "oracle_mode": stats.get("mode"),
+            "naive_ms": round(naive_t * 1e3, 4),
+            "oracle_ms": round(oracle_t * 1e3, 4),
+        }
+        enumerated = "—"
+        expansion_t = None
+        if n_nulls <= max_enumerated_nulls:
+            start = time.perf_counter()
+            expected = certain_over_expansion(join, instance, sem, pool)
+            expansion_t = time.perf_counter() - start
+            assert expected == certain_answers(join, instance, sem)
+            row["expansion_ms"] = round(expansion_t * 1e3, 4)
+            enumerated = f"{expansion_t * 1e3:.1f}ms"
+        print(
+            f"{n_facts:>8} {n_nulls:>6} {len(pool):>5} {naive_t * 1e3:>8.3f}ms "
+            f"{oracle_t * 1e3:>8.3f}ms {str(stats.get('mode')):>8} {enumerated:>12}"
+        )
+        label = f"{n_facts} facts/{n_nulls} nulls"
+        row["naive_bar"] = bar(
+            f"oracle cost, {label}", oracle_t / max(naive_t, 1e-9),
+            ORACLE_NAIVE_BAR, "naive_eval", at_most=True,
+        )
+        if expansion_t is not None and n_nulls >= 4:
+            row["expansion_bar"] = bar(
+                f"oracle speedup, {label}", expansion_t / max(oracle_t, 1e-9),
+                ORACLE_EXPANSION_BAR, "certain_over_expansion",
+            )
+        rows.append(row)
+    return rows
+
+
+# ----------------------------------------------------------------------
+# set-at-a-time plans and their kernels
+# ----------------------------------------------------------------------
+
+#: columnar plans against the tuple-at-a-time interpreter (measured
+#: 39–49× at 8 facts, more on larger inputs)
+ENGINE_BAR = 10.0
 
 
 def _interp_naive(query: Query, instance: Instance) -> frozenset:
@@ -365,7 +436,7 @@ def _interp_naive(query: Query, instance: Instance) -> frozenset:
 
 
 def engine_comparison(quick: bool) -> list[dict]:
-    """PR 2's headline numbers: set-at-a-time plans vs tree walking."""
+    """Set-at-a-time columnar plans against the tree-walking interpreter."""
     heading("ENGINE — set-at-a-time columnar plans vs tuple-at-a-time interpreter")
     join = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
     rows: list[dict] = []
@@ -381,10 +452,8 @@ def engine_comparison(quick: bool) -> list[dict]:
             constants=tuple(range(max(4, n_facts // 2))), n_nulls=3,
         )
         reps = 1 if n_facts > 32 else 3
-        interp_t = min(_timed(lambda: _interp_naive(join, instance)) for _ in range(reps))
-        columnar_t = min(
-            _timed(lambda: columnar_naive_eval(join, instance).decode()) for _ in range(3)
-        )
+        interp_t = _best_timed(lambda: _interp_naive(join, instance), reps)
+        columnar_t = _best_timed(lambda: columnar_naive_eval(join, instance).decode())
         assert _interp_naive(join, instance) == columnar_naive_eval(join, instance).decode()
         print(
             f"{n_facts:>8} {len(instance.adom()):>6} {interp_t * 1e3:>10.2f}ms "
@@ -396,206 +465,130 @@ def engine_comparison(quick: bool) -> list[dict]:
                 "n_facts": n_facts,
                 "interp_ms": round(interp_t * 1e3, 4),
                 "columnar_ms": round(columnar_t * 1e3, 4),
-            }
-        )
-
-    print("\nCWA certain answers (incremental worlds vs per-world instances):")
-    print(
-        f"{'n_facts':>8} {'nulls':>6} {'pool':>6} {'seed':>12} "
-        f"{'incremental':>12} {'speedup':>9}"
-    )
-    rule()
-    from repro.core.certain import default_pool
-
-    cases = ((6, 3), (8, 4)) if quick else ((6, 3), (8, 4), (10, 5))
-    for n_facts, n_nulls in cases:
-        rng = random.Random(1000 + n_facts * 10 + n_nulls)
-        while True:
-            instance = random_instance(
-                SCHEMA, rng, n_facts=n_facts, constants=(1, 2, 3, 4),
-                n_nulls=n_nulls, null_probability=0.7,
-            )
-            if len(instance.nulls()) == n_nulls:
-                break
-        pool_size = len(default_pool(instance, join))
-        legacy_t = _timed(lambda: _legacy_certain_cwa(join, instance))
-        new_t = _timed(lambda: certain_answers(join, instance, get_semantics("cwa")))
-        assert _legacy_certain_cwa(join, instance) == certain_answers(
-            join, instance, get_semantics("cwa")
-        )
-        print(
-            f"{n_facts:>8} {n_nulls:>6} {pool_size:>6} {legacy_t * 1e3:>10.1f}ms "
-            f"{new_t * 1e3:>10.1f}ms {legacy_t / max(new_t, 1e-9):>8.0f}x"
-        )
-        rows.append(
-            {
-                "workload": "certain_cwa",
-                "n_facts": n_facts,
-                "n_nulls": n_nulls,
-                "pool_size": pool_size,
-                "legacy_ms": round(legacy_t * 1e3, 4),
-                "incremental_ms": round(new_t * 1e3, 4),
+                **bar(
+                    f"columnar speedup, {n_facts} facts",
+                    interp_t / max(columnar_t, 1e-9), ENGINE_BAR, "the interpreter",
+                ),
             }
         )
     return rows
 
 
-# ----------------------------------------------------------------------
-# PR 10: the columnar dictionary-encoded executor
-# ----------------------------------------------------------------------
+#: the vector kernels against the pure-Python ones, summed over the
+#: many-to-many joins: measured 1.08–1.36× (a second ``np.unique`` over
+#: the join's expansion read 2.10–2.53×).  ``np.unique(axis=0)`` sorts
+#: the expansion as opaque rows, so the vector join is no faster than
+#: the pure one here; the bar catches it getting slower.
+COLUMNAR_JOIN_BAR = 1.7
+#: the semi-join probes must beat the pure path (measured 0.46–0.70×)
+COLUMNAR_SEMI_JOIN_BAR = 1.0
+
+
+@contextlib.contextmanager
+def _pure_kernels():
+    """Run the pure-Python kernel paths, as ``REPRO_PURE_KERNELS=1`` does.
+
+    That switch only clears the kernels' numpy handle at import, so
+    clearing it for the duration is the same switch, thrown in-process.
+    """
+    saved, kernels._np = kernels._np, None
+    try:
+        yield
+    finally:
+        kernels._np = saved
+
 
 def columnar(quick: bool) -> list[dict]:
-    """PR 10's workloads: the array kernels on null join keys.
+    """The array kernels on null join keys, against the pure-Python kernels.
 
     The workload the columnar engine exists for: join keys are marked
     nulls (an anonymised fact table), so tuples of cell objects would pay
     a Python-level ``Null.__hash__`` per probe and per materialised
     intermediate row, while the columnar engine runs int codes through
     sort-merge/``unique`` kernels and drops null answer rows by parity
-    before decoding anything.
+    before decoding anything.  Each input is timed on both kernel paths
+    in alternation, so a load spike on the host hits both sides.
     """
     heading("COLUMNAR — dictionary-encoded kernels on null join keys")
-    rows: list[dict] = []
-
-    print("many-to-many join, null join keys, projected output (best of 3):")
-    print(f"{'n_rows':>8} {'nulls':>6} {'columnar':>12}")
-    rule()
+    if not kernels.numpy_enabled():
+        print("numpy is unavailable or switched off: no vector kernels to compare")
+        return []
+    inputs = []
     join = Query(parse("exists y (R(x, z) & S(z, y))"), ("x", "z"))
-    sizes = (512, 2048) if quick else (512, 2048, 8192)
-    for n in sizes:
+    for n in (512, 2048) if quick else (512, 2048, 8192):
         rng = random.Random(7)
         nulls = [Null(f"k{i}") for i in range(max(8, n // 64))]
         instance = Instance({
             "R": [(rng.randint(0, n), rng.choice(nulls)) for _ in range(n)],
             "S": [(rng.choice(nulls), rng.randint(0, n)) for _ in range(n)],
         })
-        columnar_t = min(
-            _timed(lambda: columnar_naive_eval(join, instance)) for _ in range(3)
-        )
-        print(f"{n:>8} {len(nulls):>6} {columnar_t * 1e3:>10.3f}ms")
-        rows.append(
-            {
-                "workload": "columnar_join",
-                "n_rows": n,
-                "columnar_ms": round(columnar_t * 1e3, 4),
-            }
-        )
-
-    print("\nsemi-join probe (null keys, small output, best of 3):")
-    print(f"{'n_rows':>8} {'answers':>8} {'columnar':>12}")
-    rule()
+        inputs.append(("columnar_join", n, join, instance, 5))
     probe = Query(parse("exists z (R(x, z) & S(z))"), ("x",))
-    for n in ((16384,) if quick else (16384, 65536)):
+    for n in (16384,) if quick else (16384, 65536):
         rng = random.Random(11)
         nulls = [Null(f"k{i}") for i in range(n)]
         instance = Instance({
             "R": [(rng.randint(0, n * 4), nulls[rng.randint(0, n - 1)]) for _ in range(n)],
             "S": [(nulls[rng.randint(0, n - 1)],) for _ in range(n // 64)],
         })
-        columnar_t = min(
-            _timed(lambda: columnar_naive_eval(probe, instance)) for _ in range(3)
-        )
-        answers = columnar_naive_eval(probe, instance)
-        print(f"{n:>8} {len(answers):>8} {columnar_t * 1e3:>10.3f}ms")
-        rows.append(
-            {
-                "workload": "columnar_semi_join",
-                "n_rows": n,
-                "columnar_ms": round(columnar_t * 1e3, 4),
-            }
-        )
-    return rows
+        inputs.append(("columnar_semi_join", n, probe, instance, 25))
 
-
-# ----------------------------------------------------------------------
-# PR 3: parallel/pruned oracle and the CSP homomorphism engine
-# ----------------------------------------------------------------------
-
-def oracle_parallel(quick: bool) -> list[dict]:
-    """PR 3's oracle numbers: plan-relevant pruning + residual probing.
-    (The section keeps its name so its rows stay matched against earlier
-    baselines.)"""
-    heading("ORACLE — pruned world enumeration")
-    from repro.core import certain_answers
-
-    join = Query(parse("exists z (R(x, z) & R(z, y))"), ("x", "y"))
-    sem = get_semantics("cwa")
-    print(f"{'n_facts':>8} {'nulls':>6} {'serial':>12} {'mode':>9}")
+    print("null join keys, best of 5 (25 for semi-joins), vector vs pure-Python kernels:")
+    print(f"{'workload':<20} {'n_rows':>8} {'vector':>12} {'pure':>12} {'ratio':>7}")
     rule()
     rows: list[dict] = []
-    cases = ((8, 4), (10, 5)) if quick else ((6, 3), (8, 4), (10, 5), (12, 6))
-    for n_facts, n_nulls in cases:
-        rng = random.Random(1000 + n_facts * 10 + n_nulls)
-        while True:
-            instance = random_instance(
-                SCHEMA, rng, n_facts=n_facts, constants=(1, 2, 3, 4),
-                n_nulls=n_nulls, null_probability=0.7,
-            )
-            if len(instance.nulls()) == n_nulls:
-                break
-        stats: dict = {}
-        serial_t = min(
-            _timed(lambda: certain_answers(join, instance, sem, stats_out=stats))
-            for _ in range(3)
+    for workload, n, query, instance, reps in inputs:
+        vector_ts, pure_ts = [], []
+        for _ in range(reps):
+            vector_ts.append(_timed(lambda: columnar_naive_eval(query, instance)))
+            with _pure_kernels():
+                pure_ts.append(_timed(lambda: columnar_naive_eval(query, instance)))
+        vector_t, pure_t = min(vector_ts), min(pure_ts)
+        print(
+            f"{workload:<20} {n:>8} {vector_t * 1e3:>10.3f}ms {pure_t * 1e3:>10.3f}ms "
+            f"{vector_t / pure_t:>6.2f}x"
         )
-        print(f"{n_facts:>8} {n_nulls:>6} {serial_t * 1e3:>10.1f}ms {str(stats.get('mode')):>9}")
         rows.append(
             {
-                "workload": "oracle_cwa_pr3",
-                "n_facts": n_facts,
-                "n_nulls": n_nulls,
-                "serial_ms": round(serial_t * 1e3, 4),
-                "oracle_mode": stats.get("mode"),
+                "workload": workload,
+                "n_rows": n,
+                "columnar_ms": round(vector_t * 1e3, 4),
+                "pure_ms": round(pure_t * 1e3, 4),
             }
         )
+    # one bar per workload on the summed times: the largest input, where
+    # the kernel dominates, weighs most, and no single small row can flake
+    for workload, bound in (
+        ("columnar_join", COLUMNAR_JOIN_BAR),
+        ("columnar_semi_join", COLUMNAR_SEMI_JOIN_BAR),
+    ):
+        mine = [r for r in rows if r["workload"] == workload]
+        fields = bar(
+            f"vector kernel cost, {workload} "
+            f"({'+'.join(str(r['n_rows']) for r in mine)} rows)",
+            sum(r["columnar_ms"] for r in mine) / sum(r["pure_ms"] for r in mine),
+            bound, "the pure-Python kernels", at_most=True,
+        )
+        for row in mine:
+            row["summed_bar"] = fields
     return rows
 
 
-def _seed_backtracker(source, target, fix_constants=True):
-    """The seed repo's homomorphism search, replicated as the 'before'
-    column: facts ordered by target relation size, candidates re-sorted at
-    every node, no candidate tables, no forward checking."""
-    from repro.data.values import Null, sort_key
+# ----------------------------------------------------------------------
+# the CSP homomorphism engine
+# ----------------------------------------------------------------------
 
-    facts = list(source.facts())
-    facts.sort(key=lambda f: (len(target.tuples(f[0])), f[0], tuple(map(sort_key, f[1]))))
-
-    def extend(index, assignment):
-        if index == len(facts):
-            yield dict(assignment)
-            return
-        name, row = facts[index]
-        for candidate in sorted(target.tuples(name), key=lambda t: tuple(map(sort_key, t))):
-            extension = {}
-            ok = True
-            for value, image in zip(row, candidate):
-                if fix_constants and not isinstance(value, Null) and value != image:
-                    ok = False
-                    break
-                bound = assignment.get(value, extension.get(value))
-                if bound is None:
-                    extension[value] = image
-                elif bound != image:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment.update(extension)
-            yield from extend(index + 1, assignment)
-            for k in extension:
-                del assignment[k]
-
-    if not source.adom():
-        yield {}
-        return
-    yield from extend(0, {})
+#: the CSP engine against the legacy extender on the refute and
+#: enumerate workloads (measured 2.6–4.3×; 1.34× with the CSP engine
+#: slowed 3×).  Not enforced by ``--quick``: its smaller inputs read
+#: 1.5–3.6×.
+HOMS_BAR = 1.6
 
 
 def hom_engine_comparison(quick: bool) -> list[dict]:
-    """PR 3's homomorphism numbers: CSP candidate tables + forward checking
-    against the seed backtracker."""
+    """Candidate tables + forward checking against the legacy extender,
+    both behind :func:`repro.homs.search.iter_homomorphisms`."""
     heading("HOMS — CSP engine (candidate tables + forward checking) vs legacy")
-    from repro.data.values import Null
     from repro.homs.engine import clear_candidate_cache
     from repro.homs.search import has_homomorphism, iter_homomorphisms
 
@@ -629,47 +622,56 @@ def hom_engine_comparison(quick: bool) -> list[dict]:
         constants=tuple(range(18)), n_nulls=0,
     )
 
+    # the find workload is a first hit on a large target, about as quick
+    # on either engine (0.8–1.2×): reported, not barred
     workloads = [
-        ("find: pattern+constants → big target", pattern, big_target, True, "has"),
-        ("refute: C7 → bipartite (no hom)", c7, k_bip, False, "has"),
-        ("enumerate: all homs P5 → graph", p5, graph, False, "count"),
+        ("find: pattern+constants → big target", pattern, big_target, True, "has", False),
+        ("refute: C7 → bipartite (no hom)", c7, k_bip, False, "has", True),
+        ("enumerate: all homs P5 → graph", p5, graph, False, "count", True),
     ]
     print(f"{'workload':<40} {'legacy':>12} {'csp':>12} {'speedup':>9}")
     rule()
     rows: list[dict] = []
-    for label, src, tgt, fix, mode in workloads:
-        def run_seed():
-            if mode == "has":
-                return next(iter(_seed_backtracker(src, tgt, fix)), None) is not None
-            return sum(1 for _ in _seed_backtracker(src, tgt, fix))
-
-        def run_csp():
+    for label, src, tgt, fix, mode, barred in workloads:
+        def run(engine):
             clear_candidate_cache()
             if mode == "has":
-                return has_homomorphism(src, tgt, fix_constants=fix, engine="csp")
-            return sum(1 for _ in iter_homomorphisms(src, tgt, fix_constants=fix, engine="csp"))
+                return has_homomorphism(src, tgt, fix_constants=fix, engine=engine)
+            return sum(
+                1 for _ in iter_homomorphisms(src, tgt, fix_constants=fix, engine=engine)
+            )
 
-        assert run_seed() == run_csp()
-        seed_t = min(_timed(run_seed) for _ in range(3))
-        csp_t = min(_timed(run_csp) for _ in range(3))
+        assert run("legacy") == run("csp")
+        legacy_t = _best_timed(lambda: run("legacy"))
+        csp_t = _best_timed(lambda: run("csp"))
         print(
-            f"{label:<40} {seed_t * 1e3:>10.1f}ms {csp_t * 1e3:>10.2f}ms "
-            f"{seed_t / max(csp_t, 1e-9):>8.1f}x"
+            f"{label:<40} {legacy_t * 1e3:>10.1f}ms {csp_t * 1e3:>10.2f}ms "
+            f"{legacy_t / max(csp_t, 1e-9):>8.1f}x"
         )
-        rows.append(
-            {
-                "workload": "homs",
-                "case": label,
-                "legacy_ms": round(seed_t * 1e3, 4),
-                "csp_ms": round(csp_t * 1e3, 4),
-            }
-        )
+        row = {
+            "workload": "homs",
+            "case": label,
+            "legacy_ms": round(legacy_t * 1e3, 4),
+            "csp_ms": round(csp_t * 1e3, 4),
+        }
+        if barred:
+            row.update(bar(
+                f"csp speedup, {label.split(':')[0]}",
+                legacy_t / max(csp_t, 1e-9), HOMS_BAR, 'engine="legacy"',
+                enforce=not quick,
+            ))
+        rows.append(row)
     return rows
 
 
 # ----------------------------------------------------------------------
 # PR 4: the serving layer — incremental mutation + result cache
 # ----------------------------------------------------------------------
+
+#: incremental mutation + the result cache against full re-ingest
+#: (measured 36–47×)
+SERVING_BAR = 5.0
+
 
 def serving(quick: bool) -> list[dict]:
     """PR 4's serving numbers: incremental mutation with the generation-keyed
@@ -721,8 +723,6 @@ def serving(quick: bool) -> list[dict]:
     reingest_t = (time.perf_counter() - start) / n_re
     assert got == want
     speedup = reingest_t / max(incremental_t, 1e-9)
-    # the acceptance bar: incremental mutation beats full re-ingest ≥5×
-    assert speedup >= 5, f"incremental speedup {speedup:.1f}× below the 5× bar"
     print(
         f"{'write+requery':<28} {'re-ingest':>12} {'incremental':>12} "
         f"{'speedup':>9} {'hit rate':>9}"
@@ -739,6 +739,7 @@ def serving(quick: bool) -> list[dict]:
             "reingest_ms": round(reingest_t * 1e3, 4),
             "incremental_ms": round(incremental_t * 1e3, 4),
             "cache_hit_rate": round(hit_rate, 4),
+            **bar("incremental requery speedup", speedup, SERVING_BAR, "full re-ingest"),
         }
     ]
 
@@ -799,6 +800,12 @@ def serving(quick: bool) -> list[dict]:
 # ----------------------------------------------------------------------
 # PR 5: durable serving — WAL mutation cost and recovery vs log length
 # ----------------------------------------------------------------------
+
+#: snapshot load against replaying the same state from the WAL, at the
+#: longest log (measured 15–31× at 4000 records).  Not enforced by
+#: ``--quick``: 400 records read 7–9×.
+RECOVERY_BAR = 5.0
+
 
 def serving_durable(quick: bool) -> list[dict]:
     """PR 5's durability numbers: what fsync costs per acknowledged write,
@@ -884,6 +891,13 @@ def serving_durable(quick: bool) -> list[dict]:
                 "snapshot_ms": round(snapshot_t * 1e3, 4),
             }
         )
+    # shorter logs replay in a few milliseconds, where the snapshot's
+    # fixed cost of opening files dominates: only the longest is barred
+    rows[-1].update(bar(
+        f"snapshot load speedup, {lengths[-1]} records",
+        replay_t / max(snapshot_t, 1e-9), RECOVERY_BAR, "WAL replay",
+        enforce=not quick,
+    ))
     return rows
 
 
@@ -916,6 +930,16 @@ def _read_worker(address: tuple, n: int) -> float:
     elapsed = time.perf_counter() - start
     sock.close()
     return elapsed
+
+
+#: ack-to-replica-visible p50 against the primary's own write round trip
+#: (measured 1.35–2.06× over 200 writes, 1.05–2.41× over 50 with ``--quick``)
+REPLICA_LAG_BAR = 4.0
+#: restarting a killed replica and replaying a backlog against the time
+#: the primary took to accept it one write at a time (measured 0.26–0.43×
+#: for 4000 records).  Not enforced by ``--quick``: 800 records are
+#: dominated by the replica's process start and read 0.6–2.6×.
+REPLICA_CATCHUP_BAR = 1.0
 
 
 def replication(quick: bool) -> list[dict]:
@@ -1025,12 +1049,15 @@ def replication(quick: bool) -> list[dict]:
             )
 
         # B. steady-state lag: after each primary-acknowledged write, a
-        # min_generation read on a replica measures ack-to-visible wall time
+        # min_generation read on a replica measures ack-to-visible wall
+        # time; the write's own round trip to the primary is the reference
         n_writes = 50 if quick else 200
         reader = Client(replicas[0][1])
-        latencies = []
+        acks, latencies = [], []
         for i in range(n_writes):
+            t0 = time.perf_counter()
             writer.call(op="insert", relation="S", rows=[[50_000 + i]])
+            acks.append(time.perf_counter() - t0)
             generation += 1
             t0 = time.perf_counter()
             reader.call(
@@ -1038,14 +1065,13 @@ def replication(quick: bool) -> list[dict]:
                 min_generation=generation, wait_timeout_s=60,
             )
             latencies.append(time.perf_counter() - t0)
-        latencies.sort()
-        p50 = latencies[len(latencies) // 2]
-        p95 = latencies[int(len(latencies) * 0.95)]
-        print(f"\n{'steady-state lag':<28} {'writes':>8} {'p50':>10} {'p95':>10}")
+        p50, p95, _p99 = _percentiles(latencies)
+        ack_p50 = _percentiles(acks)[0]
+        print(f"\n{'steady-state lag':<28} {'writes':>8} {'p50':>10} {'p95':>10} {'ack p50':>10}")
         rule()
         print(
             f"{'ack → replica-visible':<28} {n_writes:>8} "
-            f"{p50 * 1e3:>8.2f}ms {p95 * 1e3:>8.2f}ms"
+            f"{p50 * 1e3:>8.2f}ms {p95 * 1e3:>8.2f}ms {ack_p50 * 1e3:>8.2f}ms"
         )
         rows.append(
             {
@@ -1053,6 +1079,11 @@ def replication(quick: bool) -> list[dict]:
                 "n_writes": n_writes,
                 "ack_to_replica_p50_ms": round(p50 * 1e3, 4),
                 "ack_to_replica_p95_ms": round(p95 * 1e3, 4),
+                "primary_ack_p50_ms": round(ack_p50 * 1e3, 4),
+                **bar(
+                    "replica lag, p50", p50 / max(ack_p50, 1e-9), REPLICA_LAG_BAR,
+                    "the primary's write round trip", at_most=True,
+                ),
             }
         )
         reader.close()
@@ -1063,8 +1094,10 @@ def replication(quick: bool) -> list[dict]:
         victim_proc, _victim_address = replicas[3]
         os.kill(victim_proc.pid, signal.SIGKILL)
         victim_proc.wait(timeout=30)
+        start = time.perf_counter()
         for i in range(backlog):
             writer.call(op="insert", relation="T", rows=[[i, i]])
+        backlog_t = time.perf_counter() - start
         generation += backlog
         start = time.perf_counter()
         _proc, address = spawn(
@@ -1075,17 +1108,26 @@ def replication(quick: bool) -> list[dict]:
             min_generation=generation, wait_timeout_s=300,
         )
         catchup = time.perf_counter() - start
-        print(f"\n{'catch-up':<28} {'backlog':>8} {'time':>10} {'records/s':>10}")
+        print(
+            f"\n{'catch-up':<28} {'backlog':>8} {'time':>10} {'records/s':>10} "
+            f"{'written in':>11}"
+        )
         rule()
         print(
             f"{'restart after SIGKILL':<28} {backlog:>8} "
-            f"{catchup:>9.2f}s {backlog / catchup:>10.0f}"
+            f"{catchup:>9.2f}s {backlog / catchup:>10.0f} {backlog_t:>10.2f}s"
         )
         rows.append(
             {
                 "workload": "replica_catchup",
                 "backlog_records": backlog,
                 "catchup_seconds": round(catchup, 4),
+                "backlog_write_seconds": round(backlog_t, 4),
+                **bar(
+                    "replica catch-up", catchup / max(backlog_t, 1e-9),
+                    REPLICA_CATCHUP_BAR, "the primary accepting the backlog",
+                    at_most=True, enforce=not quick,
+                ),
             }
         )
         writer.close()
@@ -1181,6 +1223,11 @@ def _qos_stream(address, n_conns: int, per_conn: int, rate: float) -> tuple:
     return asyncio.run(drive())
 
 
+#: p99 at 1000 connections against the same core's p99 at 64 (measured
+#: 0.02–1.06×: the 64-connection reference row is the noisy side)
+QOS_BAR = 2.0
+
+
 def qos(quick: bool) -> list[dict]:
     """PR 9's QoS numbers: request latency through the asyncio core as the
     connection count climbs past anything a thread-per-connection server
@@ -1232,24 +1279,23 @@ def qos(quick: bool) -> list[dict]:
                   f"{p95 * 1e3:>7.2f}ms {p99 * 1e3:>7.2f}ms {connect_s:>10.2f}s")
             if base_p99 is None:
                 base_p99 = p99
-            # the acceptance bar: holding 1000 connections — ~15× past the
-            # 64-conn comfort point — must not cost more than 2× its tail
+            row = {
+                "workload": "qos_latency",
+                "core": "async",
+                "n_conns": n_conns,
+                "n_requests": len(latencies),
+                "p50_ms": round(p50 * 1e3, 4),
+                "p95_ms": round(p95 * 1e3, 4),
+                "p99_ms": round(p99 * 1e3, 4),
+            }
+            # holding 1000 connections — ~15× past the 64-conn comfort
+            # point — must not cost more than QOS_BAR× its tail
             if n_conns == 1000:
-                assert p99 <= 2 * base_p99, (
-                    f"async p99 {p99 * 1e3:.2f}ms at {n_conns} conns exceeds 2× "
-                    f"the 64-conn p99 {base_p99 * 1e3:.2f}ms"
-                )
-            rows.append(
-                {
-                    "workload": "qos_latency",
-                    "core": "async",
-                    "n_conns": n_conns,
-                    "n_requests": len(latencies),
-                    "p50_ms": round(p50 * 1e3, 4),
-                    "p95_ms": round(p95 * 1e3, 4),
-                    "p99_ms": round(p99 * 1e3, 4),
-                }
-            )
+                row.update(bar(
+                    f"p99 at {n_conns} connections", p99 / base_p99, QOS_BAR,
+                    "the p99 at 64 connections", at_most=True,
+                ))
+            rows.append(row)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -1310,10 +1356,9 @@ def main() -> int:
     strictness()
     worked_examples()
     orderings()
-    perf_rows = performance()
+    oracle_rows = oracle(args.quick)
     engine_rows = engine_comparison(args.quick)
     columnar_rows = columnar(args.quick)
-    oracle_rows = oracle_parallel(args.quick)
     hom_rows = hom_engine_comparison(args.quick)
     serving_rows = serving(args.quick)
     durable_rows = serving_durable(args.quick)
@@ -1327,10 +1372,9 @@ def main() -> int:
                 "quick": args.quick,
             },
             "figure1": figure1_rows,
-            "performance": perf_rows,
+            "oracle": oracle_rows,
             "engine": engine_rows,
             "columnar": columnar_rows,
-            "oracle_parallel": oracle_rows,
             "homs": hom_rows,
             "serving": serving_rows,
             "serving_durable": durable_rows,

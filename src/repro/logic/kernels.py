@@ -195,11 +195,8 @@ def _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counte
             mat[:, k] = left.np_column(col)[l_idx]
         else:
             mat[:, k] = right.np_column(extra[col - left.arity])[r_idx]
-    uniq = _np.unique(mat, axis=0)
     if not counted:
-        return frozenset(map(tuple, uniq.tolist()))
-    if len(uniq) == total:  # every joined row projects onto its own row
-        return dict.fromkeys(map(tuple, uniq.tolist()), 1)
+        return frozenset(map(tuple, _np.unique(mat, axis=0).tolist()))
     uniq, witnesses = _np.unique(mat, axis=0, return_counts=True)
     return dict(zip(map(tuple, uniq.tolist()), witnesses.tolist()))
 

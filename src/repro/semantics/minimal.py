@@ -12,7 +12,6 @@ naive evaluation additionally requires ``Q(D) = Q(core(D))``
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Iterator, Sequence
 
 from repro.data.instance import Instance
@@ -20,22 +19,20 @@ from repro.data.schema import Schema
 from repro.homs.minimal import is_d_minimal
 from repro.homs.search import iter_homomorphisms
 from repro.semantics.base import Semantics, guard_limit
-from repro.semantics.powerset import iter_nonempty_unions
+from repro.semantics.powerset import collect_images, iter_nonempty_unions
 
 __all__ = ["MinCWA", "MinPowersetCWA"]
 
 
-def _minimal_images(instance: Instance, pool: Sequence[Hashable]) -> list[Instance]:
+def _iter_minimal_images(instance: Instance, pool: Sequence[Hashable]) -> Iterator[Instance]:
     from repro.homs.minimal import iter_minimal_valuations
 
     seen: set[Instance] = set()
-    images: list[Instance] = []
     for valuation in iter_minimal_valuations(instance, list(pool)):
         image = instance.apply(valuation)
         if image not in seen:
             seen.add(image)
-            images.append(image)
-    return images
+            yield image
 
 
 class MinCWA(Semantics):
@@ -57,7 +54,7 @@ class MinCWA(Semantics):
         limit: int = 500_000,
     ) -> Iterator[Instance]:
         guard_limit(len(pool) ** len(instance.nulls()), limit, "min-CWA expansion")
-        yield from _minimal_images(instance, pool)
+        yield from _iter_minimal_images(instance, pool)
 
     def contains(self, instance: Instance, complete: Instance) -> bool:
         self._check_complete(complete)
@@ -102,12 +99,8 @@ class MinPowersetCWA(Semantics):
         limit: int = 500_000,
     ) -> Iterator[Instance]:
         bound = self.default_union_bound if extra_facts is None else extra_facts
-        images = _minimal_images(instance, pool)
-        top = min(bound, len(images))
-        guard_limit(
-            sum(math.comb(len(images), k) for k in range(1, top + 1)),
-            limit,
-            "min-powerset-CWA expansion",
+        images = collect_images(
+            _iter_minimal_images(instance, pool), bound, limit, "min-powerset-CWA expansion"
         )
         yield from iter_nonempty_unions(images, max_size=bound)
 

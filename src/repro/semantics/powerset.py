@@ -12,14 +12,38 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.homs.search import iter_homomorphisms
-from repro.semantics.base import Semantics, guard_limit, iter_valuation_images
+from repro.semantics.base import ExpansionLimitError, Semantics, iter_valuation_images
 
-__all__ = ["PowersetCWA", "iter_nonempty_unions"]
+__all__ = ["PowersetCWA", "collect_images", "iter_nonempty_unions"]
+
+
+def collect_images(
+    images: Iterable[Instance], max_size: int, limit: int, what: str
+) -> list[Instance]:
+    """``list(images)``, refused once their unions would exceed ``limit``.
+
+    The unions of at most ``max_size`` images only grow in number as
+    images arrive, so the refusal comes as soon as the images pulled so
+    far already give more than ``limit`` of them — the same verdict as
+    counting after collecting every image, without collecting them all.
+    """
+    collected: list[Instance] = []
+    for image in images:
+        collected.append(image)
+        n = len(collected)
+        unions = sum(math.comb(n, k) for k in range(1, min(max_size, n) + 1))
+        if unions > limit:
+            raise ExpansionLimitError(
+                f"{what} would enumerate more than {limit} instances (the first "
+                f"{n} images already give {unions} unions); "
+                "shrink the instance/pool or raise the limit"
+            )
+    return collected
 
 
 def iter_nonempty_unions(
@@ -68,12 +92,8 @@ class PowersetCWA(Semantics):
         limit: int = 500_000,
     ) -> Iterator[Instance]:
         bound = self.default_union_bound if extra_facts is None else extra_facts
-        images = list(iter_valuation_images(instance, pool))
-        top = min(bound, len(images))
-        guard_limit(
-            sum(math.comb(len(images), k) for k in range(1, top + 1)),
-            limit,
-            "powerset-CWA expansion",
+        images = collect_images(
+            iter_valuation_images(instance, pool), bound, limit, "powerset-CWA expansion"
         )
         yield from iter_nonempty_unions(images, max_size=bound)
 

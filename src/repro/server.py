@@ -879,6 +879,11 @@ class AsyncServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = _AsyncConn(reader, writer)
+        # asyncio's socket transport allocates max_size bytes (256 KiB) for
+        # every recv.  That is above glibc's default mmap threshold, so each
+        # request would map, fault in and unmap fresh pages (2 minor faults
+        # per read).  No request line is longer than the stream limit.
+        writer.transport.max_size = _LINE_LIMIT
         try:
             try:
                 await _faults.async_fire("server.accept")

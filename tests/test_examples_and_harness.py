@@ -70,13 +70,63 @@ class TestHarnessSections:
     def test_columnar_section_quick(self, capsys):
         import harness
 
+        from repro.logic import kernels
+
+        if not kernels.numpy_enabled():
+            pytest.skip("the vector kernels are off; the section compares them")
         rows = harness.columnar(quick=True)
         out = capsys.readouterr().out
         assert "COLUMNAR" in out
         assert {r["workload"] for r in rows} == {"columnar_join", "columnar_semi_join"}
-        assert all("columnar_ms" in r and "compiled_ms" not in r for r in rows)
+        # every input is timed on both kernel paths; each workload's
+        # summed times are barred on their ratio
+        assert all(r["columnar_ms"] > 0 and r["pure_ms"] > 0 for r in rows)
+        assert all(r["summed_bar"]["bar"].startswith("≤") for r in rows)
+        assert out.count("against the pure-Python kernels") == 2
 
-    def test_columnar_section_is_gated(self):
-        import check_regression
+    def test_columnar_bar_fails_on_a_slowed_kernel(self, monkeypatch, capsys):
+        import harness
 
-        assert "columnar" in check_regression.GATED_SECTIONS
+        from repro.logic import kernels
+
+        if not kernels.numpy_enabled():
+            pytest.skip("the vector kernels are off; the bar compares them")
+        real = kernels._vector_sort_merge_project
+
+        def slowed(*args):  # three times the work
+            real(*args)
+            real(*args)
+            return real(*args)
+
+        # the pure-Python reference never calls the vector kernel
+        monkeypatch.setattr(kernels, "_vector_sort_merge_project", slowed)
+        with pytest.raises(harness.BarFailure, match="columnar_join"):
+            harness.columnar(quick=True)
+        assert "FAILED" in capsys.readouterr().out
+
+    def test_oracle_section_quick(self, capsys):
+        import harness
+
+        rows = harness.oracle(quick=True)
+        out = capsys.readouterr().out
+        assert "ORACLE" in out
+        assert [(r["n_facts"], r["n_nulls"]) for r in rows] == [(4, 1), (6, 3), (8, 4), (12, 6)]
+        assert all(r["oracle_mode"] == "bracket" for r in rows)
+        # every row is barred against naive evaluation; rows small enough
+        # to enumerate every world carry that time, and from 4 nulls a bar
+        assert all("naive_bar" in r for r in rows)
+        assert [("expansion_ms" in r) for r in rows] == [True, True, True, False]
+        assert [("expansion_bar" in r) for r in rows] == [False, False, True, False]
+
+    def test_bar_reports_and_raises(self, capsys):
+        import harness
+
+        assert harness.bar("x", 3.0, 2.0, "ref") == {"ratio": 3.0, "bar": "≥2.0"}
+        assert harness.bar("y", 1.0, 2.0, "ref", at_most=True) == {"ratio": 1.0, "bar": "≤2.0"}
+        with pytest.raises(harness.BarFailure, match="breaks the ≥ 2.0× bar"):
+            harness.bar("z", 1.5, 2.0, "ref")
+        harness.bar("q", 1.5, 2.0, "ref", enforce=False)  # reported only
+        out = capsys.readouterr().out
+        assert "bar x: 3.00× against ref (must be ≥ 2.0×) ok" in out
+        assert "bar z: 1.50× against ref (must be ≥ 2.0×) FAILED" in out
+        assert "bar q: 1.50× against ref (must be ≥ 2.0×) FAILED, not enforced" in out

@@ -168,6 +168,33 @@ class TestPowersetCWA:
         pairs = set(PowersetCWA().expand(d, [1, 2], extra_facts=2))
         assert Instance({"R": [(1,), (2,)]}) in pairs
 
+    def test_limit_refuses_before_collecting_every_image(self, monkeypatch):
+        # 7^6 valuations of a 6-null chain; with unions of at most two
+        # images, the 45th image is the first to pass 1000 unions
+        # (45·46/2 = 1035), so the refusal pulls exactly 45 images
+        import repro.semantics.powerset as powerset
+
+        pulled = []
+        real = powerset.iter_valuation_images
+
+        def counting(instance, pool):
+            for image in real(instance, pool):
+                pulled.append(image)
+                yield image
+
+        monkeypatch.setattr(powerset, "iter_valuation_images", counting)
+        chain = Instance({"R": [(Null(f"n{i}"), Null(f"n{i + 1}")) for i in range(5)]})
+        with pytest.raises(ExpansionLimitError, match="more than 1000 instances"):
+            list(PowersetCWA().expand(chain, list(range(7)), limit=1000))
+        assert len(pulled) == 45
+
+    def test_limit_verdict_matches_the_full_count(self):
+        d = Instance({"R": [(X, Y)]})  # 9 images over a 3-value pool
+        # pairs and singles of 9 images: 9 + 36 = 45 unions
+        assert len(list(PowersetCWA().expand(d, [1, 2, 3], limit=45))) <= 45
+        with pytest.raises(ExpansionLimitError):
+            list(PowersetCWA().expand(d, [1, 2, 3], limit=44))
+
 
 class TestMinimalSemantics:
     def test_min_cwa_excludes_non_minimal_images(self):
@@ -191,6 +218,26 @@ class TestMinimalSemantics:
         assert sem.contains(d, both)
         # a union including a non-minimal image is not a member
         assert not sem.contains(d, Instance({"T": [(1, 1), (1, 2)]}))
+
+    def test_min_powerset_limit_refuses_early(self, monkeypatch):
+        # every valuation of R(⊥i, i) gives a distinct image of the same
+        # size, so all 4^3 = 64 are minimal; 14 images give 14·15/2 = 105
+        # unions of at most two, the first count over the limit of 100
+        import repro.homs.minimal as minimal
+
+        pulled = []
+        real = minimal.iter_minimal_valuations
+
+        def counting(instance, pool):
+            for valuation in real(instance, pool):
+                pulled.append(valuation)
+                yield valuation
+
+        monkeypatch.setattr(minimal, "iter_minimal_valuations", counting)
+        d = Instance({"R": [(Null(f"v{i}"), i) for i in range(3)]})
+        with pytest.raises(ExpansionLimitError, match="more than 100 instances"):
+            list(MinPowersetCWA().expand(d, [10, 11, 12, 13], limit=100))
+        assert len(pulled) == 14
 
     def test_graph_example_membership(self):
         """Prop 10.1's end: C3^C + C2^C ∈ [[C6+C4]]_CWA but ∉ [[·]]^min_CWA."""
