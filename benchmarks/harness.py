@@ -475,11 +475,12 @@ def engine_comparison(quick: bool) -> list[dict]:
 
 
 #: the vector kernels against the pure-Python ones, summed over the
-#: many-to-many joins: measured 1.08–1.36× (a second ``np.unique`` over
-#: the join's expansion read 2.10–2.53×).  ``np.unique(axis=0)`` sorts
-#: the expansion as opaque rows, so the vector join is no faster than
-#: the pure one here; the bar catches it getting slower.
-COLUMNAR_JOIN_BAR = 1.7
+#: many-to-many joins whose projection collapses the expansion: measured
+#: 0.21–0.29× (full and ``--quick``), and 0.40–0.50× with the vector
+#: kernel doing its work three times.  The vector path dedups only the
+#: projected columns, with ``np.lexsort`` and group starts, and must
+#: keep that lead.
+COLUMNAR_JOIN_BAR = 0.35
 #: the semi-join probes must beat the pure path (measured 0.46–0.70×)
 COLUMNAR_SEMI_JOIN_BAR = 1.0
 
@@ -505,7 +506,7 @@ def columnar(quick: bool) -> list[dict]:
     nulls (an anonymised fact table), so tuples of cell objects would pay
     a Python-level ``Null.__hash__`` per probe and per materialised
     intermediate row, while the columnar engine runs int codes through
-    sort-merge/``unique`` kernels and drops null answer rows by parity
+    sort-merge/``lexsort`` kernels and drops null answer rows by parity
     before decoding anything.  Each input is timed on both kernel paths
     in alternation, so a load spike on the host hits both sides.
     """
@@ -515,6 +516,8 @@ def columnar(quick: bool) -> list[dict]:
         return []
     inputs = []
     join = Query(parse("exists y (R(x, z) & S(z, y))"), ("x", "z"))
+    # keeps every column, so both sides run the pure merge: reported only
+    full_join = Query(parse("R(x, z) & S(z, y)"), ("x", "z", "y"))
     for n in (512, 2048) if quick else (512, 2048, 8192):
         rng = random.Random(7)
         nulls = [Null(f"k{i}") for i in range(max(8, n // 64))]
@@ -523,6 +526,7 @@ def columnar(quick: bool) -> list[dict]:
             "S": [(rng.choice(nulls), rng.randint(0, n)) for _ in range(n)],
         })
         inputs.append(("columnar_join", n, join, instance, 5))
+        inputs.append(("columnar_full_join", n, full_join, instance, 5))
     probe = Query(parse("exists z (R(x, z) & S(z))"), ("x",))
     for n in (16384,) if quick else (16384, 65536):
         rng = random.Random(11)
@@ -810,8 +814,8 @@ RECOVERY_BAR = 5.0
 def serving_durable(quick: bool) -> list[dict]:
     """PR 5's durability numbers: what fsync costs per acknowledged write,
     and how recovery time scales with WAL length (the case for compaction).
-    The WAL is replayed as a deterministic workload trace, so the recovery
-    rows measure exactly the mutation stream the previous column wrote."""
+    Each recovery row writes its own log of single-fact inserts in a fresh
+    directory, then times WAL replay against snapshot load of that state."""
     heading("DURABLE — fsync'd WAL writes and recovery vs log length")
     import shutil
     import tempfile
@@ -1223,8 +1227,9 @@ def _qos_stream(address, n_conns: int, per_conn: int, rate: float) -> tuple:
     return asyncio.run(drive())
 
 
-#: p99 at 1000 connections against the same core's p99 at 64 (measured
-#: 0.02–1.06×: the 64-connection reference row is the noisy side)
+#: p99 at 1000 connections against the same core's p99 at 64, measured
+#: after an untimed warm-up pass (0.70–1.16×; the reference p99 read
+#: 1.2–2.1 ms, and 1.6–162 ms without the warm-up)
 QOS_BAR = 2.0
 
 
@@ -1262,8 +1267,8 @@ def qos(quick: bool) -> list[dict]:
         # thread-per-connection server holds comfortably
         base_per_conn = 10 if quick else 30
         sweeps = ((50, 8), (200, 6)) if quick else ((100, 8), (1000, 4), (5000, 3))
-        base_p99 = None
-        for n_conns, per_conn in ((64, base_per_conn), *sweeps):
+
+        def stream(n_conns: int, per_conn: int) -> tuple[list[float], float]:
             server = serve(
                 Database({"R": list(r_rows)}),
                 max_inflight=128,
@@ -1271,9 +1276,16 @@ def qos(quick: bool) -> list[dict]:
                 feed=False,
             )
             try:
-                latencies, connect_s = _qos_stream(server.address, n_conns, per_conn, rate)
+                return _qos_stream(server.address, n_conns, per_conn, rate)
             finally:
                 server.shutdown()
+
+        # an untimed pass first, so that the reference row does not pay
+        # the process's first server start-up in its tail
+        stream(64, base_per_conn)
+        base_p99 = None
+        for n_conns, per_conn in ((64, base_per_conn), *sweeps):
+            latencies, connect_s = stream(n_conns, per_conn)
             p50, p95, p99 = _percentiles(latencies)
             print(f"{'async':<12} {n_conns:>7} {len(latencies):>7} {p50 * 1e3:>7.2f}ms "
                   f"{p95 * 1e3:>7.2f}ms {p99 * 1e3:>7.2f}ms {connect_s:>10.2f}s")

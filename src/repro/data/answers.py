@@ -66,7 +66,7 @@ from typing import Collection, Hashable, Mapping
 from repro.data.dictionary import Dictionary
 from repro.data.jsonio import render_rows
 
-__all__ = ["AnswerSet"]
+__all__ = ["AnswerSet", "visible_rows"]
 
 
 def _visible(row: tuple[int, ...]) -> bool:
@@ -74,7 +74,7 @@ def _visible(row: tuple[int, ...]) -> bool:
     return not any(c & 1 for c in row)
 
 
-def _visible_rows(rows: Collection[tuple[int, ...]]) -> Collection[tuple[int, ...]]:
+def visible_rows(rows: Collection[tuple[int, ...]]) -> Collection[tuple[int, ...]]:
     """The rows holding no null code (one pass over the cells)."""
     null_codes = {c for c in chain.from_iterable(rows) if c & 1}
     if not null_codes:
@@ -136,7 +136,7 @@ class AnswerSet:
         ``counts`` holds every row the plan projects; rows with a null
         code stay counted but are not members of the set.
         """
-        out = cls.encoded(_visible_rows(counts), arity, dictionary)
+        out = cls.encoded(visible_rows(counts), arity, dictionary)
         out._counts = counts
         out.plan = plan
         return out
@@ -158,14 +158,14 @@ class AnswerSet:
 
     def _columns(self) -> list[array]:
         if self._codes is None:  # a patched set: its rows are the counted ones
-            self._codes = array("q", chain.from_iterable(_visible_rows(self._counts)))
+            self._codes = array("q", chain.from_iterable(visible_rows(self._counts)))
         k = self.arity
         return [self._codes[j::k] for j in range(k)]
 
     def code_rows(self) -> frozenset[tuple[int, ...]]:
         """The member rows as tuples of codes (an encoded set only)."""
         if self._counts is not None:
-            return frozenset(_visible_rows(self._counts))
+            return frozenset(visible_rows(self._counts))
         if not self.arity:
             return frozenset([()] * self.n_rows)
         return frozenset(zip(*self._columns()))

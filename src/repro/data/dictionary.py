@@ -224,7 +224,6 @@ class EncodedRelation:
         "_np_cols",
         "_np_orders",
         "_sorted_rows",
-        "_distinct",
         "_split",
         "_one_use",
     )
@@ -240,7 +239,6 @@ class EncodedRelation:
         self._np_cols: dict[int, object] = {}
         self._np_orders: dict[int, tuple[object, object]] = {}
         self._sorted_rows: dict[int, list[tuple[int, ...]]] = {}
-        self._distinct: dict[int, int] = {}
         self._split: NullSplit | None = None
         #: built over codes for one evaluation (see :meth:`matching`)
         self._one_use = False

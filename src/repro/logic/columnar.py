@@ -16,12 +16,13 @@ scan                 ``col-scan`` — cached frozenset of encoded rows;
 hash join            ``col-hash-join`` over int tuples; plain-scan
                      probes hit the encoded relation's cached index
 scan ⋈ scan          ``sort-merge-join`` — cached sorted runs, merged
-(single shared col)  vectorised when numpy is available
-project ∘ join       fused ``sort-merge-join`` + projection — only the
-                     projected columns are gathered and the expansion
-                     is deduped vectorised (``np.unique``), so the wide
-                     joined intermediate is never materialised; stacked
-                     projections compose into one pass
+(single shared col)  in pure Python (every column kept)
+project ∘ join       fused ``sort-merge-join`` + projection — when it
+                     drops a column, only the projected columns are
+                     gathered and the expansion is deduped vectorised
+                     (``np.lexsort``), so the wide joined intermediate
+                     is never materialised; stacked projections
+                     compose into one pass
 semi-join            ``semi-join`` key-set / ``isin`` kernel, or the
                      int-tuple probe of the hash path
 anti-join            ``col-anti-join`` — int-tuple membership probes
@@ -60,7 +61,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
-from repro.data.answers import AnswerSet
+from repro.data.answers import AnswerSet, visible_rows
 from repro.data.dictionary import ColumnarContext, EncodedRelation, columnar_context
 from repro.data.instance import Instance
 from repro.logic import kernels
@@ -368,13 +369,6 @@ _HANDLERS = {
 }
 
 
-def _null_free(rows: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    null_codes = {c for c in itertools.chain.from_iterable(rows) if c & 1}
-    if null_codes:
-        rows = frozenset(row for row in rows if null_codes.isdisjoint(row))
-    return rows
-
-
 # ----------------------------------------------------------------------
 # maintenance under writes: witness counting
 # ----------------------------------------------------------------------
@@ -457,7 +451,7 @@ def _answer_set(root: Node, cctx: ColumnarContext, arity: int, count: bool) -> A
     """
     if count and None in maintenance_gaps(root).values():
         return AnswerSet.counted(_counted(root, cctx), arity, cctx.dictionary, root)
-    return AnswerSet.encoded(_null_free(_eval(root, cctx, {})), arity, cctx.dictionary)
+    return AnswerSet.encoded(visible_rows(_eval(root, cctx, {})), arity, cctx.dictionary)
 
 
 def maintained_answers(
@@ -509,18 +503,30 @@ def maintained_answers(
 # EXPLAIN: kernel names and join order
 # ----------------------------------------------------------------------
 
-def _kernel_name(node: Node) -> str:
+def _kernel_name(node: Node, indices: tuple[int, ...] | None = None) -> str:
+    """The kernel ``node`` runs on, and its path when it is a join kernel.
+
+    ``indices``: the projection stack above ``node`` composed, which a
+    sort-merge join fuses (``None``: no projection above it).
+    """
     if isinstance(node, JoinNode) and _vector_probe(node):
-        kind = "sort-merge-join" if node._r_extra else "semi-join"
-        return f"{kind} [{kernels.kernel_suffix()}]"
+        if not node._r_extra:
+            return f"semi-join [{kernels.kernel_suffix()}]"
+        vector = kernels.vector_join(len(node.columns), indices)
+        return f"sort-merge-join [{'vector' if vector else 'pure'}]"
     return "col-" + node.label()
 
 
-def _describe(node: Node, indent: int = 0) -> str:
+def _describe(node: Node, indent: int = 0, indices: tuple[int, ...] | None = None) -> str:
     cols = ", ".join(c.name for c in node.columns)
-    lines = ["  " * indent + f"{_kernel_name(node)} [{cols}]"]
+    lines = ["  " * indent + f"{_kernel_name(node, indices)} [{cols}]"]
+    if isinstance(node, ProjectNode):  # compose, as _projection_stack does
+        above = range(len(node.columns)) if indices is None else indices
+        indices = tuple(node._indices[i] for i in above)
+    else:
+        indices = None
     for child in node.children():
-        lines.append(_describe(child, indent + 1))
+        lines.append(_describe(child, indent + 1, indices))
     return "\n".join(lines)
 
 
@@ -597,7 +603,7 @@ class ColumnarQuery:
         root = self.cq.lower_plan
         if root is None:
             return _EMPTY
-        return _null_free(_eval(root, as_columnar_context(source), {}))
+        return frozenset(visible_rows(_eval(root, as_columnar_context(source), {})))
 
     def lower_answers(self, source) -> AnswerSet | None:
         """:meth:`lower_codes` as an encoded :class:`AnswerSet`, counted

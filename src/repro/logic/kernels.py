@@ -2,20 +2,23 @@
 
 The columnar executor (:mod:`repro.logic.columnar`) lowers the hottest
 operator shapes — base-relation joins and semi-joins on a single shared
-column — onto the kernels in this module.  Each join kernel has two
+column — onto the kernels in this module.  There is one sort-merge join,
+with the projection over it fused in, and one semi-join, each with two
 implementations:
 
 * a **vectorised** path over int64 numpy views of the encoded columns
-  (``argsort`` + ``searchsorted`` sort-merge, ``isin`` semi-join), used
-  when numpy is importable and the inputs are large enough to amortise
-  the array setup;
+  (``argsort`` + ``searchsorted`` sort-merge deduped by ``lexsort``,
+  ``isin`` semi-join), used when numpy is importable and the inputs are
+  large enough to amortise the array setup — and, for a join, only when
+  its projection drops a column (:func:`vector_join`);
 * a **pure-Python** path over the relation's cached sorted runs and key
   sets, always available — numpy is an optional accelerator, never a
   dependency.
 
-Both paths return the same frozenset of encoded rows; the differential
-suite in ``tests/test_columnar.py`` runs the random-query matrix against
-each, and ``REPRO_PURE_KERNELS=1`` forces the pure path process-wide.
+Both paths return the same encoded rows (and witness counts); the
+differential suites in ``tests/test_columnar.py`` run the random-query
+matrix against each, and ``REPRO_PURE_KERNELS=1`` forces the pure path
+process-wide.
 
 Sort orders, numpy views and key sets are cached on the
 :class:`~repro.data.dictionary.EncodedRelation` itself, so the sort of a
@@ -39,6 +42,7 @@ from repro.data.dictionary import EncodedRelation
 __all__ = [
     "sort_merge_join",
     "sort_merge_join_project",
+    "vector_join",
     "semi_join",
     "unify_anti_join",
     "key_getter",
@@ -72,9 +76,32 @@ def kernel_suffix() -> str:
     return "vector" if numpy_enabled() else "pure"
 
 
+def key_getter(positions: tuple[int, ...]):
+    """A function projecting a row onto ``positions`` as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
 # ----------------------------------------------------------------------
-# sort-merge join
+# sort-merge join, projection fused
 # ----------------------------------------------------------------------
+
+def vector_join(width: int, indices: tuple[int, ...] | None) -> bool:
+    """Does a sort-merge join over ``MIN_VECTOR_ROWS`` or more rows vectorise?
+
+    ``width`` is the joined row's column count and ``indices`` the
+    projection fused into the join (``None``: every column kept).  Only a
+    projection that drops a column can collapse joined rows, which is
+    what the vector path's C-speed dedup pays for; a join keeping every
+    column builds a Python tuple per joined pair on either path, and the
+    pure merge builds them directly.
+    """
+    return _np is not None and indices is not None and len(set(indices)) < width
+
 
 def sort_merge_join(
     left: EncodedRelation,
@@ -86,66 +113,14 @@ def sort_merge_join(
     """``{l + r[extra] : l ∈ left, r ∈ right, l[l_pos] == r[r_pos]}``.
 
     Equivalent to the hash join of two plain scans on one shared column,
-    but runs off cached sorted runs instead of a hash build.
+    but runs off cached sorted runs instead of a hash build.  Every
+    column is kept, so this is the pure merge (:func:`vector_join`).
     """
     if not left.n_rows or not right.n_rows:
         return _EMPTY
-    if _np is not None and left.n_rows + right.n_rows >= MIN_VECTOR_ROWS:
-        return _vector_sort_merge(left, right, l_pos, r_pos, extra)
-    return _pure_sort_merge(left, right, l_pos, r_pos, extra)
+    full = tuple(range(left.arity + len(extra)))
+    return _pure_sort_merge_project(left, right, l_pos, r_pos, extra, full, False)
 
-
-def _vector_sort_merge(left, right, l_pos, r_pos, extra):
-    l_order, l_sorted = left.np_order(l_pos)
-    r_order, r_sorted = right.np_order(r_pos)
-    lo = _np.searchsorted(r_sorted, l_sorted, side="left")
-    hi = _np.searchsorted(r_sorted, l_sorted, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY
-    l_idx = _np.repeat(l_order, counts)
-    # within each left row's match range, offsets 0..count-1 off its lo
-    offsets = _np.arange(total) - _np.repeat(_np.cumsum(counts) - counts, counts)
-    r_idx = r_order[_np.repeat(lo, counts) + offsets]
-    width = left.arity + len(extra)
-    mat = _np.empty((total, width), dtype=_np.int64)
-    for j in range(left.arity):
-        mat[:, j] = left.np_column(j)[l_idx]
-    for k, pos in enumerate(extra):
-        mat[:, left.arity + k] = right.np_column(pos)[r_idx]
-    return frozenset(map(tuple, mat.tolist()))
-
-
-def _pure_sort_merge(left, right, l_pos, r_pos, extra):
-    l_rows = left.sorted_rows(l_pos)
-    r_rows = right.sorted_rows(r_pos)
-    n_left, n_right = len(l_rows), len(r_rows)
-    out: set[tuple[int, ...]] = set()
-    i = j = 0
-    while i < n_left and j < n_right:
-        a, b = l_rows[i][l_pos], r_rows[j][r_pos]
-        if a < b:
-            i += 1
-        elif a > b:
-            j += 1
-        else:
-            j_end = j
-            while j_end < n_right and r_rows[j_end][r_pos] == a:
-                j_end += 1
-            tails = [tuple(r[p] for p in extra) for r in r_rows[j:j_end]]
-            while i < n_left and l_rows[i][l_pos] == a:
-                lr = l_rows[i]
-                for tail in tails:
-                    out.add(lr + tail)
-                i += 1
-            j = j_end
-    return frozenset(out)
-
-
-# ----------------------------------------------------------------------
-# fused sort-merge join + projection
-# ----------------------------------------------------------------------
 
 def sort_merge_join_project(
     left: EncodedRelation,
@@ -162,7 +137,7 @@ def sort_merge_join_project(
     (positions ``>= left.arity`` address the ``extra`` tail).  Fusing
     matters because many-to-many joins expand and projections collapse:
     the vector path gathers **only the projected columns** and dedups
-    the expansion with ``np.unique`` at C speed, so the wide joined
+    the expansion with ``np.lexsort`` at C speed, so the wide joined
     intermediate is never materialised as Python tuples at all.
 
     ``counted=True`` returns a dict instead: each projected row mapped
@@ -170,7 +145,10 @@ def sort_merge_join_project(
     """
     if not left.n_rows or not right.n_rows:
         return {} if counted else _EMPTY
-    if _np is not None and left.n_rows + right.n_rows >= MIN_VECTOR_ROWS:
+    if (
+        left.n_rows + right.n_rows >= MIN_VECTOR_ROWS
+        and vector_join(left.arity + len(extra), indices)
+    ):
         return _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted)
     return _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted)
 
@@ -187,28 +165,40 @@ def _vector_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counte
     if not indices:  # nullary projection of a non-empty join
         return {(): total} if counted else _UNIT
     l_idx = _np.repeat(l_order, counts)
+    # within each left row's match range, offsets 0..count-1 off its lo
     offsets = _np.arange(total) - _np.repeat(_np.cumsum(counts) - counts, counts)
     r_idx = r_order[_np.repeat(lo, counts) + offsets]
-    mat = _np.empty((total, len(indices)), dtype=_np.int64)
-    for k, col in enumerate(indices):
-        if col < left.arity:
-            mat[:, k] = left.np_column(col)[l_idx]
-        else:
-            mat[:, k] = right.np_column(extra[col - left.arity])[r_idx]
+    la = left.arity
+    cols = [
+        left.np_column(c)[l_idx] if c < la else right.np_column(extra[c - la])[r_idx]
+        for c in indices
+    ]
+    # sort the projected rows; each group of equal rows starts where a
+    # column changes, and a group's size is its witness count
+    order = _np.lexsort(cols)
+    cols = [col[order] for col in cols]
+    change = _np.zeros(total, dtype=bool)
+    change[0] = True
+    for col in cols:
+        change[1:] |= col[1:] != col[:-1]
+    starts = _np.flatnonzero(change)
+    rows = zip(*(col[starts].tolist() for col in cols))
     if not counted:
-        return frozenset(map(tuple, _np.unique(mat, axis=0).tolist()))
-    uniq, witnesses = _np.unique(mat, axis=0, return_counts=True)
-    return dict(zip(map(tuple, uniq.tolist()), witnesses.tolist()))
+        return frozenset(rows)
+    return dict(zip(rows, _np.diff(starts, append=total).tolist()))
 
 
 def _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted):
     l_rows = left.sorted_rows(l_pos)
     r_rows = right.sorted_rows(r_pos)
     n_left, n_right = len(l_rows), len(r_rows)
-    la = left.arity
+    tail_of = key_getter(extra)
+    # projecting onto every column in order is the identity
+    full = indices == tuple(range(left.arity + len(extra)))
+    project = key_getter(indices)
     # counting keeps every joined row; deduping needs only the distinct ones
     out: list | set = [] if counted else set()
-    add = out.append if counted else out.add
+    extend = out.extend if counted else out.update
     i = j = 0
     while i < n_left and j < n_right:
         a, b = l_rows[i][l_pos], r_rows[j][r_pos]
@@ -220,11 +210,11 @@ def _pure_sort_merge_project(left, right, l_pos, r_pos, extra, indices, counted)
             j_end = j
             while j_end < n_right and r_rows[j_end][r_pos] == a:
                 j_end += 1
-            tails = [tuple(r[p] for p in extra) for r in r_rows[j:j_end]]
+            tails = list(map(tail_of, r_rows[j:j_end]))
             while i < n_left and l_rows[i][l_pos] == a:
                 lr = l_rows[i]
-                for tail in tails:
-                    add(tuple(lr[c] if c < la else tail[c - la] for c in indices))
+                joined = [lr + tail for tail in tails]
+                extend(joined if full else map(project, joined))
                 i += 1
             j = j_end
     return Counter(out) if counted else frozenset(out)
@@ -259,16 +249,6 @@ def semi_join(
 # ----------------------------------------------------------------------
 # null-unifying anti-join
 # ----------------------------------------------------------------------
-
-def key_getter(positions: tuple[int, ...]):
-    """A function projecting a row onto ``positions`` as a tuple."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda row: (row[i],)
-    if not positions:
-        return lambda row: ()
-    return itemgetter(*positions)
-
 
 def unify_anti_join(
     left: frozenset[tuple[int, ...]],

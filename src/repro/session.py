@@ -515,7 +515,7 @@ class Database:
                 self._extra_facts = value
                 self._generation += 1
                 self._epoch += 1
-                self._deltas.clear()
+                self._clear_results()
                 self._notify({"type": "reset", "generation": self._generation})
                 self._gen_cond.notify_all()
 

@@ -16,9 +16,12 @@ pinned differentially here, over the same generators as
   distinctions through the JSON codec;
 * mutation re-encoding invariants (shared :class:`EncodedRelation`
   identity for untouched relations, agreement after re-encode);
-* the pure-Python kernels with numpy forced off;
+* the pure-Python kernels with numpy forced off, and the witness counts
+  of both join kernel paths;
 * ``EvalResult.stats`` key parity across backends (regression gate).
 """
+
+from collections import Counter
 
 import pytest
 from diffutil import (
@@ -258,6 +261,59 @@ class TestDifferentialRandom:
         # nullary projection of a non-empty join (boolean shape)
         b = Query.boolean(parse("exists x, z, y (R(x, z) & S(z, y))"))
         assert naive_eval(b, inst) == naive_answers("interp", b, inst)
+
+    @pytest.mark.skipif(not kernels.numpy_enabled(), reason="numpy unavailable")
+    def test_counted_kernel_paths_agree(self, monkeypatch):
+        """Witness counts of the fused join-project kernel: the vector and
+        the pure path count every joined pair, for a projection that
+        drops a column, one that keeps every column, a reordering and
+        the nullary one."""
+        rng = fuzz_rng(4243)
+        projections = [(0, 2), (0, 1, 2), (2, 0, 1), ()]
+        for _ in range(fuzz_trials(12)):
+            n = rng.randint(1, kernels.MIN_VECTOR_ROWS * 3)
+            keys = [Null(f"k{i}") for i in range(rng.randint(1, 6))] + [1, 2]
+            d = Dictionary()
+            left = EncodedRelation.from_rows(
+                {(rng.randint(0, 9), rng.choice(keys)) for _ in range(n)}, d
+            )
+            right = EncodedRelation.from_rows(
+                {(rng.choice(keys), rng.randint(0, 9)) for _ in range(n)}, d
+            )
+            joined = [
+                lr + rr[1:]
+                for lr in left.row_tuples()
+                for rr in right.row_tuples()
+                if lr[1] == rr[0]
+            ]
+            for indices in projections:
+                want = Counter(tuple(row[c] for c in indices) for row in joined)
+                args = (left, right, 1, 0, (1,), indices, True)
+                assert kernels._vector_sort_merge_project(*args) == want, indices
+                assert kernels._pure_sort_merge_project(*args) == want, indices
+                # the public kernel, on whichever path it picks, and pure
+                assert kernels.sort_merge_join_project(*args) == want
+                with monkeypatch.context() as m:
+                    m.setattr(kernels, "_np", None)
+                    assert kernels.sort_merge_join_project(*args) == want
+
+    @pytest.mark.skipif(not kernels.numpy_enabled(), reason="numpy unavailable")
+    def test_full_width_join_runs_pure(self):
+        """A join keeping every column cannot collapse rows: it runs the
+        pure merge even with numpy on, and EXPLAIN says so."""
+        rng = fuzz_rng(961)
+        q = Query(parse("R(x, z) & S(z, y)"), ("x", "z", "y"))
+        n = kernels.MIN_VECTOR_ROWS * 3
+        nulls = [X, Y, Null("k")]
+        inst = Instance({
+            "R": [(rng.randint(0, 9), rng.choice(nulls)) for _ in range(n)],
+            "S": [(rng.choice(nulls), rng.randint(0, 9)) for _ in range(n)],
+        })
+        colq = columnar_query(q)
+        assert "sort-merge-join [pure]" in colq.describe()
+        assert "[vector]" not in colq.describe()
+        assert colq.answers(inst) == interp_answers(q.formula, inst, q.answer_vars)
+        assert naive_eval(q, inst) == naive_answers("interp", q, inst)
 
     @pytest.mark.skipif(not kernels.numpy_enabled(), reason="numpy unavailable")
     def test_vector_kernels_above_threshold(self):

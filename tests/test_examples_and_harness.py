@@ -77,11 +77,17 @@ class TestHarnessSections:
         rows = harness.columnar(quick=True)
         out = capsys.readouterr().out
         assert "COLUMNAR" in out
-        assert {r["workload"] for r in rows} == {"columnar_join", "columnar_semi_join"}
-        # every input is timed on both kernel paths; each workload's
-        # summed times are barred on their ratio
+        workloads = {"columnar_join", "columnar_full_join", "columnar_semi_join"}
+        assert {r["workload"] for r in rows} == workloads
+        # every input is timed on both kernel paths; the collapsing join's
+        # and the semi-join's summed times are barred on their ratio, the
+        # full-width join (the pure merge on both sides) is only reported
         assert all(r["columnar_ms"] > 0 and r["pure_ms"] > 0 for r in rows)
-        assert all(r["summed_bar"]["bar"].startswith("≤") for r in rows)
+        for r in rows:
+            if r["workload"] == "columnar_full_join":
+                assert "summed_bar" not in r
+            else:
+                assert r["summed_bar"]["bar"].startswith("≤")
         assert out.count("against the pure-Python kernels") == 2
 
     def test_columnar_bar_fails_on_a_slowed_kernel(self, monkeypatch, capsys):

@@ -259,6 +259,23 @@ class TestInvalidation:
         db.extra_facts = 2
         assert db.generation == g
 
+    def test_extra_facts_change_drops_cached_results(self):
+        # entries of the old epoch can never be hit again, so the new
+        # value must not leave them resident until LRU eviction
+        db = Database(Instance({"D": [(X, 1), (1, X)]}), semantics="owa")
+        queries = (
+            ("D(x, y)", ("x", "y")),
+            ("exists y . D(x, y)", ("x",)),
+            ("exists x . D(x, x)", ()),
+        )
+        for text, head in queries:
+            db.evaluate(text, vars=head)
+        assert db.cache_stats["entries"] == 3
+        db.extra_facts = 1
+        assert db.cache_stats["entries"] == 0 and not db._newest
+        db.evaluate("D(x, y)", vars=("x", "y"))
+        assert db.cache_stats["entries"] == 1
+
     def test_vars_override_on_prepared_query_rejected(self, d0):
         db = Database(d0, semantics="cwa")
         q = db.query("D(x, y)", vars=("x", "y"))
