@@ -4,7 +4,8 @@ For each semantics row, validate on a random corpus that naive
 evaluation agrees with certain answers for the row's fragment; the
 benchmark measures the cost of one full row validation, and the
 ``extra_info`` of each run records the agreement rate (expected 1.0 —
-the paper's claim).  See EXPERIMENTS.md for the assembled table.
+the paper's claim).  The README's "Performance" section describes the
+benchmarks.
 """
 
 import random

@@ -59,6 +59,7 @@ from repro.data.instance import Instance
 # public names
 from repro.data.jsonio import instance_from_json, instance_to_json
 from repro.logic.classes import classify
+from repro.logic.columnar import compiled_query
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
 from repro.semantics.base import ExpansionLimitError
@@ -147,13 +148,11 @@ def _cmd_explain(args) -> int:
         if plan.backend not in ("columnar", "enumeration"):
             operators = f"(backend {plan.backend!r} does not run the columnar engine)"
         else:
-            from repro.logic.columnar import columnar_query
-
             # the one compiled plan of the query, whichever backend runs it
-            colq = columnar_query(query)
-            operators = colq.describe()
+            cq = compiled_query(query)
+            operators = cq.describe()
             if plan.backend == "columnar":
-                order = colq.join_order()
+                order = cq.join_order()
                 if order:
                     operators += "\njoin order: " + " ⋈ ".join(order)
             else:
@@ -161,7 +160,7 @@ def _cmd_explain(args) -> int:
                 if get_semantics(plan.semantics).substitution_only:
                     operators += (
                         "\nlower bound (used when the pool has a fresh value per null):\n"
-                        + colq.describe_lower()
+                        + cq.describe_lower()
                     )
     if args.as_json:
         data = plan.to_dict()

@@ -70,7 +70,7 @@ class Backend(ABC):
         the cache on those relations' generation counters.  ``None``
         (the default) means "never cache me".  ``exact`` is the planned
         run's exactness flag, ``cq`` the
-        :class:`~repro.logic.compile.CompiledQuery` of the prepared
+        :class:`~repro.logic.columnar.CompiledQuery` of the prepared
         query.  The planner surfaces a positive answer as an EXPLAIN
         note.
         """
@@ -151,7 +151,7 @@ class ColumnarBackend(NaiveBackend):
     on single shared columns, encoded hash joins elsewhere), and null
     rows are dropped at the code level (:mod:`repro.logic.columnar`).
     It runs the query's one memoised plan
-    (:func:`~repro.logic.compile.compiled_query`), the plan EXPLAIN
+    (:func:`~repro.logic.columnar.compiled_query`), the plan EXPLAIN
     describes.  The answers come back still encoded, as an
     :class:`~repro.data.answers.AnswerSet`.
     """

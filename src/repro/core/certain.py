@@ -21,11 +21,12 @@ intersect over fewer instances), so:
 This is exactly the direction needed to validate Figure 1 empirically.
 
 Execution is **incremental**.  The query is compiled once per batch
-(:func:`repro.logic.compile.compiled_query`, memoised on the query
-value) and the same set-at-a-time plan is re-executed across all worlds
-by the columnar executor (:mod:`repro.logic.columnar`), intersecting
-encoded rows.  For substitution-only semantics (CWA) the oracle works
-in dictionary codes end to end and never materialises an
+(:func:`repro.logic.columnar.compiled_query`, memoised on the formula
+and answer variables) and the same set-at-a-time plan is re-executed
+across all worlds by the columnar executor
+(:mod:`repro.logic.columnar`), intersecting encoded rows.  For
+substitution-only semantics (CWA) the oracle works in dictionary codes
+end to end and never materialises an
 :class:`~repro.data.instance.Instance` per world; instead it
 
 * reads each relation's null-free rows, null rows and cell codes from
@@ -63,7 +64,7 @@ Under CWA the enumeration is **bracketed** first:
 ``lower ⊆ certain ⊆ upper``.
 
 * ``lower`` is the null-free part of the plan's Guagliardo–Libkin lower
-  bound (:attr:`~repro.logic.compile.CompiledQuery.lower_plan`, run on
+  bound (:attr:`~repro.logic.columnar.CompiledQuery.lower_plan`, run on
   the instance itself, with negation as a null-unifying anti-join).
   Its rows hold in every world, so they are answered directly.
 * ``upper`` is the null-free naive answer set.  Naive evaluation
@@ -102,8 +103,7 @@ from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import sort_key
 from repro.logic.ast import RelAtom
-from repro.logic.columnar import ColumnarQuery, maintained_answers
-from repro.logic.compile import CompiledQuery, compiled_query
+from repro.logic.columnar import CompiledQuery, compiled_query, maintained_answers
 from repro.logic.queries import Query
 from repro.logic.transform import subformulas, substitute
 from repro.semantics.base import Semantics, guard_limit
@@ -223,7 +223,7 @@ _RESIDUAL_MAX = 8
 
 
 @lru_cache(maxsize=8192)
-def _residual_query(cq: CompiledQuery, row) -> ColumnarQuery | None:
+def _residual_query(cq: CompiledQuery, row) -> CompiledQuery | None:
     """``φ(ā)`` compiled as a Boolean probe, or ``None`` when unusable.
 
     Substituting the answer constants turns the output join into an
@@ -235,7 +235,7 @@ def _residual_query(cq: CompiledQuery, row) -> ColumnarQuery | None:
     memoised :func:`compiled_query`), so a lookup hashes no formula.
     """
     probe = CompiledQuery(substitute(cq.formula, dict(zip(cq.answer_vars, row))), ())
-    return None if probe.adom_dependent else ColumnarQuery(probe)
+    return None if probe.adom_dependent else probe
 
 
 class WorldSpec:
@@ -371,7 +371,7 @@ class WorldSpec:
         decode = self.parent.dictionary.decode_row
         out = []
         for codes in running:
-            probe = _residual_query(plan.cq, decode(codes))
+            probe = _residual_query(plan, decode(codes))
             if probe is None:
                 return None
             needed = tuple(c for c in set(codes) if c not in self.read_base_cells)
@@ -503,7 +503,7 @@ def _build_spec(
     encode = dictionary.encode
     choices = tuple(map(encode, base_choices))
     spec = WorldSpec(
-        plan=ColumnarQuery(cq),
+        plan=cq,
         parent=parent,
         templates=templates,
         slot_codes=tuple(relevant),
@@ -582,7 +582,7 @@ def _patched_bounds(spec: WorldSpec, prior: tuple) -> tuple[AnswerSet | None, An
     if answers.bracket is None:
         return None
     lower, upper = answers.bracket
-    if upper.plan is not spec.plan.cq._root:
+    if upper.plan is not spec.plan.root:
         return None
     upper = maintained_answers(upper, spec.parent, relation, added, removed)
     if upper is None:
@@ -762,7 +762,7 @@ def certain_over_expansion(
     schema = instance.schema().union(query_schema(query))
     # the worlds share one dictionary, so they intersect on encoded rows
     dictionary = Dictionary()
-    plan = ColumnarQuery(compiled_query(query))
+    plan = compiled_query(query)
     result: frozenset[tuple[int, ...]] | None = None
     worlds = 0
     for complete in semantics.expand(

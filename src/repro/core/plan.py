@@ -16,14 +16,13 @@ from __future__ import annotations
 import json
 import textwrap
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Callable
 
 from repro.core.analyzer import Verdict, analyze
 from repro.core.backends import NAIVE_AUTO_BACKEND, get_backend, naive_is_certain
 from repro.data.instance import Instance
 from repro.homs.core import is_core
-from repro.logic.columnar import ColumnarQuery
-from repro.logic.compile import compiled_query
+from repro.logic.columnar import compiled_query
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
 from repro.semantics.base import Semantics
@@ -167,7 +166,6 @@ def make_plan(
     *,
     verdict: Verdict | None = None,
     core_check: Callable[[], bool] | None = None,
-    pool: Sequence[Hashable] | None = None,
     extra_facts: int | None = None,
     current: Callable[[], Instance] | None = None,
 ) -> Plan:
@@ -175,9 +173,9 @@ def make_plan(
 
     ``mode`` is ``"auto"`` (route by the analyzer + core check, the
     extracted Figure-1 policy) or the name of a registered backend to
-    force.  ``verdict``, ``core_check`` and ``pool`` let a session layer
-    inject cached values so preparing a query pays for the analyzer,
-    the core check and pool construction exactly once.
+    force.  ``verdict`` and ``core_check`` let a session layer inject
+    cached values so preparing a query pays for the analyzer and the
+    core check exactly once.
 
     Only the core check reads ``instance``; the cost hints read
     ``current()`` when given (a session's instance at the time EXPLAIN
@@ -261,12 +259,11 @@ def make_plan(
             "session result-cache eligible, keyed on their generations"
         )
     if name == "columnar":
-        notes.append(ColumnarQuery(cq).maintenance_note())
+        notes.append(cq.maintenance_note())
     elif name == "enumeration" and cache_reads is not None:
         # cacheable oracle runs are bracketed (substitution-only semantics)
-        notes.append(ColumnarQuery(cq).maintenance_note(bracket=True))
+        notes.append(cq.maintenance_note(bracket=True))
 
-    injected_pool_size = len(pool) if pool is not None else None
     # the hints must not hold ``instance`` itself when ``current`` is
     # given: a session's plan would keep that version (and its caches)
     # alive for as long as the plan lives
@@ -275,12 +272,10 @@ def make_plan(
     def cost_hints() -> CostHints:
         now = read_instance()
         null_count = len(now.nulls())
-        pool_size = injected_pool_size
-        if pool_size is None:
-            # arithmetic identity with len(default_pool(instance, query)):
-            # the base constants plus |nulls|+1 fresh values — avoids
-            # materialising and sorting a pool just for a cost hint
-            pool_size = len(now.constants() | query.constants()) + null_count + 1
+        # arithmetic identity with len(default_pool(instance, query)):
+        # the base constants plus |nulls|+1 fresh values — avoids
+        # materialising and sorting a pool just for a cost hint
+        pool_size = len(now.constants() | query.constants()) + null_count + 1
         raw_bound = pool_size**null_count
         return CostHints(
             fact_count=now.fact_count(),

@@ -32,8 +32,7 @@ from repro.data.instance import Instance
 from repro.data.values import Null
 from repro.datalog.program import Atom, Program, Rule
 from repro.logic.ast import And, Exists, RelAtom, Var
-from repro.logic.columnar import ColumnarQuery
-from repro.logic.compile import compile_formula
+from repro.logic.columnar import CompiledQuery, compile_formula
 
 __all__ = ["evaluate_program", "datalog_naive_answers", "datalog_certain_answers"]
 
@@ -92,7 +91,7 @@ def _match_atom(
 @lru_cache(maxsize=4096)
 def _rule_plan(
     rule: Rule, delta_position: int
-) -> tuple[ColumnarQuery, tuple[tuple[bool, object], ...]]:
+) -> tuple[CompiledQuery, tuple[tuple[bool, object], ...]]:
     """``(plan, head spec)`` for one rule body as a compiled join.
 
     ``delta_position`` names the body atom redirected to the shadow
@@ -113,7 +112,7 @@ def _rule_plan(
     inner = tuple(sorted(bound - set(head_vars), key=lambda v: v.name))
     if inner:
         body = Exists(inner, body)
-    plan = ColumnarQuery(compile_formula(body, tuple(head_vars)))
+    plan = compile_formula(body, tuple(head_vars))
     head_spec = tuple(
         (True, head_vars.index(term)) if isinstance(term, Var) else (False, term)
         for term in rule.head.terms

@@ -15,25 +15,50 @@ cores*.
 
 from __future__ import annotations
 
+from typing import Hashable, Mapping
+
 from repro.data.instance import Instance
+from repro.data.values import Null
 from repro.homs.search import find_homomorphism
 
-__all__ = ["retract_step", "core", "is_core"]
+__all__ = ["retract_step", "core", "is_core", "shrinking_homomorphism"]
+
+
+def shrinking_homomorphism(
+    source: Instance,
+    target: Instance,
+    fix_constants: bool = True,
+    pinned: Mapping[Hashable, Hashable] | None = None,
+) -> dict | None:
+    """A homomorphism of ``source`` into a *proper* subinstance of ``target``.
+
+    ``None`` when there is none.  Any proper subinstance is contained in
+    ``target`` minus one fact, so it suffices to search for
+    homomorphisms into the maximal proper subinstances.  With
+    ``fix_constants`` a homomorphism maps every null-free fact of
+    ``source`` to itself, so removing such a fact from ``target`` can
+    never leave room for one: only the other facts are tried.
+    """
+    facts = target.facts()
+    if fix_constants:
+        facts = [
+            (name, row)
+            for name, row in facts
+            if row not in source.tuples(name) or any(isinstance(v, Null) for v in row)
+        ]
+    for name, row in facts:
+        hom = find_homomorphism(
+            source, target.remove_fact(name, row), fix_constants=fix_constants, pinned=pinned
+        )
+        if hom is not None:
+            return hom
+    return None
 
 
 def retract_step(instance: Instance, fix_constants: bool = True) -> Instance | None:
-    """One retraction: an endomorphic image ``h(D) ⊊ D``, or ``None``.
-
-    ``h(D) ⊊ D`` holds iff ``h(D)`` avoids at least one fact, so it
-    suffices to search for homomorphisms into the maximal proper
-    subinstances.
-    """
-    for name, row in instance.facts():
-        smaller = instance.remove_fact(name, row)
-        hom = find_homomorphism(instance, smaller, fix_constants=fix_constants)
-        if hom is not None:
-            return instance.apply(hom)
-    return None
+    """One retraction: an endomorphic image ``h(D) ⊊ D``, or ``None``."""
+    hom = shrinking_homomorphism(instance, instance, fix_constants)
+    return None if hom is None else instance.apply(hom)
 
 
 def core(instance: Instance, fix_constants: bool = True) -> Instance:

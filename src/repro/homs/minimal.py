@@ -15,30 +15,19 @@ from __future__ import annotations
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro.data.instance import Instance
+from repro.homs.core import shrinking_homomorphism
 from repro.homs.properties import fix_set
-from repro.homs.search import has_homomorphism, iter_mappings
+from repro.homs.search import iter_mappings
 
 __all__ = [
     "is_d_minimal",
     "iter_minimal_valuations",
+    "iter_minimal_images",
     "minimal_valuation_images",
     "some_minimal_valuation",
 ]
 
 Assignment = Mapping[Hashable, Hashable]
-
-
-def _beats(source: Instance, image: Instance, fix_constants: bool, pinned: dict) -> bool:
-    """True iff some admissible ``g`` maps ``source`` into a *proper* subinstance.
-
-    Any proper subinstance is contained in ``image`` minus one fact, so
-    it suffices to test the maximal proper subinstances.
-    """
-    for name, row in image.facts():
-        smaller = image.remove_fact(name, row)
-        if has_homomorphism(source, smaller, fix_constants=fix_constants, pinned=pinned):
-            return True
-    return False
 
 
 def is_d_minimal(
@@ -57,10 +46,10 @@ def is_d_minimal(
     """
     image = source.apply(mapping)
     if mode == "database":
-        return not _beats(source, image, fix_constants=True, pinned={})
+        return shrinking_homomorphism(source, image) is None
     if mode == "mapping":
         pinned = {c: c for c in fix_set(mapping, source)}
-        return not _beats(source, image, fix_constants=False, pinned=pinned)
+        return shrinking_homomorphism(source, image, fix_constants=False, pinned=pinned) is None
     raise ValueError(f"unknown minimality mode {mode!r}")
 
 
@@ -84,15 +73,30 @@ def iter_minimal_valuations(
         image = source.apply(valuation)
         verdict = verdicts.get(image)
         if verdict is None:
-            verdict = not _beats(source, image, fix_constants=True, pinned={})
+            verdict = shrinking_homomorphism(source, image) is None
             verdicts[image] = verdict
         if verdict:
             yield valuation
 
 
+def iter_minimal_images(source: Instance, pool: Sequence[Hashable]) -> Iterator[Instance]:
+    """The distinct images ``v(D)`` of D-minimal valuations into ``pool``.
+
+    Each image once, in the order :func:`iter_minimal_valuations` first
+    reaches it; minimality is decided once per image.
+    """
+    seen: set[Instance] = set()
+    for valuation in iter_mappings(sorted(source.nulls(), key=lambda n: n.label), pool):
+        image = source.apply(valuation)
+        if image not in seen:
+            seen.add(image)
+            if shrinking_homomorphism(source, image) is None:
+                yield image
+
+
 def minimal_valuation_images(source: Instance, pool: Sequence[Hashable]) -> set[Instance]:
     """The set ``{v(D) | v a D-minimal valuation into pool}``."""
-    return {source.apply(v) for v in iter_minimal_valuations(source, pool)}
+    return set(iter_minimal_images(source, pool))
 
 
 def some_minimal_valuation(source: Instance, pool: Sequence[Hashable]) -> dict | None:

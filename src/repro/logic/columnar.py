@@ -1,7 +1,9 @@
-"""The plan executor: compiled plans over dictionary-encoded columns.
+"""The compiled plan and its executor over dictionary-encoded columns.
 
-This module is the only code that executes a plan.  It runs the
-operator DAG built by :mod:`repro.logic.compile` over the int-encoded
+:class:`CompiledQuery` is the one plan object: it holds the operator
+DAG built by :mod:`repro.logic.compile`, runs it, maintains its
+answers and explains it.  This module is the only code that executes a
+plan.  It runs the DAG over the int-encoded
 columns of :mod:`repro.data.dictionary` — on naive evaluation's
 instance, on the certain-answer lower bound, on every world and
 residual probe of the certain-answer oracle (layered contexts, see
@@ -34,12 +36,12 @@ adom complement      ``col-adom-complement`` over the encoded domain
 
 Intermediate results are frozensets of ``tuple[int, ...]`` — hashing and
 equality run at C speed on small ints instead of through the
-Python-level ``Null.__hash__``.  :meth:`ColumnarQuery.answers` decodes
+Python-level ``Null.__hash__``.  :meth:`CompiledQuery.answers` decodes
 back to cell tuples and is **bit-for-bit equal** to the tree-walking
 interpreter (:func:`repro.logic.eval.answers`) on every formula and
 instance (the differential suites in ``tests/test_compile.py`` and
 ``tests/test_columnar.py`` pin this).
-:meth:`ColumnarQuery.naive_answers` decodes nothing: it drops null rows
+:meth:`CompiledQuery.naive_answers` decodes nothing: it drops null rows
 by code parity and returns an encoded
 :class:`~repro.data.answers.AnswerSet`.
 
@@ -59,16 +61,16 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.data.answers import AnswerSet, visible_rows
 from repro.data.dictionary import ColumnarContext, EncodedRelation, columnar_context
 from repro.data.instance import Instance
 from repro.logic import kernels
+from repro.logic.ast import Formula, Var
 from repro.logic.compile import (
     AntiJoinNode,
     ComplementNode,
-    CompiledQuery,
     ConstNode,
     DiagonalNode,
     DomainGuardNode,
@@ -81,12 +83,14 @@ from repro.logic.compile import (
     SingletonNode,
     UnifyAntiJoinNode,
     UnionNode,
-    compiled_query,
+    compile_plan,
+    lower_bound_plan,
 )
 
 __all__ = [
-    "ColumnarQuery",
-    "columnar_query",
+    "CompiledQuery",
+    "compile_formula",
+    "compiled_query",
     "columnar_naive_eval",
     "as_columnar_context",
     "maintenance_gaps",
@@ -422,11 +426,11 @@ def bracket_gaps(cq: CompiledQuery) -> dict[str, str | None]:
     """:func:`maintenance_gaps` of both bounds of the certain-answer bracket.
 
     The naive plan and the lower-bound plan
-    (:attr:`~repro.logic.compile.CompiledQuery.lower_plan`) must both
-    allow it.  The lower-bound plan keeps the naive plan's left spines,
-    so it scans every relation whose writes the naive plan maintains.
+    (:attr:`CompiledQuery.lower_plan`) must both allow it.  The
+    lower-bound plan keeps the naive plan's left spines, so it scans
+    every relation whose writes the naive plan maintains.
     """
-    gaps = dict(maintenance_gaps(cq._root))
+    gaps = dict(maintenance_gaps(cq.root))
     if cq.lower_plan is not None:
         for name, gap in maintenance_gaps(cq.lower_plan).items():
             gaps[name] = gaps.get(name) or gap
@@ -463,8 +467,8 @@ def maintained_answers(
 ) -> AnswerSet | None:
     """``answers`` after ``relation`` gained ``added`` and lost ``removed``.
 
-    ``answers`` must be a counted set from :meth:`ColumnarQuery.naive_answers`
-    or :meth:`ColumnarQuery.lower_answers`, and ``source`` the instance
+    ``answers`` must be a counted set from :meth:`CompiledQuery.naive_answers`
+    or :meth:`CompiledQuery.lower_answers`, and ``source`` the instance
     after the write.  The plan's projection-free child runs over a layer
     of ``source`` holding only the written rows, once per sign; every
     other relation, with its cached sort runs, comes from ``source``.
@@ -542,74 +546,96 @@ def _collect_scans(node: Node, out: list[str]) -> None:
 # the public face
 # ----------------------------------------------------------------------
 
-class ColumnarQuery:
-    """A compiled plan bound to the columnar executor.
+#: node types whose output depends on the context's *active domain*, not
+#: only on the rows of the relations the plan reads
+_ADOM_DEPENDENT_NODES = (
+    DomainNode,
+    DiagonalNode,
+    SingletonNode,
+    DomainGuardNode,
+    ComplementNode,
+)
 
-    Wraps a :class:`~repro.logic.compile.CompiledQuery` and evaluates
-    its DAG over encoded columns.
-    ``answers`` decodes back to cell tuples and is bit-for-bit equal to
-    the interpreter's.
+_UNBUILT = object()
+
+
+def _walk_nodes(root: Node):
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(node.children())
+
+
+class CompiledQuery:
+    """An FO formula compiled to a relational operator DAG, and run.
+
+    Equivalent to :func:`repro.logic.eval.answers` /
+    :func:`~repro.logic.eval.evaluate` on every formula and instance:
+    :meth:`answers` decodes back to cell tuples and is bit-for-bit equal
+    to the interpreter's.  Compiled once (:func:`compile_formula`),
+    executed against any instance or columnar context.
     """
 
-    __slots__ = ("cq",)
+    __slots__ = ("formula", "answer_vars", "root", "relations", "adom_dependent", "_lower")
 
-    def __init__(self, cq: CompiledQuery):
-        self.cq = cq
+    def __init__(self, formula: Formula, answer_vars: Sequence[Var | str] = ()):
+        self.formula = formula
+        self.answer_vars = tuple(Var(v) if isinstance(v, str) else v for v in answer_vars)
+        #: the operator DAG; a counted answer set names it as its plan
+        self.root = compile_plan(formula, self.answer_vars)
+        nodes = list(_walk_nodes(self.root))
+        #: the relation names the DAG reads (scans and probes)
+        self.relations = frozenset(n.name for n in nodes if isinstance(n, ScanNode))
+        #: does the result depend on the context's active domain?  When
+        #: not, the answers are a pure function of the rows of
+        #: :attr:`relations`, so the oracle skips valuating nulls the
+        #: plan never observes and the session caches on their writes
+        self.adom_dependent = any(isinstance(n, _ADOM_DEPENDENT_NODES) for n in nodes)
+        self._lower: Node | None | object = _UNBUILT
 
     @property
-    def formula(self):
-        return self.cq.formula
+    def lower_plan(self) -> Node | None:
+        """The plan of the certain-answer lower bound, or ``None`` (empty).
 
-    @property
-    def answer_vars(self):
-        return self.cq.answer_vars
-
-    @property
-    def relations(self):
-        return self.cq.relations
-
-    @property
-    def adom_dependent(self):
-        return self.cq.adom_dependent
+        See :func:`~repro.logic.compile.lower_bound_plan`.
+        """
+        if self._lower is _UNBUILT:
+            self._lower = lower_bound_plan(self.root)
+        return self._lower
 
     def raw_codes(self, source) -> frozenset[tuple[int, ...]]:
         """The encoded answer rows (no decoding)."""
-        cctx = as_columnar_context(source)
-        return _eval(self.cq._root, cctx, {})
+        return _eval(self.root, as_columnar_context(source), {})
 
     def answers(self, source) -> frozenset[tuple[Hashable, ...]]:
         """Decoded answers — bit-for-bit equal to the interpreter's."""
         cctx = as_columnar_context(source)
-        decode = cctx.dictionary.decode_row
-        return frozenset(map(decode, _eval(self.cq._root, cctx, {})))
+        return frozenset(map(cctx.dictionary.decode_row, _eval(self.root, cctx, {})))
 
     def naive_answers(self, source) -> AnswerSet:
         """The null-free answer rows (naive evaluation's step two), encoded.
 
         Null rows are dropped by code parity — odd codes are nulls — so
-        no row is decoded; the set decodes or renders on demand.  When writes to some
-        relation can be maintained (:func:`maintenance_gaps`), the same
-        run counts each row's witnesses and the set carries them.
+        no row is decoded; the set decodes or renders on demand.  When
+        writes to some relation can be maintained
+        (:func:`maintenance_gaps`), the same run counts each row's
+        witnesses and the set carries them.
         """
         cctx = as_columnar_context(source)
-        return _answer_set(self.cq._root, cctx, len(self.answer_vars), not self.adom_dependent)
-
-    def lower_codes(self, source) -> frozenset[tuple[int, ...]]:
-        """The certain-answer lower bound: null-free rows of the ⁺ plan.
-
-        Every row, decoded, is an answer in every world of ``source``
-        (see :attr:`~repro.logic.compile.CompiledQuery.lower_plan`).
-        """
-        root = self.cq.lower_plan
-        if root is None:
-            return _EMPTY
-        return frozenset(visible_rows(_eval(root, as_columnar_context(source), {})))
+        return _answer_set(self.root, cctx, len(self.answer_vars), not self.adom_dependent)
 
     def lower_answers(self, source) -> AnswerSet | None:
-        """:meth:`lower_codes` as an encoded :class:`AnswerSet`, counted
-        like :meth:`naive_answers`; ``None`` when there is no lower-bound
-        plan (the bound is empty)."""
-        root = self.cq.lower_plan
+        """The certain-answer lower bound: the null-free rows of
+        :attr:`lower_plan`, encoded and counted like :meth:`naive_answers`.
+
+        Every row, decoded, is an answer in every world of ``source``.
+        ``None`` when there is no lower-bound plan (the bound is empty).
+        """
+        root = self.lower_plan
         if root is None:
             return None
         cctx = as_columnar_context(source)
@@ -624,7 +650,7 @@ class ColumnarQuery:
         """
         if self.adom_dependent:
             return "recomputed after writes: the plan reads the active domain"
-        gaps = bracket_gaps(self.cq) if bracket else maintenance_gaps(self.cq._root)
+        gaps = bracket_gaps(self) if bracket else maintenance_gaps(self.root)
         kept = ", ".join(sorted(n for n, gap in gaps.items() if gap is None))
         lost = "; ".join(f"{n}: {gap}" for n, gap in sorted(gaps.items()) if gap is not None)
         if not kept:
@@ -640,31 +666,43 @@ class ColumnarQuery:
 
     def describe(self) -> str:
         """EXPLAIN-style rendering naming the chosen columnar kernels."""
-        return _describe(self.cq._root)
+        return _describe(self.root)
 
     def describe_lower(self) -> str:
         """EXPLAIN-style rendering of the certain-answer lower-bound plan."""
-        root = self.cq.lower_plan
+        root = self.lower_plan
         return "(empty: no sound translation)" if root is None else _describe(root)
 
     def join_order(self) -> tuple[str, ...]:
         """Relation names in join-chain (left-deep, in-order) sequence."""
         out: list[str] = []
-        _collect_scans(self.cq._root, out)
+        _collect_scans(self.root, out)
         return tuple(out)
 
     def __repr__(self) -> str:
         head = ", ".join(v.name for v in self.answer_vars)
-        return f"ColumnarQuery({head or '·'} ← {self.formula!r})"
+        return f"CompiledQuery({head or '·'} ← {self.formula!r})"
 
 
-def columnar_query(query) -> ColumnarQuery:
-    """The columnar executor over the memoised :func:`compiled_query`.
+@lru_cache(maxsize=1024)
+def compile_formula(formula: Formula, answer_vars: tuple[Var | str, ...] = ()) -> CompiledQuery:
+    """The memoised compilation of ``formula`` with this answer-column order.
 
-    One plan per query: naive evaluation, EXPLAIN, answer maintenance
-    and the oracle's worlds all run (or describe) this same DAG.
+    Plans are immutable, so one compilation serves every evaluation —
+    the certain-answer oracle re-executes it across all worlds of a
+    batch, the datalog engine across all rounds.
     """
-    return ColumnarQuery(compiled_query(query))
+    return CompiledQuery(formula, answer_vars)
+
+
+def compiled_query(query) -> CompiledQuery:
+    """The one plan of a :class:`~repro.logic.queries.Query`.
+
+    Naive evaluation, EXPLAIN, answer maintenance and the oracle's
+    worlds all run (or describe) this same DAG; queries differing only
+    in name share it.
+    """
+    return compile_formula(query.formula, query.answer_vars)
 
 
 def columnar_naive_eval(query, instance: Instance) -> AnswerSet:
@@ -673,5 +711,4 @@ def columnar_naive_eval(query, instance: Instance) -> AnswerSet:
     The ``columnar`` backend returns this as is;
     :func:`repro.core.naive.naive_eval` decodes it.
     """
-    cctx = columnar_context(instance)
-    return columnar_query(query).naive_answers(cctx)
+    return compiled_query(query).naive_answers(columnar_context(instance))

@@ -30,18 +30,17 @@ execution context, which makes a plan's result bit-for-bit equal to
 ``tests/test_compile.py`` and ``tests/test_columnar.py`` assert this
 over random instances and queries in all fragments).
 
-This module only builds plans, their certain-answer lower bound
-(:attr:`CompiledQuery.lower_plan`) and their EXPLAIN labels; the one
-executor is :mod:`repro.logic.columnar`.  Compilation is
-instance-independent: a :class:`CompiledQuery` is built once
-(``compiled_query`` memoises per :class:`~repro.logic.queries.Query`)
-and runs on naive evaluation's instance, on every world of the
-certain-answer oracle and on every datalog round.
+This module only builds plans (:func:`compile_plan`) and their
+certain-answer lower bound (:func:`lower_bound_plan`).  The plan object
+that runs, explains and memoises them is
+:class:`repro.logic.columnar.CompiledQuery`, beside the one executor.
+Compilation is instance-independent: a plan is built once and runs on
+naive evaluation's instance, on every world of the certain-answer
+oracle and on every datalog round.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
 from repro.logic.ast import (
@@ -60,7 +59,7 @@ from repro.logic.ast import (
 )
 from repro.logic.transform import free_vars, nnf
 
-__all__ = ["CompiledQuery", "compile_formula", "compiled_query", "clear_compile_cache"]
+__all__ = ["compile_plan", "lower_bound_plan"]
 
 # ----------------------------------------------------------------------
 # operator nodes
@@ -85,14 +84,6 @@ class Node:
 
     def children(self) -> tuple["Node", ...]:
         return ()
-
-    def describe(self, indent: int = 0) -> str:
-        """An EXPLAIN-style rendering of the operator tree."""
-        cols = ", ".join(c.name for c in self.columns)
-        lines = ["  " * indent + f"{self.label()} [{cols}]"]
-        for child in self.children():
-            lines.append(child.describe(indent + 1))
-        return "\n".join(lines)
 
 
 class ConstNode(Node):
@@ -275,7 +266,7 @@ class UnifyAntiJoinNode(Node):
     """Rows of ``left`` that **unify** with no row of ``right``.
 
     The negation step of the certain-answer lower bound
-    (:attr:`CompiledQuery.lower_plan`): a null unifies with anything, so
+    (:func:`lower_bound_plan`): a null unifies with anything, so
     a row survives only if no valuation can make it match ``right``.
     Runs through :func:`repro.logic.kernels.unify_anti_join`.
     """
@@ -582,36 +573,27 @@ def _compile_and(conjuncts: list[Formula], memo) -> Node:
 
 
 _NO_CONST = object()
-_UNBUILT = object()
 
 
-# ----------------------------------------------------------------------
-# the public face
-# ----------------------------------------------------------------------
+def compile_plan(formula: Formula, answer_vars: tuple[Var, ...]) -> Node:
+    """The operator DAG of ``formula``, its columns in ``answer_vars`` order.
 
-#: node types whose output depends on the context's *active domain*, not
-#: only on the rows of the relations the plan reads.  Plans free of these
-#: are pure functions of their scanned relations — the certain-answer
-#: oracle uses that to enumerate valuations only over the nulls those
-#: relations mention.
-_ADOM_DEPENDENT_NODES = (
-    DomainNode,
-    DiagonalNode,
-    SingletonNode,
-    DomainGuardNode,
-    ComplementNode,
-)
-
-
-def _walk_nodes(root: Node):
-    stack, seen = [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(node.children())
+    Raises :class:`ValueError` when ``answer_vars`` misses a free
+    variable of ``formula``.
+    """
+    missing = free_vars(formula) - set(answer_vars)
+    if missing:
+        names = ", ".join(sorted(v.name for v in missing))
+        raise ValueError(f"answer variables do not cover free variables: {names}")
+    root = _compile(nnf(formula), {})
+    for v in answer_vars:
+        # extra answer variables range freely over the active domain,
+        # mirroring the interpreter's enumeration
+        if v not in root.columns:
+            root = JoinNode(root, DomainNode(v))
+    if root.columns != answer_vars:
+        root = ProjectNode(root, answer_vars)
+    return root
 
 
 # ----------------------------------------------------------------------
@@ -702,121 +684,12 @@ def _possible_step(node: Node, memo: dict) -> Node | None:
     return None
 
 
-class CompiledQuery:
-    """An FO formula compiled to a relational operator DAG.
+def lower_bound_plan(root: Node) -> Node | None:
+    """The plan of ``root``'s certain-answer lower bound, or ``None`` (empty).
 
-    Equivalent to :func:`repro.logic.eval.answers` /
-    :func:`~repro.logic.eval.evaluate` on every formula and instance;
-    compiled once, executed by :class:`repro.logic.columnar.ColumnarQuery`
-    against any instance or columnar context.
+    Run on an incomplete instance by the columnar executor, its
+    null-free rows are answers in every world of the instance — a
+    subset of the certain answers under every semantics whose worlds
+    are valuation images (CWA).
     """
-
-    __slots__ = ("formula", "answer_vars", "_root", "_relations", "_adom_dependent", "_lower")
-
-    def __init__(
-        self,
-        formula: Formula,
-        answer_vars: Sequence[Var | str] = (),
-    ):
-        self.formula = formula
-        self.answer_vars = tuple(
-            Var(v) if isinstance(v, str) else v for v in answer_vars
-        )
-        missing = free_vars(formula) - set(self.answer_vars)
-        if missing:
-            names = ", ".join(sorted(v.name for v in missing))
-            raise ValueError(f"answer variables do not cover free variables: {names}")
-        memo: dict[Formula, Node] = {}
-        root = _compile(nnf(formula), memo)
-        for v in self.answer_vars:
-            # extra answer variables range freely over the active domain,
-            # mirroring the interpreter's enumeration
-            if v not in root.columns:
-                root = JoinNode(root, DomainNode(v))
-        if root.columns != self.answer_vars:
-            root = ProjectNode(root, self.answer_vars)
-        self._root = root
-        self._relations: frozenset[str] | None = None
-        self._adom_dependent: bool | None = None
-        self._lower: Node | None | object = _UNBUILT
-
-    @property
-    def is_boolean(self) -> bool:
-        return not self.answer_vars
-
-    @property
-    def relations(self) -> frozenset[str]:
-        """The relation names the operator DAG reads (scans and probes)."""
-        if self._relations is None:
-            self._relations = frozenset(
-                node.name for node in _walk_nodes(self._root)
-                if isinstance(node, ScanNode)
-            )
-        return self._relations
-
-    @property
-    def adom_dependent(self) -> bool:
-        """Does the result depend on the context's active domain?
-
-        ``False`` means the answers are a pure function of the rows of
-        :attr:`relations` — two contexts agreeing on those relations
-        produce identical answers regardless of their domains.  The
-        oracle's world enumerator uses this to skip valuating nulls the
-        plan can never observe.
-        """
-        if self._adom_dependent is None:
-            self._adom_dependent = any(
-                isinstance(node, _ADOM_DEPENDENT_NODES)
-                for node in _walk_nodes(self._root)
-            )
-        return self._adom_dependent
-
-    @property
-    def lower_plan(self) -> Node | None:
-        """The plan of the certain-answer lower bound, or ``None`` (empty).
-
-        Run on an incomplete instance by the columnar executor, its
-        null-free rows are answers in every world of the instance — a
-        subset of the certain answers under every semantics whose
-        worlds are valuation images (CWA).
-        """
-        if self._lower is _UNBUILT:
-            self._lower = _certain(self._root, {})
-        return self._lower
-
-    def describe(self) -> str:
-        """EXPLAIN-style rendering of the operator tree."""
-        return self._root.describe()
-
-    def __repr__(self) -> str:
-        head = ", ".join(v.name for v in self.answer_vars)
-        return f"CompiledQuery({head or '·'} ← {self.formula!r})"
-
-
-def compile_formula(formula: Formula, answer_vars: Sequence[Var | str] = ()) -> CompiledQuery:
-    """Compile ``formula`` with the given answer-column order."""
-    return CompiledQuery(formula, answer_vars)
-
-
-@lru_cache(maxsize=1024)
-def _compiled(formula: Formula, answer_vars: tuple[Var, ...]) -> CompiledQuery:
-    return CompiledQuery(formula, answer_vars)
-
-
-@lru_cache(maxsize=1024)
-def compiled_query(query) -> CompiledQuery:
-    """The memoised compilation of a :class:`~repro.logic.queries.Query`.
-
-    Queries are immutable values, so one compilation serves every
-    evaluation — the certain-answer oracle re-executes it across all
-    pool-valuation worlds of a batch.  Looked up by the query (whose
-    hash is memoised), then by formula and answer variables, so queries
-    differing only in name share one compilation.
-    """
-    return _compiled(query.formula, query.answer_vars)
-
-
-def clear_compile_cache() -> None:
-    """Drop memoised compilations (tests and long-lived deployments)."""
-    compiled_query.cache_clear()
-    _compiled.cache_clear()
+    return _certain(root, {})

@@ -26,7 +26,7 @@ sort-merge join is paid once per relation per key column — every later
 join against the same column merges already-sorted runs.
 
 The null-unifying anti-join of the certain-answer lower bound
-(:attr:`repro.logic.compile.CompiledQuery.lower_plan`) lives here too.
+(:attr:`repro.logic.columnar.CompiledQuery.lower_plan`) lives here too.
 It works on intermediate row sets and has the pure path only.
 """
 

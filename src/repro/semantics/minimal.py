@@ -16,23 +16,12 @@ from typing import Hashable, Iterator, Sequence
 
 from repro.data.instance import Instance
 from repro.data.schema import Schema
-from repro.homs.minimal import is_d_minimal
+from repro.homs.minimal import is_d_minimal, iter_minimal_images
 from repro.homs.search import iter_homomorphisms
 from repro.semantics.base import Semantics, guard_limit
 from repro.semantics.powerset import collect_images, iter_nonempty_unions
 
 __all__ = ["MinCWA", "MinPowersetCWA"]
-
-
-def _iter_minimal_images(instance: Instance, pool: Sequence[Hashable]) -> Iterator[Instance]:
-    from repro.homs.minimal import iter_minimal_valuations
-
-    seen: set[Instance] = set()
-    for valuation in iter_minimal_valuations(instance, list(pool)):
-        image = instance.apply(valuation)
-        if image not in seen:
-            seen.add(image)
-            yield image
 
 
 class MinCWA(Semantics):
@@ -54,7 +43,7 @@ class MinCWA(Semantics):
         limit: int = 500_000,
     ) -> Iterator[Instance]:
         guard_limit(len(pool) ** len(instance.nulls()), limit, "min-CWA expansion")
-        yield from _iter_minimal_images(instance, pool)
+        yield from iter_minimal_images(instance, pool)
 
     def contains(self, instance: Instance, complete: Instance) -> bool:
         self._check_complete(complete)
@@ -100,7 +89,7 @@ class MinPowersetCWA(Semantics):
     ) -> Iterator[Instance]:
         bound = self.default_union_bound if extra_facts is None else extra_facts
         images = collect_images(
-            _iter_minimal_images(instance, pool), bound, limit, "min-powerset-CWA expansion"
+            iter_minimal_images(instance, pool), bound, limit, "min-powerset-CWA expansion"
         )
         yield from iter_nonempty_unions(images, max_size=bound)
 

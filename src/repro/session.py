@@ -64,7 +64,6 @@ from repro.data.answers import AnswerSet
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.logic import columnar as _columnar
-from repro.logic import compile as _compile
 from repro.logic.ast import Formula
 from repro.logic.parser import parse
 from repro.logic.queries import Query
@@ -522,12 +521,7 @@ class Database:
     def instance_is_core(self) -> bool:
         """Is the current instance a core?  Cached until the next mutation."""
         if self._core_flag is None:
-            if self._instance.is_complete():
-                # every homomorphism fixing constants is the identity on
-                # a null-free instance, so it is trivially a core
-                self._core_flag = True
-            else:
-                self._core_flag = _homs_core.is_core(self._instance)
+            self._core_flag = _homs_core.is_core(self._instance)
         return self._core_flag
 
     # ------------------------------------------------------------------
@@ -918,7 +912,7 @@ class Database:
         untouched (hit).
         """
         backend = _backends.get_backend(plan.backend)
-        cq = _compile.compiled_query(prepared.query)
+        cq = _columnar.compiled_query(prepared.query)
         reads = backend.cache_relations(prepared.semantics, plan.exact, cq)
         if reads is None:
             return None

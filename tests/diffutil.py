@@ -32,8 +32,7 @@ from repro.logic.ast import (
     TrueF,
     Var,
 )
-from repro.logic.columnar import ColumnarQuery
-from repro.logic.compile import CompiledQuery
+from repro.logic.columnar import CompiledQuery
 from repro.logic.eval import answers, evaluate
 from repro.logic.transform import free_vars
 
@@ -74,7 +73,7 @@ def engine_answers(engine: str, formula, instance, head):
     if engine == "interp":
         return interp_answers(formula, instance, head)
     if engine == "columnar":
-        return ColumnarQuery(CompiledQuery(formula, head)).answers(instance)
+        return CompiledQuery(formula, head).answers(instance)
     raise ValueError(f"unknown differential engine {engine!r}")
 
 
@@ -176,3 +175,22 @@ def interp_certain_reference(query, instance, semantics, extra_facts=None):
             break
     assert result is not None
     return result
+
+
+# ----------------------------------------------------------------------
+# the unpruned homomorphism reference (cores and minimality)
+# ----------------------------------------------------------------------
+
+def unpruned_shrinking_homomorphism(source, target, fix_constants, pinned=None):
+    """A homomorphism of ``source`` into ``target`` minus one fact, trying
+    every fact of ``target`` — the loop before null-free facts were
+    skipped, kept as the reference for the pruned one."""
+    from repro.homs.search import find_homomorphism
+
+    for name, row in target.facts():
+        hom = find_homomorphism(
+            source, target.remove_fact(name, row), fix_constants=fix_constants, pinned=pinned
+        )
+        if hom is not None:
+            return hom
+    return None

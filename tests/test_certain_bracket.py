@@ -28,7 +28,6 @@ from diffutil import (
 )
 
 from repro.core.certain import WorldSpec, certain_answers, default_pool
-from repro.data.dictionary import columnar_context
 from repro.data.generate import random_instance
 from repro.data.instance import Instance
 from repro.data.jsonio import instance_from_json
@@ -36,8 +35,8 @@ from repro.data.schema import Schema
 from repro.data.values import Null
 from repro.logic import kernels
 from repro.logic.ast import And, Exists, Not, RelAtom, Var
-from repro.logic.columnar import ColumnarQuery
-from repro.logic.compile import UnifyAntiJoinNode, compiled_query
+from repro.logic.columnar import compiled_query
+from repro.logic.compile import UnifyAntiJoinNode
 from repro.logic.generate import random_kary_query
 from repro.logic.parser import parse
 from repro.logic.queries import Query
@@ -54,11 +53,11 @@ NEG = Query(parse("exists y (R(x, y) & !S(y))"), ("x",))
 
 def bounds(query, instance):
     """``(lower, upper)``: the lower bound and the null-free naive answers."""
-    colq = ColumnarQuery(compiled_query(query))
-    decode = columnar_context(instance).dictionary.decode_row
+    cq = compiled_query(query)
+    lower = cq.lower_answers(instance)
     return (
-        frozenset(map(decode, colq.lower_codes(instance))),
-        colq.naive_answers(instance).decode(),
+        frozenset() if lower is None else lower.decode(),
+        cq.naive_answers(instance).decode(),
     )
 
 
@@ -216,7 +215,7 @@ class TestLowerPlan:
     def test_positive_plan_is_reused(self):
         join = Query(parse("exists z (R(x, z) & S(z, y))"), ("x", "y"))
         cq = compiled_query(join)
-        assert cq.lower_plan.describe() == cq.describe()
+        assert cq.describe_lower() == cq.describe()
 
     def test_negated_selection_gives_no_plan(self):
         # a constant in a negated atom could match through a null, and
@@ -231,7 +230,7 @@ class TestLowerPlan:
         # the ? side of a join would have to unify shared columns
         q = Query(parse("exists y (R(x, y) & !(exists z (R(y, z) & S(z))))"), ("x",))
         assert compiled_query(q).lower_plan is None
-        assert ColumnarQuery(compiled_query(q)).describe_lower().startswith("(empty")
+        assert compiled_query(q).describe_lower().startswith("(empty")
 
     def test_null_keys_are_dropped(self):
         lower, upper = bounds(NEG, Instance({"R": [(1, X), (2, 3), (4, 5)], "S": [(5,)]}))

@@ -51,9 +51,9 @@ from repro.logic.ast import And, Not, RelAtom, Var
 from repro.logic.columnar import (
     as_columnar_context,
     columnar_naive_eval,
-    columnar_query,
+    compile_formula,
+    compiled_query,
 )
-from repro.logic.compile import compiled_query
 from repro.logic.generate import random_kary_query, random_sentence
 from repro.logic.parser import parse
 from repro.logic.queries import Query
@@ -255,7 +255,7 @@ class TestDifferentialRandom:
             "R": [(rng.randint(0, 9), rng.choice(nulls)) for _ in range(n)],
             "S": [(rng.choice(nulls), rng.randint(0, 9)) for _ in range(n)],
         })
-        colq = columnar_query(q)
+        colq = compiled_query(q)
         assert colq.answers(inst) == interp_answers(q.formula, inst, q.answer_vars)
         assert naive_eval(q, inst) == naive_answers("interp", q, inst)
         # nullary projection of a non-empty join (boolean shape)
@@ -309,7 +309,7 @@ class TestDifferentialRandom:
             "R": [(rng.randint(0, 9), rng.choice(nulls)) for _ in range(n)],
             "S": [(rng.choice(nulls), rng.randint(0, 9)) for _ in range(n)],
         })
-        colq = columnar_query(q)
+        colq = compiled_query(q)
         assert "sort-merge-join [pure]" in colq.describe()
         assert "[vector]" not in colq.describe()
         assert colq.answers(inst) == interp_answers(q.formula, inst, q.answer_vars)
@@ -327,7 +327,7 @@ class TestDifferentialRandom:
             rows_s = [(rng.choice([rng.randint(0, 30), X, Y]), rng.randint(0, 40))
                       for _ in range(n)]
             inst = Instance({"R": rows_r, "S": rows_s})
-            colq = columnar_query(q)
+            colq = compiled_query(q)
             assert "sort-merge-join [vector]" in colq.describe()
             want = interp_answers(q.formula, inst, q.answer_vars)
             assert colq.answers(inst) == want
@@ -513,17 +513,17 @@ class TestStatsParity:
 class TestPlansAndExplain:
     def test_shared_plan_reuses_compiled_dag(self):
         q = Query(parse("exists z (R(a, z) & S(z, b))"), ("a", "b"))
-        assert columnar_query(q).cq is compiled_query(q)
+        assert compiled_query(q) is compile_formula(q.formula, q.answer_vars)
 
     def test_describe_names_kernels(self):
         q = Query(parse("exists z (R(a, z) & S(z, b))"), ("a", "b"))
-        text = columnar_query(q).describe()
+        text = compiled_query(q).describe()
         assert "sort-merge-join" in text
         assert "col-scan R/2" in text and "col-scan S/2" in text
 
     def test_describe_names_semi_join_kernel(self):
         q = Query(parse("exists z . R(a, z) & (exists w . S(z, w))"), ("a",))
-        text = columnar_query(q).describe()
+        text = compiled_query(q).describe()
         assert "semi-join" in text or "sort-merge-join" in text
 
     def test_explain_cli_names_kernels_and_join_order(self, capsys, tmp_path):
@@ -560,7 +560,7 @@ class TestPlansAndExplain:
 
     def test_raw_codes_decode_to_answers(self):
         inst = Instance({"R": [(1, 2), (X, 2)]})
-        colq = columnar_query(Query(parse("R(a, b)"), ("a", "b")))
+        colq = compiled_query(Query(parse("R(a, b)"), ("a", "b")))
         cctx = columnar_context(inst)
         codes = colq.raw_codes(cctx)
         assert frozenset(map(cctx.dictionary.decode_row, codes)) == inst.tuples("R")

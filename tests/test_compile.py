@@ -53,8 +53,12 @@ from repro.logic.ast import (
     TrueF,
     Var,
 )
-from repro.logic.columnar import ColumnarQuery, as_columnar_context
-from repro.logic.compile import CompiledQuery, compile_formula, compiled_query
+from repro.logic.columnar import (
+    CompiledQuery,
+    as_columnar_context,
+    compile_formula,
+    compiled_query,
+)
 from repro.logic.eval import answers
 from repro.logic.generate import random_kary_query, random_sentence
 from repro.logic.parser import parse
@@ -273,7 +277,7 @@ class TestColumnarLayer:
         layer = ColumnarContext.layer(parent, {}, frozenset({code(9)}))
         assert layer.adom_codes() == frozenset({code(9)})
         adom = CompiledQuery(EqAtom(x, x), (x,))
-        assert ColumnarQuery(adom).answers(layer) == frozenset({(9,)})
+        assert adom.answers(layer) == frozenset({(9,)})
 
     def test_plan_runs_on_a_layer(self):
         cq = compile_formula(
@@ -286,8 +290,8 @@ class TestColumnarLayer:
             {"R": EncodedRelation.from_codes(2, frozenset({(code(1), code(2))}))},
             frozenset(map(code, (1, 2, 4))),
         )
-        assert ColumnarQuery(cq).answers(world) == frozenset({(1, 4)})
-        assert ColumnarQuery(cq).answers(parent) == frozenset()
+        assert cq.answers(world) == frozenset({(1, 4)})
+        assert cq.answers(parent) == frozenset()
 
 
 class TestInstanceIndex:
@@ -384,7 +388,7 @@ class TestCompiledQueryApi:
     def test_extra_answer_vars_range_over_adom(self):
         db = Instance({"R": [(1, 2)], "S": [(3,)]})
         cq = CompiledQuery(RelAtom("S", (x,)), (x, y))
-        assert ColumnarQuery(cq).answers(db) == answers(RelAtom("S", (x,)), db, (x, y))
+        assert cq.answers(db) == answers(RelAtom("S", (x,)), db, (x, y))
 
     def test_describe_names_the_join_strategy(self):
         q = Query(parse("exists z (R(a, z) & S(z, b))"), ("a", "b"))

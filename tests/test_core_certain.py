@@ -183,7 +183,7 @@ class TestOracleStats:
     def test_stats_surface_in_eval_result(self):
         # a session builds its own pool, so the pool without fresh values
         # goes to the engine's one execution call directly
-        plan = make_plan(NEG, GAP_INSTANCE, "cwa", mode="enumeration", pool=[1, 2])
+        plan = make_plan(NEG, GAP_INSTANCE, "cwa", mode="enumeration")
         result = execute_plan(plan, NEG, GAP_INSTANCE, pool=[1, 2])
         oracle = result.stats["oracle"]
         assert oracle["worlds"] >= 1

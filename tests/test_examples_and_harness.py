@@ -7,6 +7,7 @@ with internal assertions and an "... OK." line.
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -99,10 +100,11 @@ class TestHarnessSections:
             pytest.skip("the vector kernels are off; the bar compares them")
         real = kernels._vector_sort_merge_project
 
-        def slowed(*args):  # three times the work
-            real(*args)
-            real(*args)
-            return real(*args)
+        def slowed(*args):  # three times the kernel's own time
+            start = time.perf_counter()
+            out = real(*args)
+            time.sleep(2 * (time.perf_counter() - start))
+            return out
 
         # the pure-Python reference never calls the vector kernel
         monkeypatch.setattr(kernels, "_vector_sort_merge_project", slowed)

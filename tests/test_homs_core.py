@@ -1,7 +1,11 @@
 """Unit tests for repro.homs.core: cores and retractions (Section 10.1)."""
 
-from repro.data.generate import cycle, disjoint_union, path
+import pytest
+from diffutil import fuzz_rng, fuzz_trials, unpruned_shrinking_homomorphism
+
+from repro.data.generate import cycle, disjoint_union, path, random_instance
 from repro.data.instance import Instance
+from repro.data.schema import Schema
 from repro.data.values import Null
 from repro.homs.core import core, is_core, retract_step
 
@@ -89,3 +93,31 @@ class TestCoreComputation:
         g = disjoint_union(cycle(2, [Null("u"), Null("v")]), cycle(4))
         c = core(g, fix_constants=False)
         assert c.fact_count() == 2
+
+
+class TestNullFreeFactsAreSkipped:
+    """A database homomorphism maps every null-free fact to itself, so the
+    retraction search skips removing one; the verdicts must equal the
+    unpruned search's, with constants fixed or free."""
+
+    @staticmethod
+    def reference_core(instance, fix_constants):
+        current = instance
+        while True:
+            hom = unpruned_shrinking_homomorphism(current, current, fix_constants)
+            if hom is None:
+                return current
+            current = current.apply(hom)
+
+    @pytest.mark.parametrize("fix_constants", [True, False])
+    def test_is_core_and_core_match_the_unpruned_search(self, fix_constants):
+        rng = fuzz_rng(f"homs-core-null-free-{fix_constants}")
+        for _ in range(fuzz_trials(40)):
+            d = random_instance(
+                Schema({"R": 2, "S": 1}), rng, n_facts=rng.randint(1, 8),
+                constants=(1, 2, 3), n_nulls=rng.randint(0, 3),
+                null_probability=rng.choice((0.2, 0.4, 0.7)),
+            )
+            want = self.reference_core(d, fix_constants)
+            assert is_core(d, fix_constants=fix_constants) == (want == d), d
+            assert core(d, fix_constants=fix_constants) == want, d

@@ -1,15 +1,20 @@
 """Unit tests for repro.homs.minimal: D-minimal valuations (Section 10)."""
 
-from repro.data.generate import cores_graph_example, minimal_4ary_example
+from diffutil import fuzz_rng, fuzz_trials, unpruned_shrinking_homomorphism
+
+from repro.data.generate import cores_graph_example, minimal_4ary_example, random_instance
 from repro.data.instance import Instance
+from repro.data.schema import Schema
 from repro.data.values import Null
 from repro.homs.core import core, is_core
 from repro.homs.minimal import (
     is_d_minimal,
+    iter_minimal_images,
     iter_minimal_valuations,
     minimal_valuation_images,
     some_minimal_valuation,
 )
+from repro.homs.properties import fix_set
 
 X, Y = Null("x"), Null("y")
 
@@ -83,3 +88,42 @@ class TestEnumeration:
         d = Instance({"R": [(1, 2)]})
         vals = list(iter_minimal_valuations(d, [5]))
         assert vals == [{}]
+
+
+class TestNullFreeFactsAreSkipped:
+    """A database homomorphism keeps every null-free fact of ``D``, so the
+    minimality test never removes one from ``v(D)``; the verdicts must
+    equal the unpruned search's in both modes."""
+
+    def test_is_d_minimal_matches_the_unpruned_search(self):
+        rng = fuzz_rng("homs-minimal-null-free")
+        for _ in range(fuzz_trials(40)):
+            d = random_instance(
+                Schema({"R": 2, "S": 1}), rng, n_facts=rng.randint(1, 6),
+                constants=(1, 2, 3), n_nulls=rng.randint(1, 3),
+            )
+            nulls = sorted(d.nulls(), key=lambda n: n.label)
+            valuation = {n: rng.choice((1, 2, 3, 4)) for n in nulls}
+            image = d.apply(valuation)
+            want = unpruned_shrinking_homomorphism(d, image, True) is None
+            assert is_d_minimal(d, valuation) == want, (d, valuation)
+            # an arbitrary mapping may move constants and keep nulls
+            targets = (1, 2, 3, 4, *nulls)
+            mapping = {v: rng.choice(targets) for v in sorted(d.adom(), key=repr)}
+            pinned = {c: c for c in fix_set(mapping, d)}
+            image = d.apply(mapping)
+            want = unpruned_shrinking_homomorphism(d, image, False, pinned) is None
+            assert is_d_minimal(d, mapping, mode="mapping") == want, (d, mapping)
+
+    def test_minimal_images_are_the_distinct_images_of_minimal_valuations(self):
+        rng = fuzz_rng("homs-minimal-images")
+        for _ in range(fuzz_trials(10)):
+            d = random_instance(
+                Schema({"R": 2, "S": 1}), rng, n_facts=rng.randint(1, 5),
+                constants=(1, 2), n_nulls=rng.randint(1, 3),
+            )
+            images = list(iter_minimal_images(d, [1, 2, 3]))
+            first_seen = list(dict.fromkeys(
+                d.apply(v) for v in iter_minimal_valuations(d, [1, 2, 3])
+            ))
+            assert images == first_seen, d

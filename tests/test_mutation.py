@@ -149,14 +149,14 @@ class TestDerivedIndexes:
             assert db.explain("exists v . R(v, v)").instance_is_core == fresh, (step, inst)
 
     def test_compiled_answers_match_fresh_instance(self):
-        from repro.logic.columnar import columnar_query
+        from repro.logic.columnar import compiled_query
         from repro.session import as_query
 
         rng = random.Random(77)
         inst = random_instance(
             Schema({"R": 2, "S": 1}), rng, n_facts=10, constants=(1, 2, 3), n_nulls=2
         )
-        cq = columnar_query(as_query("exists z (R(x, z) & S(z))", vars=("x",)))
+        cq = compiled_query(as_query("exists z (R(x, z) & S(z))", vars=("x",)))
         cq.answers(inst)  # encode the old instance
         for step in range(25):
             adds = {"R": [(rng.randint(1, 4), rng.randint(1, 4))]}

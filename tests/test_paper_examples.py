@@ -1,7 +1,8 @@
 """Integration tests replaying every worked example of the paper end-to-end.
 
 Each test names the paper location it reproduces.  These are the
-ground-truth anchors for the benchmark harness (EXPERIMENTS.md).
+ground-truth anchors for the benchmark harness (README, "Testing" and
+"Performance").
 """
 
 from repro.core import analyze, certain_answers, certain_holds, naive_eval

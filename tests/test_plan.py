@@ -98,19 +98,6 @@ class TestForcedModes:
 
 
 class TestInjectedCaches:
-    def test_injected_pool_skips_default_pool(self, d0, forall_exists_query, monkeypatch):
-        import importlib
-
-        certain = importlib.import_module("repro.core.certain")
-
-        def boom(*args, **kwargs):
-            raise AssertionError("default_pool must not be called when pool is injected")
-
-        monkeypatch.setattr(certain, "default_pool", boom)
-        pool = [1, 2, 3]
-        plan = make_plan(forall_exists_query, d0, "owa", pool=pool)
-        assert plan.cost.pool_size == 3
-
     def test_injected_core_check_is_used(self):
         d = Instance({"D": [(X, X), (X, Y)]})  # NOT a core
         q = Query.boolean(parse("exists v . D(v, v)"))

@@ -223,17 +223,17 @@ class TestMinimalSemantics:
         # every valuation of R(⊥i, i) gives a distinct image of the same
         # size, so all 4^3 = 64 are minimal; 14 images give 14·15/2 = 105
         # unions of at most two, the first count over the limit of 100
-        import repro.homs.minimal as minimal
+        import repro.semantics.minimal as minimal
 
         pulled = []
-        real = minimal.iter_minimal_valuations
+        real = minimal.iter_minimal_images
 
         def counting(instance, pool):
-            for valuation in real(instance, pool):
-                pulled.append(valuation)
-                yield valuation
+            for image in real(instance, pool):
+                pulled.append(image)
+                yield image
 
-        monkeypatch.setattr(minimal, "iter_minimal_valuations", counting)
+        monkeypatch.setattr(minimal, "iter_minimal_images", counting)
         d = Instance({"R": [(Null(f"v{i}"), i) for i in range(3)]})
         with pytest.raises(ExpansionLimitError, match="more than 100 instances"):
             list(MinPowersetCWA().expand(d, [10, 11, 12, 13], limit=100))
