@@ -8,18 +8,18 @@ Prints, in order:
 * the worked-example table (E2-intro, E2-D0, Section 10),
 * the orderings correspondence tables (Theorems 6.2, 7.1, Libkin 2011),
 * the timed sections: the certain-answer oracle, columnar plans and
-  kernels, the homomorphism engine, serving, durability, replication
+  kernels, the homomorphism search, serving, durability, replication
   and QoS.
 
 Each timed section is its own gate.  It times the code under test and a
 living reference on the same input in the same run — naive evaluation
 and full world enumeration for the oracle, the interpreter for columnar
-plans, the pure-Python kernels for the vector kernels, the legacy
-extender for the CSP engine, WAL replay for snapshot load — and asserts
-the ratio against a bar (see :func:`bar`).  A ratio does not depend on
-how fast the host is, so no stored baseline is needed; absolute serving
-latency is bounded by ``perfbench/`` instead.  A broken bar raises
-:class:`BarFailure` and the run exits non-zero.
+plans, the pure-Python kernels for the vector kernels, the fact-by-fact
+reference extender for the homomorphism search, WAL replay for snapshot
+load — and asserts the ratio against a bar (see :func:`bar`).  A ratio
+does not depend on how fast the host is, so no stored baseline is
+needed; absolute serving latency is bounded by ``perfbench/`` instead.
+A broken bar raises :class:`BarFailure` and the run exits non-zero.
 
 Run with::
 
@@ -579,22 +579,34 @@ def columnar(quick: bool) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# the CSP homomorphism engine
+# the homomorphism search
 # ----------------------------------------------------------------------
 
-#: the CSP engine against the legacy extender on the refute and
-#: enumerate workloads (measured 2.6–4.3×; 1.34× with the CSP engine
+#: the search against the fact-by-fact reference extender on the refute
+#: and enumerate workloads (measured 2.6–4.3×; 1.34× with the search
 #: slowed 3×).  Not enforced by ``--quick``: its smaller inputs read
 #: 1.5–3.6×.
 HOMS_BAR = 1.6
 
 
+def _join_with_nulls(rng: random.Random) -> Instance:
+    """A 2001-fact join shaped like the serving benchmark's: 1000 + 1000
+    rows of ``R(x, z)`` and ``S(z, y)`` plus ``T(0)``, two of them
+    holding the one null ``j``, which joins only itself."""
+    j = Null("j")
+    zs = list(range(1000))
+    rng.shuffle(zs)
+    r_rows = [(x, zs[x]) for x in range(999)] + [(999, j)]
+    s_rows = [(z, 10_000 + z) for z in range(989)] + [(5_000 + k, 0) for k in range(10)]
+    return Instance({"R": r_rows, "S": s_rows + [(j, 20_000)], "T": [(0,)]})
+
+
 def hom_engine_comparison(quick: bool) -> list[dict]:
-    """Candidate tables + forward checking against the legacy extender,
-    both behind :func:`repro.homs.search.iter_homomorphisms`."""
-    heading("HOMS — CSP engine (candidate tables + forward checking) vs legacy")
-    from repro.homs.engine import clear_candidate_cache
-    from repro.homs.search import has_homomorphism, iter_homomorphisms
+    """:func:`repro.homs.search.iter_homomorphisms` (candidate tables +
+    forward checking) against the fact-by-fact reference extender, plus
+    the core check of the serving join (reported, not barred)."""
+    heading("HOMS — search (candidate tables + forward checking) vs reference extender")
+    from repro.homs.search import iter_homomorphisms, reference_homomorphisms
 
     rng = random.Random(0x7053)
     X = [Null(f"x{i}") for i in range(10)]
@@ -627,44 +639,50 @@ def hom_engine_comparison(quick: bool) -> list[dict]:
     )
 
     # the find workload is a first hit on a large target, about as quick
-    # on either engine (0.8–1.2×): reported, not barred
+    # either way (0.8–1.2×): reported, not barred
     workloads = [
         ("find: pattern+constants → big target", pattern, big_target, True, "has", False),
         ("refute: C7 → bipartite (no hom)", c7, k_bip, False, "has", True),
         ("enumerate: all homs P5 → graph", p5, graph, False, "count", True),
     ]
-    print(f"{'workload':<40} {'legacy':>12} {'csp':>12} {'speedup':>9}")
+    print(f"{'workload':<40} {'reference':>12} {'search':>12} {'speedup':>9}")
     rule()
     rows: list[dict] = []
     for label, src, tgt, fix, mode, barred in workloads:
-        def run(engine):
-            clear_candidate_cache()
+        def run(search):
+            homs = search(src, tgt, fix_constants=fix)
             if mode == "has":
-                return has_homomorphism(src, tgt, fix_constants=fix, engine=engine)
-            return sum(
-                1 for _ in iter_homomorphisms(src, tgt, fix_constants=fix, engine=engine)
-            )
+                return next(homs, None) is not None
+            return sum(1 for _ in homs)
 
-        assert run("legacy") == run("csp")
-        legacy_t = _best_timed(lambda: run("legacy"))
-        csp_t = _best_timed(lambda: run("csp"))
+        assert run(reference_homomorphisms) == run(iter_homomorphisms)
+        reference_t = _best_timed(lambda: run(reference_homomorphisms))
+        search_t = _best_timed(lambda: run(iter_homomorphisms))
         print(
-            f"{label:<40} {legacy_t * 1e3:>10.1f}ms {csp_t * 1e3:>10.2f}ms "
-            f"{legacy_t / max(csp_t, 1e-9):>8.1f}x"
+            f"{label:<40} {reference_t * 1e3:>10.1f}ms {search_t * 1e3:>10.2f}ms "
+            f"{reference_t / max(search_t, 1e-9):>8.1f}x"
         )
         row = {
             "workload": "homs",
             "case": label,
-            "legacy_ms": round(legacy_t * 1e3, 4),
-            "csp_ms": round(csp_t * 1e3, 4),
+            "reference_ms": round(reference_t * 1e3, 4),
+            "search_ms": round(search_t * 1e3, 4),
         }
         if barred:
             row.update(bar(
-                f"csp speedup, {label.split(':')[0]}",
-                legacy_t / max(csp_t, 1e-9), HOMS_BAR, 'engine="legacy"',
+                f"search speedup, {label.split(':')[0]}",
+                reference_t / max(search_t, 1e-9), HOMS_BAR, "reference_homomorphisms",
                 enforce=not quick,
             ))
         rows.append(row)
+
+    join = _join_with_nulls(rng)
+    assert is_core(join)
+    core_t = _best_timed(lambda: is_core(join))
+    label = f"is_core: {join.fact_count()}-fact join, 2 null facts"
+    print(f"{label:<40} {'':>12} {core_t * 1e3:>10.2f}ms")
+    rows.append({"workload": "homs", "case": "is_core: serving join",
+                 "facts": join.fact_count(), "search_ms": round(core_t * 1e3, 4)})
     return rows
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Hashable, Mapping
 
 from repro.data.instance import Instance
-from repro.data.values import Null
+from repro.data.values import Null, sort_key
 from repro.homs.search import find_homomorphism
 
 __all__ = ["retract_step", "core", "is_core", "shrinking_homomorphism"]
@@ -34,24 +34,38 @@ def shrinking_homomorphism(
 
     ``None`` when there is none.  Any proper subinstance is contained in
     ``target`` minus one fact, so it suffices to search for
-    homomorphisms into the maximal proper subinstances.  With
-    ``fix_constants`` a homomorphism maps every null-free fact of
-    ``source`` to itself, so removing such a fact from ``target`` can
-    never leave room for one: only the other facts are tried.
+    homomorphisms into the maximal proper subinstances.
+
+    A database homomorphism maps every null-free fact of ``source`` to
+    itself (Fagin, Kolaitis & Popa 2005).  So with ``fix_constants`` and
+    no ``pinned`` map, those facts must all be in ``target`` and are
+    never the fact left out; the search then starts from the facts of
+    ``source`` that hold a null, and the map it returns leaves every
+    other value where it is.
     """
-    facts = target.facts()
-    if fix_constants:
-        facts = [
-            (name, row)
-            for name, row in facts
-            if row not in source.tuples(name) or any(isinstance(v, Null) for v in row)
-        ]
-    for name, row in facts:
-        hom = find_homomorphism(
-            source, target.remove_fact(name, row), fix_constants=fix_constants, pinned=pinned
-        )
-        if hom is not None:
-            return hom
+    if not fix_constants or pinned:
+        for name, row in target.facts():
+            hom = find_homomorphism(
+                source, target.remove_fact(name, row), fix_constants=fix_constants, pinned=pinned
+            )
+            if hom is not None:
+                return hom
+        return None
+    null_rows: dict[str, list[tuple]] = {}
+    fixed_rows: dict[str, frozenset[tuple]] = {}
+    for name in source.relations:
+        rows = source.tuples(name)
+        null_rows[name] = [row for row in rows if any(isinstance(v, Null) for v in row)]
+        fixed_rows[name] = rows.difference(null_rows[name])
+        if not fixed_rows[name] <= target.tuples(name):
+            return None
+    null_facts = Instance(null_rows)
+    for name in sorted(target.relations):
+        left_out = target.tuples(name) - fixed_rows.get(name, frozenset())
+        for row in sorted(left_out, key=lambda t: tuple(map(sort_key, t))):
+            hom = find_homomorphism(null_facts, target.remove_fact(name, row))
+            if hom is not None:
+                return hom
     return None
 
 

@@ -16,8 +16,9 @@ from typing import Hashable, Iterator, Sequence
 
 from repro.data.instance import Instance
 from repro.data.schema import Schema
-from repro.homs.minimal import is_d_minimal, iter_minimal_images
-from repro.homs.search import iter_homomorphisms
+from repro.homs.core import shrinking_homomorphism
+from repro.homs.minimal import iter_minimal_images
+from repro.homs.search import has_homomorphism, iter_homomorphisms
 from repro.semantics.base import Semantics, guard_limit
 from repro.semantics.powerset import collect_images, iter_nonempty_unions
 
@@ -48,19 +49,13 @@ class MinCWA(Semantics):
     def contains(self, instance: Instance, complete: Instance) -> bool:
         self._check_complete(complete)
         # E ∈ [[D]]^min_CWA iff some valuation maps D exactly onto E and
-        # is D-minimal.  Minimality is checked exactly (the competing
-        # homomorphism's image is a subinstance of E, so the search is
-        # self-contained).
-        for hom in iter_homomorphisms(
-            instance,
-            complete,
-            fix_constants=True,
-            require_complete_image=True,
+        # is D-minimal.  Minimality depends on a valuation only through
+        # its image, and every such valuation has image E: so it is
+        # decided once, by whether D maps into a proper subinstance of E.
+        return has_homomorphism(
+            instance, complete, fix_constants=True, require_complete_image=True,
             strong_onto=True,
-        ):
-            if is_d_minimal(instance, hom, mode="database"):
-                return True
-        return False
+        ) and shrinking_homomorphism(instance, complete) is None
 
 
 class MinPowersetCWA(Semantics):
@@ -100,13 +95,18 @@ class MinPowersetCWA(Semantics):
         # such images is the largest candidate.
         covered = Instance.empty()
         any_minimal = False
+        seen: set[Instance] = set()
         for hom in iter_homomorphisms(
             instance, complete, fix_constants=True, require_complete_image=True
         ):
-            if not is_d_minimal(instance, hom, mode="database"):
+            image = instance.apply(hom)
+            if image in seen:
+                continue
+            seen.add(image)
+            if shrinking_homomorphism(instance, image) is not None:
                 continue
             any_minimal = True
-            covered = covered.union(instance.apply(hom))
+            covered = covered.union(image)
             if complete.issubinstance(covered):
                 break
         return any_minimal and covered == complete

@@ -1,5 +1,7 @@
 """Unit tests for repro.homs.core: cores and retractions (Section 10.1)."""
 
+import importlib
+
 import pytest
 from diffutil import fuzz_rng, fuzz_trials, unpruned_shrinking_homomorphism
 
@@ -7,7 +9,10 @@ from repro.data.generate import cycle, disjoint_union, path, random_instance
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import Null
-from repro.homs.core import core, is_core, retract_step
+from repro.homs.core import core, is_core, retract_step, shrinking_homomorphism
+
+# the module, not the ``core`` function it exports
+homs_core = importlib.import_module("repro.homs.core")
 
 X, Y = Null("x"), Null("y")
 
@@ -121,3 +126,59 @@ class TestNullFreeFactsAreSkipped:
             want = self.reference_core(d, fix_constants)
             assert is_core(d, fix_constants=fix_constants) == (want == d), d
             assert core(d, fix_constants=fix_constants) == want, d
+
+
+class TestShrinkingHomomorphism:
+    """``shrinking_homomorphism(source, target)`` on pairs where ``target``
+    is neither ``source`` nor one of its images."""
+
+    @pytest.mark.parametrize("fix_constants", [True, False])
+    def test_matches_the_unpruned_search_on_arbitrary_pairs(self, fix_constants):
+        rng = fuzz_rng(f"homs-core-shrinking-pairs-{fix_constants}")
+        schema = Schema({"R": 2, "S": 1})
+        for _ in range(fuzz_trials(60)):
+            source = random_instance(
+                schema, rng, n_facts=rng.randint(0, 5), constants=(1, 2, 3),
+                n_nulls=rng.randint(0, 3), null_probability=rng.choice((0.2, 0.5)),
+            )
+            extra = random_instance(
+                schema, rng, n_facts=rng.randint(0, 6), constants=(1, 2, 3),
+                n_nulls=rng.randint(0, 2), null_probability=0.3,
+            )
+            # most targets keep the source's null-free facts; some drop one
+            kept = [f for f in source.facts() if rng.random() < 0.9]
+            target = Instance.from_facts(kept).union(extra)
+            want = unpruned_shrinking_homomorphism(source, target, fix_constants)
+            hom = shrinking_homomorphism(source, target, fix_constants)
+            assert (hom is None) == (want is None), (source, target)
+            if hom is not None:
+                assert source.apply(hom) < target, (source, target, hom)
+
+    def test_missing_null_free_fact(self):
+        source = Instance({"R": [(1, 2), (1, X)]})
+        target = Instance({"R": [(1, 3), (1, 4)], "S": [(5,)]})
+        assert unpruned_shrinking_homomorphism(source, target, True) is None
+        assert shrinking_homomorphism(source, target) is None
+        # constants that may move find room again
+        assert shrinking_homomorphism(source, target, fix_constants=False) is not None
+
+    def test_join_core_check_searches_from_the_null_facts(self, monkeypatch):
+        # the shape of the serving benchmark's join: 2001 facts, two of
+        # them holding the one null, which joins only itself
+        j = Null("j")
+        join = Instance({
+            "R": [(x, (x * 7) % 1000) for x in range(999)] + [(999, j)],
+            "S": [(z, 10_000 + z) for z in range(989)] + [(j, 20_000)],
+            "T": [(0,)],
+        })
+        sources = []
+        real = homs_core.find_homomorphism
+
+        def counting(source, target, **options):
+            sources.append(source)
+            return real(source, target, **options)
+
+        monkeypatch.setattr(homs_core, "find_homomorphism", counting)
+        assert is_core(join)
+        null_facts = Instance({"R": [(999, j)], "S": [(j, 20_000)]})
+        assert sources == [null_facts, null_facts]

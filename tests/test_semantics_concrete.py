@@ -5,8 +5,12 @@ yields must pass contains(), and hand-built members/non-members behave
 per the paper's definitions (Sections 2.3, 4.3, 7, 10).
 """
 
-import pytest
+import functools
 
+import pytest
+from diffutil import fuzz_rng, fuzz_trials
+
+from repro.data.generate import random_instance
 from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.data.values import Null
@@ -238,6 +242,34 @@ class TestMinimalSemantics:
         with pytest.raises(ExpansionLimitError, match="more than 100 instances"):
             list(MinPowersetCWA().expand(d, [10, 11, 12, 13], limit=100))
         assert len(pulled) == 14
+
+    def test_contains_matches_expand_on_random_pairs(self):
+        # membership decides minimality once per image; the members are
+        # exactly what expand lists (for unions, up to the number of
+        # minimal images)
+        rng = fuzz_rng("semantics-minimal-contains")
+        schema = Schema({"R": 2, "S": 1})
+        pool = (1, 2, 3)
+        for _ in range(fuzz_trials(25)):
+            d = random_instance(
+                schema, rng, n_facts=rng.randint(1, 4), constants=(1, 2),
+                n_nulls=rng.randint(1, 2), null_probability=0.5,
+            )
+            images = set(MinCWA().expand(d, pool))
+            unions = set(MinPowersetCWA().expand(d, pool, extra_facts=min(len(images), 4)))
+            valuation = {n: rng.choice(pool) for n in sorted(d.nulls(), key=repr)}
+            members = rng.sample(sorted(images, key=repr), min(2, len(images)))
+            candidates = [
+                d.apply(valuation),
+                random_instance(schema, rng, n_facts=rng.randint(1, 4), constants=pool,
+                                n_nulls=0),
+                *members,
+                functools.reduce(Instance.union, members, Instance.empty()),
+            ]
+            for e in candidates:
+                assert MinCWA().contains(d, e) == (e in images), (d, e)
+                if len(images) <= 4:
+                    assert MinPowersetCWA().contains(d, e) == (e in unions), (d, e)
 
     def test_graph_example_membership(self):
         """Prop 10.1's end: C3^C + C2^C ∈ [[C6+C4]]_CWA but ∉ [[·]]^min_CWA."""
