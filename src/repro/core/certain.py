@@ -80,16 +80,35 @@ seen and never evaluated.  A read with no relevant null therefore
 needs no world at all.
 
 A bracketed result keeps both bounds as witness-counted sets
-(:attr:`~repro.data.answers.AnswerSet.bracket`).  Given such a result
-and a write to one read relation (``prior``), :func:`certain_answers`
-patches the bounds by the write's delta
-(:func:`~repro.logic.columnar.maintained_answers`) instead of
-recomputing them, and enumerates worlds for the new gap alone.
+(:attr:`~repro.data.answers.AnswerSet.bracket`) and the
+:class:`WorldSpec` it enumerated over
+(:attr:`~repro.data.answers.AnswerSet.spec`).  Given such a result and
+a write to one read relation (``prior``), :func:`certain_answers`
+carries all of it across the write instead of rebuilding it from the
+instance:
+
+* the bounds are patched by the write's delta
+  (:func:`~repro.logic.columnar.maintained_answers`), and worlds are
+  enumerated for the new gap alone;
+* the world spec is patched too (:func:`_carried_spec`): a null-free
+  delta swaps in the written relation's null-free rows — derived from
+  its ancestor's encoding, not re-encoded
+  (:func:`~repro.data.dictionary.derive_columnar`) — and moves only the
+  codes that entered or left it; a delta holding a null, or a changed
+  pool, rebuilds the spec (:func:`_build_spec`);
+* the answer set starts from the prior one
+  (:meth:`~repro.data.answers.AnswerSet.succeeded_by`): its wire text
+  and decoded rows are patched by the rows that entered or left.
+
+The instance's active domain, and so the pool check, is carried
+across writes as well (:meth:`~repro.data.instance.Instance.with_delta`).
+So a maintained read costs the write and the gap, not the instance.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro.data.answers import AnswerSet
@@ -101,7 +120,7 @@ from repro.data.dictionary import (
 )
 from repro.data.instance import Instance
 from repro.data.schema import Schema
-from repro.data.values import sort_key
+from repro.data.values import Null, sort_key
 from repro.logic.ast import RelAtom
 from repro.logic.columnar import CompiledQuery, compiled_query, maintained_answers
 from repro.logic.queries import Query
@@ -260,10 +279,14 @@ class WorldSpec:
         "base_choices",
         "collapse_order",
         "fresh_tail",
+        "pool",
+        "splits",
+        "held_by",
     )
 
     def __init__(self, plan, parent, templates, slot_codes, base_adom,
-                 read_base_cells, base_choices, collapse_order, fresh_tail):
+                 read_base_cells, base_choices, collapse_order, fresh_tail,
+                 pool, splits, held_by):
         self.plan = plan
         self.parent = parent
         #: ``{name: (arity, null-free rows, null rows)}``; every world
@@ -286,6 +309,13 @@ class WorldSpec:
         self.collapse_order = collapse_order
         #: the codes of the pool's interchangeable fresh values
         self.fresh_tail = fresh_tail
+        #: ``(pool, fresh tail)`` as given, which a carried spec must match
+        self.pool = pool
+        #: the :class:`~repro.data.dictionary.NullSplit` of each relation
+        #: the spec was built from
+        self.splits = splits
+        #: per constant code, the number of plan-read relations holding it
+        self.held_by = held_by
 
     def seed_valuations(self) -> Iterator[tuple[int, ...]]:
         """Per-constant total collapses, whose worlds tend to kill the intersection.
@@ -459,6 +489,7 @@ def _build_spec(
     the intersection over the full valuation space equals the one over
     the restricted space).
     """
+    pool_key = (tuple(pool), tuple(fresh_tail))
     parent = columnar_context(instance)
     dictionary = parent.dictionary
     read = cq.relations
@@ -510,16 +541,115 @@ def _build_spec(
         base_adom=frozenset(base_adom),
         read_base_cells=frozenset(read_cells),
         base_choices=choices,
-        # a stable sort: ties keep the pool order
-        collapse_order=tuple(sorted(choices, key=lambda c: -held_by.get(c, 0))),
+        collapse_order=_collapse_order(choices, held_by),
         fresh_tail=tuple(map(encode, fresh_tail)),
+        pool=pool_key,
+        splits=splits,
+        held_by=held_by,
     )
-    info = {
-        "total_nulls": len(instance.nulls()),
-        "relevant_nulls": len(relevant),
-        "restricted": restrict and len(relevant) < len(instance.nulls()),
+    return spec, _spec_info(spec, instance)
+
+
+def _spec_info(spec: WorldSpec, instance: Instance) -> dict:
+    """The plan-relevance restriction's null counts, for ``stats_out``."""
+    total = len(instance.nulls())
+    return {
+        "total_nulls": total,
+        "relevant_nulls": spec.n_slots,
+        "restricted": not spec.plan.adom_dependent and spec.n_slots < total,
     }
-    return spec, info
+
+
+def _collapse_order(choices: tuple[int, ...], held_by: dict[int, int]) -> tuple[int, ...]:
+    """``choices`` by falling ``held_by`` count (a stable sort: ties keep the pool order)."""
+    return tuple(sorted(choices, key=lambda c: -held_by.get(c, 0)))
+
+
+def _carried_spec(
+    cq: CompiledQuery,
+    instance: Instance,
+    semantics: Semantics,
+    pool: Sequence[Hashable],
+    fresh_tail: Sequence[Hashable],
+    limit: int,
+    prior: tuple,
+) -> tuple[WorldSpec, dict] | None:
+    """The spec of ``prior``'s answers carried across its write, or ``None``.
+
+    Equal to :func:`_build_spec` on ``instance``, at the cost of the
+    write: the written relation's null split is derived from its
+    ancestor's (:func:`~repro.data.dictionary.derive_columnar`), its
+    template takes the new null-free rows, and only the constant codes
+    that entered or left it move ``held_by``, the read cells, the base
+    domain and the collapse order.  ``None`` (build afresh) when the
+    prior answers carry no spec of this plan, the pool changed, the
+    plan reads the domain, or the delta holds a null, which moves the
+    valuation slots.
+    """
+    answers, relation, added, removed = prior
+    # taken, not shared: only the newest answers of a query hold a spec
+    # (and the relation versions it references)
+    old, answers.spec = answers.spec, None
+    parent = columnar_context(instance)
+    if (
+        old is None
+        or old.plan is not cq
+        or cq.adom_dependent
+        or old.parent.dictionary is not parent.dictionary
+        or old.pool != (tuple(pool), tuple(fresh_tail))
+    ):
+        return None
+    for row in chain(added, removed):
+        for value in row:
+            if isinstance(value, Null):
+                return None
+    guard_limit(len(pool) ** old.n_slots, limit, f"{semantics.name} expansion")
+    splits, templates, held_by = old.splits, old.templates, old.held_by
+    base_adom, collapse_order = old.base_adom, old.collapse_order
+    if relation in cq.relations:
+        rel = parent.encoded(relation)
+        split = rel.null_split() if rel is not None else None
+        before = splits.get(relation)
+        if relation in templates:
+            # its null rows are untouched, so it is not empty
+            templates = dict(templates)
+            templates[relation] = (rel.arity, split.free_rows, split.null_rows)
+        splits = dict(splits)
+        if split is None:
+            splits.pop(relation, None)
+        else:
+            splits[relation] = split
+        was = before.const_codes if before is not None else frozenset()
+        now = split.const_codes if split is not None else frozenset()
+        if was is not now and was != now:
+            held_by = dict(held_by)
+            for c in was - now:
+                left = held_by[c] - 1
+                if left:
+                    held_by[c] = left
+                else:
+                    del held_by[c]
+            for c in now - was:
+                held_by[c] = held_by.get(c, 0) + 1
+            # the plan reads no domain, so every split is a read
+            # relation's: the read cells are the base domain
+            base_adom = frozenset(held_by)
+            collapse_order = _collapse_order(old.base_choices, held_by)
+    spec = WorldSpec(
+        plan=cq,
+        parent=parent,
+        templates=templates,
+        slot_codes=old.slot_codes,
+        base_adom=base_adom,
+        read_base_cells=base_adom,
+        base_choices=old.base_choices,
+        collapse_order=collapse_order,
+        fresh_tail=old.fresh_tail,
+        pool=old.pool,
+        splits=splits,
+        held_by=held_by,
+    )
+    return spec, _spec_info(spec, instance)
 
 
 def _certain_by_valuations(
@@ -540,10 +670,15 @@ def _certain_by_valuations(
     valuation from code-space templates.  ``fresh_tail`` lists the
     interchangeable pool values — those mentioned by neither the
     instance nor the query (empty = enumerate the full product).  The
-    answers stay encoded; a bracketed run's set carries its bounds.
-    Returns ``(answers, bounds patched from prior)``.
+    answers stay encoded; a bracketed run's set carries its bounds and
+    its spec.  With ``prior``, the spec is carried across the write when
+    it allows (:func:`_carried_spec`), and the answer set starts from
+    the prior one.  Returns ``(answers, bounds patched from prior)``.
     """
-    spec, info = _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
+    carried = None
+    if prior is not None:
+        carried = _carried_spec(cq, instance, semantics, pool, fresh_tail, limit, prior)
+    spec, info = carried or _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
 
     if stats_out is not None:
         stats_out.update(info)
@@ -551,6 +686,8 @@ def _certain_by_valuations(
     codes: frozenset | None
     bracket, maintained = None, False
     if len(spec.fresh_tail) >= spec.n_slots:
+        # the bounds are runs on the instance, whose cells hold no
+        # fresh value, so neither do these rows
         codes, bracket, maintained = _bracketed(spec, stats_out, prior)
     else:
         codes = _enumerated(spec, stats_out)
@@ -558,14 +695,21 @@ def _certain_by_valuations(
             raise RuntimeError(
                 f"[[D]] came out empty over the pool — {semantics!r} violated totality"
             )
-    if codes and spec.fresh_tail:
-        # a certain answer never mentions a fresh constant (some world's
-        # active domain avoids it); dropping such rows here replays what
-        # the skipped permutation-image worlds would have done
-        fresh = frozenset(spec.fresh_tail)
-        codes = frozenset(row for row in codes if fresh.isdisjoint(row))
-    out = AnswerSet.encoded(codes, len(cq.answer_vars), spec.parent.dictionary)
+        if codes and spec.fresh_tail:
+            # a certain answer never mentions a fresh constant (some
+            # world's active domain avoids it); dropping such rows here
+            # replays what the skipped permutation-image worlds would do
+            fresh = frozenset(spec.fresh_tail)
+            codes = frozenset(row for row in codes if fresh.isdisjoint(row))
+    arity, dictionary = len(cq.answer_vars), spec.parent.dictionary
+    before = prior[0] if prior is not None else None
+    if before is not None and before._dictionary is dictionary and before.arity == arity:
+        out = before.succeeded_by(codes)
+    else:
+        out = AnswerSet.encoded(codes, arity, dictionary)
     out.bracket = bracket
+    if bracket is not None:
+        out.spec = spec
     return out, maintained
 
 

@@ -54,6 +54,11 @@ still byte-identical to a fresh render:
 ('[[10, "b"], [2, "??a"]]', '[[10, "b"]]')
 >>> later.patched({(0, 2): -1}).to_json("Q")
 '[[2, "??a"]]'
+
+A CWA oracle answer is not counted, but one read's set is the next
+read's starting point all the same: :meth:`AnswerSet.succeeded_by`
+builds the set of the new rows from the prior one's rendering and
+decoded rows, each patched by the rows that entered or left.
 """
 
 from __future__ import annotations
@@ -90,7 +95,9 @@ class AnswerSet:
         "n_rows",
         "plan",
         "bracket",
+        "spec",
         "_codes",
+        "_code_set",
         "_dictionary",
         "_rows",
         "_json",
@@ -107,13 +114,20 @@ class AnswerSet:
         #: sets (``lower`` is ``None`` when the query has no lower-bound
         #: plan), or ``None``
         self.bracket: tuple[AnswerSet | None, AnswerSet] | None = None
+        #: the :class:`~repro.core.certain.WorldSpec` a bracketed oracle
+        #: answer was enumerated over, until the next maintained read of
+        #: the query takes it over
+        self.spec = None
         self._codes: array | None = codes
+        # the member rows as a frozenset of codes, once known
+        self._code_set: frozenset | None = None
         self._dictionary: Dictionary | None = dictionary
         self._rows: frozenset | None = rows
         self._json: str | None = None
         self._counts: Mapping[tuple[int, ...], int] | None = None
         # (relation, sort keys, row texts) in wire order, kept once a
-        # counted set has rendered so that patched sets can bisect it
+        # counted or bracketed set has rendered so that the sets patched
+        # from it can bisect it
         self._sorted: tuple[str, list[str], list[str]] | None = None
 
     @classmethod
@@ -163,12 +177,17 @@ class AnswerSet:
         return [self._codes[j::k] for j in range(k)]
 
     def code_rows(self) -> frozenset[tuple[int, ...]]:
-        """The member rows as tuples of codes (an encoded set only)."""
-        if self._counts is not None:
-            return frozenset(visible_rows(self._counts))
-        if not self.arity:
-            return frozenset([()] * self.n_rows)
-        return frozenset(zip(*self._columns()))
+        """The member rows as tuples of codes (an encoded set only; cached)."""
+        rows = self._code_set
+        if rows is None:
+            if self._counts is not None:
+                rows = frozenset(visible_rows(self._counts))
+            elif not self.arity:
+                rows = frozenset([()] * self.n_rows)
+            else:
+                rows = frozenset(zip(*self._columns()))
+            self._code_set = rows
+        return rows
 
     def decode(self) -> frozenset[tuple[Hashable, ...]]:
         """The rows as cell tuples, decoded on the first call only."""
@@ -216,7 +235,7 @@ class AnswerSet:
         texts = list(map(row, *(map(frags.__getitem__, c) for c in cols)))
         order = sorted(range(self.n_rows), key=keys.__getitem__)
         texts = list(map(texts.__getitem__, order))
-        if self._counts is not None:
+        if self._counts is not None or self.bracket is not None:
             self._sorted = (relation, list(map(keys.__getitem__, order)), texts)
         return "[" + ", ".join(texts) + "]"
 
@@ -261,6 +280,30 @@ class AnswerSet:
         if rendered is not None and (appeared or vanished):
             rendered = self._patch_text(rendered, appeared, vanished)
         out._sorted = rendered
+        if self._code_set is not None:
+            out._code_set = self._code_set.difference(vanished).union(appeared)
+        return out
+
+    def succeeded_by(self, rows: frozenset[tuple[int, ...]]) -> "AnswerSet":
+        """An encoded set of ``rows`` that starts from this one.
+
+        Over the same dictionary and arity; the text this set rendered
+        and the rows it decoded carry over, patched by the rows that
+        entered or left, so neither costs more than those rows.
+        """
+        out = AnswerSet.encoded(rows, self.arity, self._dictionary)
+        out._code_set = rows
+        before = self.code_rows()
+        appeared, vanished = rows - before, before - rows
+        rendered = self._sorted
+        if rendered is not None and (appeared or vanished):
+            rendered = self._patch_text(rendered, list(appeared), list(vanished))
+        out._sorted = rendered
+        if self._rows is not None:
+            decode_row = self._dictionary.decode_row
+            out._rows = self._rows.difference(map(decode_row, vanished)).union(
+                map(decode_row, appeared)
+            )
         return out
 
     def _patch_text(self, rendered, appeared, vanished):

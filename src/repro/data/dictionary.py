@@ -42,6 +42,12 @@ rendered.  Codes never change meaning, so neither memo goes stale.
 2
 >>> d.json_fragments([0, 2], "Q")[2], d.cell_reprs([2])[2]
 ('"??b"', "'?b'")
+
+Because codes are stable, a write never re-encodes what it did not
+change: :func:`derive_columnar` shares the untouched relations'
+encodings with the new version, and derives each written relation —
+rows and null split alike — from its ancestor's by the delta's codes,
+lazily on first access.
 """
 
 from __future__ import annotations
@@ -49,11 +55,12 @@ from __future__ import annotations
 import json
 import threading
 from array import array
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.data.instance import Instance
+from repro.data.instance import Instance, compose_deltas, recount
 from repro.data.jsonio import encode_cell
 from repro.data.values import Null
 
@@ -196,7 +203,7 @@ class NullSplit(NamedTuple):
 
     #: the rows holding no null code
     free_rows: frozenset[tuple[int, ...]]
-    #: the rows holding at least one null code
+    #: the rows holding at least one null code, sorted
     null_rows: tuple[tuple[int, ...], ...]
     #: the distinct constant codes of the relation
     const_codes: frozenset[int]
@@ -225,6 +232,8 @@ class EncodedRelation:
         "_np_orders",
         "_sorted_rows",
         "_split",
+        "_split_source",
+        "_cell_counts",
         "_one_use",
     )
 
@@ -240,6 +249,12 @@ class EncodedRelation:
         self._np_orders: dict[int, tuple[object, object]] = {}
         self._sorted_rows: dict[int, list[tuple[int, ...]]] = {}
         self._split: NullSplit | None = None
+        # (ancestor's split, its [cell counts], added, removed): what a
+        # derived relation's split comes from (see null_split)
+        self._split_source: tuple | None = None
+        # [code -> occurrences] once null_split made them; one derived
+        # successor takes them over
+        self._cell_counts: list[Counter] | None = None
         #: built over codes for one evaluation (see :meth:`matching`)
         self._one_use = False
 
@@ -270,6 +285,33 @@ class EncodedRelation:
         rel._one_use = True
         return rel
 
+    @classmethod
+    def derived(
+        cls,
+        base: "EncodedRelation",
+        added: frozenset[tuple[int, ...]],
+        removed: frozenset[tuple[int, ...]],
+    ) -> "EncodedRelation":
+        """``base`` less the ``removed`` rows plus the ``added`` ones.
+
+        The delta must be effective (``removed`` rows present in
+        ``base``, ``added`` ones absent).  Columns are built on first
+        use, and the :meth:`null_split` comes from ``base``'s when that
+        one was already split, updated by the delta alone.
+        """
+        rows = base.row_set()
+        if removed:
+            rows = rows - removed
+        if added:
+            rows = rows | added
+        rel = cls(base.arity, ())
+        rel.n_rows = len(rows)
+        rel._columns = None
+        rel._row_set = rows
+        if base._split is not None:
+            rel._split_source = (base._split, base._cell_counts, added, removed)
+        return rel
+
     @property
     def columns(self) -> tuple[array, ...]:
         """The rows column-wise, one ``array('q')`` of codes per position."""
@@ -298,22 +340,63 @@ class EncodedRelation:
 
         Cached on the relation, so it is computed once per relation
         version: the contexts of later generations share untouched
-        relations (:func:`derive_columnar`) and their splits with them.
+        relations (:func:`derive_columnar`) and their splits with them,
+        and a written relation derives its split from its ancestor's
+        (:meth:`derived`).  The null rows are sorted.
         """
         split = self._split
         if split is None:
-            cells = frozenset(chain.from_iterable(self.columns))
-            null_codes = frozenset(c for c in cells if c & 1)
-            rows = self.row_set()
-            if null_codes:
-                null_rows = tuple(r for r in rows if not null_codes.isdisjoint(r))
-                split = NullSplit(
-                    rows.difference(null_rows), null_rows, cells - null_codes, null_codes
-                )
-            else:
-                split = NullSplit(rows, (), cells, null_codes)
+            source = self._split_source
+            if source is not None:
+                split = self._patched_split(*source)
+            if split is None:
+                split = self._scanned_split()
             self._split = split
+            self._split_source = None
         return split
+
+    def _scanned_split(self) -> NullSplit:
+        """The split from every cell, counting them for a derived successor."""
+        rows = self.row_set()
+        counts = Counter(chain.from_iterable(rows))
+        self._cell_counts = [counts]
+        null_codes = frozenset(c for c in counts if c & 1)
+        if not null_codes:
+            return NullSplit(rows, (), frozenset(counts), null_codes)
+        null_rows = tuple(sorted(r for r in rows if not null_codes.isdisjoint(r)))
+        return NullSplit(
+            rows.difference(null_rows), null_rows, frozenset(counts) - null_codes, null_codes
+        )
+
+    def _patched_split(self, split, box, added, removed) -> NullSplit | None:
+        """``split`` after the write ``added``/``removed``, or ``None``.
+
+        Takes over the ancestor's cell counts to tell which codes the
+        write made appear or vanish; ``None`` (scan instead) when
+        another derived relation took them first.
+        """
+        try:
+            counts = box.pop()
+        except IndexError:
+            return None
+        appeared, vanished = recount(counts, removed, added)
+        self._cell_counts = [counts]
+        free_rows, null_rows = split.free_rows, split.null_rows
+        gone = [r for r in removed if any(c & 1 for c in r)]
+        new = [r for r in added if any(c & 1 for c in r)]
+        if len(gone) < len(removed):
+            free_rows = free_rows.difference(removed)
+        if len(new) < len(added):
+            free_rows = free_rows.union(r for r in added if not any(c & 1 for c in r))
+        if gone or new:
+            null_rows = tuple(sorted(set(null_rows).difference(gone).union(new)))
+        const_codes, null_codes = split.const_codes, split.null_codes
+        if vanished or appeared:
+            const_codes = const_codes.difference(vanished).union(
+                c for c in appeared if not c & 1
+            )
+            null_codes = null_codes.difference(vanished).union(c for c in appeared if c & 1)
+        return NullSplit(free_rows, null_rows, const_codes, null_codes)
 
     # ------------------------------------------------------------------
     # access paths (all lazy, all memoised)
@@ -393,6 +476,42 @@ class EncodedRelation:
         return f"EncodedRelation(arity={self.arity}, rows={self.n_rows})"
 
 
+class _Pending(NamedTuple):
+    """A written relation whose encoding is derived on first access.
+
+    ``base`` is the ancestor's encoded relation, or the pending entry
+    of an ancestor no read encoded in between; ``added``/``removed``
+    are the write's effective rows, as cells.
+    """
+
+    base: "EncodedRelation | _Pending"
+    added: frozenset[tuple]
+    removed: frozenset[tuple]
+    #: the number of writes between ``base``'s encoded relation and this
+    depth: int
+
+
+#: after this many writes with no read between, a written relation is
+#: encoded afresh on next access instead of derived, so that a relation
+#: no read encodes does not hold on to every delta
+_MAX_PENDING = 32
+
+
+def _derive(pending: _Pending, dictionary: Dictionary) -> "EncodedRelation":
+    """The encoded relation ``pending`` stands for."""
+    steps = []
+    node = pending
+    while isinstance(node, _Pending):
+        steps.append((node.added, node.removed))
+        node = node.base
+    steps.reverse()
+    added, removed = compose_deltas(steps)
+    encode = dictionary.encode_row
+    return EncodedRelation.derived(
+        node, frozenset(map(encode, added)), frozenset(map(encode, removed))
+    )
+
+
 class ColumnarContext:
     """The columnar execution substrate of one :class:`Instance`.
 
@@ -411,12 +530,14 @@ class ColumnarContext:
     accumulated — comes from the parent.
     """
 
-    __slots__ = ("dictionary", "_relations", "_encoded", "_adom_codes", "_parent")
+    __slots__ = ("dictionary", "_relations", "_encoded", "_pending", "_adom_codes", "_parent")
 
     def __init__(self, instance: Instance, dictionary: Dictionary):
         self.dictionary = dictionary
         self._relations = instance._relations
         self._encoded: dict[str, EncodedRelation] = {}
+        # written relations derived from an ancestor's on first access
+        self._pending: dict[str, _Pending] = {}
         self._adom_codes: frozenset[int] | None = None
         self._parent: ColumnarContext | None = None
 
@@ -436,6 +557,7 @@ class ColumnarContext:
         ctx.dictionary = parent.dictionary
         ctx._relations = None
         ctx._encoded = encoded
+        ctx._pending = {}
         ctx._adom_codes = adom_codes
         ctx._parent = parent
         return ctx
@@ -446,11 +568,18 @@ class ColumnarContext:
         if rel is None:
             if self._parent is not None:
                 return self._parent.encoded(name)
-            rows = self._relations.get(name)
-            if rows is None:
-                return None
-            rel = EncodedRelation.from_rows(rows, self.dictionary)
+            pending = self._pending.get(name)
+            if pending is not None:
+                rel = _derive(pending, self.dictionary)
+            else:
+                rows = self._relations.get(name)
+                if rows is None:
+                    return None
+                rel = EncodedRelation.from_rows(rows, self.dictionary)
+            # published before the pending entry goes, so a writer
+            # deriving from this context always finds one of the two
             self._encoded[name] = rel
+            self._pending.pop(name, None)
         return rel
 
     def adom_codes(self) -> frozenset[int]:
@@ -505,8 +634,14 @@ def derive_columnar(
     The ancestor's dictionary is carried forward (codes stay stable —
     the interning invariant the differential tests pin), and the encoded
     relations of **untouched** relations are shared outright, bringing
-    their indexes, numpy views and sort runs along for free.  Touched
-    relations re-encode lazily on next access.
+    their indexes, numpy views and sort runs along for free.  A
+    **touched** relation the ancestor had encoded (or was itself
+    deriving) is derived from that encoding on first access: its rows
+    and its null split are the ancestor's patched by the delta's codes
+    (:meth:`EncodedRelation.derived`), never a re-encode of the whole
+    relation.  The write itself only records the delta, so deltas of
+    several writes made without a read in between compose at that
+    access.  Other touched relations encode on first access.
 
     No-op (returns ``None``) when the ancestor was never encoded — a
     database that never ran the columnar engine pays nothing here.
@@ -518,8 +653,24 @@ def derive_columnar(
         return None
     ctx = ColumnarContext(new_instance, old_ctx.dictionary)
     new_rels = new_instance._relations
-    for name, rel in old_ctx._encoded.items():
+    # copies: readers of the ancestor encode (and drop pending entries)
+    # concurrently with this write
+    for name, pending in old_ctx._pending.copy().items():
+        if name not in changes:
+            ctx._pending[name] = pending
+    for name, rel in old_ctx._encoded.copy().items():
         if name not in changes and name in new_rels:
             ctx._encoded[name] = rel
+    for name, (added, removed) in changes.items():
+        if name not in new_rels:
+            continue
+        # pending first: an access publishes the encoding before it
+        # drops the pending entry, so one of the two is always found
+        base = old_ctx._pending.get(name)
+        depth = base.depth + 1 if base is not None else 1
+        if base is None:
+            base = old_ctx._encoded.get(name)
+        if base is not None and depth <= _MAX_PENDING:
+            ctx._pending[name] = _Pending(base, added, removed, depth)
     new_instance._cols = ctx
     return ctx

@@ -130,8 +130,10 @@ def random_formula(rng, depth, pool, rels=None, consts=None, vars_=None):
             random_formula(rng, depth - 1, pool, rels, consts, vars_),
         )
     vs = tuple(rng.sample(vars_, rng.choice([1, 1, 2])))
+    # dict.fromkeys, not set: the scope's order must not follow
+    # PYTHONHASHSEED, or a seed would not replay its case
     body = random_formula(
-        rng, depth - 1, list(set(pool + list(vs))), rels, consts, vars_
+        rng, depth - 1, list(dict.fromkeys(pool + list(vs))), rels, consts, vars_
     )
     return Exists(vs, body) if op == "exists" else Forall(vs, body)
 

@@ -11,7 +11,11 @@ worlds, orbit enumeration, datalog rounds) the certain-answer oracle
 and the datalog engine build on.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from diffutil import (
@@ -541,3 +545,32 @@ class TestDatalogJoinCompiler:
         assert_equivalent(RelAtom("R", (1,)), db)
         joined = Exists((y,), And((RelAtom("S", (y,)), RelAtom("R", (y,)))))
         assert_equivalent(joined, Instance({"R": [(1, 2)], "S": [(1,)]}))
+
+
+_DRAW_CASES = (
+    "from diffutil import arbitrary_case, fuzz_rng\n"
+    "rng = fuzz_rng('replay')\n"
+    "for _ in range(50):\n"
+    "    print(repr(arbitrary_case(rng)))\n"
+)
+
+
+def test_fuzz_cases_replay_under_any_hash_seed():
+    # a nightly failure names its REPRO_FUZZ_SEED; the cases it drew
+    # must come back under that seed whatever PYTHONHASHSEED was
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    drawn = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-c", _DRAW_CASES],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        drawn.append(run.stdout)
+    assert drawn[0].count("\n") == 50
+    assert drawn[0] == drawn[1]

@@ -1,7 +1,17 @@
-"""Unit tests for repro.data.instance: the naive-database value object."""
+"""Unit tests for repro.data.instance: the naive-database value object.
+
+The write streams at the end pin what :meth:`Instance.with_delta` and
+:func:`~repro.data.dictionary.derive_columnar` carry across writes: the
+active domain (and its split into nulls and constants) and the encoded
+relations, each equal after every write to one built afresh.  CI runs
+this file again under ``REPRO_PURE_KERNELS=1``, and the nightly fuzz at
+``REPRO_FUZZ=25``.
+"""
 
 import pytest
+from diffutil import fuzz_rng, fuzz_trials
 
+from repro.data.dictionary import EncodedRelation, columnar_context, derive_columnar
 from repro.data.instance import Instance
 from repro.data.schema import SchemaError
 from repro.data.values import Null, NullFactory
@@ -164,3 +174,135 @@ def test_with_fresh_values():
     assert set(mapping) == {x, y}
     assert renamed.isomorphic(d)
     assert renamed.nulls().isdisjoint(d.nulls())
+
+
+# ----------------------------------------------------------------------
+# write streams: the carried domain and the derived encodings
+# ----------------------------------------------------------------------
+
+STREAM_RELS = {"R": 2, "S": 1}
+STREAM_NULLS = [Null("n1"), Null("n2"), Null("n3")]
+DOMAIN_VIEWS = ("adom", "constants", "nulls", "sorted_adom")
+
+
+def stream_row(rng, arity: int) -> tuple:
+    # few cells, so that values keep appearing and vanishing
+    return tuple(
+        rng.choice(STREAM_NULLS) if rng.random() < 0.25 else rng.randint(0, 9)
+        for _ in range(arity)
+    )
+
+
+def stream_instance(rng) -> Instance:
+    return Instance(
+        {n: [stream_row(rng, k) for _ in range(rng.randint(0, 5))] for n, k in STREAM_RELS.items()}
+    )
+
+
+def stream_write(rng, inst: Instance):
+    """One write: an insert, a delete, emptying a relation, or a batch."""
+    name = rng.choice(list(STREAM_RELS))
+    rows = sorted(inst.tuples(name), key=repr)
+    kind = rng.random()
+    if kind < 0.35:
+        return inst.with_delta(adds={name: [stream_row(rng, STREAM_RELS[name])]})
+    if kind < 0.7:
+        return inst.with_delta(removes={name: rng.sample(rows, min(1, len(rows)))})
+    if kind < 0.8:  # later inserts refill it
+        return inst.with_delta(removes={name: rows})
+    adds, removes = {}, {}
+    for other, arity in STREAM_RELS.items():
+        present = sorted(inst.tuples(other), key=repr)
+        adds[other] = [stream_row(rng, arity) for _ in range(rng.randint(0, 3))]
+        removes[other] = rng.sample(present, min(len(present), rng.randint(0, 2)))
+    return inst.with_delta(adds=adds, removes=removes)
+
+
+def read_domain(rng, inst: Instance) -> None:
+    """Read the domain views in a random order; each equals a fresh build's."""
+    fresh = Instance({n: inst.tuples(n) for n in inst.relations})
+    for view in rng.sample(DOMAIN_VIEWS, len(DOMAIN_VIEWS)):
+        assert getattr(inst, view)() == getattr(fresh, view)(), (view, inst)
+
+
+class TestCarriedDomain:
+    def test_write_streams_match_a_fresh_instance(self, monkeypatch):
+        scans = []
+        real = Instance._scan_domain
+
+        def scan(self):
+            scans.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Instance, "_scan_domain", scan)
+        rng = fuzz_rng("instance-domain")
+        shared = 0
+        for _ in range(fuzz_trials(20)):
+            inst = stream_instance(rng)
+            read_domain(rng, inst)
+            read = True
+            del scans[:]
+            versions = []
+            for _ in range(40):
+                before = inst
+                inst, _ = stream_write(rng, before)
+                versions.append(inst)
+                if rng.random() < 0.4:  # no read: the next write composes
+                    read = False
+                    continue
+                read_domain(rng, inst)
+                if read and inst is not before and inst.adom() == before.adom():
+                    # nothing appeared or vanished: the views are shared
+                    for view in DOMAIN_VIEWS:
+                        assert getattr(inst, view)() is getattr(before, view)(), view
+                    shared += 1
+                read = True
+            # only the first version scanned: every later one carried
+            assert not any(v is s for v in versions for s in scans)
+        assert shared
+
+    def test_many_moved_values_without_a_read(self):
+        inst = Instance({"R": [(0, Null("a"))]})
+        inst.adom()
+        for i in range(1, 200):
+            row = (i, Null(f"b{i}")) if i % 3 else (i, i)
+            inst, _ = inst.with_delta(adds={"R": [row]}, removes={"R": [(i - 1, i - 1)]})
+        fresh = Instance({"R": inst.tuples("R")})
+        for view in DOMAIN_VIEWS:
+            assert getattr(inst, view)() == getattr(fresh, view)(), view
+
+    def test_second_successor_of_a_version_scans(self):
+        base = Instance({"R": [(1, 2)], "S": [(Null("a"),)]})
+        base.constants()
+        first, _ = base.with_delta(adds={"R": [(3, 4)]})
+        second, _ = base.with_delta(removes={"S": [(Null("a"),)]})
+        assert first.constants() == frozenset({1, 2, 3, 4}) and first.nulls() == {Null("a")}
+        assert second.constants() == frozenset({1, 2}) and second.nulls() == frozenset()
+        assert base.adom() == frozenset({1, 2, Null("a")})
+
+
+class TestDerivedEncodings:
+    def test_write_streams_match_a_fresh_encoding(self):
+        rng = fuzz_rng("instance-derived")
+        derived = 0
+        for _ in range(fuzz_trials(20)):
+            inst = stream_instance(rng)
+            dictionary = columnar_context(inst).dictionary
+            for step in range(40):
+                # reads after 1, 2 and 3 writes in turn
+                for _ in range(step % 3 + 1):
+                    new, changes = stream_write(rng, inst)
+                    derive_columnar(inst, new, changes)
+                    inst = new
+                ctx = columnar_context(inst)
+                derived += len(ctx._pending)
+                for name in inst.relations:
+                    rel = ctx.encoded(name)
+                    want = EncodedRelation.from_rows(inst.tuples(name), dictionary)
+                    assert (rel.arity, rel.n_rows) == (want.arity, want.n_rows)
+                    assert rel.row_set() == want.row_set()
+                    assert sorted(zip(*rel.columns)) == sorted(want.row_tuples())
+                    # an unsplit ancestor leaves its successor to scan
+                    if rng.random() < 0.8:
+                        assert rel.null_split() == want.null_split(), (name, inst)
+        assert derived

@@ -20,7 +20,11 @@ enumerates worlds for the new gap alone.  The properties pinned here:
   bracket is off) all run the full oracle;
 * **it stays inside** ``certain_answers`` (the name perfbench's
   ``core.oracle`` span wraps) and builds no hash index over a world's
-  substituted relation.
+  substituted relation;
+* **it carries its state** — the world spec a maintained read used
+  equals one built afresh from a new instance, field by field, and a
+  toggle-and-read stream encodes no relation and scans no active
+  domain after its first read.
 
 CI runs this file again under ``REPRO_PURE_KERNELS=1``.
 """
@@ -33,11 +37,12 @@ from diffutil import fuzz_rng, fuzz_trials
 from test_wire_bytes import query_line, reference, reference_line
 
 from repro.core import certain as _certain
-from repro.core.certain import certain_answers
-from repro.data.dictionary import EncodedRelation
+from repro.core.certain import certain_answers, default_pool
+from repro.data.dictionary import EncodedRelation, columnar_context
 from repro.data.instance import Instance
 from repro.data.values import Null
 from repro.logic import kernels
+from repro.logic.columnar import compiled_query
 from repro.logic.parser import parse
 from repro.logic.queries import Query
 from repro.semantics import get_semantics
@@ -143,12 +148,59 @@ class TestDifferential:
         for text, _, kept in QUERIES:
             assert bool(maintained[text]) is bool(kept), (text, maintained)
 
+    def test_carried_specs_equal_a_fresh_build(self, kernel_path, monkeypatch):
+        builds = []
+        real = _certain._build_spec
+
+        def spy(*args, **kwargs):
+            builds.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_certain, "_build_spec", spy)
+        rng = fuzz_rng("oracle-maintenance-spec")
+        carried = 0
+        for _ in range(fuzz_trials(4)):
+            db = Database(random_instance(rng))
+            for text, head, _ in QUERIES:
+                db.evaluate(text, head)
+            for _ in range(25):
+                random_write(rng, db)
+                for text, head, _ in QUERIES:
+                    del builds[:]
+                    got = db.evaluate(text, head)
+                    spec = got.answer_set.spec
+                    if not got.stats["maintained"] or spec is None:
+                        continue
+                    carried += not builds
+                    assert_spec_equal(spec, fresh_spec(db, text, head), (text, db.instance))
+        assert carried
+
     def test_bracketed_read_carries_counted_bounds(self):
         db = Database({"R": [(1, 2), (3, Null("a"))], "S": [(2,)]})
         answers = db.evaluate(NEG, ["x"]).answer_set
         lower, upper = answers.bracket
         assert lower.plan is not None and upper.plan is not None
         assert db.evaluate("exists y (R(x, y) & !R(y, x))", ["x"]).answer_set.bracket is None
+
+
+def fresh_spec(db: Database, text: str, head: list):
+    """The spec of ``text`` built afresh: a new instance and context,
+    over the database's dictionary so that the codes agree."""
+    q = Query(parse(text), tuple(head))
+    instance = Instance({name: db.instance.tuples(name) for name in db.instance.relations})
+    columnar_context(instance, columnar_context(db.instance).dictionary)
+    pool = default_pool(instance, q)
+    consts, q_consts = instance.constants(), q.constants()
+    fresh_tail = [v for v in pool if v not in consts and v not in q_consts]
+    return _certain._build_spec(compiled_query(q), instance, CWA, pool, fresh_tail, 500_000)[0]
+
+
+def assert_spec_equal(got, want, context):
+    assert got.plan is want.plan, context
+    assert got.parent.dictionary is want.parent.dictionary, context
+    for field in _certain.WorldSpec.__slots__:
+        if field not in ("plan", "parent"):
+            assert getattr(got, field) == getattr(want, field), (field, context)
 
 
 def toggles_db():
@@ -173,6 +225,41 @@ class TestMaintainedReads:
             assert result.stats["oracle"]["worlds"] == 1
             assert result.answers == Database(db.instance).evaluate(NEG, ["x"]).answers
         assert db.cache_stats["maintained"] == 3
+
+    def test_toggles_encode_nothing_and_scan_no_domain(self, monkeypatch):
+        db = toggles_db()
+        service = QueryService(db)
+        q = db.query(NEG, ("x",))
+        q.evaluate()
+        encodes, scans = [], []
+        real_from_rows, real_scan = EncodedRelation.from_rows.__func__, Instance._scan_domain
+
+        def from_rows(cls, rows, dictionary):
+            encodes.append(cls)
+            return real_from_rows(cls, rows, dictionary)
+
+        def scan(self):
+            scans.append(self)
+            return real_scan(self)
+
+        monkeypatch.setattr(EncodedRelation, "from_rows", classmethod(from_rows))
+        monkeypatch.setattr(Instance, "_scan_domain", scan)
+        # present rows, one of them the only holder of its values (8, 9),
+        # and rows bringing values new to the domain (10, 11, 12), which
+        # appear on insert and vanish on delete
+        toggles = [(1, 2), (10, 11), (8, 9), (12, 6)]
+        maintained = 0
+        for i in range(100):
+            row = toggles[i % len(toggles)]
+            if row in db.instance.tuples("R"):
+                db.delete("R", row)
+            else:
+                db.insert("R", row)
+            maintained += q.evaluate().stats["maintained"]
+            assert json.loads(service.handle_line(query_line(NEG, ["x"])))["ok"]
+        assert maintained == 100
+        assert encodes == [] and scans == []
+        assert q.evaluate().answers == Database(db.instance).evaluate(NEG, ["x"]).answers
 
     def test_runs_inside_certain_answers(self, monkeypatch):
         calls = []
