@@ -94,15 +94,18 @@ instance:
   delta swaps in the written relation's null-free rows — derived from
   its ancestor's encoding, not re-encoded
   (:func:`~repro.data.dictionary.derive_columnar`) — and moves only the
-  codes that entered or left it; a delta holding a null, or a changed
-  pool, rebuilds the spec (:func:`_build_spec`);
+  codes that entered or left it; a delta holding a null, a value that
+  appeared in or vanished from the instance, or another pool rebuilds
+  the spec (:func:`_build_spec`);
 * the answer set starts from the prior one
   (:meth:`~repro.data.answers.AnswerSet.succeeded_by`): its wire text
   and decoded rows are patched by the rows that entered or left.
 
 The instance's active domain, and so the pool check, is carried
 across writes as well (:meth:`~repro.data.instance.Instance.with_delta`).
-So a maintained read costs the write and the gap, not the instance.
+So a maintained read scans no cell of the instance; what still grows
+with it is copying the written relation's row sets (C-level set
+operations) and the answer rows.
 """
 
 from __future__ import annotations
@@ -279,14 +282,14 @@ class WorldSpec:
         "base_choices",
         "collapse_order",
         "fresh_tail",
-        "pool",
+        "source",
         "splits",
         "held_by",
     )
 
     def __init__(self, plan, parent, templates, slot_codes, base_adom,
                  read_base_cells, base_choices, collapse_order, fresh_tail,
-                 pool, splits, held_by):
+                 source, splits, held_by):
         self.plan = plan
         self.parent = parent
         #: ``{name: (arity, null-free rows, null rows)}``; every world
@@ -309,8 +312,10 @@ class WorldSpec:
         self.collapse_order = collapse_order
         #: the codes of the pool's interchangeable fresh values
         self.fresh_tail = fresh_tail
-        #: ``(pool, fresh tail)`` as given, which a carried spec must match
-        self.pool = pool
+        #: ``(pool, instance constants)``: the objects the spec was built
+        #: for, which a carried spec must be given again (the same
+        #: objects, so the check costs nothing)
+        self.source = source
         #: the :class:`~repro.data.dictionary.NullSplit` of each relation
         #: the spec was built from
         self.splits = splits
@@ -489,7 +494,6 @@ def _build_spec(
     the intersection over the full valuation space equals the one over
     the restricted space).
     """
-    pool_key = (tuple(pool), tuple(fresh_tail))
     parent = columnar_context(instance)
     dictionary = parent.dictionary
     read = cq.relations
@@ -543,7 +547,7 @@ def _build_spec(
         base_choices=choices,
         collapse_order=_collapse_order(choices, held_by),
         fresh_tail=tuple(map(encode, fresh_tail)),
-        pool=pool_key,
+        source=(pool, instance.constants()),
         splits=splits,
         held_by=held_by,
     )
@@ -570,7 +574,6 @@ def _carried_spec(
     instance: Instance,
     semantics: Semantics,
     pool: Sequence[Hashable],
-    fresh_tail: Sequence[Hashable],
     limit: int,
     prior: tuple,
 ) -> tuple[WorldSpec, dict] | None:
@@ -582,9 +585,13 @@ def _carried_spec(
     template takes the new null-free rows, and only the constant codes
     that entered or left it move ``held_by``, the read cells, the base
     domain and the collapse order.  ``None`` (build afresh) when the
-    prior answers carry no spec of this plan, the pool changed, the
-    plan reads the domain, or the delta holds a null, which moves the
-    valuation slots.
+    prior answers carry no spec of this plan, the plan reads the
+    domain, the delta holds a null (which moves the valuation slots),
+    or ``pool`` and the instance's constants are not the very objects
+    the spec was built for.  The session's pool and a write that makes
+    no value appear or vanish keep both
+    (:meth:`~repro.data.instance.Instance.with_delta`), so that check
+    costs nothing.
     """
     answers, relation, added, removed = prior
     # taken, not shared: only the newest answers of a query hold a spec
@@ -596,7 +603,8 @@ def _carried_spec(
         or old.plan is not cq
         or cq.adom_dependent
         or old.parent.dictionary is not parent.dictionary
-        or old.pool != (tuple(pool), tuple(fresh_tail))
+        or old.source[0] is not pool
+        or old.source[1] is not instance.constants()
     ):
         return None
     for row in chain(added, removed):
@@ -645,7 +653,7 @@ def _carried_spec(
         base_choices=old.base_choices,
         collapse_order=collapse_order,
         fresh_tail=old.fresh_tail,
-        pool=old.pool,
+        source=old.source,
         splits=splits,
         held_by=held_by,
     )
@@ -656,8 +664,8 @@ def _certain_by_valuations(
     cq: CompiledQuery,
     instance: Instance,
     semantics: Semantics,
-    pool: Sequence[Hashable],
-    fresh_tail: Sequence[Hashable],
+    pool: tuple[Hashable, ...],
+    q_consts: frozenset[Hashable],
     limit: int,
     stats_out: dict | None = None,
     prior: tuple | None = None,
@@ -667,18 +675,27 @@ def _certain_by_valuations(
     Each world is a layer over the instance's columnar context: the
     null-free relations (and their indexes) are the instance's own,
     the null-carrying relations the plan reads are substituted per
-    valuation from code-space templates.  ``fresh_tail`` lists the
-    interchangeable pool values — those mentioned by neither the
-    instance nor the query (empty = enumerate the full product).  The
-    answers stay encoded; a bracketed run's set carries its bounds and
-    its spec.  With ``prior``, the spec is carried across the write when
-    it allows (:func:`_carried_spec`), and the answer set starts from
-    the prior one.  Returns ``(answers, bounds patched from prior)``.
+    valuation from code-space templates.  ``q_consts`` are the query's
+    constants.  The answers stay encoded; a bracketed run's set carries
+    its bounds and its spec.  With ``prior``, the spec is carried across
+    the write when it allows (:func:`_carried_spec`), and the answer set
+    starts from the prior one.  Returns ``(answers, bounds patched from
+    prior)``.
     """
     carried = None
     if prior is not None:
-        carried = _carried_spec(cq, instance, semantics, pool, fresh_tail, limit, prior)
-    spec, info = carried or _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
+        carried = _carried_spec(cq, instance, semantics, pool, limit, prior)
+    if carried is None:
+        # the interchangeable tail of *any* pool: values mentioned by
+        # neither the instance nor the query are anonymous to both, so
+        # permuting them fixes D and Q while permuting worlds — exactly
+        # the genericity the orbit transversal needs.  (For the default
+        # pool this recovers the |Null(D)|+1 fresh constants; an empty
+        # tail enumerates the full product.)
+        consts = instance.constants()
+        fresh_tail = tuple(v for v in pool if v not in consts and v not in q_consts)
+        carried = _build_spec(cq, instance, semantics, pool, fresh_tail, limit)
+    spec, info = carried
 
     if stats_out is not None:
         stats_out.update(info)
@@ -868,15 +885,10 @@ def certain_answers(
         pool = base + fresh
     cq = compiled_query(query)
     if semantics.substitution_only:
-        # the interchangeable tail of *any* pool: values mentioned by
-        # neither the instance nor the query are anonymous to both, so
-        # permuting them fixes D and Q while permuting worlds — exactly
-        # the genericity the orbit transversal needs.  (For the default
-        # pool this recovers the |Null(D)|+1 fresh constants.)
-        consts, q_consts = instance.constants(), query.constants()
-        fresh_tail = tuple(v for v in pool if v not in consts and v not in q_consts)
+        # a tuple is its own tuple(), so a caller's tuple pool arrives
+        # as the same object on every read (see _carried_spec)
         encoded, maintained = _certain_by_valuations(
-            cq, instance, semantics, list(pool), fresh_tail, limit, stats_out, prior
+            cq, instance, semantics, tuple(pool), query.constants(), limit, stats_out, prior
         )
         rows = _EncodedRows(encoded.decode())
         rows.encoded = encoded

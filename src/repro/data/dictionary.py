@@ -45,9 +45,9 @@ rendered.  Codes never change meaning, so neither memo goes stale.
 
 Because codes are stable, a write never re-encodes what it did not
 change: :func:`derive_columnar` shares the untouched relations'
-encodings with the new version, and derives each written relation —
-rows and null split alike — from its ancestor's by the delta's codes,
-lazily on first access.
+encodings with the new version, and derives a written relation — rows
+and null split alike — from its ancestor's encoding by the delta's
+codes, lazily on first access.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ from __future__ import annotations
 import json
 import threading
 from array import array
-from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.data.instance import Instance, compose_deltas, recount
+from repro.data.instance import Instance
 from repro.data.jsonio import encode_cell
 from repro.data.values import Null
 
@@ -211,6 +210,32 @@ class NullSplit(NamedTuple):
     null_codes: frozenset[int]
 
 
+def _patched_split(
+    split: NullSplit,
+    added: frozenset[tuple[int, ...]],
+    removed: frozenset[tuple[int, ...]],
+    appeared: frozenset[int],
+    vanished: frozenset[int],
+) -> NullSplit:
+    """``split`` after an effective write of ``added``/``removed`` rows
+    that made the ``appeared`` codes enter the relation and the
+    ``vanished`` ones leave it."""
+    free_rows, null_rows = split.free_rows, split.null_rows
+    gone = [r for r in removed if any(c & 1 for c in r)]
+    new = [r for r in added if any(c & 1 for c in r)]
+    if len(gone) < len(removed):
+        free_rows = free_rows.difference(removed)
+    if len(new) < len(added):
+        free_rows = free_rows.union(r for r in added if not any(c & 1 for c in r))
+    if gone or new:
+        null_rows = tuple(sorted(set(null_rows).difference(gone).union(new)))
+    const_codes, null_codes = split.const_codes, split.null_codes
+    if appeared or vanished:
+        const_codes = const_codes.difference(vanished).union(c for c in appeared if not c & 1)
+        null_codes = null_codes.difference(vanished).union(c for c in appeared if c & 1)
+    return NullSplit(free_rows, null_rows, const_codes, null_codes)
+
+
 class EncodedRelation:
     """One relation stored as columns of int codes.
 
@@ -232,8 +257,6 @@ class EncodedRelation:
         "_np_orders",
         "_sorted_rows",
         "_split",
-        "_split_source",
-        "_cell_counts",
         "_one_use",
     )
 
@@ -249,12 +272,6 @@ class EncodedRelation:
         self._np_orders: dict[int, tuple[object, object]] = {}
         self._sorted_rows: dict[int, list[tuple[int, ...]]] = {}
         self._split: NullSplit | None = None
-        # (ancestor's split, its [cell counts], added, removed): what a
-        # derived relation's split comes from (see null_split)
-        self._split_source: tuple | None = None
-        # [code -> occurrences] once null_split made them; one derived
-        # successor takes them over
-        self._cell_counts: list[Counter] | None = None
         #: built over codes for one evaluation (see :meth:`matching`)
         self._one_use = False
 
@@ -291,13 +308,17 @@ class EncodedRelation:
         base: "EncodedRelation",
         added: frozenset[tuple[int, ...]],
         removed: frozenset[tuple[int, ...]],
+        moved: tuple[frozenset[int], frozenset[int]] | None,
     ) -> "EncodedRelation":
         """``base`` less the ``removed`` rows plus the ``added`` ones.
 
         The delta must be effective (``removed`` rows present in
-        ``base``, ``added`` ones absent).  Columns are built on first
-        use, and the :meth:`null_split` comes from ``base``'s when that
-        one was already split, updated by the delta alone.
+        ``base``, ``added`` ones absent).  ``moved`` is the ``(appeared,
+        vanished)`` codes: those the delta brought into the relation or
+        took out of it, as :meth:`~repro.data.instance.Instance.with_delta`
+        reports them.  Columns are built on first use.  When ``base`` was
+        already split and ``moved`` is known, the :meth:`null_split` is
+        ``base``'s updated by the delta alone.
         """
         rows = base.row_set()
         if removed:
@@ -308,8 +329,8 @@ class EncodedRelation:
         rel.n_rows = len(rows)
         rel._columns = None
         rel._row_set = rows
-        if base._split is not None:
-            rel._split_source = (base._split, base._cell_counts, added, removed)
+        if base._split is not None and moved is not None:
+            rel._split = _patched_split(base._split, added, removed, *moved)
         return rel
 
     @property
@@ -341,62 +362,23 @@ class EncodedRelation:
         Cached on the relation, so it is computed once per relation
         version: the contexts of later generations share untouched
         relations (:func:`derive_columnar`) and their splits with them,
-        and a written relation derives its split from its ancestor's
+        and a written relation may take its split from its ancestor's
         (:meth:`derived`).  The null rows are sorted.
         """
         split = self._split
         if split is None:
-            source = self._split_source
-            if source is not None:
-                split = self._patched_split(*source)
-            if split is None:
-                split = self._scanned_split()
+            cells = frozenset(chain.from_iterable(self.columns))
+            null_codes = frozenset(c for c in cells if c & 1)
+            rows = self.row_set()
+            if null_codes:
+                null_rows = tuple(sorted(r for r in rows if not null_codes.isdisjoint(r)))
+                split = NullSplit(
+                    rows.difference(null_rows), null_rows, cells - null_codes, null_codes
+                )
+            else:
+                split = NullSplit(rows, (), cells, null_codes)
             self._split = split
-            self._split_source = None
         return split
-
-    def _scanned_split(self) -> NullSplit:
-        """The split from every cell, counting them for a derived successor."""
-        rows = self.row_set()
-        counts = Counter(chain.from_iterable(rows))
-        self._cell_counts = [counts]
-        null_codes = frozenset(c for c in counts if c & 1)
-        if not null_codes:
-            return NullSplit(rows, (), frozenset(counts), null_codes)
-        null_rows = tuple(sorted(r for r in rows if not null_codes.isdisjoint(r)))
-        return NullSplit(
-            rows.difference(null_rows), null_rows, frozenset(counts) - null_codes, null_codes
-        )
-
-    def _patched_split(self, split, box, added, removed) -> NullSplit | None:
-        """``split`` after the write ``added``/``removed``, or ``None``.
-
-        Takes over the ancestor's cell counts to tell which codes the
-        write made appear or vanish; ``None`` (scan instead) when
-        another derived relation took them first.
-        """
-        try:
-            counts = box.pop()
-        except IndexError:
-            return None
-        appeared, vanished = recount(counts, removed, added)
-        self._cell_counts = [counts]
-        free_rows, null_rows = split.free_rows, split.null_rows
-        gone = [r for r in removed if any(c & 1 for c in r)]
-        new = [r for r in added if any(c & 1 for c in r)]
-        if len(gone) < len(removed):
-            free_rows = free_rows.difference(removed)
-        if len(new) < len(added):
-            free_rows = free_rows.union(r for r in added if not any(c & 1 for c in r))
-        if gone or new:
-            null_rows = tuple(sorted(set(null_rows).difference(gone).union(new)))
-        const_codes, null_codes = split.const_codes, split.null_codes
-        if vanished or appeared:
-            const_codes = const_codes.difference(vanished).union(
-                c for c in appeared if not c & 1
-            )
-            null_codes = null_codes.difference(vanished).union(c for c in appeared if c & 1)
-        return NullSplit(free_rows, null_rows, const_codes, null_codes)
 
     # ------------------------------------------------------------------
     # access paths (all lazy, all memoised)
@@ -479,37 +461,27 @@ class EncodedRelation:
 class _Pending(NamedTuple):
     """A written relation whose encoding is derived on first access.
 
-    ``base`` is the ancestor's encoded relation, or the pending entry
-    of an ancestor no read encoded in between; ``added``/``removed``
-    are the write's effective rows, as cells.
+    ``base`` is the ancestor's encoded relation; ``added``/``removed``
+    are the write's effective rows and ``moved`` its ``(appeared,
+    vanished)`` values in the relation, all as cells.
     """
 
-    base: "EncodedRelation | _Pending"
+    base: "EncodedRelation"
     added: frozenset[tuple]
     removed: frozenset[tuple]
-    #: the number of writes between ``base``'s encoded relation and this
-    depth: int
+    moved: tuple[frozenset, frozenset] | None
 
-
-#: after this many writes with no read between, a written relation is
-#: encoded afresh on next access instead of derived, so that a relation
-#: no read encodes does not hold on to every delta
-_MAX_PENDING = 32
-
-
-def _derive(pending: _Pending, dictionary: Dictionary) -> "EncodedRelation":
-    """The encoded relation ``pending`` stands for."""
-    steps = []
-    node = pending
-    while isinstance(node, _Pending):
-        steps.append((node.added, node.removed))
-        node = node.base
-    steps.reverse()
-    added, removed = compose_deltas(steps)
-    encode = dictionary.encode_row
-    return EncodedRelation.derived(
-        node, frozenset(map(encode, added)), frozenset(map(encode, removed))
-    )
+    def derive(self, dictionary: Dictionary) -> "EncodedRelation":
+        """The encoded relation this entry stands for."""
+        encode, encode_row = dictionary.encode, dictionary.encode_row
+        # the added rows first: they intern the values that appeared
+        added = frozenset(map(encode_row, self.added))
+        moved = self.moved
+        if moved is not None:
+            moved = (frozenset(map(encode, moved[0])), frozenset(map(encode, moved[1])))
+        return EncodedRelation.derived(
+            self.base, added, frozenset(map(encode_row, self.removed)), moved
+        )
 
 
 class ColumnarContext:
@@ -570,14 +542,12 @@ class ColumnarContext:
                 return self._parent.encoded(name)
             pending = self._pending.get(name)
             if pending is not None:
-                rel = _derive(pending, self.dictionary)
+                rel = pending.derive(self.dictionary)
             else:
                 rows = self._relations.get(name)
                 if rows is None:
                     return None
                 rel = EncodedRelation.from_rows(rows, self.dictionary)
-            # published before the pending entry goes, so a writer
-            # deriving from this context always finds one of the two
             self._encoded[name] = rel
             self._pending.pop(name, None)
         return rel
@@ -635,13 +605,13 @@ def derive_columnar(
     the interning invariant the differential tests pin), and the encoded
     relations of **untouched** relations are shared outright, bringing
     their indexes, numpy views and sort runs along for free.  A
-    **touched** relation the ancestor had encoded (or was itself
-    deriving) is derived from that encoding on first access: its rows
-    and its null split are the ancestor's patched by the delta's codes
-    (:meth:`EncodedRelation.derived`), never a re-encode of the whole
-    relation.  The write itself only records the delta, so deltas of
-    several writes made without a read in between compose at that
-    access.  Other touched relations encode on first access.
+    **touched** relation the ancestor had encoded is derived from that
+    encoding on first access, so the write itself only records its
+    delta: its rows are the ancestor's patched by the delta's codes, and
+    so is its null split when the ancestor had one
+    (:meth:`EncodedRelation.derived`).  A touched relation the ancestor
+    had not encoded (several writes made without a read in between)
+    encodes afresh on first access.
 
     No-op (returns ``None``) when the ancestor was never encoded — a
     database that never ran the columnar engine pays nothing here.
@@ -653,24 +623,17 @@ def derive_columnar(
         return None
     ctx = ColumnarContext(new_instance, old_ctx.dictionary)
     new_rels = new_instance._relations
-    # copies: readers of the ancestor encode (and drop pending entries)
-    # concurrently with this write
+    # copies: readers of the ancestor may encode concurrently
     for name, pending in old_ctx._pending.copy().items():
         if name not in changes:
             ctx._pending[name] = pending
     for name, rel in old_ctx._encoded.copy().items():
         if name not in changes and name in new_rels:
             ctx._encoded[name] = rel
+    moves = new_instance._value_moves or {}
     for name, (added, removed) in changes.items():
-        if name not in new_rels:
-            continue
-        # pending first: an access publishes the encoding before it
-        # drops the pending entry, so one of the two is always found
-        base = old_ctx._pending.get(name)
-        depth = base.depth + 1 if base is not None else 1
-        if base is None:
-            base = old_ctx._encoded.get(name)
-        if base is not None and depth <= _MAX_PENDING:
-            ctx._pending[name] = _Pending(base, added, removed, depth)
+        base = old_ctx._encoded.get(name)
+        if base is not None and name in new_rels:
+            ctx._pending[name] = _Pending(base, added, removed, moves.get(name))
     new_instance._cols = ctx
     return ctx

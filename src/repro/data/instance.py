@@ -11,11 +11,16 @@ new instances, so they can be shared freely, used as dictionary keys and
 members of sets (the semantics layer builds sets of complete instances
 all the time).
 
-The active domain survives writes: :meth:`Instance.with_delta` carries
-the ancestor's per-value occurrence counts forward, so a write that
-makes no value appear or vanish hands the new version the ancestor's
-``adom``/``constants``/``nulls``/``sorted_adom`` objects, and one that
-does derives them from the values that moved, never from a scan.
+The active domain survives writes that move no value:
+:meth:`Instance.with_delta` carries per-relation value occurrence counts
+forward, so a write that makes no value appear in or vanish from the
+instance hands the new version the ancestor's
+``adom``/``constants``/``nulls``/``sorted_adom`` objects (one that does
+leaves them to be computed afresh).  Once the counts exist (the first
+domain scan of a written version makes them), it also reports the
+values each written relation gained or lost, which
+:func:`~repro.data.dictionary.derive_columnar` needs to patch that
+relation's encoded null split.
 """
 
 from __future__ import annotations
@@ -27,26 +32,9 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping
 from repro.data.schema import Schema, SchemaError
 from repro.data.values import Null, sort_key
 
-__all__ = ["Instance", "Fact", "compose_deltas", "recount"]
+__all__ = ["Instance", "Fact"]
 
 Fact = tuple[str, tuple[Hashable, ...]]
-
-#: a write onto a pending domain (no read since the last computed one)
-#: that leaves it moved by more than this many values settles it
-_MAX_MOVED = 64
-
-
-def _moved(values: frozenset, lost: frozenset, gained: frozenset, nulls: bool) -> frozenset:
-    """``values`` (the nulls, or the constants) less ``lost`` plus ``gained``.
-
-    Only the moved values of the same kind count; when none did,
-    ``values`` itself comes back.
-    """
-    lost = [v for v in lost if isinstance(v, Null) is nulls]
-    gained = [v for v in gained if isinstance(v, Null) is nulls]
-    if not lost and not gained:
-        return values
-    return values.difference(lost).union(gained)
 
 
 class Instance:
@@ -72,8 +60,8 @@ class Instance:
         "_constants",
         "_indexes",
         "_cols",
-        "_occurrences",
-        "_domain_delta",
+        "_counts",
+        "_value_moves",
     )
 
     def __init__(self, relations: Mapping[str, Iterable[tuple]] | None = None):
@@ -102,14 +90,13 @@ class Instance:
         self._constants: frozenset[Hashable] | None = None
         self._indexes = None  # hash indexes (see index())
         self._cols = None  # columnar context (repro.data.dictionary)
-        # [per-value occurrence counts] once a domain scan or a write
-        # made them; with_delta hands them to one successor (_carry_domain)
-        self._occurrences: list[Counter] | None = None
-        # (root adom, root nulls, root constants, gained, lost): a written
-        # version's domain as its last computed ancestor's (the root's
-        # split may be None) moved by the values the writes since made
-        # appear or vanish, pending until asked for
-        self._domain_delta: tuple | None = None
+        # None, or for a version with_delta wrote: [{relation: value ->
+        # occurrences}], which the next write takes over (see
+        # _carry_domain), or [] until a domain scan counts them
+        self._counts: list[dict[str, Counter]] | None = None
+        # per relation with_delta wrote, the (appeared, vanished) values:
+        # those it gained or lost outright (see derive_columnar)
+        self._value_moves: dict[str, tuple[frozenset, frozenset]] | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -185,23 +172,25 @@ class Instance:
     def adom(self) -> frozenset[Hashable]:
         """Active domain: all values occurring in some tuple (cached).
 
-        A version written by :meth:`with_delta` derives it from its
-        ancestor's domain and the values the write made appear or vanish.
+        A version :meth:`with_delta` wrote without occurrence counts
+        counts its cells in this scan, for the next write to carry.
         """
         if self._adom is None:
-            pending = self._domain_delta
-            if pending is not None:
-                root, _, _, gained, lost = pending
-                self._adom = root.difference(lost).union(gained)
-            else:
-                self._scan_domain()
+            box = self._counts
+            if box == []:
+                counts = {
+                    name: Counter(chain.from_iterable(rows))
+                    for name, rows in self._relations.items()
+                }
+                self._adom = frozenset(chain.from_iterable(counts.values()))
+                box.append(counts)
+                return self._adom
+            values: set[Hashable] = set()
+            for tuples in self._relations.values():
+                for row in tuples:
+                    values.update(row)
+            self._adom = frozenset(values)
         return self._adom
-
-    def _scan_domain(self) -> None:
-        """Count every cell's value: the domain, and the counts writes carry."""
-        counts = Counter(chain.from_iterable(chain.from_iterable(self._relations.values())))
-        self._adom = frozenset(counts)
-        self._occurrences = [counts]
 
     def sorted_adom(self) -> tuple[Hashable, ...]:
         """The active domain in :func:`~repro.data.values.sort_key` order.
@@ -227,18 +216,9 @@ class Instance:
         return self._constants
 
     def _split_adom(self) -> None:
-        adom = self.adom()
-        pending = self._domain_delta
-        if pending is not None and pending[1] is not None:
-            # the root's split, moved by the values that moved
-            _, nulls, constants, gained, lost = pending
-            self._nulls = _moved(nulls, lost, gained, True)
-            self._constants = _moved(constants, lost, gained, False)
-            self._domain_delta = None
-            return
-        nulls = frozenset(v for v in adom if isinstance(v, Null))
+        nulls = frozenset(v for v in self.adom() if isinstance(v, Null))
         self._nulls = nulls
-        self._constants = adom - nulls if nulls else adom
+        self._constants = self._adom - nulls if nulls else self._adom
 
     def is_complete(self) -> bool:
         """True iff no nulls occur (``adom(D) ⊆ Const``)."""
@@ -323,11 +303,11 @@ class Instance:
 
     def add_fact(self, name: str, row: tuple) -> "Instance":
         """A new instance with one extra fact."""
-        return self.with_delta(adds={name: [row]})[0]
+        return self._delta({name: [row]}, None)[0]
 
     def remove_fact(self, name: str, row: tuple) -> "Instance":
         """A new instance without the given fact (no-op when absent)."""
-        return self.with_delta(removes={name: [row]})[0]
+        return self._delta(None, {name: [row]})[0]
 
     def with_delta(
         self,
@@ -348,15 +328,22 @@ class Instance:
         not the instance.  The session layer's mutation API
         (``Database.insert``/``delete``/``apply_delta``) is built on it.
 
-        The active domain is carried forward the same way: once the
-        receiver's domain has been computed (or carried to it), the new
-        version takes over its per-value occurrence counts and updates
-        them by the delta's cells.  When no value appears or vanishes,
-        the new version's :meth:`adom`, :meth:`constants`, :meth:`nulls`
-        and :meth:`sorted_adom` are the receiver's objects; otherwise
-        they are derived on first use from the receiver's and the values
-        that moved.
+        The active domain is carried forward too.  The new version takes
+        over the receiver's per-relation value occurrence counts and
+        updates them by the delta's cells; a chain of writes counts its
+        cells once, in the first domain scan of a written version.  When
+        no value appears in or vanishes from the instance, the new
+        version's :meth:`adom`, :meth:`constants`, :meth:`nulls` and
+        :meth:`sorted_adom` are the receiver's objects; otherwise they
+        are computed afresh on first use.
         """
+        out, changes = self._delta(adds, removes)
+        if changes:
+            self._carry_domain(out, changes)
+        return out, changes
+
+    def _delta(self, adds, removes) -> tuple["Instance", dict[str, tuple[frozenset, frozenset]]]:
+        """:meth:`with_delta` without carrying the domain (one-fact edits)."""
         rels = dict(self._relations)
         changes: dict[str, tuple[frozenset, frozenset]] = {}
         touched: set[str] = set()
@@ -396,70 +383,54 @@ class Instance:
                 del rels[name]
         if not changes:
             return self, changes
+        # not Instance(rels), which would re-freeze every relation
         out = Instance.__new__(Instance)
         out._relations = rels
         out._hash = None
+        out._adom = out._sorted_adom = out._nulls = out._constants = None
         out._indexes = None
         out._cols = None
-        self._carry_domain(out, changes)
+        out._counts = None
+        out._value_moves = None
         return out, changes
 
     def _carry_domain(self, out: "Instance", changes: Mapping[str, tuple]) -> None:
-        """Give ``out`` (this version after ``changes``) its active domain.
+        """Give ``out`` (this version after ``changes``) the value counts and views.
 
-        The occurrence counts move: at most one successor takes them
-        (``list.pop`` is atomic, so two writers deriving from one
-        version never share them), and a version without them leaves
-        ``out`` to scan on first use.
+        The counts move: at most one successor takes them (``list.pop``
+        is atomic, so two writers deriving from one version never share
+        them).  Without them, ``out`` counts its cells on its first
+        domain scan (:meth:`adom`), so a write never scans the instance.
         """
-        out._adom = out._sorted_adom = out._nulls = out._constants = None
-        out._domain_delta = None
-        out._occurrences = None
-        box = self._occurrences
+        out._counts = []
+        box = self._counts
         if not box:
             return
         try:
             counts = box.pop()
         except IndexError:  # another successor took them first
             return
-        out._occurrences = [counts]
-        appeared, vanished = recount(
-            counts,
-            chain.from_iterable(removed for _, removed in changes.values()),
-            chain.from_iterable(added for added, _ in changes.values()),
-        )
-        # readers may be filling this version's views meanwhile: each
-        # sets the domain before it drops the pending delta, and the
-        # nulls before the constants, so read them in the other order
-        pending, adom = self._domain_delta, self._adom
-        constants = self._constants
-        nulls = self._nulls if constants is not None else None
-        if not vanished and not appeared:
-            out._adom, out._sorted_adom = adom, self._sorted_adom
-            out._nulls, out._constants = nulls, constants
-            out._domain_delta = pending if adom is None else None
+        moves = {}
+        moved: set = set()
+        for name, (added, removed) in changes.items():
+            held = counts.setdefault(name, Counter())
+            appeared, vanished = recount(held, removed, added)
+            if not held:
+                del counts[name]
+            moves[name] = (frozenset(appeared), frozenset(vanished))
+            moved |= appeared
+            moved |= vanished
+        out._counts = [counts]
+        out._value_moves = moves
+        adom = self._adom
+        if adom is None:
             return
-        if adom is not None:
-            pending = (adom, nulls, constants, (), ())
-        # compose onto the root: the last version whose domain was computed
-        root, nulls, constants, gained, lost = pending
-        gained, lost = set(gained), set(lost)
-        for value in vanished:
-            if value in root:
-                lost.add(value)
-            else:
-                gained.discard(value)
-        for value in appeared:
-            if value in root:
-                lost.discard(value)
-            else:
-                gained.add(value)
-        if adom is None and len(gained) + len(lost) > _MAX_MOVED:
-            # many writes and no read between: settle the domain from
-            # the counts once, so that composing stays cheap
-            out._adom = frozenset(counts)
-        else:
-            out._domain_delta = (root, nulls, constants, frozenset(gained), frozenset(lost))
+        for value in moved:
+            if (value in adom) is not any(value in held for held in counts.values()):
+                return  # it appeared in or vanished from the instance
+        # every view, once filled, is this domain's
+        out._adom, out._sorted_adom = adom, self._sorted_adom
+        out._nulls, out._constants = self._nulls, self._constants
 
     # ------------------------------------------------------------------
     # equality / hashing / rendering
@@ -529,36 +500,6 @@ class Instance:
         """
         mapping = {value: factory() for value in sorted(values, key=sort_key)}
         return self.apply(mapping), mapping
-
-
-def compose_deltas(
-    steps: Iterable[tuple[Iterable[tuple], Iterable[tuple]]],
-) -> tuple[set[tuple], set[tuple]]:
-    """The net ``(added, removed)`` rows of successive effective deltas.
-
-    ``steps`` are ``(added, removed)`` row sets of one relation in write
-    order, each effective against the version before it (as
-    :meth:`Instance.with_delta` reports them): a row removed after it was
-    added, or added back after it was removed, cancels out.
-
-    >>> compose_deltas([({(1,)}, {(2,)}), ({(2,)}, {(1,), (3,)})])
-    (set(), {(3,)})
-    """
-    added: set[tuple] = set()
-    removed: set[tuple] = set()
-    for step_added, step_removed in steps:
-        # an effective delta removes present rows, then adds absent ones
-        for row in step_removed:
-            if row in added:
-                added.discard(row)
-            else:
-                removed.add(row)
-        for row in step_added:
-            if row in removed:
-                removed.discard(row)
-            else:
-                added.add(row)
-    return added, removed
 
 
 def recount(

@@ -61,7 +61,7 @@ from repro.core.engine import EvalResult
 from repro.core.plan import Plan
 from repro.data import dictionary as _dictionary
 from repro.data.answers import AnswerSet
-from repro.data.instance import Instance, compose_deltas
+from repro.data.instance import Instance
 from repro.data.schema import Schema
 from repro.logic import columnar as _columnar
 from repro.logic.ast import Formula
@@ -1003,7 +1003,21 @@ class Database:
         if len(steps) != gen - since:
             return None
         steps.reverse()
-        return (prior, name, *compose_deltas(steps))
+        added: set = set()
+        removed: set = set()
+        for step_added, step_removed in steps:
+            # an effective delta removes present rows, then adds absent ones
+            for row in step_removed:
+                if row in added:
+                    added.discard(row)
+                else:
+                    removed.add(row)
+            for row in step_added:
+                if row in removed:
+                    removed.discard(row)
+                else:
+                    added.add(row)
+        return prior, name, added, removed
 
     @staticmethod
     def _cache_stats_fields(key: tuple | None, cached: AnswerSet | None) -> dict:

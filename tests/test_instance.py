@@ -228,37 +228,41 @@ def read_domain(rng, inst: Instance) -> None:
 class TestCarriedDomain:
     def test_write_streams_match_a_fresh_instance(self, monkeypatch):
         scans = []
-        real = Instance._scan_domain
+        real = Instance.adom
 
-        def scan(self):
-            scans.append(self)
+        def adom(self):
+            if self._adom is None:
+                scans.append(self)
             return real(self)
 
-        monkeypatch.setattr(Instance, "_scan_domain", scan)
+        monkeypatch.setattr(Instance, "adom", adom)
         rng = fuzz_rng("instance-domain")
         shared = 0
         for _ in range(fuzz_trials(20)):
             inst = stream_instance(rng)
             read_domain(rng, inst)
-            read = True
-            del scans[:]
-            versions = []
+            counts = None
             for _ in range(40):
                 before = inst
+                # a version that was read and holds counts hands both on
+                carries = before._adom is not None and bool(before._counts)
                 inst, _ = stream_write(rng, before)
-                versions.append(inst)
-                if rng.random() < 0.4:  # no read: the next write composes
-                    read = False
+                if inst is not before and counts is not None:
+                    # once counted, every later write carries the counts
+                    assert inst._counts[0] is counts
+                if rng.random() < 0.4:  # no read before the next write
                     continue
+                del scans[:]
                 read_domain(rng, inst)
-                if read and inst is not before and inst.adom() == before.adom():
+                if counts is None and inst._counts:
+                    # the first scan of a written version counted them
+                    counts = inst._counts[0]
+                if carries and inst is not before and inst.adom() == before.adom():
                     # nothing appeared or vanished: the views are shared
+                    assert not any(s is inst for s in scans)
                     for view in DOMAIN_VIEWS:
                         assert getattr(inst, view)() is getattr(before, view)(), view
                     shared += 1
-                read = True
-            # only the first version scanned: every later one carried
-            assert not any(v is s for v in versions for s in scans)
         assert shared
 
     def test_many_moved_values_without_a_read(self):
@@ -284,20 +288,26 @@ class TestCarriedDomain:
 class TestDerivedEncodings:
     def test_write_streams_match_a_fresh_encoding(self):
         rng = fuzz_rng("instance-derived")
-        derived = 0
+        derived = patched = 0
         for _ in range(fuzz_trials(20)):
             inst = stream_instance(rng)
             dictionary = columnar_context(inst).dictionary
             for step in range(40):
-                # reads after 1, 2 and 3 writes in turn
+                # reads after 1, 2 and 3 writes in turn; only a relation
+                # its ancestor had encoded is derived
                 for _ in range(step % 3 + 1):
                     new, changes = stream_write(rng, inst)
                     derive_columnar(inst, new, changes)
                     inst = new
+                # a domain read: the writes from here on carry the
+                # counts that tell a derived split the codes that moved
+                inst.adom()
                 ctx = columnar_context(inst)
-                derived += len(ctx._pending)
+                pending = set(ctx._pending)
+                derived += len(pending)
                 for name in inst.relations:
                     rel = ctx.encoded(name)
+                    patched += name in pending and rel._split is not None
                     want = EncodedRelation.from_rows(inst.tuples(name), dictionary)
                     assert (rel.arity, rel.n_rows) == (want.arity, want.n_rows)
                     assert rel.row_set() == want.row_set()
@@ -305,4 +315,4 @@ class TestDerivedEncodings:
                     # an unsplit ancestor leaves its successor to scan
                     if rng.random() < 0.8:
                         assert rel.null_split() == want.null_split(), (name, inst)
-        assert derived
+        assert derived and patched
