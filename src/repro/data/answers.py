@@ -170,6 +170,16 @@ class AnswerSet:
         """Is the wire text already cached (:meth:`to_json` costs nothing)?"""
         return self._json is not None
 
+    @property
+    def patches_text(self) -> bool:
+        """Do sets patched from this one patch its sorted wire text?
+
+        True once a counted or bracketed set has rendered, or was
+        patched from one that had: the patched set then renders by
+        bisection (:meth:`patched`), not by a sort of every row.
+        """
+        return self._sorted is not None
+
     def _columns(self) -> list[array]:
         if self._codes is None:  # a patched set: its rows are the counted ones
             self._codes = array("q", chain.from_iterable(visible_rows(self._counts)))

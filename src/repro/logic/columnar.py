@@ -700,9 +700,14 @@ def compiled_query(query) -> CompiledQuery:
 
     Naive evaluation, EXPLAIN, answer maintenance and the oracle's
     worlds all run (or describe) this same DAG; queries differing only
-    in name share it.
+    in name share it.  Memoised on the query value, like its hash, so
+    a served read's several lookups hash no formula tree.
     """
-    return compile_formula(query.formula, query.answer_vars)
+    cq = query.__dict__.get("_compiled")
+    if cq is None:
+        cq = compile_formula(query.formula, query.answer_vars)
+        object.__setattr__(query, "_compiled", cq)
+    return cq
 
 
 def columnar_naive_eval(query, instance: Instance) -> AnswerSet:

@@ -21,6 +21,9 @@ from repro.logic.transform import constants_used, free_vars
 
 __all__ = ["Query"]
 
+#: the memos kept in a query's ``__dict__`` and left out of its pickles
+_MEMOS = ("_hash", "_constants", "_compiled")
+
 
 @dataclass(frozen=True)
 class Query:
@@ -30,10 +33,12 @@ class Query:
     Boolean query has an empty tuple.  Construction validates that the
     declared variables are exactly the free variables of the formula.
 
-    The hash and :meth:`constants` are memoised on the value: both walk
-    the whole formula tree, and a served read looks a query up in
-    several caches.  The memos stay out of pickles (a string's hash
-    differs between processes).
+    The hash, :meth:`constants` and the compiled plan
+    (:func:`~repro.logic.columnar.compiled_query`) are memoised on the
+    value: each walks the whole formula tree, and a served read looks a
+    query up in several caches.  The memos stay out of pickles (a
+    string's hash differs between processes, and a plan is rebuilt
+    from the formula).
     """
 
     formula: Formula
@@ -87,7 +92,7 @@ class Query:
         return memo
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_constants")}
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
 
     def fragments(self) -> tuple[str, ...]:
         """The syntactic fragments containing this query's formula."""

@@ -21,11 +21,13 @@ Concurrency model: the :class:`~repro.session.Database` is already
 thread-safe (immutable instance snapshots + per-relation generation
 counters), so worker threads call straight into it.  Mutations apply
 atomically; readers either hit the generation-keyed result cache or
-evaluate against a consistent snapshot.  A ``query`` whose rendered
-answer is already cached is answered on the event loop itself
-(:meth:`QueryService.serve_cached`); everything else runs on a small
-worker pool, as in the AMPED design of the Flash web server (Pai,
-Druschel and Zwaenepoel, USENIX ATC 1999).
+evaluate against a consistent snapshot.  A request whose session work
+is bounded — a ``query`` whose rendered answer is cached, a ``query``
+maintained by witness counting, a write to a session with no storage —
+is answered on the event loop itself (:meth:`QueryService.serve_cached`);
+everything that can wait or enumerate runs on a small worker pool, as
+in the AMPED design of the Flash web server (Pai, Druschel and
+Zwaenepoel, USENIX ATC 1999).
 
 When the shared session is durable (``Database(path=...)``), mutations
 are journaled/fsync'd before they are acknowledged, the ``checkpoint``
@@ -60,7 +62,7 @@ import json
 import queue
 import threading
 from time import perf_counter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro import faults as _faults
 from repro.core.analyzer import FIGURE_1
@@ -85,6 +87,11 @@ PROTO_VERSION = 2
 #: the optional protocol features every node serves, advertised by
 #: ``ping`` and ``stats``
 FEATURES = ("pipelining", "deadline_ms")
+
+
+#: the ops that write: :meth:`QueryService.serve_cached` runs them on
+#: the event loop when the session has no storage
+_WRITE_OPS = frozenset({"insert", "delete", "delta"})
 
 
 def _is_number(value, types) -> bool:
@@ -153,6 +160,10 @@ class QueryService:
             "errors": 0,
         }
         self._started = perf_counter()
+        #: is an admission slot free for bounded work right now?
+        #: :meth:`serve_cached` runs writes and maintained reads only
+        #: while it says so; :class:`AsyncServer` installs its own check
+        self.slot_free: Callable[[], bool] = lambda: True
 
     @property
     def role(self) -> str:
@@ -402,34 +413,45 @@ class QueryService:
         return self._render(prepared, self.db.evaluate_many([prepared], mode=mode)[0])
 
     def serve_cached(self, request: dict) -> dict | None:
-        """Answer a ``query`` request now if its rendered answer is cached.
+        """Answer a request now if its session work is bounded.
 
-        The event loop's fast path: returns the response
-        :meth:`handle` gives, or ``None`` when the request is not a
-        valid ``query`` or :meth:`Database.rendered_hit` declines (the
-        session lock is busy, the floors are unmet, the text was never
-        prepared, the plan is stale, the entry is missing or not yet
-        rendered).  It never blocks, parses, plans or renders.
-        :meth:`handle` runs under the probe's lock, so the hit cannot
-        vanish and the counters move exactly as on the worker path.
+        The event loop's entry: returns the response :meth:`handle`
+        gives, or ``None`` when :meth:`Database.bounded` declines.  It
+        admits a ``query`` whose rendered answer is cached, and, only
+        while :attr:`slot_free` says so, a ``query`` maintained by
+        witness counting and an ``insert``/``delete``/``delta`` on a
+        primary whose session has no storage.  It declines a request
+        with an invalid field (the worker path answers the error), and
+        whenever the session lock is busy, a floor is unmet, the text
+        was never prepared, the plan is stale or the request is in none
+        of these classes.  It never blocks, plans or enumerates.
+        :meth:`handle` runs under the probe's lock, so the verdict
+        cannot go stale and the counters move exactly as on the worker
+        path.
         """
-        if request.get("op") != "query":
+        op = request.get("op")
+        if op == "query":
+            try:
+                text, vars_, semantics = self._query_spec(request)
+                mode = self._mode(request)
+                min_g, min_rel = self._floors(request)
+            except ValueError:
+                return None  # the worker path answers the field error
+            probe = self.db.bounded(
+                text,
+                vars_,
+                semantics=semantics,
+                mode=mode,
+                generation=min_g,
+                rel_generations=min_rel,
+                maintained=self.slot_free(),
+            )
+        elif op in _WRITE_OPS and not self._replica_mode and self.slot_free():
+            probe = self.db.bounded(None)
+        else:
             return None
-        try:
-            text, vars_, semantics = self._query_spec(request)
-            mode = self._mode(request)
-            min_g, min_rel = self._floors(request)
-        except ValueError:
-            return None  # the worker path answers the field error
-        with self.db.rendered_hit(
-            text,
-            vars_,
-            semantics=semantics,
-            mode=mode,
-            generation=min_g,
-            rel_generations=min_rel,
-        ) as hit:
-            return self.handle(request) if hit else None
+        with probe as bounded:
+            return self.handle(request) if bounded else None
 
     def _op_batch(self, request: dict) -> dict:
         """An explicit client-side batch: one evaluate_many, one response."""
@@ -696,11 +718,16 @@ class AsyncServer:
     """An asyncio front end for a :class:`QueryService` (protocol v2).
 
     One event loop multiplexes every connection, so an idle client
-    costs a heap object instead of a parked thread.  A ``query`` whose
-    rendered answer is cached is answered on the loop itself
-    (:meth:`QueryService.serve_cached`); all other session work runs
-    on a pool of at most ``executor_threads`` worker threads, one
-    request per job.  What it adds:
+    costs a heap object instead of a parked thread.  The loop runs a
+    request itself when it can neither wait nor enumerate
+    (:meth:`QueryService.serve_cached`): a ``query`` whose rendered
+    answer is cached, and, while an admission slot is free, a
+    ``query`` maintained by witness counting or a write to a session
+    with no storage.  Under the GIL such work stalls the loop as long
+    from a worker as on the loop, minus the thread hop.  All other
+    session work — durable writes, oracle reads, full evaluations,
+    floor waits — runs on a pool of at most ``executor_threads``
+    worker threads, one request per job.  What it adds:
 
     * **pipelining** — each request line becomes its own task; a client
       may send N requests before reading anything, and responses are
@@ -710,8 +737,9 @@ class AsyncServer:
       occupy worker slots; the next one is shed *immediately* with a
       typed ``overloaded`` frame (never queued unboundedly, never a
       silent drop), and ``max_conns`` bounds accepted connections the
-      same way.  A cache hit answered on the loop takes no slot, so it
-      is never shed;
+      same way.  A rendered hit answered on the loop takes no slot, so
+      it is never shed; other work runs on the loop only while a slot
+      is free, and is shed as usual when none is;
     * **deadlines** — a request carrying ``deadline_ms`` gets at most
       that long of server residency; past it the client receives a
       typed ``deadline`` frame while the already-running op finishes
@@ -764,6 +792,7 @@ class AsyncServer:
         self._drain_timeout_s = 0.0
         self._startup_error: BaseException | None = None
         self._done = threading.Event()
+        service.slot_free = self._slot_free
 
     # ------------------------------------------------------------------
     # async lifecycle
@@ -964,8 +993,11 @@ class AsyncServer:
                 await self._serve_replicate(conn, request)
                 return
             if isinstance(request, dict) and _valid_deadline(request.get("deadline_ms")):
-                # a rendered cache hit is answered here, on the loop: no
-                # slot, no task, no thread hop
+                # bounded work is answered here, on the loop, with no
+                # task and no thread hop: a rendered cache hit always,
+                # a maintained read or an in-memory write while a slot
+                # is free (without taking it: nothing else runs on the
+                # loop meanwhile)
                 response = self.service.serve_cached(request)
                 if response is not None:
                     await self._respond_obj(conn, response, request.get("id"))
@@ -1016,6 +1048,9 @@ class AsyncServer:
     # per-request task
     # ------------------------------------------------------------------
 
+    def _slot_free(self) -> bool:
+        return self._inflight < self.max_inflight
+
     def _release_slot(self, fut: asyncio.Future) -> None:
         self._inflight -= 1
         if not fut.cancelled():
@@ -1039,7 +1074,7 @@ class AsyncServer:
                     rid,
                 )
                 return
-            if self._inflight >= self.max_inflight:
+            if not self._slot_free():
                 # admission control: shed *now* with a typed frame rather
                 # than queue without bound — the client knows nothing ran
                 self.service.bump("requests")

@@ -965,26 +965,18 @@ class Database:
         self._newest.clear()
         self._deltas.clear()
 
-    def _maintenance_basis(
-        self, plan: Plan, key: tuple | None, cached: AnswerSet | None
-    ) -> tuple[AnswerSet, str, set, set] | None:
-        """What a miss can maintain its answers from, or ``None``.
+    def _maintenance_steps(
+        self, key: tuple, newest: tuple
+    ) -> tuple[str, list[tuple]] | None:
+        """The one read relation written since ``newest`` and its deltas.
 
-        ``(answers, relation, added, removed)``: the newest cached
-        answers of the same plan, the one read relation written since,
-        and the net rows it gained and lost, composed from the delta
-        log.  The answers are a ``columnar`` run's counted set or a CWA
-        oracle run's set carrying its bracket's counted bounds.  ``None``
-        when there is no such entry, when writes touched another read
-        relation too, or when the log no longer reaches back to the
-        entry.  Caller holds the lock.
+        ``(relation, steps)``: the relation whose generation differs
+        between ``newest`` (an older key of ``key``'s plan) and ``key``,
+        and the ``(added, removed)`` rows of each write to it since,
+        oldest first.  ``None`` when writes touched another read
+        relation too, or when the delta log no longer reaches back to
+        ``newest``.  Caller holds the lock.
         """
-        if cached is not None or key is None:
-            return None
-        newest = self._newest.get(key[:-1])
-        prior = self._results.get(newest) if newest is not None else None
-        if prior is None or (prior.plan is None and prior.bracket is None):
-            return None
         before = dict(newest[-1])
         moved = [(name, gen) for name, gen in key[-1] if before[name] != gen]
         if len(moved) != 1:
@@ -1003,6 +995,30 @@ class Database:
         if len(steps) != gen - since:
             return None
         steps.reverse()
+        return name, steps
+
+    def _maintenance_basis(
+        self, plan: Plan, key: tuple | None, cached: AnswerSet | None
+    ) -> tuple[AnswerSet, str, set, set] | None:
+        """What a miss can maintain its answers from, or ``None``.
+
+        ``(answers, relation, added, removed)``: the newest cached
+        answers of the same plan, the one read relation written since,
+        and the net rows it gained and lost, composed from the delta
+        log (:meth:`_maintenance_steps`).  The answers are a
+        ``columnar`` run's counted set or a CWA oracle run's set
+        carrying its bracket's counted bounds.  Caller holds the lock.
+        """
+        if cached is not None or key is None:
+            return None
+        newest = self._newest.get(key[:-1])
+        prior = self._results.get(newest) if newest is not None else None
+        if prior is None or (prior.plan is None and prior.bracket is None):
+            return None
+        found = self._maintenance_steps(key, newest)
+        if found is None:
+            return None
+        name, steps = found
         added: set = set()
         removed: set = set()
         for step_added, step_removed in steps:
@@ -1094,50 +1110,82 @@ class Database:
         return result
 
     @contextmanager
-    def rendered_hit(
+    def bounded(
         self,
-        source: str,
+        source: str | None,
         vars: Sequence | None = None,
         *,
         semantics: Semantics | str | None = None,
         mode: str = "auto",
         generation: int | None = None,
         rel_generations: Mapping[str, int] | None = None,
+        maintained: bool = True,
     ) -> Iterator[bool]:
-        """Would ``evaluate_many([source], mode=mode)`` be a rendered cache hit?
+        """Is the session work of one request bounded by what it changes?
 
-        Yields ``True`` when the evaluation would hit a result-cache
-        entry whose wire text (:meth:`AnswerSet.to_json`) is already
-        cached and the ``generation``/``rel_generations`` floors are
-        already met; the session lock is then held for the whole
-        ``with`` body, so the hit cannot vanish before the caller
-        serves it.  The probe itself never blocks or computes: it
-        declines (yields ``False``) when the lock is busy, when the
-        source was never prepared with these ``vars`` and
-        ``semantics``, when no plan is cached under the current key,
-        or when the entry is missing or not rendered.  It counts
-        nothing in :attr:`cache_stats`.
+        ``source`` is query text, or ``None`` for a write
+        (:meth:`insert`, :meth:`delete` or :meth:`apply_delta`).  Yields
+        ``True`` when the work can neither wait nor enumerate:
+
+        * a write to a session with no storage: O(delta) plus one
+          row-set copy of the written relation, and never an fsync;
+        * a read that would hit a result-cache entry whose wire text
+          (:meth:`AnswerSet.to_json`) is already rendered;
+        * with ``maintained``, a read whose newest cached entry of the
+          same plan is a counted set that patches its rendered text,
+          where exactly one read relation was written since, its writes
+          can be maintained (:func:`~repro.logic.columnar.maintenance_gaps`)
+          and the delta log reaches back to the entry: the read is then
+          :func:`~repro.logic.columnar.maintained_answers` plus a text
+          patch, with no kernel run over the instance.
+
+        A read also needs its ``generation``/``rel_generations`` floors
+        met already.  While it yields ``True`` the session lock is held
+        for the whole ``with`` body, so the verdict cannot go stale
+        before the caller acts on it.  The probe never blocks or
+        computes: it declines (yields ``False``) when the lock is busy,
+        when the source was never prepared with these ``vars`` and
+        ``semantics``, when no plan is cached under the current key, or
+        when the request is in none of the classes.  It counts nothing
+        in :attr:`cache_stats`.
         """
         if not self._lock.acquire(blocking=False):
             yield False
             return
         try:
-            yield self._is_rendered_hit(
-                source, vars, semantics, mode, generation, rel_generations
-            )
+            if source is None:
+                yield self._storage is None
+            else:
+                yield self._is_bounded_read(
+                    source, vars, semantics, mode, generation, rel_generations, maintained
+                )
         finally:
             self._lock.release()
 
-    def _is_rendered_hit(self, source, vars, semantics, mode, generation, floors) -> bool:
-        """The check of :meth:`rendered_hit` (caller holds the lock)."""
+    def _is_bounded_read(
+        self, source, vars, semantics, mode, generation, floors, maintained
+    ) -> bool:
+        """The read check of :meth:`bounded` (caller holds the lock)."""
         if not self._caught_up(generation, floors):
             return False
         sem = self._resolve_semantics(semantics)
         prepared = self._prepared.get(self._intern_key(source, vars, None, sem))
         plan = prepared._cached_plan(mode) if prepared is not None else None
         key = self._result_key(prepared, plan) if plan is not None else None
-        answers = self._results.get(key) if key is not None else None
-        return answers is not None and answers.is_rendered
+        if key is None:
+            return False
+        answers = self._results.get(key)
+        if answers is not None:
+            return answers.is_rendered
+        if not maintained:
+            return False
+        newest = self._newest.get(key[:-1])
+        prior = self._results.get(newest) if newest is not None else None
+        if prior is None or prior.plan is None or not prior.patches_text:
+            return False
+        found = self._maintenance_steps(key, newest)
+        gaps = _columnar.maintenance_gaps(prior.plan)
+        return found is not None and gaps.get(found[0], "unread") is None
 
     @property
     def cache_stats(self) -> dict[str, int]:

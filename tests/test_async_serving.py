@@ -38,7 +38,11 @@ from repro.client import (
     OverloadedServerError,
     StaleReadError,
 )
-from repro.data.jsonio import dumps
+from repro.core import certain as _certain
+from repro.core import engine as _engine
+from repro.core import plan as _plan
+from repro.data.jsonio import decode_relations, dumps
+from repro.logic import columnar as _columnar
 from repro.server import (
     FEATURES,
     PROTO_VERSION,
@@ -47,6 +51,7 @@ from repro.server import (
     serve,
 )
 from repro.session import Database
+from repro.storage.store import Storage
 
 
 def address_of(server) -> str:
@@ -711,8 +716,12 @@ class TestInlineHits:
         # serial ground truth: the same requests against an identical session
         reference = QueryService(Database(INSTANCE))
         assert lines == [dumps(reference.handle(request)) for request in requests]
-        hits = [i for i in inline if json.loads(lines[i])["cache"] == "hit"]
-        assert hits == inline and len(inline) >= 40
+        # the loop serves rendered hits, maintained reads and in-memory writes
+        cache = [json.loads(lines[i]).get("cache") for i in inline]
+        writes = [i for i in inline if requests[i]["op"] != "query"]
+        assert cache.count("hit") + cache.count("miss") + len(writes) == len(inline)
+        assert cache.count("hit") >= 40
+        assert cache.count("miss") <= stats["result_cache"]["maintained"]
 
         # the same stream with the probe switched off: every request takes
         # the pool, and the counters move exactly as they did inline
@@ -749,7 +758,7 @@ class TestInlineHits:
         if case == "not-prepared":
             return {"op": "query", "query": "S(x, y)"}, None
         if case == "plan-stale":
-            db.insert("R", (3, 4))
+            db.replace({**INSTANCE, "R": [(1, 2), (2, 3), (3, 4)]})
             return self.QUERY, None
         if case == "not-rendered":
             text = "exists z (R(x, z) & S(z, y))"
@@ -923,3 +932,229 @@ class TestWorkerPool:
             wire.close()
         finally:
             server.shutdown()
+
+
+class TestInlineBoundedWork:
+    """Writes to an in-memory session and maintained reads run on the loop.
+
+    The loop runs a request itself when it can neither wait nor
+    enumerate: a rendered hit, a read maintained by witness counting, or
+    a write to a session with no storage.  Oracle reads, full
+    evaluations, durable writes and floor waits stay on the pool.
+    """
+
+    INSTANCE = {
+        "R": [[1, 2], [2, 3], [3, "?a"]],
+        "S": [[2, 5], [3, 6], ["?a", 7]],
+        "T": [[3]],
+    }
+    JOIN = {"query": "exists z (R(x, z) & S(z, y))", "vars": ["x", "y"]}
+    #: a CWA negation: a bracketed certain-answer oracle read
+    ORACLE = {"query": "exists y (R(x, y) & !T(y))", "vars": ["x"]}
+    #: the same negation run naively: maintained under writes to R, but
+    #: recomputed after writes to T, the anti-join's negated side
+    NAIVE_NEGATION = {**ORACLE, "mode": "columnar"}
+    QUERIES = [JOIN, {"query": "R(x, y)"}, ORACLE, NAIVE_NEGATION]
+    CELLS = [1, 2, 3, 4, "?a", "?b"]
+
+    def database(self, path=None) -> Database:
+        return Database(decode_relations(self.INSTANCE), path=path)
+
+    def row(self, rng, relation):
+        return [rng.choice(self.CELLS) for _ in range(1 if relation == "T" else 2)]
+
+    def stream(self, seed: int, n: int = 240) -> list[dict]:
+        """Reads of the three queries (repeats make hits) and writes to
+        R, S and T, null rows and two-relation deltas included."""
+        rng = random.Random(seed)
+        requests = []
+        for i in range(n):
+            draw = rng.random()
+            if draw < 0.6:
+                request = {"op": "query", **rng.choice(self.QUERIES)}
+            elif draw < 0.93:
+                relation = rng.choice("RRST")
+                request = {"op": rng.choice(["insert", "delete"]), "relation": relation,
+                           "rows": [self.row(rng, relation)]}
+            else:
+                request = {"op": "delta", "adds": {"R": [self.row(rng, "R")]},
+                           "removes": {"S": [self.row(rng, "S")]}}
+            requests.append({"id": i, **request})
+        return requests
+
+    def run_stream(self, db: Database, requests: list[dict]) -> tuple[list[str], dict]:
+        server = serve(db)
+        try:
+            wire = Wire(server.address)
+            lines = []
+            for request in requests:
+                wire.send(request)
+                lines.append(wire.reader.readline().rstrip("\n"))
+            wire.send({"op": "stats"})
+            stats = wire.recv()
+            wire.close()
+        finally:
+            server.shutdown()
+        return lines, stats
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inline_equals_pooled(self, monkeypatch, seed):
+        requests = self.stream(seed)
+        threads = handled_on(monkeypatch)
+        maintained = []
+        original = _columnar.maintained_answers
+
+        def spy(*args, **kwargs):
+            maintained.append(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_columnar, "maintained_answers", spy)
+        lines, stats = self.run_stream(self.database(), requests)
+        on_loop = {i for i, name in threads.items() if name == "repro-async-loop"}
+        maintained_on_loop = maintained.count("repro-async-loop")
+        reference = QueryService(self.database())
+        assert lines == [dumps(reference.handle(request)) for request in requests]
+        writes = [r for r in requests if r["op"] != "query"]
+        assert sum(r["id"] in on_loop for r in writes) == len(writes) >= 60
+        oracle = [r["id"] for r in requests if r.get("query") == self.ORACLE["query"]
+                  and "mode" not in r]
+        for i in oracle:  # bracketed: a hit or the pool
+            assert i not in on_loop or json.loads(lines[i])["cache"] == "hit"
+        assert stats["result_cache"]["maintained"] >= maintained_on_loop >= 20
+
+        # the same stream with the inline path off: every request takes the
+        # pool, and the lines and counters are the ones served inline
+        monkeypatch.setattr(QueryService, "serve_cached", lambda self, request: None)
+        threads.clear()
+        pool_lines, pool_stats = self.run_stream(self.database(), requests)
+        assert all(is_worker(name) for name in threads.values())
+        assert pool_lines == lines
+        assert pool_stats["requests"] == stats["requests"]
+        for counter in ("hits", "misses", "maintained", "uncacheable"):
+            assert pool_stats["result_cache"][counter] == stats["result_cache"][counter]
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_what_never_runs_on_the_loop(self, monkeypatch, tmp_path, durable):
+        on_loop: dict[str, int] = {}
+        calls: dict[str, int] = {}
+
+        def spy_on(owner, name):
+            original = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                if threading.current_thread().name == "repro-async-loop":
+                    on_loop[name] = on_loop.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        spy_on(_engine, "execute_plan")
+        spy_on(_certain, "certain_answers")
+        spy_on(_plan, "make_plan")
+        spy_on(Storage, "append_record")
+        spy_on(Storage, "sync")
+        threads = handled_on(monkeypatch)
+        requests = self.stream(4, n=160)
+        db = self.database(str(tmp_path / "data") if durable else None)
+        try:
+            lines, _ = self.run_stream(db, requests)
+        finally:
+            db.close()
+        assert all(json.loads(line)["ok"] for line in lines)
+        assert on_loop == {}
+        assert calls["execute_plan"] and calls["certain_answers"] and calls["make_plan"]
+        assert bool(calls.get("append_record")) == bool(calls.get("sync")) == durable
+        writes = {r["id"] for r in requests if r["op"] != "query"}
+        loop_ids = {i for i, name in threads.items() if name == "repro-async-loop"}
+        # durable writes wait for their fsync on the pool; maintained reads
+        # still run on the loop
+        assert bool(writes & loop_ids) != durable
+        assert loop_ids - writes
+
+    WRITE = {"op": "insert", "relation": "R", "rows": [[4, 2]]}
+    READ = {"op": "query", **JOIN}
+
+    def primed(self, rendered: bool = True) -> tuple[QueryService, Database]:
+        """A session where the join is a maintained read and R takes writes.
+
+        Unless ``rendered``, the join's entry never rendered, so a read
+        maintained from it would render every row.
+        """
+        db = self.database()
+        service = QueryService(db)
+        if rendered:
+            service.handle(self.READ)  # a counted entry, rendered
+        else:
+            db.query(self.JOIN["query"], self.JOIN["vars"]).evaluate()
+        db.insert("R", (5, 2))
+        with db.bounded(self.JOIN["query"], self.JOIN["vars"]) as bounded:
+            assert bounded is rendered
+        with db.bounded(None) as bounded:
+            assert bounded
+        return service, db
+
+    @pytest.mark.parametrize(
+        "case, kind",
+        [
+            ("lock-busy", "write"),
+            ("lock-busy", "maintained-read"),
+            ("floor-unmet", "maintained-read"),  # writes carry no floors
+            ("slots-held", "write"),
+            ("slots-held", "maintained-read"),
+            ("unrendered-entry", "maintained-read"),
+        ],
+    )
+    def test_probe_declines_and_counts_nothing(self, case, kind):
+        service, db = self.primed(rendered=case != "unrendered-entry")
+        request = dict(self.WRITE if kind == "write" else self.READ)
+        holding, done = threading.Event(), threading.Event()
+
+        def hold():
+            with db._lock:
+                holding.set()
+                done.wait(10)
+
+        holder = threading.Thread(target=hold)
+        if case == "lock-busy":
+            holder.start()
+            holding.wait(10)
+        elif case == "floor-unmet":
+            request.update(min_generation=db.generation + 1, wait_timeout_s=10)
+        elif case == "slots-held":
+            service.slot_free = lambda: False
+        cache, counters = dict(db._result_stats), dict(service._counters)
+        generation = db.generation
+        started = time.monotonic()
+        try:
+            assert service.serve_cached(request) is None
+            assert time.monotonic() - started < 0.5  # declined, never waited
+        finally:
+            done.set()
+            if holder.is_alive():
+                holder.join(10)
+        assert not holder.is_alive()
+        assert db._result_stats == cache and service._counters == counters
+        assert db.generation == generation
+
+    def test_held_slots_shed_a_maintained_read(self):
+        # the in-memory write's case is test_overloaded_writes_are_safely_retried_by_the_client
+        service, db = self.primed()
+        server = AsyncServer(service, max_inflight=1).start()
+        try:
+            blocker = Wire(server.address)
+            blocker.send({**self.READ, "min_generation": 99, "wait_timeout_s": 1.0})
+            time.sleep(0.1)  # the blocker holds the only slot
+            wire = Wire(server.address)
+            wire.send({"id": 1, **self.READ})
+            assert wire.recv()["error_type"] == "overloaded"
+            assert blocker.recv()["error_type"] == "stale"
+            wire.send({"id": 2, **self.READ})  # the slot is free again
+            served = wire.recv()
+            assert served["ok"] and served["id"] == 2
+            assert served["answers"] == [[1, 5], [2, 6], [3, 7], [5, 5]]
+            wire.close()
+            blocker.close()
+        finally:
+            server.shutdown()
+        assert service.handle({"op": "stats"})["requests"]["overloaded"] == 1

@@ -403,3 +403,14 @@ class TestQueryMemos:
         copy = pickle.loads(pickle.dumps(q))
         assert copy == q and "_hash" not in copy.__dict__ and "_constants" not in copy.__dict__
         assert hash(copy) == hash(q)
+
+    def test_compiled_plan_is_memoised_and_stays_out_of_pickles(self):
+        q = Query(parse(NEG), ("x",))
+        cq = compiled_query(q)
+        assert compiled_query(q) is cq and q.__dict__["_compiled"] is cq
+        copy = pickle.loads(pickle.dumps(q))
+        assert copy == q and "_compiled" not in copy.__dict__
+        inst = Instance({"R": [(1, 2), (3, Null("a"))], "S": [(2,)]})
+        again = compiled_query(copy)
+        assert compiled_query(copy) is again and again.describe() == cq.describe()
+        assert again.naive_answers(inst) == cq.naive_answers(inst) == {(3,)}
