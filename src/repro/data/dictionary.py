@@ -384,6 +384,14 @@ class EncodedRelation:
     # access paths (all lazy, all memoised)
     # ------------------------------------------------------------------
 
+    def has_row_set(self) -> bool:
+        """Is :meth:`row_set` built already (so it costs nothing)?"""
+        return self._row_set is not None
+
+    def has_index(self, positions: tuple[int, ...]) -> bool:
+        """Is :meth:`index` on ``positions`` built already (so it costs nothing)?"""
+        return positions in self._indexes
+
     def index(self, positions: tuple[int, ...]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
         """Hash index ``{key: [rows]}`` keyed on ``positions`` (int keys)."""
         idx = self._indexes.get(positions)
@@ -550,6 +558,17 @@ class ColumnarContext:
                 rel = EncodedRelation.from_rows(rows, self.dictionary)
             self._encoded[name] = rel
             self._pending.pop(name, None)
+        return rel
+
+    def built(self, name: str) -> EncodedRelation | None:
+        """The encoded relation if it is built already; never builds one.
+
+        ``None`` when the relation is absent, or written and not yet
+        derived, or never encoded.
+        """
+        rel = self._encoded.get(name)
+        if rel is None and self._parent is not None:
+            return self._parent.built(name)
         return rel
 
     def adom_codes(self) -> frozenset[int]:

@@ -61,7 +61,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence, Sized
 
 from repro.data.answers import AnswerSet, visible_rows
 from repro.data.dictionary import ColumnarContext, EncodedRelation, columnar_context
@@ -96,6 +96,8 @@ __all__ = [
     "maintenance_gaps",
     "bracket_gaps",
     "maintained_answers",
+    "maintainable",
+    "maintenance_is_bounded",
 ]
 
 _EMPTY: frozenset[tuple[int, ...]] = frozenset()
@@ -181,6 +183,13 @@ def _guard(node, cctx, memo):
 _PROBE_RATIO = 16
 
 
+def _merges(n_left: int, n_right: int) -> bool:
+    """Does a single-column scan ⋈ scan (:func:`_vector_probe`) of
+    ``n_left`` rows against ``n_right`` merge, rather than probe the
+    right side's index?"""
+    return n_left * _PROBE_RATIO > n_right
+
+
 def _vector_probe(node) -> bool:
     """Is this probe join a single-column scan ⋈ scan (kernel shape)?"""
     left = node.left
@@ -204,7 +213,7 @@ def _join(node, cctx, memo):
             lrel = cctx.encoded(node.left.name)
             if lrel is None or lrel.arity != node.left.arity:
                 return _EMPTY
-            if lrel.n_rows * _PROBE_RATIO > rrel.n_rows:
+            if _merges(lrel.n_rows, rrel.n_rows):
                 if extra:
                     return kernels.sort_merge_join(lrel, rrel, lk[0], rk[0], extra)
                 return kernels.semi_join(lrel, rrel, lk[0], rk[0])
@@ -458,6 +467,74 @@ def _answer_set(root: Node, cctx: ColumnarContext, arity: int, count: bool) -> A
     return AnswerSet.encoded(visible_rows(_eval(root, cctx, {})), arity, cctx.dictionary)
 
 
+def maintainable(answers: AnswerSet, cctx: ColumnarContext, relation: str) -> bool:
+    """Can :func:`maintained_answers` maintain ``answers`` over ``cctx``
+    under writes to ``relation``?
+
+    ``answers`` must be a counted set (a bracketed oracle set carries no
+    plan: the oracle maintains it) over ``cctx``'s dictionary, and its
+    plan must allow it (:func:`maintenance_gaps`).
+    """
+    root = answers.plan
+    return (
+        root is not None
+        and answers._dictionary is cctx.dictionary
+        and maintenance_gaps(root).get(relation, "unread") is None
+    )
+
+
+def maintenance_is_bounded(
+    answers: AnswerSet,
+    cctx: ColumnarContext,
+    relation: str,
+    added: Sized,
+    removed: Sized,
+) -> bool:
+    """Is :func:`maintained_answers` over ``cctx`` bounded by the write?
+
+    True when ``answers`` is :func:`maintainable` and its run reads no
+    more of the instance than the written rows and what they join.  The
+    written relation must lie on the plan's left spine: every join above
+    its scan has it on the left, so the written rows drive the join and
+    no other relation is walked.  Each join there must probe a plain
+    scan whose index on the join key is built already, or which is
+    small enough against the written rows that the kernel merges
+    (:func:`_merges`).  Each anti-join there must negate a plain scan
+    whose row set is built already.  A relation that is not encoded yet
+    declines, since the run would encode it.  Checks only: it builds,
+    evaluates and counts nothing.
+    """
+    if not maintainable(answers, cctx, relation):
+        return False
+    # the kernel merges when the smaller signed delta already merges
+    fewest = min((n for n in (len(added), len(removed)) if n), default=0)
+    node, _ = _projection_stack(answers.plan)
+    while not isinstance(node, ScanNode):
+        if isinstance(node, FilterNode):
+            node = node.child
+            continue
+        right = getattr(node, "right", None)
+        if not (isinstance(right, ScanNode) and right.is_plain):
+            return False
+        rel = cctx.built(right.name)
+        if rel is None:
+            return False
+        if isinstance(node, AntiJoinNode):
+            if not rel.has_row_set():
+                return False
+        elif not (
+            isinstance(node, JoinNode)
+            and node._probe
+            and (
+                rel.has_index(node._r_key)
+                or (_vector_probe(node) and _merges(fewest, rel.n_rows))
+            )
+        ):
+            return False
+        node = node.left
+    return node.name == relation
+
+
 def maintained_answers(
     answers: AnswerSet,
     source,
@@ -475,15 +552,10 @@ def maintained_answers(
     ``None`` when the answers cannot be maintained under writes to
     ``relation``.
     """
-    root = answers.plan
     cctx = as_columnar_context(source)
-    if (
-        root is None
-        or answers._dictionary is not cctx.dictionary
-        or maintenance_gaps(root).get(relation, "unread") is not None
-    ):
+    if not maintainable(answers, cctx, relation):
         return None
-    child, indices = _projection_stack(root)
+    child, indices = _projection_stack(answers.plan)
     project = kernels.key_getter(indices)
     encode_row = cctx.dictionary.encode_row
     delta: Counter[tuple[int, ...]] = Counter()

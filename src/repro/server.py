@@ -23,11 +23,11 @@ counters), so worker threads call straight into it.  Mutations apply
 atomically; readers either hit the generation-keyed result cache or
 evaluate against a consistent snapshot.  A request whose session work
 is bounded — a ``query`` whose rendered answer is cached, a ``query``
-maintained by witness counting, a write to a session with no storage —
-is answered on the event loop itself (:meth:`QueryService.serve_cached`);
-everything that can wait or enumerate runs on a small worker pool, as
-in the AMPED design of the Flash web server (Pai, Druschel and
-Zwaenepoel, USENIX ATC 1999).
+that witness counting maintains from the written rows alone, a write
+to a session with no storage — is answered on the event loop itself
+(:meth:`QueryService.serve_cached`); everything that can wait or
+enumerate runs on a small worker pool, as in the AMPED design of the
+Flash web server (Pai, Druschel and Zwaenepoel, USENIX ATC 1999).
 
 When the shared session is durable (``Database(path=...)``), mutations
 are journaled/fsync'd before they are acknowledged, the ``checkpoint``
@@ -62,7 +62,7 @@ import json
 import queue
 import threading
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro import faults as _faults
 from repro.core.analyzer import FIGURE_1
@@ -160,10 +160,6 @@ class QueryService:
             "errors": 0,
         }
         self._started = perf_counter()
-        #: is an admission slot free for bounded work right now?
-        #: :meth:`serve_cached` runs writes and maintained reads only
-        #: while it says so; :class:`AsyncServer` installs its own check
-        self.slot_free: Callable[[], bool] = lambda: True
 
     @property
     def role(self) -> str:
@@ -412,19 +408,20 @@ class QueryService:
             self._counters["queries"] += 1
         return self._render(prepared, self.db.evaluate_many([prepared], mode=mode)[0])
 
-    def serve_cached(self, request: dict) -> dict | None:
+    def serve_cached(self, request: dict, slot_free: bool) -> dict | None:
         """Answer a request now if its session work is bounded.
 
         The event loop's entry: returns the response :meth:`handle`
         gives, or ``None`` when :meth:`Database.bounded` declines.  It
         admits a ``query`` whose rendered answer is cached, and, only
-        while :attr:`slot_free` says so, a ``query`` maintained by
-        witness counting and an ``insert``/``delete``/``delta`` on a
-        primary whose session has no storage.  It declines a request
-        with an invalid field (the worker path answers the error), and
-        whenever the session lock is busy, a floor is unmet, the text
-        was never prepared, the plan is stale or the request is in none
-        of these classes.  It never blocks, plans or enumerates.
+        when ``slot_free`` (an admission slot is free), a ``query``
+        that witness counting maintains from the written rows alone
+        and an ``insert``/``delete``/``delta`` on a primary whose
+        session has no storage.  It declines a request with an invalid
+        field (the worker path answers the error), and whenever the
+        session lock is busy, a floor is unmet, the text was never
+        prepared, the plan is stale or the request is in none of these
+        classes.  It never blocks, plans or enumerates.
         :meth:`handle` runs under the probe's lock, so the verdict
         cannot go stale and the counters move exactly as on the worker
         path.
@@ -444,9 +441,9 @@ class QueryService:
                 mode=mode,
                 generation=min_g,
                 rel_generations=min_rel,
-                maintained=self.slot_free(),
+                maintained=slot_free,
             )
-        elif op in _WRITE_OPS and not self._replica_mode and self.slot_free():
+        elif op in _WRITE_OPS and not self._replica_mode and slot_free:
             probe = self.db.bounded(None)
         else:
             return None
@@ -722,8 +719,8 @@ class AsyncServer:
     request itself when it can neither wait nor enumerate
     (:meth:`QueryService.serve_cached`): a ``query`` whose rendered
     answer is cached, and, while an admission slot is free, a
-    ``query`` maintained by witness counting or a write to a session
-    with no storage.  Under the GIL such work stalls the loop as long
+    ``query`` that witness counting maintains from the written rows
+    alone or a write to a session with no storage.  Under the GIL such work stalls the loop as long
     from a worker as on the loop, minus the thread hop.  All other
     session work — durable writes, oracle reads, full evaluations,
     floor waits — runs on a pool of at most ``executor_threads``
@@ -792,7 +789,6 @@ class AsyncServer:
         self._drain_timeout_s = 0.0
         self._startup_error: BaseException | None = None
         self._done = threading.Event()
-        service.slot_free = self._slot_free
 
     # ------------------------------------------------------------------
     # async lifecycle
@@ -998,7 +994,9 @@ class AsyncServer:
                 # a maintained read or an in-memory write while a slot
                 # is free (without taking it: nothing else runs on the
                 # loop meanwhile)
-                response = self.service.serve_cached(request)
+                response = self.service.serve_cached(
+                    request, self._inflight < self.max_inflight
+                )
                 if response is not None:
                     await self._respond_obj(conn, response, request.get("id"))
                     continue
@@ -1048,9 +1046,6 @@ class AsyncServer:
     # per-request task
     # ------------------------------------------------------------------
 
-    def _slot_free(self) -> bool:
-        return self._inflight < self.max_inflight
-
     def _release_slot(self, fut: asyncio.Future) -> None:
         self._inflight -= 1
         if not fut.cancelled():
@@ -1074,7 +1069,7 @@ class AsyncServer:
                     rid,
                 )
                 return
-            if not self._slot_free():
+            if self._inflight >= self.max_inflight:
                 # admission control: shed *now* with a typed frame rather
                 # than queue without bound — the client knows nothing ran
                 self.service.bump("requests")

@@ -965,18 +965,26 @@ class Database:
         self._newest.clear()
         self._deltas.clear()
 
-    def _maintenance_steps(
-        self, key: tuple, newest: tuple
-    ) -> tuple[str, list[tuple]] | None:
-        """The one read relation written since ``newest`` and its deltas.
+    def _maintenance_basis(
+        self, plan: Plan, key: tuple | None, cached: AnswerSet | None
+    ) -> tuple[AnswerSet, str, set, set] | None:
+        """What a miss can maintain its answers from, or ``None``.
 
-        ``(relation, steps)``: the relation whose generation differs
-        between ``newest`` (an older key of ``key``'s plan) and ``key``,
-        and the ``(added, removed)`` rows of each write to it since,
-        oldest first.  ``None`` when writes touched another read
-        relation too, or when the delta log no longer reaches back to
-        ``newest``.  Caller holds the lock.
+        ``(answers, relation, added, removed)``: the newest cached
+        answers of the same plan, the one read relation written since,
+        and the net rows it gained and lost, composed from the delta
+        log.  The answers are a ``columnar`` run's counted set or a CWA
+        oracle run's set carrying its bracket's counted bounds.  ``None``
+        when there is no such entry, when writes touched another read
+        relation too, or when the log no longer reaches back to the
+        entry.  Caller holds the lock.
         """
+        if cached is not None or key is None:
+            return None
+        newest = self._newest.get(key[:-1])
+        prior = self._results.get(newest) if newest is not None else None
+        if prior is None or (prior.plan is None and prior.bracket is None):
+            return None
         before = dict(newest[-1])
         moved = [(name, gen) for name, gen in key[-1] if before[name] != gen]
         if len(moved) != 1:
@@ -995,30 +1003,6 @@ class Database:
         if len(steps) != gen - since:
             return None
         steps.reverse()
-        return name, steps
-
-    def _maintenance_basis(
-        self, plan: Plan, key: tuple | None, cached: AnswerSet | None
-    ) -> tuple[AnswerSet, str, set, set] | None:
-        """What a miss can maintain its answers from, or ``None``.
-
-        ``(answers, relation, added, removed)``: the newest cached
-        answers of the same plan, the one read relation written since,
-        and the net rows it gained and lost, composed from the delta
-        log (:meth:`_maintenance_steps`).  The answers are a
-        ``columnar`` run's counted set or a CWA oracle run's set
-        carrying its bracket's counted bounds.  Caller holds the lock.
-        """
-        if cached is not None or key is None:
-            return None
-        newest = self._newest.get(key[:-1])
-        prior = self._results.get(newest) if newest is not None else None
-        if prior is None or (prior.plan is None and prior.bracket is None):
-            return None
-        found = self._maintenance_steps(key, newest)
-        if found is None:
-            return None
-        name, steps = found
         added: set = set()
         removed: set = set()
         for step_added, step_removed in steps:
@@ -1127,17 +1111,19 @@ class Database:
         (:meth:`insert`, :meth:`delete` or :meth:`apply_delta`).  Yields
         ``True`` when the work can neither wait nor enumerate:
 
-        * a write to a session with no storage: O(delta) plus one
-          row-set copy of the written relation, and never an fsync;
+        * a write to a session with no storage: Python work on the
+          delta plus one C-level row-set copy of the written relation,
+          and never an fsync;
         * a read that would hit a result-cache entry whose wire text
           (:meth:`AnswerSet.to_json`) is already rendered;
-        * with ``maintained``, a read whose newest cached entry of the
-          same plan is a counted set that patches its rendered text,
-          where exactly one read relation was written since, its writes
-          can be maintained (:func:`~repro.logic.columnar.maintenance_gaps`)
-          and the delta log reaches back to the entry: the read is then
-          :func:`~repro.logic.columnar.maintained_answers` plus a text
-          patch, with no kernel run over the instance.
+        * with ``maintained``, a read that a miss would maintain
+          (:meth:`_maintenance_basis`) from a counted set that patches
+          its rendered text, where
+          :func:`~repro.logic.columnar.maintenance_is_bounded` holds:
+          the written rows drive the plan's left spine and probe only
+          indexes built already.  The read is then Python work on the
+          written rows and the rows they join, plus C-level copies of
+          the answer's counts and text; no other relation is walked.
 
         A read also needs its ``generation``/``rel_generations`` floors
         met already.  While it yields ``True`` the session lock is held
@@ -1179,13 +1165,17 @@ class Database:
             return answers.is_rendered
         if not maintained:
             return False
-        newest = self._newest.get(key[:-1])
-        prior = self._results.get(newest) if newest is not None else None
-        if prior is None or prior.plan is None or not prior.patches_text:
+        # the basis and the maintenance checks are the miss path's own
+        basis = self._maintenance_basis(plan, key, None)
+        if basis is None:
             return False
-        found = self._maintenance_steps(key, newest)
-        gaps = _columnar.maintenance_gaps(prior.plan)
-        return found is not None and gaps.get(found[0], "unread") is None
+        prior, relation, added, removed = basis
+        cctx = self._instance._cols
+        return (
+            prior.patches_text
+            and cctx is not None
+            and _columnar.maintenance_is_bounded(prior, cctx, relation, added, removed)
+        )
 
     @property
     def cache_stats(self) -> dict[str, int]:

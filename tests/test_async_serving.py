@@ -41,8 +41,10 @@ from repro.client import (
 from repro.core import certain as _certain
 from repro.core import engine as _engine
 from repro.core import plan as _plan
+from repro.data.dictionary import EncodedRelation
 from repro.data.jsonio import decode_relations, dumps
 from repro.logic import columnar as _columnar
+from repro.logic import kernels as _kernels
 from repro.server import (
     FEATURES,
     PROTO_VERSION,
@@ -660,6 +662,33 @@ def handled_on(monkeypatch) -> dict:
     return threads
 
 
+def maintained_on(monkeypatch) -> dict:
+    """Record, per request id, the thread ``maintained_answers`` ran on.
+
+    Patches ``handle`` to note which request is in flight on each
+    thread; stack it on :func:`handled_on`, not under it.
+    """
+    threads, current = {}, threading.local()
+    handle, maintained_answers = QueryService.handle, _columnar.maintained_answers
+
+    def handle_spy(self, request):
+        current.id = request.get("id") if isinstance(request, dict) else None
+        try:
+            return handle(self, request)
+        finally:
+            current.id = None
+
+    def maintained_spy(*args, **kwargs):
+        rid = getattr(current, "id", None)
+        if rid is not None:
+            threads[rid] = threading.current_thread().name
+        return maintained_answers(*args, **kwargs)
+
+    monkeypatch.setattr(QueryService, "handle", handle_spy)
+    monkeypatch.setattr(_columnar, "maintained_answers", maintained_spy)
+    return threads
+
+
 def is_worker(thread_name: str) -> bool:
     return re.fullmatch(r"repro-async-\d+", thread_name) is not None
 
@@ -711,21 +740,25 @@ class TestInlineHits:
     def test_inline_hits_match_the_worker_path(self, monkeypatch, seed):
         requests = self.stream(seed)
         threads = handled_on(monkeypatch)
+        maintained = maintained_on(monkeypatch)
         lines, stats = self.run_stream(requests)
         inline = [i for i, name in threads.items() if name == "repro-async-loop"]
+        maintained_on_loop = {i for i, name in maintained.items() if name == "repro-async-loop"}
         # serial ground truth: the same requests against an identical session
         reference = QueryService(Database(INSTANCE))
         assert lines == [dumps(reference.handle(request)) for request in requests]
-        # the loop serves rendered hits, maintained reads and in-memory writes
-        cache = [json.loads(lines[i]).get("cache") for i in inline]
-        writes = [i for i in inline if requests[i]["op"] != "query"]
-        assert cache.count("hit") + cache.count("miss") + len(writes) == len(inline)
-        assert cache.count("hit") >= 40
-        assert cache.count("miss") <= stats["result_cache"]["maintained"]
+        # every line the loop served is a rendered hit, a write to the
+        # in-memory session, or a miss whose maintenance ran on the loop
+        hits = [i for i in inline if json.loads(lines[i]).get("cache") == "hit"]
+        writes = [i for i in inline if requests[i]["op"] in ("insert", "delete")]
+        misses = [i for i in inline if i not in hits and i not in writes]
+        assert all(json.loads(lines[i])["cache"] == "miss" for i in misses)
+        assert all(i in maintained_on_loop for i in misses)
+        assert len(hits) >= 40
 
         # the same stream with the probe switched off: every request takes
         # the pool, and the counters move exactly as they did inline
-        monkeypatch.setattr(QueryService, "serve_cached", lambda self, request: None)
+        monkeypatch.setattr(QueryService, "serve_cached", lambda self, *args: None)
         threads.clear()
         pool_lines, pool_stats = self.run_stream(requests)
         assert all(is_worker(name) for name in threads.values())
@@ -779,11 +812,11 @@ class TestInlineHits:
         db = Database(INSTANCE)
         service = QueryService(db)
         service.handle(self.QUERY)  # R(x, y) is now a rendered hit
-        assert service.serve_cached(self.QUERY) is not None
+        assert service.serve_cached(self.QUERY, True) is not None
         request, release = self.decline_case(case, service)
         cache, counters = dict(db._result_stats), dict(service._counters)
         started = time.monotonic()
-        assert service.serve_cached(request) is None
+        assert service.serve_cached(request, True) is None
         assert time.monotonic() - started < 0.5  # declined, never waited
         assert db._result_stats == cache and service._counters == counters
         threads = handled_on(monkeypatch)
@@ -1001,30 +1034,28 @@ class TestInlineBoundedWork:
     def test_inline_equals_pooled(self, monkeypatch, seed):
         requests = self.stream(seed)
         threads = handled_on(monkeypatch)
-        maintained = []
-        original = _columnar.maintained_answers
-
-        def spy(*args, **kwargs):
-            maintained.append(threading.current_thread().name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(_columnar, "maintained_answers", spy)
+        maintained = maintained_on(monkeypatch)
         lines, stats = self.run_stream(self.database(), requests)
         on_loop = {i for i, name in threads.items() if name == "repro-async-loop"}
-        maintained_on_loop = maintained.count("repro-async-loop")
+        maintained_on_loop = {i for i, name in maintained.items() if name == "repro-async-loop"}
         reference = QueryService(self.database())
         assert lines == [dumps(reference.handle(request)) for request in requests]
         writes = [r for r in requests if r["op"] != "query"]
         assert sum(r["id"] in on_loop for r in writes) == len(writes) >= 60
+        # a read on the loop is a rendered hit or maintained there
+        for r in requests:
+            if r["op"] == "query" and r["id"] in on_loop:
+                cache = json.loads(lines[r["id"]])["cache"]
+                assert cache == "hit" or r["id"] in maintained_on_loop
         oracle = [r["id"] for r in requests if r.get("query") == self.ORACLE["query"]
                   and "mode" not in r]
         for i in oracle:  # bracketed: a hit or the pool
             assert i not in on_loop or json.loads(lines[i])["cache"] == "hit"
-        assert stats["result_cache"]["maintained"] >= maintained_on_loop >= 20
+        assert stats["result_cache"]["maintained"] >= len(maintained_on_loop) >= 20
 
         # the same stream with the inline path off: every request takes the
         # pool, and the lines and counters are the ones served inline
-        monkeypatch.setattr(QueryService, "serve_cached", lambda self, request: None)
+        monkeypatch.setattr(QueryService, "serve_cached", lambda self, *args: None)
         threads.clear()
         pool_lines, pool_stats = self.run_stream(self.database(), requests)
         assert all(is_worker(name) for name in threads.values())
@@ -1121,13 +1152,11 @@ class TestInlineBoundedWork:
             holding.wait(10)
         elif case == "floor-unmet":
             request.update(min_generation=db.generation + 1, wait_timeout_s=10)
-        elif case == "slots-held":
-            service.slot_free = lambda: False
         cache, counters = dict(db._result_stats), dict(service._counters)
         generation = db.generation
         started = time.monotonic()
         try:
-            assert service.serve_cached(request) is None
+            assert service.serve_cached(request, case != "slots-held") is None
             assert time.monotonic() - started < 0.5  # declined, never waited
         finally:
             done.set()
@@ -1158,3 +1187,160 @@ class TestInlineBoundedWork:
         finally:
             server.shutdown()
         assert service.handle({"op": "stats"})["requests"]["overloaded"] == 1
+
+    def test_a_write_to_a_read_relation_is_maintained_on_the_loop(self):
+        # a write to R makes R(x, y) a miss that witness counting
+        # maintains: the probe admits it, and the response and counters
+        # are the ones the worker path gives
+        db = Database(INSTANCE)
+        service = QueryService(db)
+        query = {"op": "query", "query": "R(x, y)"}
+        service.handle(query)  # a counted entry, rendered
+        db.insert("R", (3, 4))
+        reference = QueryService(Database(INSTANCE))
+        reference.handle(query)
+        reference.db.insert("R", (3, 4))
+        response = service.serve_cached(query, True)
+        assert response == reference.handle(query)
+        assert response["answers"] == [[1, 2], [2, 3], [3, 4]]
+        assert response["cache"] == "miss"
+        assert db.cache_stats == reference.db.cache_stats
+        assert db.cache_stats["maintained"] == 1
+
+    def walked(self, monkeypatch) -> dict[str, int]:
+        """Record, per thread, the most rows any kernel or executor step
+        read or returned: kernel inputs, executor node results, and the
+        relations whose index or sort runs were built."""
+        most: dict[str, int] = {}
+
+        def note(n):
+            name = threading.current_thread().name
+            most[name] = max(most.get(name, 0), n)
+
+        def spy(owner, name, size):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                n = size(*args)
+                result = original(*args, **kwargs)
+                note(n if n is not None else len(result))
+                return result
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def kernel_rows(left, right, *rest):
+            return max(left.n_rows, right.n_rows)
+
+        def index_rows(rel, positions):
+            return 0 if rel.has_index(positions) else rel.n_rows
+
+        def sort_rows(rel, position):
+            return 0 if position in rel._sorted_rows else rel.n_rows
+
+        for kernel in ("sort_merge_join", "sort_merge_join_project", "semi_join"):
+            spy(_kernels, kernel, kernel_rows)
+        spy(_columnar, "_eval", lambda *args: None)
+        spy(EncodedRelation, "index", index_rows)
+        spy(EncodedRelation, "sorted_rows", sort_rows)
+        return most
+
+    def test_maintenance_on_the_loop_walks_only_the_written_rows(self, monkeypatch):
+        # R has 20000 rows and S 2000.  A read maintained after a write to
+        # R probes S's index with the written row, so it runs on the loop
+        # once that index is built; until then, and after a write to S (the
+        # join's right side, which makes the read walk all of R), the pool
+        # runs it
+        n = 20_000
+        db = Database({"R": [(i, i) for i in range(n)], "S": [(z, -z) for z in range(0, n, 10)]})
+        threads = handled_on(monkeypatch)
+        maintained = maintained_on(monkeypatch)
+        most = self.walked(monkeypatch)
+        server = serve(db)
+        try:
+            wire = Wire(server.address)
+            steps = [
+                self.READ,  # 0: a full evaluation, on the pool
+                {"op": "insert", "relation": "R", "rows": [[n + 1, 10]]},
+                self.READ,  # 2: S has no index yet: the pool builds it
+                {"op": "insert", "relation": "S", "rows": [[n + 2, 7]]},
+                self.READ,  # 4: S moved: maintaining it walks R, on the pool
+                {"op": "insert", "relation": "R", "rows": [[n + 3, 20]]},
+                self.READ,  # 6: the written S is not encoded yet: the pool
+                {"op": "insert", "relation": "R", "rows": [[n + 4, 30]]},
+                self.READ,  # 8: R moved, S's index is built: the loop
+            ]
+            lines = []
+            for i, request in enumerate(steps):
+                wire.send({"id": i, **request})
+                lines.append(wire.recv())
+            wire.close()
+        finally:
+            server.shutdown()
+        assert all(line["ok"] for line in lines)
+        answers = lines[8]["answers"]
+        assert [[n + 1, -10], [n + 3, -20], [n + 4, -30]] == [a for a in answers if a[0] > n]
+        assert len(answers) == n // 10 + 3
+        assert [lines[i]["cache"] for i in (2, 4, 6, 8)] == ["miss"] * 4
+        assert all(threads[i] == "repro-async-loop" for i in (1, 3, 5, 7))
+        assert all(is_worker(maintained[i]) for i in (2, 4, 6))
+        assert maintained[8] == threads[8] == "repro-async-loop"
+        # the spy sees R being walked on the pool, and nothing like it on the loop
+        assert max(most[name] for name in most if is_worker(name)) >= n
+        assert most.get("repro-async-loop", 0) <= 16
+
+    def test_a_write_to_the_right_side_stays_on_the_pool(self, monkeypatch):
+        # R has 20000 rows and S 10, so a write to R merges against S with
+        # no index needed and runs on the loop.  A write to S would walk R:
+        # the pool runs it, even once S is encoded again
+        n = 20_000
+        db = Database({"R": [(i, i) for i in range(n)], "S": [(z, -z) for z in range(10)]})
+        threads = handled_on(monkeypatch)
+        maintained = maintained_on(monkeypatch)
+        most = self.walked(monkeypatch)
+        server = serve(db)
+        try:
+            wire = Wire(server.address)
+            steps = [
+                self.READ,  # 0: a full evaluation, on the pool
+                {"op": "insert", "relation": "S", "rows": [[n + 1, 7]]},
+                {"op": "query", "query": "S(x, y)"},  # 2: encodes the written S
+                self.READ,  # 3: S moved: maintaining it walks R, on the pool
+                {"op": "insert", "relation": "R", "rows": [[n + 2, 3]]},
+                self.READ,  # 5: R moved: a merge against S's 11 rows, the loop
+            ]
+            lines = []
+            for i, request in enumerate(steps):
+                wire.send({"id": i, **request})
+                lines.append(wire.recv())
+            wire.close()
+        finally:
+            server.shutdown()
+        assert all(line["ok"] for line in lines)
+        assert sorted(lines[5]["answers"]) == [[i, -i] for i in range(10)] + [[n + 2, -3]]
+        assert is_worker(maintained[3]) and maintained[5] == "repro-async-loop"
+        assert max(most[name] for name in most if is_worker(name)) >= n
+        assert most.get("repro-async-loop", 0) <= 16
+
+    def test_a_negated_relation_must_be_encoded_first(self):
+        # R is empty, so the first run never read T's rows: a read
+        # maintained after a write to R would encode T, then build its
+        # row set, on the loop
+        db = Database({"R": [], "T": [(i,) for i in range(1000)]})
+        service = QueryService(db)
+        read = {
+            "op": "query",
+            "query": "exists y (R(x, y) & !T(y))",
+            "vars": ["x"],
+            "mode": "columnar",
+        }
+        assert service.handle(read)["answers"] == []
+        db.insert("R", (1, 5))
+        assert service.serve_cached(read, True) is None  # T is not encoded
+        # a semi-join probes T's index: T is encoded, its row set is not
+        service.handle({"op": "query", "query": "exists y (R(x, y) & T(y))", "vars": ["x"]})
+        assert service.serve_cached(read, True) is None
+        assert service.handle(read)["answers"] == []  # maintained; T's row set built
+        db.insert("R", (2, 2000))
+        response = service.serve_cached(read, True)
+        assert response["answers"] == [[2]] and response["cache"] == "miss"
+        assert db.cache_stats["maintained"] == 2
